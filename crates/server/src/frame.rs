@@ -23,7 +23,7 @@
 //! machine — no I/O — which is what the torn-frame and fuzz tests grip.
 
 use crate::wire::{ErrorCode, WireError};
-use storage::wal::crc32;
+use storage::crc32::crc32;
 
 /// Frame magic: `"CRMS"` little-endian.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"CRMS");

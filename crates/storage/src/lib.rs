@@ -9,6 +9,8 @@
 //! * a **write-ahead log** ([`wal::Wal`]) with CRC-framed physical
 //!   page-image records, group fsync on commit, redo/undo crash recovery
 //!   and log truncation at checkpoints — see below,
+//! * one **CRC-32** ([`crc32::crc32`], IEEE polynomial, slicing-by-16)
+//!   behind every page, header, sidecar, WAL-frame and wire-frame checksum,
 //! * a fixed-capacity **buffer pool** ([`buffer::BufferPool`]) with clock
 //!   (second-chance) eviction, `Arc<Page>` frames, frame pinning for
 //!   in-flight scans, and zero-clone write-back — see below,
@@ -103,6 +105,7 @@
 pub mod btree;
 pub mod buffer;
 pub mod catalog;
+pub mod crc32;
 pub mod db;
 pub mod error;
 pub mod heap;

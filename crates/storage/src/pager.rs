@@ -40,10 +40,10 @@
 //! failures (`ErrorKind::Interrupted`) are retried with bounded exponential
 //! backoff per the configured [`RetryPolicy`].
 
+use crate::crc32::crc32;
 use crate::error::{StorageError, StorageResult};
 use crate::io::{DiskIo, RetryPolicy, StorageIo};
 use crate::page::{Page, PageId, PAGE_SIZE};
-use crate::wal::crc32;
 use std::fs::OpenOptions;
 use std::io::Write;
 use std::path::{Path, PathBuf};

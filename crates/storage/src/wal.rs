@@ -67,6 +67,7 @@
 //! exactly the atomicity contract — an interrupted append never surfaces a
 //! half-written transaction.
 
+use crate::crc32::crc32;
 use crate::error::{StorageError, StorageResult};
 use crate::io::{DiskIo, RetryPolicy, StorageIo};
 use crate::page::{PageId, PAGE_SIZE};
@@ -82,6 +83,15 @@ use std::time::Duration;
 const WAL_MAGIC: &[u8; 8] = b"CRIMWAL1";
 const WAL_HEADER: u64 = 16;
 const FRAME_HEADER: usize = 8;
+
+/// An empty frame with its header reserved: the caller appends the body
+/// and [`Wal::append_frame`] fills in the header, so the body is written
+/// into the frame once instead of being built and then copied.
+fn frame_with_body_capacity(body_len: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER + body_len);
+    frame.resize(FRAME_HEADER, 0);
+    frame
+}
 
 /// Log sequence number: a monotone byte position in the log. LSN 0 is "never
 /// logged".
@@ -601,12 +611,12 @@ impl Wal {
     ) -> StorageResult<Lsn> {
         debug_assert_eq!(image.len(), PAGE_SIZE);
         debug_assert!(kind != WalRecordKind::Commit);
-        let mut body = Vec::with_capacity(1 + 16 + PAGE_SIZE);
-        body.push(kind.to_u8());
-        body.extend_from_slice(&txn.to_le_bytes());
-        body.extend_from_slice(&pid.0.to_le_bytes());
-        body.extend_from_slice(image);
-        let lsn = self.append_frame(&body, 0)?;
+        let mut frame = frame_with_body_capacity(1 + 16 + PAGE_SIZE);
+        frame.push(kind.to_u8());
+        frame.extend_from_slice(&txn.to_le_bytes());
+        frame.extend_from_slice(&pid.0.to_le_bytes());
+        frame.extend_from_slice(image);
+        let lsn = self.append_frame(frame, 0)?;
         self.stats.page_images += 1;
         Ok(lsn)
     }
@@ -619,22 +629,23 @@ impl Wal {
         catalog_root: u64,
         user_meta: u64,
     ) -> StorageResult<Lsn> {
-        let mut body = Vec::with_capacity(1 + 32);
-        body.push(WalRecordKind::Commit.to_u8());
-        body.extend_from_slice(&txn.to_le_bytes());
-        body.extend_from_slice(&page_count.to_le_bytes());
-        body.extend_from_slice(&catalog_root.to_le_bytes());
-        body.extend_from_slice(&user_meta.to_le_bytes());
-        let lsn = self.append_frame(&body, 1)?;
+        let mut frame = frame_with_body_capacity(1 + 32);
+        frame.push(WalRecordKind::Commit.to_u8());
+        frame.extend_from_slice(&txn.to_le_bytes());
+        frame.extend_from_slice(&page_count.to_le_bytes());
+        frame.extend_from_slice(&catalog_root.to_le_bytes());
+        frame.extend_from_slice(&user_meta.to_le_bytes());
+        let lsn = self.append_frame(frame, 1)?;
         self.stats.commits += 1;
         Ok(lsn)
     }
 
-    fn append_frame(&mut self, body: &[u8], commits: u64) -> StorageResult<Lsn> {
-        let mut frame = Vec::with_capacity(FRAME_HEADER + body.len());
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(body).to_le_bytes());
-        frame.extend_from_slice(body);
+    /// Seal and enqueue a frame built by [`frame_with_body_capacity`] plus
+    /// its body: fill in the reserved header's length and body CRC.
+    fn append_frame(&mut self, mut frame: Vec<u8>, commits: u64) -> StorageResult<Lsn> {
+        let (header, body) = frame.split_at_mut(FRAME_HEADER);
+        header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&crc32(body).to_le_bytes());
         let lsn = self.end;
         let len = frame.len() as u64;
         lock(&self.queue).frames.push_back(PendingFrame {
@@ -946,51 +957,10 @@ pub(crate) fn recover(pager: &mut Pager, wal: &mut Wal) -> StorageResult<Recover
     Ok(report)
 }
 
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE, reflected) — implemented locally; the build has no network
-// access for a checksum crate.
-// ---------------------------------------------------------------------------
-
-fn crc32_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        table
-    })
-}
-
-/// CRC32 (IEEE) of a byte slice.
-pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc32_table();
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tempfile::tempdir;
-
-    #[test]
-    fn crc32_known_values() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
 
     #[test]
     fn append_scan_roundtrip() {
