@@ -643,6 +643,9 @@ impl Repository {
             }),
         )?;
 
+        // The depth column spans every logical rank, bridged ones included.
+        self.insert_depth_column(tree_id, &crate::depth::depth_column(tree))?;
+
         // Hashes for every logical span: materialized nodes plus one entry
         // per bridge (the bridged subtree's own hash at its logical rank).
         let mut hash_rows: Vec<(u32, u32, CladeHash)> = materialized

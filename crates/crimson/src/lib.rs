@@ -24,18 +24,22 @@
 //! * `ivl_by_pre`, keyed `(tree_id, pre)` with `(end, parent_pre, node,
 //!   is_leaf)` riding in the key and the node row's heap locator as the
 //!   value. A node's subtree is the contiguous range `[(t, pre), (t, end)]`,
-//!   so `minimal_spanning_clade` and dense projections are **single range
-//!   scans**, and the LCA walk lifts through `parent_pre` without touching
-//!   node rows.
+//!   so `minimal_spanning_clade` is a **single range scan**.
 //! * `ivl_by_node`, mapping a stored node id to its packed `(pre, end)`
 //!   interval: `is_ancestor` is two point lookups and two integer
 //!   comparisons.
 //!
-//! Decoded node rows and interval entries are held in small two-generation
-//! LRU caches, so repeated LCA/projection queries skip row decoding
-//! entirely. The pre-index label-walk/BFS implementations survive as
-//! `*_reference` methods — the property tests cross-validate against them,
-//! and `crimson-bench`'s smoke profile asserts the ≥5× page-read advantage.
+//! Next to them, each tree's **pre-order depth column** (heap rows of
+//! `(depth, parent_pre)` blocks plus per-block minima) turns LCA into a
+//! range-minimum query with a constant number of page reads, however deep
+//! the tree; `lca` and every consecutive pair of `project` use it.
+//!
+//! Decoded node rows, interval entries and each tree's block minima are
+//! held in small two-generation LRU caches, so repeated LCA/projection
+//! queries skip row decoding entirely. The pre-index label-walk/BFS
+//! implementations survive as `*_reference` methods — the property tests
+//! cross-validate against them, and `crimson-bench`'s smoke profile
+//! asserts the ≥5× page-read advantage.
 //! * **Sampling** ([`sampling`]) — uniform random sampling, sampling with
 //!   respect to an evolutionary time, and user-supplied species lists (§2.2),
 //!   available on the writer and on snapshot readers alike.
@@ -75,6 +79,7 @@ pub mod batch;
 pub(crate) mod cache;
 pub mod compare;
 pub mod content;
+pub(crate) mod depth;
 pub mod error;
 pub mod experiment;
 pub mod history;

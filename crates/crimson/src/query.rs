@@ -8,18 +8,23 @@
 //!
 //! ## Access paths
 //!
-//! The engine runs on the persistent **interval index** (see
-//! [`labeling::interval`] for the layout): a node's subtree is the
-//! contiguous key range `[(tree, pre), (tree, end)]`, so
+//! The engine runs on two persistent structures: the **interval index**
+//! (see [`labeling::interval`] for the layout), where a node's subtree is
+//! the contiguous key range `[(tree, pre), (tree, end)]`, and each tree's
+//! **pre-order depth column** (see `crate::depth`), where the LCA of two
+//! non-nested nodes is the parent of the shallowest rank between them. So
 //!
 //! * `minimal_spanning_clade` is one LCA plus **one range scan** — no
 //!   breadth-first search, no per-node row fetch;
-//! * `project` resolves the consecutive-leaf LCAs the paper's insertion
-//!   algorithm needs either from a **single range scan** over the clade
-//!   (dense selections: a stack over the pre-ordered entries yields every
-//!   pair LCA in one pass) or via per-pair interval walks (sparse
-//!   selections), and fetches node rows only for the ~2k nodes that appear
-//!   in the output;
+//! * `project` fetches the selected rows, reads the tree's block minima
+//!   once, and resolves the consecutive-pair LCAs the paper's insertion
+//!   algorithm needs with **one range-minimum query per pair** (at most two
+//!   partial depth blocks each, the boundary block shared between
+//!   neighbouring pairs); the LCAs' interval entries are read in one
+//!   ascending pass and their rows through the entries' heap locators, so
+//!   rows are fetched only for the ~2k nodes that appear in the output and
+//!   the cost does not depend on the tree's depth or on how densely the
+//!   selection covers its clade;
 //! * `pattern_match` rides on `project`.
 //!
 //! The pre-index implementations (label walks + BFS) are kept as
@@ -40,11 +45,6 @@ use reconstruction::compare::{robinson_foulds, RfResult};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use storage::db::DbRead;
-
-/// When the clade span exceeds `SPARSE_FACTOR * selection size`, projection
-/// resolves pair LCAs by per-pair interval walks instead of scanning the
-/// whole clade range.
-const SPARSE_FACTOR: u64 = 64;
 
 /// Result of a tree pattern match query.
 #[derive(Debug, Clone)]
@@ -153,149 +153,33 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         if leaves.is_empty() {
             return Err(CrimsonError::InvalidSample("empty leaf set".to_string()));
         }
-        let tree = handle.0;
-        // One interval fetch per input node: validates membership and gives
-        // the pre-order rank to sort by.
-        let mut sel: Vec<(u32, StoredNodeId)> = Vec::with_capacity(leaves.len());
+        // The selected rows carry the pre-order rank to sort by and the
+        // depth and leaf flag the pair LCAs need.
+        let mut records = Vec::with_capacity(leaves.len());
         for &leaf in leaves {
-            if leaf.0 >> TREE_SHIFT != tree {
+            if leaf.0 >> TREE_SHIFT != handle.0 {
                 return Err(CrimsonError::InvalidSample(format!(
                     "node {leaf} does not belong to tree #{}",
                     handle.0
                 )));
             }
-            let (pre, _) = self.interval_of(leaf)?;
-            sel.push((pre, leaf));
+            records.push(self.node_record_arc(leaf)?);
         }
-        sel.sort_by_key(|(pre, _)| *pre);
-        sel.dedup_by_key(|(pre, _)| *pre);
-
-        if sel.len() == 1 {
-            let rec = self.node_record_arc(sel[0].1)?;
+        records.sort_by_key(|r| r.preorder);
+        records.dedup_by_key(|r| r.preorder);
+        if records.len() == 1 {
             let mut out = Tree::new();
             let only = out.add_node();
-            if let Some(name) = &rec.name {
+            if let Some(name) = &records[0].name {
                 out.set_name(only, name.clone())?;
             }
             return Ok(out);
         }
 
-        // Consecutive-pair LCAs through the interval index, then row fetches
-        // for output nodes only. The dense path's scan also yields every
-        // node's heap locator, so each row costs a single page read instead
-        // of an index descent.
-        let lca_all = self.lca(sel[0].1, sel[sel.len() - 1].1)?;
-        let (lp, le) = self.interval_of(lca_all)?;
-        let span = (le - lp) as u64 + 1;
-        let (records, lca_records) = if span <= SPARSE_FACTOR * sel.len() as u64 {
-            let (sel_locs, lca_locs) = self.pair_lcas_by_scan(tree, &sel, lp, le)?;
-            let mut records = Vec::with_capacity(sel_locs.len());
-            for (sid, rid) in sel_locs {
-                records.push(self.node_record_by_locator(sid, rid)?);
-            }
-            let mut lca_records = Vec::with_capacity(lca_locs.len());
-            for (sid, rid) in lca_locs {
-                lca_records.push(self.node_record_by_locator(sid, rid)?);
-            }
-            (records, lca_records)
-        } else {
-            let mut records = Vec::with_capacity(sel.len());
-            for &(_, sid) in &sel {
-                records.push(self.node_record_arc(sid)?);
-            }
-            let mut lca_records = Vec::with_capacity(sel.len() - 1);
-            for pair in sel.windows(2) {
-                let sid = self.lca(pair[0].1, pair[1].1)?;
-                lca_records.push(self.node_record_arc(sid)?);
-            }
-            (records, lca_records)
-        };
+        // One range-minimum LCA per consecutive pair, with the tree's depth
+        // minima read once.
+        let lca_records = self.consecutive_lcas(handle.0, &records)?;
         assemble_projection(&records, &lca_records)
-    }
-
-    /// For consecutive selected ranks, the selected nodes' and pair-LCAs'
-    /// `(stored id, heap locator)` pairs harvested from one pre-order range
-    /// scan over the clade `[lo, hi_end]` of `tree`.
-    ///
-    /// The scan keeps the current root path on a stack (pop everything whose
-    /// interval closed before the incoming entry); when the next selected
-    /// rank arrives, the LCA with the previous selected rank is the deepest
-    /// stack entry whose rank does not exceed it.
-    #[allow(clippy::type_complexity)]
-    fn pair_lcas_by_scan(
-        &self,
-        tree: u64,
-        sel: &[(u32, StoredNodeId)],
-        lo: u32,
-        hi_end: u32,
-    ) -> CrimsonResult<(
-        Vec<(StoredNodeId, storage::RecordId)>,
-        Vec<(StoredNodeId, storage::RecordId)>,
-    )> {
-        let sid_of = |entry: &IntervalEntry| StoredNodeId((tree << TREE_SHIFT) | entry.node as u64);
-        let low = interval_key_prefix(tree, lo);
-        let high = interval_range_end(tree, hi_end);
-        let mut stack: Vec<(IntervalEntry, storage::RecordId)> = Vec::new();
-        let mut selected = Vec::with_capacity(sel.len());
-        let mut lcas = Vec::with_capacity(sel.len() - 1);
-        let mut next_sel = 0usize;
-        let mut prev_pre: Option<u32> = None;
-        let mut fail: Option<CrimsonError> = None;
-        let mut complete = false;
-        self.db.raw_scan(
-            self.tables.ivl_by_pre,
-            Some(&low),
-            Some(&high),
-            &mut |key, rid_raw| {
-                let rid = storage::RecordId::from_u64(rid_raw);
-                let Some((_, entry)) = IntervalEntry::decode_key(key) else {
-                    fail = Some(CrimsonError::CorruptRepository(
-                        "malformed interval-index key".to_string(),
-                    ));
-                    return Ok(false);
-                };
-                while stack.last().is_some_and(|(top, _)| top.end < entry.pre) {
-                    stack.pop();
-                }
-                if next_sel < sel.len() && entry.pre == sel[next_sel].0 {
-                    if let Some(prev) = prev_pre {
-                        // Stack ranks ascend; every stack entry covers the
-                        // current rank, so the deepest one with pre <= prev
-                        // also covers prev — the pair LCA.
-                        let idx = stack.partition_point(|(e, _)| e.pre <= prev);
-                        match idx.checked_sub(1).and_then(|i| stack.get(i)) {
-                            Some((anc, anc_rid)) => lcas.push((sid_of(anc), *anc_rid)),
-                            None => {
-                                fail = Some(CrimsonError::CorruptRepository(format!(
-                                    "no common ancestor on the scan stack for ranks {prev} and {}",
-                                    entry.pre
-                                )));
-                                return Ok(false);
-                            }
-                        }
-                    }
-                    selected.push((sid_of(&entry), rid));
-                    prev_pre = Some(entry.pre);
-                    next_sel += 1;
-                    if next_sel == sel.len() {
-                        complete = true;
-                        return Ok(false);
-                    }
-                }
-                stack.push((entry, rid));
-                Ok(true)
-            },
-        )?;
-        if let Some(e) = fail {
-            return Err(e);
-        }
-        if complete {
-            return Ok((selected, lcas));
-        }
-        Err(CrimsonError::CorruptRepository(format!(
-            "interval scan found {next_sel} of {} selected ranks in [{lo}, {hi_end}]",
-            sel.len()
-        )))
     }
 
     pub fn project_reference(
@@ -412,13 +296,16 @@ impl Repository {
     /// never arise; edge weights are differences of stored cumulative root
     /// distances.
     ///
-    /// The consecutive-pair LCAs come from the interval index: a **single
-    /// range scan** over `[pre(lca), end(lca)]` with an ancestor stack when
-    /// the selection is dense in its clade, or per-pair interval walks when
-    /// it is sparse (span > `SPARSE_FACTOR`× the selection size). Node rows
-    /// are fetched (through the record cache) only for nodes that appear in
-    /// the output — ~2k rows for k selected leaves, independent of tree
-    /// size.
+    /// The consecutive-pair LCAs take the same path as
+    /// [`Repository::lca`]: range-minimum queries over the tree's pre-order
+    /// depth column. The block minima are read once per query (and cached
+    /// per tree), then each pair reads at most two partial depth blocks,
+    /// whatever the tree's depth. A selected internal node is checked
+    /// against its interval first, since it may be an ancestor of the next
+    /// selected node. Node rows are fetched (through the record
+    /// cache, the LCAs' through their interval entries' heap locators) only
+    /// for nodes that appear in the output — ~2k rows for k selected
+    /// leaves, independent of tree size.
     ///
     /// The result is an in-memory [`Tree`] whose leaves carry the stored
     /// species names.

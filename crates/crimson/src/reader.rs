@@ -41,14 +41,15 @@
 //! invalidation — exactly the same argument the writer's caches rely on.
 
 use crate::cache::ShardedCache;
+use crate::depth::DepthMinima;
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::history::{HistoryEntry, QueryKind};
 use crate::query::PatternMatch;
 use crate::repository::{
-    FrameRecord, IntegrityReport, NodeRecord, ReadCtx, Repository, StoredFrameId, StoredNodeId,
-    Tables, TreeHandle, TreeRecord, ENTRY_CACHE_GEN, RECORD_CACHE_GEN,
+    FrameRecord, IntegrityReport, NodeAtRank, NodeRecord, ReadCtx, Repository, StoredFrameId,
+    StoredNodeId, Tables, TreeHandle, TreeRecord, ENTRY_CACHE_GEN, MINIMA_CACHE_GEN,
+    RECORD_CACHE_GEN,
 };
-use labeling::interval::IntervalEntry;
 use phylo::Tree;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -129,7 +130,8 @@ pub struct RepositoryReader {
     db: DbReader,
     tables: Tables,
     records: ShardedCache<StoredNodeId, Arc<NodeRecord>>,
-    entries: ShardedCache<u64, IntervalEntry>,
+    entries: ShardedCache<u64, NodeAtRank>,
+    minima: ShardedCache<u64, Arc<DepthMinima>>,
     retry: ReadRetry,
     /// Per-reader backoff salt (whitened instance counter): distinct per
     /// reader by construction, so the jittered backoffs of concurrent
@@ -152,6 +154,7 @@ impl RepositoryReader {
             tables: repo.tables,
             records: ShardedCache::new(RECORD_CACHE_GEN),
             entries: ShardedCache::new(ENTRY_CACHE_GEN),
+            minima: ShardedCache::new(MINIMA_CACHE_GEN),
             retry: ReadRetry::default(),
             salt: splitmix64(READER_SEQ.fetch_add(1, Ordering::Relaxed)),
         })
@@ -244,6 +247,7 @@ impl RepositoryReader {
                         tables: self.tables,
                         records: &self.records,
                         entries: &self.entries,
+                        minima: &self.minima,
                     };
                     f(&ctx)
                 });
@@ -679,6 +683,7 @@ impl PinnedReader<'_> {
             tables: self.reader.tables,
             records: &self.reader.records,
             entries: &self.reader.entries,
+            minima: &self.reader.minima,
         };
         f(&ctx)
     }

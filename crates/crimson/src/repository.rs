@@ -27,6 +27,7 @@
 //! checkpointing and history recording take `&mut self`.
 
 use crate::cache::ShardedCache;
+use crate::depth::DepthMinima;
 use crate::error::{CrimsonError, CrimsonResult};
 use labeling::clade_hash::{self, CladeHash};
 use labeling::hierarchical::HierarchicalDewey;
@@ -63,6 +64,10 @@ const HASH_IDX: &str = "clade_hash_idx";
 /// Name of the raw index holding structural-sharing reference rows of cold
 /// trees (see [`labeling::clade_hash::CladeRef`]).
 const CLADE_REFS: &str = "clade_refs";
+/// Name of the table holding each tree's pre-order depth blocks.
+const DEPTH_BLOCKS: &str = "depth_blocks";
+/// Name of the table holding each tree's depth-block minima.
+const DEPTH_MINIMA: &str = "depth_minima";
 
 /// Minimum node-span for a subtree to be published in the global
 /// content-address index. Tree roots are always published; smaller internal
@@ -256,6 +261,62 @@ pub(crate) struct Tables {
     pub hash_idx: RawIndexId,
     /// Structural-sharing reference rows of cold trees.
     pub clade_refs: RawIndexId,
+    /// Pre-order `(depth, parent_pre)` blocks of every tree (see
+    /// [`crate::depth`]).
+    pub depth_blocks: TableId,
+    /// Per-tree block minima of the depth column, indexed by `tree_id`.
+    pub depth_minima: TableId,
+}
+
+impl Tables {
+    /// Resolve every table and raw index of an existing repository file.
+    /// The depth column is checked first: a file written before it existed
+    /// is refused with a typed error (there is no in-place upgrade; reload
+    /// its trees into a new repository).
+    fn open(db: &Database) -> CrimsonResult<Tables> {
+        let missing = |what: &'static str| {
+            move |_| {
+                CrimsonError::CorruptRepository(format!(
+                    "repository file lacks the {what}; it was written by an older build \
+                     and must be reloaded into a new repository"
+                ))
+            }
+        };
+        let depth_blocks = db
+            .table(DEPTH_BLOCKS)
+            .map_err(missing("`depth_blocks` depth column"))?;
+        let depth_minima = db
+            .table(DEPTH_MINIMA)
+            .map_err(missing("`depth_minima` depth column"))?;
+        Ok(Tables {
+            trees: db.table("trees")?,
+            nodes: db.table("nodes")?,
+            frames: db.table("frames")?,
+            species: db.table("species")?,
+            history: db.table("query_history")?,
+            experiments: db.table("experiments")?,
+            experiment_results: db.table("experiment_results")?,
+            experiment_clades: db.table("experiment_clades")?,
+            tree_stats: db.table("tree_stats")?,
+            ivl_by_pre: db
+                .raw_index(IVL_BY_PRE)
+                .map_err(missing("`ivl_by_pre` interval index"))?,
+            ivl_by_node: db
+                .raw_index(IVL_BY_NODE)
+                .map_err(missing("`ivl_by_node` interval index"))?,
+            hash_by_pre: db
+                .raw_index(HASH_BY_PRE)
+                .map_err(missing("`clade_hash_by_pre` clade-hash index"))?,
+            hash_idx: db
+                .raw_index(HASH_IDX)
+                .map_err(missing("`clade_hash_idx` content-address index"))?,
+            clade_refs: db
+                .raw_index(CLADE_REFS)
+                .map_err(missing("`clade_refs` reference index"))?,
+            depth_blocks,
+            depth_minima,
+        })
+    }
 }
 
 /// The Crimson repository: Tree Repository + Species Repository + Query
@@ -277,9 +338,11 @@ pub struct Repository {
     /// Decoded node rows; node rows are immutable once loaded, so entries
     /// never need invalidation.
     record_cache: ShardedCache<StoredNodeId, Arc<NodeRecord>>,
-    /// Interval entries keyed by `(tree_id << 32) | pre` — the LCA walk's
-    /// working set.
-    entry_cache: ShardedCache<u64, IntervalEntry>,
+    /// What LCA answers need of interval entries, keyed by
+    /// `(tree_id << 32) | pre`.
+    entry_cache: ShardedCache<u64, NodeAtRank>,
+    /// Block minima of each tree's depth column (immutable once loaded).
+    minima_cache: ShardedCache<u64, Arc<DepthMinima>>,
     /// Crash-recovery outcome captured at [`Repository::open`] (`None` for a
     /// freshly created repository).
     recovery: Option<RecoveryReport>,
@@ -323,6 +386,9 @@ pub struct IntegrityReport {
     /// Structural-sharing reference rows (each verified to bridge to an
     /// existing, hash-identical span of a fully materialized tree).
     pub clade_refs: u64,
+    /// Depth-column block rows (each tree's column verified against its
+    /// minima, its interval entries and its node rows).
+    pub depth_blocks: u64,
 }
 
 /// Salvage survey produced by [`Repository::open_degraded`]: which pages
@@ -372,6 +438,12 @@ pub(crate) const BULK_FILL: f64 = 0.9;
 pub(crate) const RECORD_CACHE_GEN: usize = 4096;
 /// Generation size of the interval-entry cache.
 pub(crate) const ENTRY_CACHE_GEN: usize = 8192;
+/// Longest run of `ivl_by_pre` entries [`ReadCtx::nodes_at_ranks`] walks
+/// between two wanted ranks before it re-seeks: about half a leaf page, so
+/// walking never costs more page reads than the descent it saves.
+const SEEK_GAP: u32 = 128;
+/// Generation size of the per-tree depth-minima cache.
+pub(crate) const MINIMA_CACHE_GEN: usize = 64;
 
 impl std::fmt::Debug for Repository {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -387,6 +459,15 @@ pub(crate) const TREE_SHIFT: u64 = 32;
 // The shared read surface
 // ---------------------------------------------------------------------------
 
+/// What an LCA answer needs of the `ivl_by_pre` entry at a known rank: the
+/// subtree's last rank, the node's arena id and its row locator.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NodeAtRank {
+    pub end: u32,
+    pub node: u32,
+    pub rid: storage::RecordId,
+}
+
 /// The repository's read engine: every pure read is implemented here once,
 /// generic over [`DbRead`]. `Repository` instantiates it over the live
 /// [`Database`] (the writer sees its own uncommitted state);
@@ -397,7 +478,8 @@ pub(crate) struct ReadCtx<'a, D> {
     pub(crate) db: &'a D,
     pub(crate) tables: Tables,
     pub(crate) records: &'a ShardedCache<StoredNodeId, Arc<NodeRecord>>,
-    pub(crate) entries: &'a ShardedCache<u64, IntervalEntry>,
+    pub(crate) entries: &'a ShardedCache<u64, NodeAtRank>,
+    pub(crate) minima: &'a ShardedCache<u64, Arc<DepthMinima>>,
 }
 
 impl<'a, D> Clone for ReadCtx<'a, D> {
@@ -601,6 +683,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
 
         let mut node_counts: HashMap<u64, u64> = HashMap::new();
         let mut leaf_counts: HashMap<u64, u64> = HashMap::new();
+        let mut node_depths: Vec<(u64, u64, u64)> = Vec::new();
         for (rid, row) in self.db.scan(self.tables.nodes)? {
             let rec = decode_node_row(&row);
             let tree_id = rec.tree.0;
@@ -621,6 +704,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
                     rec.id, rec.preorder
                 )));
             }
+            node_depths.push((tree_id, rec.preorder, rec.depth));
             report.nodes += 1;
         }
         // Content-address catalog, loaded before the per-tree row-count
@@ -786,6 +870,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             )));
         }
         report.interval_entries = by_pre;
+        report.depth_blocks = self.check_depth_columns(&trees, &node_depths)?;
 
         // Per-tree clade hashes: a hot hashed tree carries one entry per
         // node, a cold tree one per materialized node plus one per bridge,
@@ -1000,81 +1085,99 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         Ok(((packed >> 32) as u32, packed as u32))
     }
 
-    /// The full interval entry of the node ranked `pre` in `tree` — one
-    /// allocation-free covering-key probe in the `ivl_by_pre` index (the
-    /// entry decodes straight from the in-page key bytes), cached across
-    /// queries.
-    pub fn interval_entry(&self, tree: u64, pre: u32) -> CrimsonResult<IntervalEntry> {
-        let cache_key = (tree << 32) | pre as u64;
-        if let Some(entry) = self.entries.get(&cache_key) {
-            return Ok(entry);
+    /// The nodes ranked `ranks` (ascending, distinct) in `tree`, from
+    /// their `ivl_by_pre` entries, cached across queries. Uncached ranks
+    /// are read in one ascending pass over the index that re-seeks instead
+    /// of walking more than [`SEEK_GAP`] entries, so ranks that cluster
+    /// share leaf pages and scattered ones cost one probe each.
+    pub(crate) fn nodes_at_ranks(
+        &self,
+        tree: u64,
+        ranks: &[u32],
+    ) -> CrimsonResult<Vec<NodeAtRank>> {
+        debug_assert!(ranks.windows(2).all(|w| w[0] < w[1]));
+        let cache_key = |pre: u32| (tree << 32) | pre as u64;
+        let mut out: Vec<Option<NodeAtRank>> = ranks
+            .iter()
+            .map(|&pre| self.entries.get(&cache_key(pre)))
+            .collect();
+        let missing: Vec<usize> = (0..ranks.len()).filter(|&i| out[i].is_none()).collect();
+        let mut next = 0usize;
+        while next < missing.len() {
+            let start = next;
+            let mut fail: Option<CrimsonError> = None;
+            let low = interval_key_prefix(tree, ranks[missing[next]]);
+            let high = interval_range_end(tree, ranks[missing[missing.len() - 1]]);
+            self.db.raw_scan(
+                self.tables.ivl_by_pre,
+                Some(&low),
+                Some(&high),
+                &mut |key, rid| {
+                    let Some((_, entry)) = IntervalEntry::decode_key(key) else {
+                        fail = Some(CrimsonError::CorruptRepository(
+                            "malformed interval-index key".to_string(),
+                        ));
+                        return Ok(false);
+                    };
+                    let target = ranks[missing[next]];
+                    if entry.pre < target {
+                        return Ok(true);
+                    }
+                    if entry.pre > target {
+                        return Ok(false);
+                    }
+                    let found = NodeAtRank {
+                        end: entry.end,
+                        node: entry.node,
+                        rid: storage::RecordId::from_u64(rid),
+                    };
+                    self.entries.insert(cache_key(target), found);
+                    out[missing[next]] = Some(found);
+                    next += 1;
+                    Ok(missing
+                        .get(next)
+                        .is_some_and(|&i| ranks[i] - target <= SEEK_GAP))
+                },
+            )?;
+            if let Some(e) = fail {
+                return Err(e);
+            }
+            if next == start {
+                return Err(CrimsonError::CorruptRepository(format!(
+                    "interval index has no entry for tree {tree}, pre {}",
+                    ranks[missing[next]]
+                )));
+            }
         }
-        let low = interval_key_prefix(tree, pre);
-        let high = interval_range_end(tree, pre);
-        let entry = self
-            .db
-            .raw_first_in_range(self.tables.ivl_by_pre, &low, &high, |key, _| {
-                IntervalEntry::decode_key(key).map(|(_, entry)| entry)
-            })?
-            .ok_or_else(|| {
-                CrimsonError::CorruptRepository(format!(
-                    "interval index has no entry for tree {tree}, pre {pre}"
-                ))
-            })?
-            .ok_or_else(|| {
-                CrimsonError::CorruptRepository("malformed interval-index key".to_string())
-            })?;
-        self.entries.insert(cache_key, entry);
-        Ok(entry)
+        Ok(out
+            .into_iter()
+            .map(|e| e.expect("every rank resolved"))
+            .collect())
     }
 
-    /// Least common ancestor of two stored nodes, computed entirely inside
-    /// the interval index (see [`Repository::lca`]).
+    /// Least common ancestor of two stored nodes (see [`Repository::lca`]).
     pub fn lca(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
-        if a == b {
-            return Ok(a);
-        }
-        let tree = a.0 >> TREE_SHIFT;
-        if tree != b.0 >> TREE_SHIFT {
+        let (ra, rb) = (self.node_record_arc(a)?, self.node_record_arc(b)?);
+        if ra.tree != rb.tree {
             return Err(CrimsonError::InvalidSample(format!(
                 "lca({a}, {b}): nodes belong to different trees"
             )));
         }
-        let (pa, ea) = self.interval_of(a)?;
-        let (pb, eb) = self.interval_of(b)?;
-        if pa <= pb && pb <= ea {
+        if a == b {
             return Ok(a);
         }
-        if pb <= pa && pa <= eb {
-            return Ok(b);
-        }
-        let (lo, hi) = if pa < pb { (pa, pb) } else { (pb, pa) };
-        let mut entry = self.interval_entry(tree, lo)?;
-        loop {
-            if entry.parent_pre == entry.pre {
-                // The root covers every rank of its tree, so reaching it
-                // without covering `hi` means the index contradicts itself.
-                return Err(CrimsonError::CorruptRepository(format!(
-                    "interval walk reached the root of tree {tree} without covering pre {hi}"
-                )));
-            }
-            entry = self.interval_entry(tree, entry.parent_pre)?;
-            if entry.covers(hi) {
-                return Ok(StoredNodeId((tree << TREE_SHIFT) | entry.node as u64));
-            }
-        }
+        let sel = if ra.preorder < rb.preorder {
+            [ra, rb]
+        } else {
+            [rb, ra]
+        };
+        Ok(self.consecutive_lcas(a.0 >> TREE_SHIFT, &sel)?[0].id)
     }
 
     pub fn is_ancestor(&self, ancestor: StoredNodeId, node: StoredNodeId) -> CrimsonResult<bool> {
-        if ancestor == node {
-            return Ok(true);
-        }
-        if ancestor.0 >> TREE_SHIFT != node.0 >> TREE_SHIFT {
-            return Ok(false);
-        }
         let (pa, ea) = self.interval_of(ancestor)?;
         let (pn, _) = self.interval_of(node)?;
-        Ok(pa <= pn && pn <= ea)
+        Ok(ancestor.0 >> TREE_SHIFT == node.0 >> TREE_SHIFT && pa <= pn && pn <= ea)
     }
 
     // ------------------------------------------------------------------
@@ -1184,6 +1287,9 @@ impl Repository {
         let hash_by_pre = db.create_raw_index(HASH_BY_PRE)?;
         let hash_idx = db.create_raw_index(HASH_IDX)?;
         let clade_refs = db.create_raw_index(CLADE_REFS)?;
+        let depth_blocks = db.create_table(DEPTH_BLOCKS, crate::depth::depth_blocks_schema())?;
+        let depth_minima = db.create_table(DEPTH_MINIMA, crate::depth::depth_minima_schema())?;
+        db.create_index(depth_minima, "tree_id", false)?;
         db.flush()?;
         let checkpointer = options.checkpoint.map(|p| db.start_checkpointer(p));
         Ok(Repository {
@@ -1205,11 +1311,14 @@ impl Repository {
                 hash_by_pre,
                 hash_idx,
                 clade_refs,
+                depth_blocks,
+                depth_minima,
             },
             next_history_id: 0,
             last_commit: 0,
             record_cache: ShardedCache::new(RECORD_CACHE_GEN),
             entry_cache: ShardedCache::new(ENTRY_CACHE_GEN),
+            minima_cache: ShardedCache::new(MINIMA_CACHE_GEN),
             recovery: None,
         })
     }
@@ -1217,116 +1326,39 @@ impl Repository {
     /// Open an existing repository file. Opening replays the write-ahead
     /// log: loads committed before a crash are restored, interrupted loads
     /// are rolled back; the outcome is available from
-    /// [`Repository::recovery_report`].
+    /// [`Repository::recovery_report`]. A file written before the depth
+    /// column existed is refused with [`CrimsonError::CorruptRepository`].
     pub fn open(path: impl AsRef<Path>, options: RepositoryOptions) -> CrimsonResult<Self> {
-        let mut db = Database::open_with_capacity(path, options.buffer_pool_pages)?;
+        let db = Database::open_with_capacity(path, options.buffer_pool_pages)?;
         let recovery = db.recovery_report();
-        let trees_table = db.table("trees")?;
-        let nodes_table = db.table("nodes")?;
-        let frames_table = db.table("frames")?;
-        let species_table = db.table("species")?;
-        let history_table = db.table("query_history")?;
-        // Repositories written before the experiment subsystem existed lack
-        // its catalog tables; create them on open so older files stay
-        // loadable and become experiment-capable in place.
-        let experiments_table = match db.table("experiments") {
-            Ok(t) => t,
-            Err(_) => {
-                let t = db.create_table("experiments", experiments_schema())?;
-                db.create_index(t, "exp_id", true)?;
-                db.create_index(t, "name", true)?;
-                t
-            }
-        };
-        let results_table = match db.table("experiment_results") {
-            Ok(t) => t,
-            Err(_) => {
-                let t = db.create_table("experiment_results", experiment_results_schema())?;
-                db.create_index(t, "result_id", true)?;
-                db.create_index(t, "exp_id", false)?;
-                t
-            }
-        };
-        let clades_table = match db.table("experiment_clades") {
-            Ok(t) => t,
-            Err(_) => {
-                let t = db.create_table("experiment_clades", experiment_clades_schema())?;
-                db.create_index(t, "result_id", false)?;
-                t
-            }
-        };
-        // Files written before content-addressed storage lack the stats
-        // table and the hash indexes; create them empty on open. Trees
-        // already stored in the file simply have no stats row yet — every
-        // hash read degrades gracefully until
-        // [`Repository::backfill_clade_hashes`] (or the next checkpoint,
-        // which runs it) fills the gap.
-        let stats_table = match db.table("tree_stats") {
-            Ok(t) => t,
-            Err(_) => {
-                let t = db.create_table("tree_stats", tree_stats_schema())?;
-                db.create_index(t, "tree_id", true)?;
-                t
-            }
-        };
+        let tables = Tables::open(&db)?;
         // Rolled-back transactions may have left gaps in the id sequence;
         // resume after the highest id actually present (a plain row count
         // could collide with a surviving id). The unique `query_id` index
         // yields rows in id order, so only the last one needs decoding.
         let next_history_id = match db
-            .index_range(history_table, "query_id", None, None)?
+            .index_range(tables.history, "query_id", None, None)?
             .last()
         {
-            Some(&rid) => db.get(history_table, rid)?.values[0].as_int().unwrap_or(-1) as u64 + 1,
+            Some(&rid) => {
+                db.get(tables.history, rid)?.values[0]
+                    .as_int()
+                    .unwrap_or(-1) as u64
+                    + 1
+            }
             None => 0,
-        };
-        let ivl_by_pre = db.raw_index(IVL_BY_PRE).map_err(|_| {
-            CrimsonError::CorruptRepository(format!(
-                "repository file lacks the `{IVL_BY_PRE}` interval index"
-            ))
-        })?;
-        let ivl_by_node = db.raw_index(IVL_BY_NODE).map_err(|_| {
-            CrimsonError::CorruptRepository(format!(
-                "repository file lacks the `{IVL_BY_NODE}` interval index"
-            ))
-        })?;
-        let hash_by_pre = match db.raw_index(HASH_BY_PRE) {
-            Ok(id) => id,
-            Err(_) => db.create_raw_index(HASH_BY_PRE)?,
-        };
-        let hash_idx = match db.raw_index(HASH_IDX) {
-            Ok(id) => id,
-            Err(_) => db.create_raw_index(HASH_IDX)?,
-        };
-        let clade_refs = match db.raw_index(CLADE_REFS) {
-            Ok(id) => id,
-            Err(_) => db.create_raw_index(CLADE_REFS)?,
         };
         let checkpointer = options.checkpoint.map(|p| db.start_checkpointer(p));
         Ok(Repository {
             checkpointer,
             db,
             options,
-            tables: Tables {
-                trees: trees_table,
-                nodes: nodes_table,
-                frames: frames_table,
-                species: species_table,
-                history: history_table,
-                experiments: experiments_table,
-                experiment_results: results_table,
-                experiment_clades: clades_table,
-                tree_stats: stats_table,
-                ivl_by_pre,
-                ivl_by_node,
-                hash_by_pre,
-                hash_idx,
-                clade_refs,
-            },
+            tables,
             next_history_id,
             last_commit: 0,
             record_cache: ShardedCache::new(RECORD_CACHE_GEN),
             entry_cache: ShardedCache::new(ENTRY_CACHE_GEN),
+            minima_cache: ShardedCache::new(MINIMA_CACHE_GEN),
             recovery,
         })
     }
@@ -1337,51 +1369,15 @@ impl Repository {
     /// checksum is verified up front and unrepairable pages are
     /// quarantined, all mutation is refused with a typed error, and the
     /// returned [`DegradedReport`] says which trees and experiments the
-    /// damage reaches — everything else stays fully queryable. Requires a
-    /// current-format file: degraded open cannot create the experiment
-    /// tables that [`Repository::open`] backfills on old files.
+    /// damage reaches — everything else stays fully queryable. Like
+    /// [`Repository::open`], it refuses a file that lacks the depth column.
     pub fn open_degraded(
         path: impl AsRef<Path>,
         options: RepositoryOptions,
     ) -> CrimsonResult<(Self, DegradedReport)> {
         let db = Database::open_degraded(path, options.buffer_pool_pages)?;
         let recovery = db.recovery_report();
-        let tables = Tables {
-            trees: db.table("trees")?,
-            nodes: db.table("nodes")?,
-            frames: db.table("frames")?,
-            species: db.table("species")?,
-            history: db.table("query_history")?,
-            experiments: db.table("experiments")?,
-            experiment_results: db.table("experiment_results")?,
-            experiment_clades: db.table("experiment_clades")?,
-            tree_stats: db.table("tree_stats")?,
-            ivl_by_pre: db.raw_index(IVL_BY_PRE).map_err(|_| {
-                CrimsonError::CorruptRepository(format!(
-                    "repository file lacks the `{IVL_BY_PRE}` interval index"
-                ))
-            })?,
-            ivl_by_node: db.raw_index(IVL_BY_NODE).map_err(|_| {
-                CrimsonError::CorruptRepository(format!(
-                    "repository file lacks the `{IVL_BY_NODE}` interval index"
-                ))
-            })?,
-            hash_by_pre: db.raw_index(HASH_BY_PRE).map_err(|_| {
-                CrimsonError::CorruptRepository(format!(
-                    "repository file lacks the `{HASH_BY_PRE}` clade-hash index"
-                ))
-            })?,
-            hash_idx: db.raw_index(HASH_IDX).map_err(|_| {
-                CrimsonError::CorruptRepository(format!(
-                    "repository file lacks the `{HASH_IDX}` content-address index"
-                ))
-            })?,
-            clade_refs: db.raw_index(CLADE_REFS).map_err(|_| {
-                CrimsonError::CorruptRepository(format!(
-                    "repository file lacks the `{CLADE_REFS}` reference index"
-                ))
-            })?,
-        };
+        let tables = Tables::open(&db)?;
         let repo = Repository {
             // Mutation is refused in degraded mode; never checkpoint.
             checkpointer: None,
@@ -1394,6 +1390,7 @@ impl Repository {
             last_commit: 0,
             record_cache: ShardedCache::new(RECORD_CACHE_GEN),
             entry_cache: ShardedCache::new(ENTRY_CACHE_GEN),
+            minima_cache: ShardedCache::new(MINIMA_CACHE_GEN),
             recovery,
         };
         let report = repo.survey_damage();
@@ -1439,12 +1436,13 @@ impl Repository {
         report
     }
 
-    /// Touch a tree's main structures: its record, root interval, every
-    /// leaf's node row and interval entry. Damage on any of those pages
+    /// Touch a tree's main structures: its record, root interval, depth
+    /// column, every leaf's node row and interval entry. Damage on any of those pages
     /// surfaces as the typed error the caller records.
     fn probe_tree(&self, tree: &TreeRecord) -> CrimsonResult<()> {
         let ctx = self.ctx();
         ctx.interval_of(tree.root)?;
+        ctx.probe_depth_column(tree.handle.0)?;
         for leaf in ctx.leaves(tree.handle)? {
             ctx.node_record(leaf)?;
             ctx.interval_of(leaf)?;
@@ -1469,6 +1467,7 @@ impl Repository {
             tables: self.tables,
             records: &self.record_cache,
             entries: &self.entry_cache,
+            minima: &self.minima_cache,
         }
     }
 
@@ -1607,6 +1606,7 @@ impl Repository {
     fn purge_caches(&self) {
         self.record_cache.clear();
         self.entry_cache.clear();
+        self.minima_cache.clear();
     }
 
     /// Inject a simulated crash into the storage engine (test
@@ -1712,6 +1712,7 @@ impl Repository {
         self.db.clear_cache()?;
         self.record_cache.clear();
         self.entry_cache.clear();
+        self.minima_cache.clear();
         Ok(())
     }
 
@@ -1952,6 +1953,12 @@ impl Repository {
             }),
         )?;
 
+        let column: Vec<(u32, u32)> = order
+            .iter()
+            .map(|v| (depth_of[v.index()] as u32, parent_pre[v.index()]))
+            .collect();
+        self.insert_depth_column(tree_id, &column)?;
+
         // The content address: per-node hashes in `(tree_id, pre)` order (a
         // sorted bulk run like the interval index), the global hash entries,
         // and the stats row the equal-tree short-circuit reads.
@@ -2109,6 +2116,8 @@ impl Repository {
             self.db
                 .raw_insert(self.tables.ivl_by_node, &sid.0.to_be_bytes(), packed)?;
         }
+
+        self.insert_depth_column(tree_id, &crate::depth::depth_column(tree))?;
 
         // Content-address rows, computed standalone (the bulk path folds
         // this into its single DFS; the property tests cross-validate the
@@ -2300,7 +2309,9 @@ impl Repository {
     /// Verify cross-table invariants: every node, frame and species row
     /// belongs to a tree in the catalog; per-tree node and leaf counts
     /// match the tree row; both interval indexes hold exactly one entry per
-    /// node; every species row points at a leaf of its tree; the query
+    /// node; each tree's depth column agrees with its block minima, its
+    /// interval entries' parent ranks and its node rows' depths; every
+    /// species row points at a leaf of its tree; the query
     /// history parses in full. Violations — orphan rows from an interrupted
     /// load, say — surface as [`CrimsonError::CorruptRepository`].
     pub fn integrity_check(&self) -> CrimsonResult<IntegrityReport> {
@@ -2313,23 +2324,29 @@ impl Repository {
         self.ctx().interval_of(id)
     }
 
-    /// Least common ancestor of two stored nodes, computed entirely inside
-    /// the interval index.
+    /// Least common ancestor of two stored nodes: a range-minimum query
+    /// over the tree's pre-order depth column.
     ///
-    /// The enclosing-interval tests resolve the ancestor cases in O(1) after
-    /// two point lookups. Otherwise the walk lifts the lower-ranked node
-    /// through its stored `parent_pre` chain until its interval covers the
-    /// higher rank; every ancestor of one node that covers the other node's
-    /// rank is a common ancestor, and the first (deepest) one reached is the
-    /// LCA. Each step is one probe of the compact covering index — no node
-    /// row is fetched or decoded on this path.
+    /// Both node rows are resolved first (through the record cache), so an
+    /// unknown id is [`CrimsonError::UnknownNode`] even for `lca(x, x)`;
+    /// nodes of different trees are [`CrimsonError::InvalidSample`]. This
+    /// is the same path as each consecutive pair of [`Repository::project`]:
+    /// for `pre(a) < pre(b)`, a leaf `a` is never an ancestor and an
+    /// internal `a` is tested against its interval; otherwise the LCA is
+    /// the parent of the shallowest rank in `(pre(a), pre(b)]` — the cached
+    /// block minima plus at most two partial depth blocks, then the LCA's
+    /// interval entry and row — a constant number of page reads however
+    /// deep the tree is. The answer is checked against the interval index
+    /// and the LCA's row before it is returned.
     pub fn lca(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
         self.ctx().lca(a, b)
     }
 
     /// `true` when `ancestor` is an ancestor-or-self of `node`: two interval
     /// lookups and two integer comparisons (§2.2's LCA test, at the cost the
-    /// XML-indexing literature promises for interval labels).
+    /// XML-indexing literature promises for interval labels). Both ids must
+    /// exist ([`CrimsonError::UnknownNode`] otherwise); nodes of different
+    /// trees are never ancestors of each other.
     pub fn is_ancestor(&self, ancestor: StoredNodeId, node: StoredNodeId) -> CrimsonResult<bool> {
         self.ctx().is_ancestor(ancestor, node)
     }
@@ -2770,6 +2787,50 @@ mod tests {
         assert!(matches!(
             repo.tree_record(TreeHandle(42)),
             Err(CrimsonError::UnknownTreeId(42))
+        ));
+    }
+
+    #[test]
+    fn unknown_nodes_are_refused_before_any_short_circuit() {
+        let (_d, mut repo) = repo();
+        let h1 = repo.load_tree("fig1", &figure1_tree()).unwrap();
+        let h2 = repo
+            .load_tree("balanced", &balanced_binary(2, 1.0))
+            .unwrap();
+        let known = repo.tree_record(h1).unwrap().root;
+        let other = repo.tree_record(h2).unwrap().root;
+        // Ids in an existing tree's id space but past its node count, in a
+        // missing tree's id space, and at the top of the id space.
+        let ghosts = [
+            StoredNodeId((h1.0 << TREE_SHIFT) | 999),
+            StoredNodeId(77 << TREE_SHIFT),
+            StoredNodeId(u64::MAX),
+        ];
+        let unknown = |r: CrimsonResult<_>| matches!(r, Err(CrimsonError::UnknownNode(_)));
+        for ghost in ghosts {
+            assert!(
+                unknown(repo.lca(ghost, ghost).map(|_| ())),
+                "lca({ghost}, {ghost})"
+            );
+            assert!(unknown(repo.lca(ghost, known).map(|_| ())));
+            assert!(unknown(repo.lca(other, ghost).map(|_| ())));
+            assert!(unknown(repo.is_ancestor(ghost, ghost).map(|_| ())));
+            assert!(unknown(repo.is_ancestor(ghost, known).map(|_| ())));
+            assert!(unknown(repo.is_ancestor(known, ghost).map(|_| ())));
+            assert!(unknown(repo.is_ancestor(other, ghost).map(|_| ())));
+        }
+        // Known nodes keep their answers: self-pairs, and distinct trees.
+        assert_eq!(repo.lca(known, known).unwrap(), known);
+        assert!(repo.is_ancestor(known, known).unwrap());
+        assert!(!repo.is_ancestor(known, other).unwrap());
+        assert!(matches!(
+            repo.lca(known, other),
+            Err(CrimsonError::InvalidSample(_))
+        ));
+        let reader = repo.reader().unwrap();
+        assert!(unknown(reader.lca(ghosts[0], ghosts[0]).map(|_| ())));
+        assert!(unknown(
+            reader.is_ancestor(ghosts[1], ghosts[1]).map(|_| ())
         ));
     }
 

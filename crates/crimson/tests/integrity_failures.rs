@@ -5,7 +5,10 @@
 //! through the raw storage engine — an orphan node row, a deleted node row,
 //! a missing interval entry, a contradictory interval mapping — reopen it,
 //! and assert that the check fails with the specific
-//! `CrimsonError::CorruptRepository` message for that corruption.
+//! `CrimsonError::CorruptRepository` message for that corruption. A file
+//! laid out without the depth column is refused at open. (Damage inside
+//! the packed depth blocks is covered by `depth.rs`'s unit tests, which
+//! can re-encode a block.)
 
 use crimson::prelude::*;
 use phylo::builder::figure1_tree;
@@ -142,4 +145,55 @@ fn contradictory_interval_mapping_is_detected() {
         db.flush().unwrap();
     }
     reopen_and_expect_corrupt(&path, "contradicts its pre-order rank");
+}
+
+#[test]
+fn repository_without_depth_column_is_refused_at_open() {
+    // Lay out a file the way a build before the depth column did: every
+    // other table and raw index, but no `depth_blocks` / `depth_minima`.
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().join("old.crimson");
+    {
+        let mut db = Database::create(&path).unwrap();
+        let schema = || {
+            storage::Schema::new(vec![storage::ColumnDef::not_null(
+                "id",
+                storage::ValueType::Int,
+            )])
+        };
+        for table in [
+            "trees",
+            "nodes",
+            "frames",
+            "species",
+            "query_history",
+            "experiments",
+            "experiment_results",
+            "experiment_clades",
+            "tree_stats",
+        ] {
+            db.create_table(table, schema()).unwrap();
+        }
+        for index in [
+            "ivl_by_pre",
+            "ivl_by_node",
+            "clade_hash_by_pre",
+            "clade_hash_idx",
+            "clade_refs",
+        ] {
+            db.create_raw_index(index).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    for result in [
+        Repository::open(&path, RepositoryOptions::default()).map(|_| ()),
+        Repository::open_degraded(&path, RepositoryOptions::default()).map(|_| ()),
+    ] {
+        match result {
+            Err(CrimsonError::CorruptRepository(msg)) => {
+                assert!(msg.contains("depth_blocks"), "{msg}")
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    }
 }

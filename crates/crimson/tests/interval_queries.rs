@@ -127,11 +127,11 @@ fn interval_clade_and_projection_match_references_on_random_trees() {
 }
 
 #[test]
-fn projection_dense_and_sparse_paths_agree() {
-    // Dense (range-scan) and sparse (per-pair walk) pair-LCA strategies must
-    // produce identical projections. Selecting most leaves of a clade forces
-    // the dense path; a two-leaf selection of a large tree forces the sparse
-    // path; mid-size selections land near the threshold.
+fn projection_matches_reference_on_dense_and_sparse_selections() {
+    // Projection has one pair-LCA path (range minima over the depth
+    // column) for every selection density: a two-leaf selection of a large
+    // tree, mid-size selections, and selections of most leaves must all
+    // match the label-walk reference.
     let tree = yule_tree(300, 1.0, 7);
     let (_d, repo, handle) = fresh_repo(&tree, 8, 1024);
     let leaves = repo.leaves(handle).unwrap();

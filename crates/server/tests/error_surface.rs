@@ -138,6 +138,29 @@ fn engine_errors_do_not_drop_the_connection() {
         other => panic!("expected UnknownNode, got {other:?}"),
     }
 
+    // Unknown node ids are refused before any same-node or cross-tree
+    // short circuit: lca(x, x), is_ancestor(x, x) and is_ancestor across
+    // two (missing) trees are all typed UnknownNode.
+    for request in [
+        Request::Lca {
+            a: u64::MAX,
+            b: u64::MAX,
+        },
+        Request::IsAncestor {
+            ancestor: u64::MAX,
+            node: u64::MAX,
+        },
+        Request::IsAncestor {
+            ancestor: 7 << 32,
+            node: (9 << 32) | 3,
+        },
+    ] {
+        match client.call(&request).unwrap() {
+            Response::Error(e) => assert_eq!(e.code, ErrorCode::UnknownNode, "{request:?}"),
+            other => panic!("expected UnknownNode for {request:?}, got {other:?}"),
+        }
+    }
+
     // Malformed Newick: typed TreeParse.
     match client
         .load_tree("bad", "((A,B", WireDurability::Sync)
