@@ -40,8 +40,8 @@ fn bench_pattern_match(c: &mut Criterion) {
         let (_dir, repo, handle) = workloads::repository_with_tree(&tree, 16, 8192);
         for &pattern_size in &[4usize, 16, 64, 256] {
             let (positive, negative) = patterns(&tree, pattern_size);
-            let pos = repo.pattern_match(handle, &positive).expect("match");
-            let neg = repo.pattern_match(handle, &negative).expect("match");
+            let pos = repo.view().pattern_match(handle, &positive).expect("match");
+            let neg = repo.view().pattern_match(handle, &negative).expect("match");
             println!(
                 "{tree_leaves:<13} {pattern_size:<16} {:<16} {:<16} {:.3}",
                 pos.exact_topology, neg.exact_topology, neg.rf.normalized
@@ -50,14 +50,14 @@ fn bench_pattern_match(c: &mut Criterion) {
                 BenchmarkId::new(format!("tree{tree_leaves}-positive"), pattern_size),
                 &positive,
                 |b, pattern| {
-                    b.iter(|| black_box(repo.pattern_match(handle, pattern).expect("match")))
+                    b.iter(|| black_box(repo.view().pattern_match(handle, pattern).expect("match")))
                 },
             );
             group.bench_with_input(
                 BenchmarkId::new(format!("tree{tree_leaves}-perturbed"), pattern_size),
                 &negative,
                 |b, pattern| {
-                    b.iter(|| black_box(repo.pattern_match(handle, pattern).expect("match")))
+                    b.iter(|| black_box(repo.view().pattern_match(handle, pattern).expect("match")))
                 },
             );
         }

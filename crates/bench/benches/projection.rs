@@ -20,8 +20,11 @@ fn bench_projection(c: &mut Criterion) {
         let tree = workloads::simulated_tree(tree_leaves, 21);
         let (_dir, repo, handle) = workloads::repository_with_tree(&tree, 16, 8192);
         for &sample_size in &[10usize, 100, 1_000] {
-            let sample = repo.sample_uniform(handle, sample_size, 5).expect("sample");
-            let projected = repo.project(handle, &sample).expect("projection");
+            let sample = repo
+                .view()
+                .sample_uniform(handle, sample_size, 5)
+                .expect("sample");
+            let projected = repo.view().project(handle, &sample).expect("projection");
             println!(
                 "{tree_leaves:<13} {sample_size:<8} {}",
                 projected.node_count()
@@ -29,7 +32,9 @@ fn bench_projection(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("tree{tree_leaves}"), sample_size),
                 &sample,
-                |b, sample| b.iter(|| black_box(repo.project(handle, sample).expect("projection"))),
+                |b, sample| {
+                    b.iter(|| black_box(repo.view().project(handle, sample).expect("projection")))
+                },
             );
         }
     }

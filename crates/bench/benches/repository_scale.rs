@@ -64,7 +64,7 @@ fn bench_point_queries(c: &mut Criterion) {
             |b, probes| {
                 b.iter(|| {
                     for name in probes.iter().take(64) {
-                        black_box(repo.species_node(handle, name).expect("lookup"));
+                        black_box(repo.view().species_node(handle, name).expect("lookup"));
                     }
                 })
             },
@@ -97,7 +97,7 @@ fn bench_point_queries(c: &mut Criterion) {
     let mut group = c.benchmark_group("E9_buffer_pool_sweep");
     for &pages in &[64usize, 512, 4_096] {
         let (_dir, repo, handle) = workloads::repository_with_tree(&tree, 16, pages);
-        let leaves = repo.leaves(handle).expect("leaves");
+        let leaves = repo.view().leaves(handle).expect("leaves");
         let mut rng = StdRng::seed_from_u64(11);
         let pairs: Vec<(StoredNodeId, StoredNodeId)> = (0..64)
             .map(|_| {
@@ -110,7 +110,7 @@ fn bench_point_queries(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(pages), &pairs, |b, pairs| {
             b.iter(|| {
                 for &(x, y) in pairs {
-                    black_box(repo.lca(x, y).expect("lca"));
+                    black_box(repo.view().lca(x, y).expect("lca"));
                 }
             })
         });

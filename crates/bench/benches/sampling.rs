@@ -15,8 +15,11 @@ fn print_figure1_example() {
     let tree = figure1_tree();
     let (_dir, repo, handle) = workloads::repository_with_tree(&tree, 2, 256);
     for seed in 0..4u64 {
-        let sample = repo.sample_by_time(handle, 1.0, 4, seed).expect("sample");
-        let mut names = repo.names_of(&sample).expect("names");
+        let sample = repo
+            .view()
+            .sample_by_time(handle, 1.0, 4, seed)
+            .expect("sample");
+        let mut names = repo.view().names_of(&sample).expect("names");
         names.sort();
         println!("{seed:<6} {{{}}}", names.join(", "));
     }
@@ -28,8 +31,11 @@ fn bench_sampling(c: &mut Criterion) {
     let tree = workloads::simulated_tree(20_000, 9);
     let (_dir, repo, handle) = workloads::repository_with_tree(&tree, 16, 8192);
     let height = {
-        let leaves = repo.leaves(handle).expect("leaves");
-        repo.node_record(leaves[0]).expect("record").root_distance
+        let leaves = repo.view().leaves(handle).expect("leaves");
+        repo.view()
+            .node_record(leaves[0])
+            .expect("record")
+            .root_distance
     };
 
     let mut group = c.benchmark_group("E5_sampling");
@@ -38,7 +44,7 @@ fn bench_sampling(c: &mut Criterion) {
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;
-                black_box(repo.sample_uniform(handle, k, seed).expect("sample"))
+                black_box(repo.view().sample_uniform(handle, k, seed).expect("sample"))
             })
         });
         group.bench_with_input(BenchmarkId::new("time-respecting", k), &k, |b, &k| {
@@ -46,7 +52,8 @@ fn bench_sampling(c: &mut Criterion) {
             b.iter(|| {
                 seed += 1;
                 black_box(
-                    repo.sample_by_time(handle, height * 0.5, k, seed)
+                    repo.view()
+                        .sample_by_time(handle, height * 0.5, k, seed)
                         .expect("sample"),
                 )
             })
@@ -63,7 +70,8 @@ fn bench_sampling(c: &mut Criterion) {
             |b, &fraction| {
                 b.iter(|| {
                     black_box(
-                        repo.time_frontier(handle, height * fraction)
+                        repo.view()
+                            .time_frontier(handle, height * fraction)
                             .expect("frontier"),
                     )
                 })

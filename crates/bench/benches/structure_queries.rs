@@ -25,7 +25,7 @@ fn bench_repository_lca(c: &mut Criterion) {
     for &leaves in &TREE_SIZES {
         let tree = workloads::simulated_tree(leaves, 42);
         let (_dir, repo, handle) = workloads::repository_with_tree(&tree, 16, 4096);
-        let stored_leaves = repo.leaves(handle).expect("leaves");
+        let stored_leaves = repo.view().leaves(handle).expect("leaves");
         let mut rng = StdRng::seed_from_u64(3);
         let pairs: Vec<(StoredNodeId, StoredNodeId)> = (0..64)
             .map(|_| {
@@ -39,7 +39,7 @@ fn bench_repository_lca(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("lca", leaves), &pairs, |b, pairs| {
             b.iter(|| {
                 for &(x, y) in pairs {
-                    black_box(repo.lca(x, y).expect("lca"));
+                    black_box(repo.view().lca(x, y).expect("lca"));
                 }
             })
         });
@@ -49,7 +49,7 @@ fn bench_repository_lca(c: &mut Criterion) {
             |b, pairs| {
                 b.iter(|| {
                     for &(x, y) in pairs {
-                        black_box(repo.is_ancestor(x, y).expect("ancestor test"));
+                        black_box(repo.view().is_ancestor(x, y).expect("ancestor test"));
                     }
                 })
             },
@@ -62,7 +62,7 @@ fn bench_spanning_clade(c: &mut Criterion) {
     let mut group = c.benchmark_group("E4_minimal_spanning_clade");
     let tree = workloads::simulated_tree(10_000, 42);
     let (_dir, repo, handle) = workloads::repository_with_tree(&tree, 16, 4096);
-    let stored_leaves = repo.leaves(handle).expect("leaves");
+    let stored_leaves = repo.view().leaves(handle).expect("leaves");
     for &set_size in &[2usize, 8, 32] {
         let mut rng = StdRng::seed_from_u64(set_size as u64);
         let sets: Vec<Vec<StoredNodeId>> = (0..8)
@@ -76,7 +76,7 @@ fn bench_spanning_clade(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(set_size), &sets, |b, sets| {
             b.iter(|| {
                 for set in sets {
-                    black_box(repo.minimal_spanning_clade(set).expect("clade"));
+                    black_box(repo.view().minimal_spanning_clade(set).expect("clade"));
                 }
             })
         });

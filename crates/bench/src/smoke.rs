@@ -34,7 +34,7 @@ impl SmokeCost {
 pub fn structure_queries(leaves: usize, pairs: usize, seed: u64) -> SmokeCost {
     let tree = workloads::simulated_tree(leaves, seed);
     let (_dir, repo, handle) = workloads::repository_with_tree(&tree, 16, 4096);
-    let stored = repo.leaves(handle).expect("leaves");
+    let stored = repo.view().leaves(handle).expect("leaves");
     let mut rng = StdRng::seed_from_u64(seed);
     let pairs: Vec<(StoredNodeId, StoredNodeId)> = (0..pairs)
         .map(|_| {
@@ -48,15 +48,15 @@ pub fn structure_queries(leaves: usize, pairs: usize, seed: u64) -> SmokeCost {
     repo.clear_cache().expect("clear cache");
     repo.reset_buffer_stats();
     for &(a, b) in &pairs {
-        let lca = repo.lca(a, b).expect("lca");
-        assert!(repo.is_ancestor(lca, a).expect("ancestor test"));
+        let lca = repo.view().lca(a, b).expect("lca");
+        assert!(repo.view().is_ancestor(lca, a).expect("ancestor test"));
     }
     let interval_reads = repo.buffer_stats().page_reads();
 
     repo.clear_cache().expect("clear cache");
     repo.reset_buffer_stats();
     for &(a, b) in &pairs {
-        let _ = repo.lca_label_walk(a, b).expect("reference lca");
+        let _ = repo.view().lca_label_walk(a, b).expect("reference lca");
     }
     let reference_reads = repo.buffer_stats().page_reads();
     SmokeCost {
@@ -69,7 +69,7 @@ pub fn structure_queries(leaves: usize, pairs: usize, seed: u64) -> SmokeCost {
 pub fn spanning_clade(leaves: usize, set_size: usize, seed: u64) -> SmokeCost {
     let tree = workloads::simulated_tree(leaves, seed);
     let (_dir, repo, handle) = workloads::repository_with_tree(&tree, 16, 4096);
-    let stored = repo.leaves(handle).expect("leaves");
+    let stored = repo.view().leaves(handle).expect("leaves");
     let mut rng = StdRng::seed_from_u64(seed);
     let set: Vec<StoredNodeId> = stored
         .choose_multiple(&mut rng, set_size)
@@ -78,12 +78,13 @@ pub fn spanning_clade(leaves: usize, set_size: usize, seed: u64) -> SmokeCost {
 
     repo.clear_cache().expect("clear cache");
     repo.reset_buffer_stats();
-    let fast = repo.minimal_spanning_clade(&set).expect("clade");
+    let fast = repo.view().minimal_spanning_clade(&set).expect("clade");
     let interval_reads = repo.buffer_stats().page_reads();
 
     repo.clear_cache().expect("clear cache");
     repo.reset_buffer_stats();
     let reference = repo
+        .view()
         .minimal_spanning_clade_reference(&set)
         .expect("reference clade");
     let reference_reads = repo.buffer_stats().page_reads();
@@ -102,18 +103,19 @@ pub fn spanning_clade(leaves: usize, set_size: usize, seed: u64) -> SmokeCost {
 pub fn projection(leaves: usize, sample: usize, seed: u64) -> SmokeCost {
     let tree = workloads::simulated_tree(leaves, seed);
     let (_dir, repo, handle) = workloads::repository_with_tree(&tree, 16, 8192);
-    let stored = repo.leaves(handle).expect("leaves");
+    let stored = repo.view().leaves(handle).expect("leaves");
     let step = (stored.len() / sample).max(1);
     let sample: Vec<StoredNodeId> = stored.iter().step_by(step).copied().collect();
 
     repo.clear_cache().expect("clear cache");
     repo.reset_buffer_stats();
-    let fast = repo.project(handle, &sample).expect("projection");
+    let fast = repo.view().project(handle, &sample).expect("projection");
     let interval_reads = repo.buffer_stats().page_reads();
 
     repo.clear_cache().expect("clear cache");
     repo.reset_buffer_stats();
     let reference = repo
+        .view()
         .project_reference(handle, &sample)
         .expect("reference projection");
     let reference_reads = repo.buffer_stats().page_reads();
@@ -138,7 +140,7 @@ pub fn pattern_match(leaves: usize, pattern_size: usize, seed: u64) -> SmokeCost
 
     repo.clear_cache().expect("clear cache");
     repo.reset_buffer_stats();
-    let result = repo.pattern_match(handle, &pattern).expect("match");
+    let result = repo.view().pattern_match(handle, &pattern).expect("match");
     assert!(result.exact_topology, "positive pattern must match exactly");
     let interval_reads = repo.buffer_stats().page_reads();
 
@@ -146,11 +148,16 @@ pub fn pattern_match(leaves: usize, pattern_size: usize, seed: u64) -> SmokeCost
     // comparison half of pattern match is identical either way).
     let sample: Vec<StoredNodeId> = names
         .iter()
-        .map(|n| repo.require_species_node(handle, n).expect("species"))
+        .map(|n| {
+            repo.view()
+                .require_species_node(handle, n)
+                .expect("species")
+        })
         .collect();
     repo.clear_cache().expect("clear cache");
     repo.reset_buffer_stats();
     let _ = repo
+        .view()
         .project_reference(handle, &sample)
         .expect("reference projection");
     let reference_reads = repo.buffer_stats().page_reads();
@@ -373,19 +380,22 @@ pub fn bulk_load_workload(leaves: usize, seed: u64, runs: usize) -> BulkLoadCost
         let hr = reference
             .load_tree_reference("bench", &tree)
             .expect("reference load");
-        let leaves_b = bulk.leaves(hb).expect("leaves");
+        let leaves_b = bulk.view().leaves(hb).expect("leaves");
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..64 {
             let a = *leaves_b.choose(&mut rng).expect("non-empty");
             let b = *leaves_b.choose(&mut rng).expect("non-empty");
             assert_eq!(
-                bulk.lca(a, b).expect("lca"),
-                reference.lca(a, b).expect("lca"),
+                bulk.view().lca(a, b).expect("lca"),
+                reference.view().lca(a, b).expect("lca"),
                 "bulk and reference repositories disagree on lca({a}, {b})"
             );
         }
-        bulk.integrity_check().expect("bulk integrity");
-        reference.integrity_check().expect("reference integrity");
+        bulk.view().integrity_check().expect("bulk integrity");
+        reference
+            .view()
+            .integrity_check()
+            .expect("reference integrity");
         let _ = hr;
     }
     let (bulk_seconds, wal_bytes, data_page_writes) = time_load(false);
@@ -450,7 +460,9 @@ pub fn eval_sweep(leaves: usize, sites: usize, workers: usize, seed: u64) -> Eva
         .expect("experiment sweep");
     let seconds = start.elapsed().as_secs_f64();
     assert_eq!(record.runs, 18, "full grid must persist");
-    repo.integrity_check().expect("integrity after sweep");
+    repo.view()
+        .integrity_check()
+        .expect("integrity after sweep");
     // Mirror of the runner's own clamp: never more threads than grid cells
     // or hardware cores.
     let cores = std::thread::available_parallelism().map_or(usize::MAX, |n| n.get());
@@ -501,13 +513,16 @@ pub fn compare_workload(leaves: usize, seed: u64, runs: usize) -> CompareCost {
     .expect("create repository");
     let ha = repo.load_tree("a", &a).expect("load a");
     let hb = repo.load_tree("b", &b).expect("load b");
-    let leaves_a = repo.leaves(ha).expect("leaves a");
-    let leaves_b = repo.leaves(hb).expect("leaves b");
+    let leaves_a = repo.view().leaves(ha).expect("leaves a");
+    let leaves_b = repo.view().leaves(hb).expect("leaves b");
 
     // Cross-validate once: both paths must agree exactly.
-    let native = repo.compare_stored(ha, hb, false).expect("native compare");
-    let ta = repo.project(ha, &leaves_a).expect("materialize a");
-    let tb = repo.project(hb, &leaves_b).expect("materialize b");
+    let native = repo
+        .view()
+        .compare_stored(ha, hb, false)
+        .expect("native compare");
+    let ta = repo.view().project(ha, &leaves_a).expect("materialize a");
+    let tb = repo.view().project(hb, &leaves_b).expect("materialize b");
     let rf = reconstruction::compare::robinson_foulds(&ta, &tb).expect("materialized rf");
     let rrf =
         reconstruction::compare::rooted_robinson_foulds(&ta, &tb).expect("materialized rooted rf");
@@ -519,14 +534,17 @@ pub fn compare_workload(leaves: usize, seed: u64, runs: usize) -> CompareCost {
     for _ in 0..runs.max(1) {
         repo.clear_cache().expect("clear cache");
         let start = std::time::Instant::now();
-        let cmp = repo.compare_stored(ha, hb, false).expect("native compare");
+        let cmp = repo
+            .view()
+            .compare_stored(ha, hb, false)
+            .expect("native compare");
         native_seconds = native_seconds.min(start.elapsed().as_secs_f64());
         assert_eq!(cmp.rf, rf);
 
         repo.clear_cache().expect("clear cache");
         let start = std::time::Instant::now();
-        let ta = repo.project(ha, &leaves_a).expect("materialize a");
-        let tb = repo.project(hb, &leaves_b).expect("materialize b");
+        let ta = repo.view().project(ha, &leaves_a).expect("materialize a");
+        let tb = repo.view().project(hb, &leaves_b).expect("materialize b");
         let m_rf = reconstruction::compare::robinson_foulds(&ta, &tb).expect("rf");
         let _ = reconstruction::compare::rooted_robinson_foulds(&ta, &tb).expect("rrf");
         materialized_seconds = materialized_seconds.min(start.elapsed().as_secs_f64());
@@ -573,13 +591,16 @@ pub fn recovery_workload(leaves: usize, seed: u64) -> storage::RecoveryReport {
     )
     .expect("reopen");
     let report = repo.recovery_report().expect("recovery report");
-    repo.integrity_check().expect("integrity after recovery");
+    repo.view()
+        .integrity_check()
+        .expect("integrity after recovery");
     let rec = repo
+        .view()
         .tree_by_name("committed")
         .expect("committed tree survives");
     assert_eq!(rec.leaf_count as usize, tree.leaf_count());
     assert!(
-        repo.find_tree("victim").expect("lookup").is_none(),
+        repo.view().find_tree("victim").expect("lookup").is_none(),
         "loser load must vanish"
     );
     report
@@ -716,7 +737,7 @@ pub fn checkpoint_read_tail(leaves: usize, queries: usize, seed: u64) -> Checkpo
     .expect("create repository");
     assert!(repo.has_checkpointer());
     let handle = repo.load_tree("base", &tree).expect("load base");
-    let stored = repo.leaves(handle).expect("leaves");
+    let stored = repo.view().leaves(handle).expect("leaves");
     let reader = repo.reader().expect("snapshot reader");
     let mut rng = StdRng::seed_from_u64(seed);
     let pairs: Vec<(StoredNodeId, StoredNodeId)> = (0..queries)
@@ -1008,7 +1029,9 @@ pub fn dedup_workload(
             hits += hit as usize;
         }
         repo.flush().expect("checkpoint");
-        repo.integrity_check().expect("integrity after dedup sweep");
+        repo.view()
+            .integrity_check()
+            .expect("integrity after dedup sweep");
         (std::fs::metadata(&path).expect("file metadata").len(), hits)
     };
 
@@ -1025,16 +1048,20 @@ pub fn dedup_workload(
         let ha = repo.load_tree("a", &tree).expect("load a");
         let hb = repo.load_tree("b", &tree).expect("load b");
         let hc = repo.load_tree("c", &other).expect("load c");
-        assert!(repo.trees_equal(ha, hb).expect("equality"));
+        assert!(repo.view().trees_equal(ha, hb).expect("equality"));
         let mut equal = f64::MAX;
         let mut streamed = f64::MAX;
         for _ in 0..3 {
             let start = std::time::Instant::now();
-            let cmp = repo.compare_stored(ha, hb, false).expect("equal compare");
+            let cmp = repo
+                .view()
+                .compare_stored(ha, hb, false)
+                .expect("equal compare");
             equal = equal.min(start.elapsed().as_secs_f64());
             assert_eq!(cmp.rf.distance, 0);
             let start = std::time::Instant::now();
             let cmp = repo
+                .view()
                 .compare_stored(ha, hc, false)
                 .expect("streamed compare");
             streamed = streamed.min(start.elapsed().as_secs_f64());

@@ -103,7 +103,7 @@ pub fn mixed_read_batch(
     seed: u64,
 ) -> QueryBatch {
     use rand::prelude::*;
-    let leaves = repo.leaves(handle).expect("leaves");
+    let leaves = repo.view().leaves(handle).expect("leaves");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut batch = QueryBatch::new();
     while batch.len() < queries {
@@ -169,6 +169,6 @@ mod tests {
         let subset = leaf_subset(&sim, 8);
         assert_eq!(subset.len(), 8);
         let (_dir, repo, handle) = repository_with_tree(&sim, 8, 256);
-        assert_eq!(repo.tree_record(handle).unwrap().leaf_count, 32);
+        assert_eq!(repo.view().tree_record(handle).unwrap().leaf_count, 32);
     }
 }

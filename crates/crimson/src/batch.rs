@@ -21,11 +21,12 @@
 
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::query::PatternMatch;
-use crate::reader::{PinnedReader, RepositoryReader};
-use crate::repository::{NodeRecord, Repository, StoredNodeId, TreeHandle};
+use crate::reader::RepositoryReader;
+use crate::repository::{NodeRecord, ReadCtx, Repository, StoredNodeId, TreeHandle};
 use parking_lot::Mutex;
 use phylo::Tree;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use storage::EpochView;
 
 /// One query in a batch.
 #[derive(Debug, Clone)]
@@ -137,17 +138,18 @@ impl QueryBatch {
                     if i >= n {
                         break;
                     }
+                    let fresh = || reader.read(|v| run_query(v, &queries[i]));
                     let out = match pinned {
-                        Some(pin) => match run_query_pinned(pin, &queries[i]) {
+                        Some(pin) => match run_query(pin, &queries[i]) {
                             // The pinned epoch outlived the bounded version
                             // chain: serve this query through the reader's
                             // re-pinning path instead of failing it.
                             Err(CrimsonError::Storage(
                                 storage::StorageError::SnapshotRetired { .. },
-                            )) => run_query(reader, &queries[i]),
+                            )) => fresh(),
                             out => out,
                         },
-                        None => run_query(reader, &queries[i]),
+                        None => fresh(),
                     };
                     *slots[i].lock() = Some(out);
                 });
@@ -160,39 +162,18 @@ impl QueryBatch {
     }
 }
 
-fn run_query_pinned(reader: &PinnedReader<'_>, query: &BatchQuery) -> CrimsonResult<BatchOutput> {
+fn run_query(view: &ReadCtx<'_, EpochView<'_>>, query: &BatchQuery) -> CrimsonResult<BatchOutput> {
     match query {
-        BatchQuery::Lca(a, b) => reader.lca(*a, *b).map(BatchOutput::Node),
-        BatchQuery::IsAncestor(a, b) => reader.is_ancestor(*a, *b).map(BatchOutput::Flag),
+        BatchQuery::Lca(a, b) => view.lca(*a, *b).map(BatchOutput::Node),
+        BatchQuery::IsAncestor(a, b) => view.is_ancestor(*a, *b).map(BatchOutput::Flag),
         BatchQuery::SpanningClade(nodes) => {
-            reader.minimal_spanning_clade(nodes).map(BatchOutput::Nodes)
+            view.minimal_spanning_clade(nodes).map(BatchOutput::Nodes)
         }
-        BatchQuery::Project(handle, leaves) => {
-            reader.project(*handle, leaves).map(BatchOutput::Tree)
-        }
-        BatchQuery::PatternMatch(handle, pattern) => reader
+        BatchQuery::Project(handle, leaves) => view.project(*handle, leaves).map(BatchOutput::Tree),
+        BatchQuery::PatternMatch(handle, pattern) => view
             .pattern_match(*handle, pattern)
             .map(|m| BatchOutput::Match(Box::new(m))),
-        BatchQuery::NodeRecord(id) => reader
-            .node_record(*id)
-            .map(|r| BatchOutput::Record(Box::new(r))),
-    }
-}
-
-fn run_query(reader: &RepositoryReader, query: &BatchQuery) -> CrimsonResult<BatchOutput> {
-    match query {
-        BatchQuery::Lca(a, b) => reader.lca(*a, *b).map(BatchOutput::Node),
-        BatchQuery::IsAncestor(a, b) => reader.is_ancestor(*a, *b).map(BatchOutput::Flag),
-        BatchQuery::SpanningClade(nodes) => {
-            reader.minimal_spanning_clade(nodes).map(BatchOutput::Nodes)
-        }
-        BatchQuery::Project(handle, leaves) => {
-            reader.project(*handle, leaves).map(BatchOutput::Tree)
-        }
-        BatchQuery::PatternMatch(handle, pattern) => reader
-            .pattern_match(*handle, pattern)
-            .map(|m| BatchOutput::Match(Box::new(m))),
-        BatchQuery::NodeRecord(id) => reader
+        BatchQuery::NodeRecord(id) => view
             .node_record(*id)
             .map(|r| BatchOutput::Record(Box::new(r))),
     }
@@ -219,7 +200,7 @@ mod tests {
         .unwrap();
         let tree = yule_tree(120, 1.0, 5);
         let handle = repo.load_tree("t", &tree).unwrap();
-        let leaves = repo.leaves(handle).unwrap();
+        let leaves = repo.view().leaves(handle).unwrap();
 
         let mut batch = QueryBatch::new();
         for i in 0..leaves.len() {
@@ -246,15 +227,15 @@ mod tests {
         let mut expected = Vec::new();
         for q in &batch.queries {
             expected.push(match q {
-                BatchQuery::Lca(a, b) => format!("{:?}", repo.lca(*a, *b).unwrap()),
+                BatchQuery::Lca(a, b) => format!("{:?}", repo.view().lca(*a, *b).unwrap()),
                 BatchQuery::IsAncestor(a, b) => {
-                    format!("{:?}", repo.is_ancestor(*a, *b).unwrap())
+                    format!("{:?}", repo.view().is_ancestor(*a, *b).unwrap())
                 }
                 BatchQuery::SpanningClade(nodes) => {
-                    format!("{:?}", repo.minimal_spanning_clade(nodes).unwrap())
+                    format!("{:?}", repo.view().minimal_spanning_clade(nodes).unwrap())
                 }
                 BatchQuery::Project(h, sel) => {
-                    let t = repo.project(*h, sel).unwrap();
+                    let t = repo.view().project(*h, sel).unwrap();
                     let mut names = t.leaf_names();
                     names.sort();
                     format!("{names:?}")

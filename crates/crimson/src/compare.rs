@@ -13,15 +13,13 @@
 //! are fetched (through their heap locators, via the record cache), because
 //! leaf names are the only cross-tree identity.
 //!
-//! Everything is implemented on [`ReadCtx`], so the same code serves the
-//! writer's [`Repository`] and concurrent snapshot
+//! Everything is a method of [`ReadCtx`], so the same code serves the
+//! writer's [`Repository::view`](crate::Repository::view) and concurrent snapshot
 //! [`crate::reader::RepositoryReader`]s.
 
 use crate::content::TreeContent;
 use crate::error::{CrimsonError, CrimsonResult};
-use crate::repository::{
-    ReadCtx, Repository, StoredNodeId, TreeHandle, TreeStatsRecord, TREE_SHIFT,
-};
+use crate::repository::{ReadCtx, StoredNodeId, TreeHandle, TreeStatsRecord, TREE_SHIFT};
 use labeling::clade_hash::CladeRef;
 use labeling::interval::{interval_key_prefix, interval_range_end, IntervalEntry};
 use phylo::traverse::Traverse;
@@ -123,12 +121,11 @@ pub(crate) fn equal_tree_comparison(
 
 /// A stored tree's topology, streamed off the `ivl_by_pre` covering index.
 ///
-/// Obtained from [`Repository::clade_source`] (or the reader equivalent) and
-/// consumed by [`reconstruction::compare::compare_sources`]; the structural
+/// Obtained from [`ReadCtx::clade_source`] and consumed by [`reconstruction::compare::compare_sources`]; the structural
 /// part of the stream is one range scan, and only leaf rows are decoded for
 /// their names.
 pub struct StoredCladeSource<'a, D: DbRead> {
-    ctx: ReadCtx<'a, D>,
+    ctx: &'a ReadCtx<'a, D>,
     handle: TreeHandle,
     nodes: u64,
 }
@@ -262,19 +259,24 @@ impl<D: DbRead> StoredCladeSource<'_, D> {
 
 impl<'a, D: DbRead> ReadCtx<'a, D> {
     /// The stored tree as a streaming clade source.
-    pub fn clade_source(&self, handle: TreeHandle) -> CrimsonResult<StoredCladeSource<'a, D>> {
+    pub fn clade_source(&self, handle: TreeHandle) -> CrimsonResult<StoredCladeSource<'_, D>> {
         let rec = self.tree_record(handle)?;
         Ok(StoredCladeSource {
-            ctx: *self,
+            ctx: self,
             handle,
             nodes: rec.node_count,
         })
     }
 
-    /// Compare two stored trees without materializing either. When both
-    /// carry content addresses with equal root hashes (and unambiguous leaf
-    /// names), the result is synthesized from the stored clade counts in
-    /// O(1) — no index scan, no leaf-row fetches, no streaming comparison.
+    /// Robinson–Foulds (rooted and unrooted), per-clade agreement and —
+    /// when `triplets` is set — triplet distance between two stored trees,
+    /// computed inside the interval index: one range scan per tree, leaf
+    /// rows only, no tree materialization.
+    ///
+    /// When both trees carry content addresses with equal root hashes (and
+    /// unambiguous leaf names), the result is synthesized from the stored
+    /// clade counts in O(1) — no index scan, no leaf-row fetches, no
+    /// streaming comparison.
     ///
     /// The short-circuited result leaves `clades` empty: on an identical
     /// pair every non-trivial clade agrees, so the per-clade listing carries
@@ -290,17 +292,16 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         b: TreeHandle,
         triplets: bool,
     ) -> CrimsonResult<SourceComparison> {
-        if let (Some(sa), Some(sb)) = (self.tree_stats(a)?, self.tree_stats(b)?) {
-            if Self::short_circuit_applies(&sa, &sb) {
-                let rec = self.tree_record(b)?;
-                if !(triplets && rec.leaf_count < 3) {
-                    return Ok(identical_comparison(
-                        sb.rooted_clades,
-                        sb.unrooted_splits,
-                        Vec::new(),
-                        triplets,
-                    ));
-                }
+        let (sa, sb) = (self.tree_stats(a)?, self.tree_stats(b)?);
+        if Self::short_circuit_applies(&sa, &sb) {
+            let rec = self.tree_record(b)?;
+            if !(triplets && rec.leaf_count < 3) {
+                return Ok(identical_comparison(
+                    sb.rooted_clades,
+                    sb.unrooted_splits,
+                    Vec::new(),
+                    triplets,
+                ));
             }
         }
         let sa = self.clade_source(a)?;
@@ -320,23 +321,22 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         b: &Tree,
         triplets: bool,
     ) -> CrimsonResult<SourceComparison> {
-        if let Some(sa) = self.tree_stats(a)? {
-            if !sa.cold && sa.distinct_leaves && !b.is_empty() {
-                let content = TreeContent::compute(b);
-                let root_hash = content.hashes[b.root_unchecked().index()];
-                let n_leaves = b.leaf_ids().count() as u32;
-                if root_hash == sa.root_hash
-                    && content.distinct_leaves
-                    && !(triplets && n_leaves < 3)
-                {
-                    let clades = tree_agreement(b, n_leaves);
-                    return Ok(identical_comparison(
-                        content.counts.rooted,
-                        content.counts.unrooted,
-                        clades,
-                        triplets,
-                    ));
-                }
+        let stats = self.tree_stats(a)?;
+        if !stats.cold && stats.distinct_leaves && !b.is_empty() {
+            let content = TreeContent::compute(b);
+            let root_hash = content.hashes[b.root_unchecked().index()];
+            let n_leaves = b.leaf_ids().count() as u32;
+            if root_hash == stats.root_hash
+                && content.distinct_leaves
+                && !(triplets && n_leaves < 3)
+            {
+                let clades = tree_agreement(b, n_leaves);
+                return Ok(identical_comparison(
+                    content.counts.rooted,
+                    content.counts.unrooted,
+                    clades,
+                    triplets,
+                ));
             }
         }
         let sa = self.clade_source(a)?;
@@ -357,35 +357,10 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     }
 }
 
-impl Repository {
-    /// Robinson–Foulds (rooted and unrooted), per-clade agreement and —
-    /// when `triplets` is set — triplet distance between two stored trees,
-    /// computed inside the interval index: one range scan per tree, leaf
-    /// rows only, no tree materialization.
-    pub fn compare_stored(
-        &self,
-        a: TreeHandle,
-        b: TreeHandle,
-        triplets: bool,
-    ) -> CrimsonResult<SourceComparison> {
-        self.ctx().compare_stored(a, b, triplets)
-    }
-
-    /// Compare a stored tree (reference side) against an in-memory tree.
-    pub fn compare_stored_with_tree(
-        &self,
-        a: TreeHandle,
-        b: &Tree,
-        triplets: bool,
-    ) -> CrimsonResult<SourceComparison> {
-        self.ctx().compare_stored_with_tree(a, b, triplets)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repository::RepositoryOptions;
+    use crate::repository::{Repository, RepositoryOptions};
     use phylo::builder::{balanced_binary, figure1_tree};
     use reconstruction::compare::{robinson_foulds, rooted_robinson_foulds, triplet_distance};
     use simulation::birth_death::yule_tree;
@@ -413,14 +388,14 @@ mod tests {
         let ha = repo.load_tree("a", &a).unwrap();
         let hb = repo.load_tree("b", &b).unwrap();
 
-        let cmp = repo.compare_stored(ha, hb, true).unwrap();
+        let cmp = repo.view().compare_stored(ha, hb, true).unwrap();
         assert_eq!(cmp.rf, robinson_foulds(&a, &b).unwrap());
         assert_eq!(cmp.rooted_rf, rooted_robinson_foulds(&a, &b).unwrap());
         let t = triplet_distance(&a, &b).unwrap();
         assert!((cmp.triplet.unwrap() - t).abs() < 1e-15);
 
         // Stored vs in-memory agrees too, in both pairings.
-        let with_tree = repo.compare_stored_with_tree(ha, &b, true).unwrap();
+        let with_tree = repo.view().compare_stored_with_tree(ha, &b, true).unwrap();
         assert_eq!(with_tree.rf, cmp.rf);
         assert_eq!(with_tree.rooted_rf, cmp.rooted_rf);
         assert!((with_tree.triplet.unwrap() - t).abs() < 1e-15);
@@ -433,7 +408,7 @@ mod tests {
         let ha = repo.load_tree("a", &tree).unwrap();
         // Same topology under a different name: ids differ, structure equal.
         let hb = repo.load_tree("b", &tree).unwrap();
-        let cmp = repo.compare_stored(ha, hb, false).unwrap();
+        let cmp = repo.view().compare_stored(ha, hb, false).unwrap();
         assert_eq!(cmp.rf.distance, 0);
         assert_eq!(cmp.rooted_rf.distance, 0);
         assert!(cmp.clades.iter().all(|c| c.agrees));
@@ -447,8 +422,8 @@ mod tests {
         let ha = repo.load_tree("a", &a).unwrap();
         let hb = repo.load_tree("b", &b).unwrap();
         let reader = repo.reader().unwrap();
-        let via_reader = reader.compare_stored(ha, hb, false).unwrap();
-        let via_writer = repo.compare_stored(ha, hb, false).unwrap();
+        let via_reader = reader.read(|v| v.compare_stored(ha, hb, false)).unwrap();
+        let via_writer = repo.view().compare_stored(ha, hb, false).unwrap();
         assert_eq!(via_reader.rf, via_writer.rf);
         assert_eq!(via_reader.rooted_rf, via_writer.rooted_rf);
     }
@@ -460,11 +435,11 @@ mod tests {
         let ha = repo.load_tree("a", &tree).unwrap();
         let hb = repo.load_tree("b", &tree).unwrap();
         // Hash-equal hot trees take the O(1) path …
-        let fast = repo.compare_stored(ha, hb, true).unwrap();
+        let fast = repo.view().compare_stored(ha, hb, true).unwrap();
         // … a cold copy blocks it, so this streams through the same code
         // the pre-hash build used (stitched), giving the ground truth.
         let hc = repo.store_tree_shared("c", &tree, u32::MAX).unwrap();
-        let slow = repo.compare_stored(ha, hc, true).unwrap();
+        let slow = repo.view().compare_stored(ha, hc, true).unwrap();
         assert_eq!(fast.rf, slow.rf);
         assert_eq!(fast.rooted_rf, slow.rooted_rf);
         assert_eq!(fast.triplet, slow.triplet);
@@ -476,7 +451,10 @@ mod tests {
         assert!(slow.clades.iter().all(|c| c.agrees));
         // The in-memory pairing short-circuits to the same numbers and, with
         // the tree in memory, still enumerates the full agreement listing.
-        let with_tree = repo.compare_stored_with_tree(ha, &tree, true).unwrap();
+        let with_tree = repo
+            .view()
+            .compare_stored_with_tree(ha, &tree, true)
+            .unwrap();
         assert_eq!(with_tree.rf, fast.rf);
         assert_eq!(with_tree.rooted_rf, fast.rooted_rf);
         assert_eq!(with_tree.triplet, Some(0.0));
@@ -493,15 +471,15 @@ mod tests {
         let hb = repo.load_tree("b", &b).unwrap();
         // A cold copy of `b` bridges every large subtree into the hot copy.
         let hc = repo.store_tree_shared("b-cold", &b, 1).unwrap();
-        assert!(!repo.clade_refs_of(hc).unwrap().is_empty());
-        let hot = repo.compare_stored(ha, hb, true).unwrap();
-        let cold = repo.compare_stored(ha, hc, true).unwrap();
+        assert!(!repo.view().clade_refs_of(hc).unwrap().is_empty());
+        let hot = repo.view().compare_stored(ha, hb, true).unwrap();
+        let cold = repo.view().compare_stored(ha, hc, true).unwrap();
         assert_eq!(cold.rf, hot.rf);
         assert_eq!(cold.rooted_rf, hot.rooted_rf);
         assert_eq!(cold.triplet, hot.triplet);
         assert_eq!(cold.rf, robinson_foulds(&a, &b).unwrap());
         // Cold trees work on either side of the comparison.
-        let reversed = repo.compare_stored(hc, ha, false).unwrap();
+        let reversed = repo.view().compare_stored(hc, ha, false).unwrap();
         assert_eq!(reversed.rf.distance, hot.rf.distance);
     }
 
@@ -510,11 +488,14 @@ mod tests {
         let (_d, mut repo) = repo();
         let ha = repo.load_tree("fig", &figure1_tree()).unwrap();
         // Unknown handle.
-        assert!(repo.compare_stored(ha, TreeHandle(99), false).is_err());
+        assert!(repo
+            .view()
+            .compare_stored(ha, TreeHandle(99), false)
+            .is_err());
         // Different leaf sets.
         let other = repo.load_tree("bal", &balanced_binary(3, 1.0)).unwrap();
         assert!(matches!(
-            repo.compare_stored(ha, other, false),
+            repo.view().compare_stored(ha, other, false),
             Err(CrimsonError::Compare(_))
         ));
     }

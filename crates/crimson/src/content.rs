@@ -6,11 +6,11 @@
 //! `hash_idx` globally) plus one `tree_stats` summary row. On top of those
 //! this module implements:
 //!
-//! * **O(1) equality** — [`Repository::trees_equal`] compares two stats
-//!   rows; [`Repository::subtrees_equal`] compares two `hash_by_pre`
+//! * **O(1) equality** — [`ReadCtx::trees_equal`] compares two stats
+//!   rows; [`ReadCtx::subtrees_equal`] compares two `hash_by_pre`
 //!   probes. No scan, no node rows.
-//! * **No-scan lookup** — [`Repository::trees_with_root_hash`] /
-//!   [`Repository::subtrees_with_hash`] answer "which stored trees or
+//! * **No-scan lookup** — [`ReadCtx::trees_with_root_hash`] /
+//!   [`ReadCtx::subtrees_with_hash`] answer "which stored trees or
 //!   subtrees equal this one" from a 16-byte prefix range of `hash_idx`.
 //! * **Dedup-on-store** — [`Repository::store_tree_dedup`] returns the
 //!   canonical stored tree when an identical one already exists, instead of
@@ -21,16 +21,16 @@
 //!   bridged to their canonical copy by [`labeling::clade_hash::CladeRef`]
 //!   rows, and [`crate::compare::StoredCladeSource`] stitches the bridged
 //!   spans back transparently during streaming comparison.
-//! * **Backfill** — [`Repository::backfill_clade_hashes`] reconstructs the
-//!   content address of trees stored by pre-hash builds from their interval
-//!   entries and leaf rows; checkpoints run it automatically, so an old
-//!   file upgrades in place.
+//!
+//! Every load path writes the content address in the same transaction as
+//! the tree, so a tree without its `tree_stats` row is a damaged file
+//! ([`CrimsonError::CorruptRepository`]), which
+//! [`ReadCtx::integrity_check`] reports.
 
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::repository::{
-    decode_node_row, decode_tree_stats_row, ReadCtx, Repository, StoredNodeId, TreeHandle,
-    TreeRecord, TreeStatsRecord, BULK_FILL, HASH_IDX_MIN_SPAN, STATS_FLAG_COLD,
-    STATS_FLAG_DISTINCT_LEAVES, TREE_SHIFT,
+    decode_tree_stats_row, ReadCtx, Repository, StoredNodeId, TreeHandle, TreeStatsRecord,
+    BULK_FILL, HASH_IDX_MIN_SPAN, STATS_FLAG_COLD, STATS_FLAG_DISTINCT_LEAVES, TREE_SHIFT,
 };
 use labeling::clade_hash::{
     self, decode_hash_by_pre_key, decode_hash_idx_key, hash_by_pre_key, hash_idx_key,
@@ -136,8 +136,6 @@ impl TreeContent {
 pub struct ContentStats {
     /// Trees in the catalog.
     pub trees: u64,
-    /// Trees carrying a content-address row.
-    pub hashed_trees: u64,
     /// Trees stored cold (structurally shared).
     pub cold_trees: u64,
     /// Sum of logical node counts across all trees.
@@ -155,34 +153,35 @@ pub struct ContentStats {
 // ---------------------------------------------------------------------------
 
 impl<'a, D: DbRead> ReadCtx<'a, D> {
-    /// The content-address summary row of a tree, `None` when the tree was
-    /// stored by a pre-hash build and has not been backfilled yet.
-    pub fn tree_stats(&self, handle: TreeHandle) -> CrimsonResult<Option<TreeStatsRecord>> {
+    /// The content-address summary row of a tree. An unknown handle is
+    /// [`CrimsonError::UnknownTree`]; a stored tree without its row is
+    /// [`CrimsonError::CorruptRepository`].
+    pub fn tree_stats(&self, handle: TreeHandle) -> CrimsonResult<TreeStatsRecord> {
         let rows = self.db.lookup_rows(
             self.tables.tree_stats,
             "tree_id",
             &Value::Int(handle.0 as i64),
         )?;
         match rows.into_iter().next() {
-            Some((rid, row)) => decode_tree_stats_row(&row).map(Some).ok_or_else(|| {
+            Some((rid, row)) => decode_tree_stats_row(&row).ok_or_else(|| {
                 CrimsonError::CorruptRepository(format!(
                     "tree_stats row {rid} carries a malformed clade hash"
                 ))
             }),
-            None => Ok(None),
+            None => {
+                let tree = self.tree_record(handle)?;
+                Err(CrimsonError::CorruptRepository(format!(
+                    "tree `{}` has no tree_stats row",
+                    tree.name
+                )))
+            }
         }
-    }
-
-    /// The stats row, failing with a typed error when absent.
-    pub fn require_tree_stats(&self, handle: TreeHandle) -> CrimsonResult<TreeStatsRecord> {
-        self.tree_stats(handle)?
-            .ok_or(CrimsonError::MissingContentAddress(handle.0))
     }
 
     /// The stored clade hash and end rank of the subtree rooted at rank
     /// `pre` of `tree`: one covering probe of `hash_by_pre`. `None` when the
-    /// tree carries no hashes (pre-hash file) or the rank does not exist.
-    pub fn subtree_hash_at(
+    /// rank carries no hash entry.
+    pub(crate) fn subtree_hash_at(
         &self,
         tree: TreeHandle,
         pre: u32,
@@ -203,26 +202,28 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     }
 
     /// The canonical clade hash of the subtree rooted at a stored node.
-    pub fn node_content_hash(&self, id: StoredNodeId) -> CrimsonResult<CladeHash> {
+    pub fn subtree_hash(&self, id: StoredNodeId) -> CrimsonResult<CladeHash> {
         let tree = id.0 >> TREE_SHIFT;
         let (pre, _) = self.interval_of(id)?;
         self.subtree_hash_at(TreeHandle(tree), pre)?
             .map(|(h, _)| h)
-            .ok_or(CrimsonError::MissingContentAddress(tree))
+            .ok_or_else(|| {
+                CrimsonError::CorruptRepository(format!("node {id} has no clade-hash entry"))
+            })
     }
 
     /// O(1) whole-tree equality: same unordered topology with the same
     /// leaf-name multiset. Two stats-row lookups, no tree is streamed.
     pub fn trees_equal(&self, a: TreeHandle, b: TreeHandle) -> CrimsonResult<bool> {
-        let sa = self.require_tree_stats(a)?;
-        let sb = self.require_tree_stats(b)?;
+        let sa = self.tree_stats(a)?;
+        let sb = self.tree_stats(b)?;
         Ok(sa.root_hash == sb.root_hash)
     }
 
     /// O(1) subtree equality between two stored nodes (possibly of
     /// different trees): two interval lookups and two hash probes.
     pub fn subtrees_equal(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<bool> {
-        Ok(self.node_content_hash(a)? == self.node_content_hash(b)?)
+        Ok(self.subtree_hash(a)? == self.subtree_hash(b)?)
     }
 
     /// Every `hash_idx` occurrence of `hash` as `(tree, pre, end)` — tree
@@ -365,12 +366,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         for t in self.list_trees()? {
             stats.trees += 1;
             stats.logical_nodes += t.node_count;
-            let Some(row) = self.tree_stats(t.handle)? else {
-                stats.stored_nodes += t.node_count;
-                continue;
-            };
-            stats.hashed_trees += 1;
-            if row.cold {
+            if self.tree_stats(t.handle)?.cold {
                 stats.cold_trees += 1;
                 let refs = self.clade_refs_of(t.handle)?;
                 let bridged: u64 = refs.iter().map(|r| (r.end - r.pre + 1) as u64).sum();
@@ -472,11 +468,10 @@ impl Repository {
             return Ok((self.load_tree(name, tree)?, false));
         }
         let hash = clade_hash::root_hash(tree).expect("non-empty tree has a root");
-        for handle in self.ctx().trees_with_root_hash(hash)? {
-            if let Some(stats) = self.ctx().tree_stats(handle)? {
-                if stats.distinct_leaves && !stats.cold {
-                    return Ok((handle, true));
-                }
+        for handle in self.view().trees_with_root_hash(hash)? {
+            let stats = self.view().tree_stats(handle)?;
+            if stats.distinct_leaves && !stats.cold {
+                return Ok((handle, true));
             }
         }
         Ok((self.load_tree(name, tree)?, false))
@@ -513,7 +508,7 @@ impl Repository {
         if tree.is_empty() {
             return Err(CrimsonError::Phylo(phylo::PhyloError::EmptyTree));
         }
-        if self.find_tree(name)?.is_some() {
+        if self.view().find_tree(name)?.is_some() {
             return Err(CrimsonError::DuplicateTree(name.to_string()));
         }
         let tree_id = self.next_tree_id()?;
@@ -705,195 +700,11 @@ impl Repository {
         span: u32,
     ) -> CrimsonResult<Option<(u64, u32, u32)>> {
         Ok(self
-            .ctx()
+            .view()
             .subtrees_with_hash(hash)?
             .into_iter()
             .find(|&(_, pre, end)| end - pre + 1 == span)
             .map(|(tree, pre, end)| (tree.0, pre, end)))
-    }
-
-    /// Reconstruct and persist the content address of every tree that lacks
-    /// one (trees stored by pre-hash builds), from their interval entries
-    /// and leaf rows alone. Returns the number of trees backfilled. One
-    /// atomic transaction; [`Repository::flush`] runs this automatically, so
-    /// checkpointing an old file upgrades it in place.
-    pub fn backfill_clade_hashes(&mut self) -> CrimsonResult<usize> {
-        let missing: Vec<TreeRecord> = {
-            let ctx = self.ctx();
-            let mut out = Vec::new();
-            for t in ctx.list_trees()? {
-                if ctx.tree_stats(t.handle)?.is_none() {
-                    out.push(t);
-                }
-            }
-            out
-        };
-        if missing.is_empty() {
-            return Ok(0);
-        }
-        let count = missing.len();
-        self.with_txn(|repo| {
-            for t in &missing {
-                repo.backfill_tree(t)?;
-            }
-            Ok(())
-        })?;
-        Ok(count)
-    }
-
-    /// Backfill one tree: scan its interval range, rebuild leaf ranks and
-    /// bottom-up hashes (descendants have higher pre-order ranks, so one
-    /// descending pass finalizes children before their parent), and insert
-    /// the hash entries point-wise (the tree's key range sits between newer
-    /// trees, so the bulk appender does not apply).
-    fn backfill_tree(&mut self, t: &TreeRecord) -> CrimsonResult<()> {
-        let tree_id = t.handle.0;
-        let n = t.node_count as usize;
-        let low = tree_id.to_be_bytes();
-        let high = (tree_id + 1).to_be_bytes();
-        let mut entries: Vec<(IntervalEntry, storage::RecordId)> = Vec::with_capacity(n);
-        let mut malformed = false;
-        self.db.raw_scan(
-            self.tables.ivl_by_pre,
-            Some(low.as_slice()),
-            Some(high.as_slice()),
-            &mut |key, rid| match IntervalEntry::decode_key(key) {
-                Some((_, e)) => {
-                    entries.push((e, storage::RecordId::from_u64(rid)));
-                    Ok(true)
-                }
-                None => {
-                    malformed = true;
-                    Ok(false)
-                }
-            },
-        )?;
-        if malformed || entries.len() != n {
-            return Err(CrimsonError::CorruptRepository(format!(
-                "tree `{}` cannot be backfilled: its interval range holds {} entries for {} nodes",
-                t.name,
-                entries.len(),
-                t.node_count
-            )));
-        }
-
-        let mut names: Vec<Option<String>> = vec![None; n];
-        let mut distinct = true;
-        let mut seen = HashSet::new();
-        for (i, (e, rid)) in entries.iter().enumerate() {
-            if e.is_leaf {
-                let row = self.db.get(self.tables.nodes, *rid)?;
-                match decode_node_row(&row).name {
-                    Some(nm) => {
-                        if !seen.insert(nm.clone()) {
-                            distinct = false;
-                        }
-                        names[i] = Some(nm);
-                    }
-                    None => distinct = false,
-                }
-            }
-        }
-
-        let mut hashes = vec![CladeHash([0u8; clade_hash::CLADE_HASH_LEN]); n];
-        let mut pending: Vec<Vec<CladeHash>> = vec![Vec::new(); n];
-        let mut lo = vec![u32::MAX; n];
-        let mut hi = vec![0u32; n];
-        let mut next_rank = 0u32;
-        for (i, (e, _)) in entries.iter().enumerate() {
-            if e.is_leaf {
-                lo[i] = next_rank;
-                hi[i] = next_rank;
-                next_rank += 1;
-            }
-        }
-        for i in (0..n).rev() {
-            let e = entries[i].0;
-            if e.pre as usize != i {
-                return Err(CrimsonError::CorruptRepository(format!(
-                    "tree `{}` cannot be backfilled: rank {} holds entry pre {}",
-                    t.name, i, e.pre
-                )));
-            }
-            hashes[i] = if e.is_leaf {
-                CladeHash::leaf(names[i].as_deref())
-            } else {
-                let mut kids = std::mem::take(&mut pending[i]);
-                CladeHash::internal(&mut kids)
-            };
-            if e.parent_pre != e.pre {
-                let p = e.parent_pre as usize;
-                pending[p].push(hashes[i]);
-                lo[p] = lo[p].min(lo[i]);
-                hi[p] = hi[p].max(hi[i]);
-            }
-        }
-        let counts = count_clades((0..n).map(|i| (lo[i], hi[i])), next_rank);
-
-        for (i, (e, _)) in entries.iter().enumerate() {
-            self.db.raw_insert(
-                self.tables.hash_by_pre,
-                &hash_by_pre_key(tree_id, e.pre, hashes[i]),
-                pack_span(e.pre, e.end),
-            )?;
-            if e.pre == 0 || e.end - e.pre + 1 >= HASH_IDX_MIN_SPAN {
-                self.db.raw_insert(
-                    self.tables.hash_idx,
-                    &hash_idx_key(hashes[i], tree_id, e.pre),
-                    pack_span(e.pre, e.end),
-                )?;
-            }
-        }
-        self.insert_tree_stats(tree_id, hashes[0], counts, distinct, false)
-    }
-
-    // ------------------------------------------------------------------
-    // Read delegates
-    // ------------------------------------------------------------------
-
-    /// The content-address summary row of a tree, `None` when absent
-    /// (pre-hash file awaiting [`Repository::backfill_clade_hashes`]).
-    pub fn tree_stats(&self, handle: TreeHandle) -> CrimsonResult<Option<TreeStatsRecord>> {
-        self.ctx().tree_stats(handle)
-    }
-
-    /// O(1) whole-tree equality via stored root hashes.
-    pub fn trees_equal(&self, a: TreeHandle, b: TreeHandle) -> CrimsonResult<bool> {
-        self.ctx().trees_equal(a, b)
-    }
-
-    /// O(1) subtree equality between two stored nodes.
-    pub fn subtrees_equal(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<bool> {
-        self.ctx().subtrees_equal(a, b)
-    }
-
-    /// The canonical clade hash of the subtree rooted at a stored node.
-    pub fn subtree_hash(&self, id: StoredNodeId) -> CrimsonResult<CladeHash> {
-        self.ctx().node_content_hash(id)
-    }
-
-    /// Stored trees whose content address equals `hash` (no-scan lookup).
-    pub fn trees_with_root_hash(&self, hash: CladeHash) -> CrimsonResult<Vec<TreeHandle>> {
-        self.ctx().trees_with_root_hash(hash)
-    }
-
-    /// Every published stored subtree whose content address equals `hash`,
-    /// as `(tree, pre, end)` spans.
-    pub fn subtrees_with_hash(
-        &self,
-        hash: CladeHash,
-    ) -> CrimsonResult<Vec<(TreeHandle, u32, u32)>> {
-        self.ctx().subtrees_with_hash(hash)
-    }
-
-    /// The structural-sharing reference rows of a cold tree.
-    pub fn clade_refs_of(&self, handle: TreeHandle) -> CrimsonResult<Vec<CladeRef>> {
-        self.ctx().clade_refs_of(handle)
-    }
-
-    /// Aggregate sharing statistics across the repository.
-    pub fn content_stats(&self) -> CrimsonResult<ContentStats> {
-        self.ctx().content_stats()
     }
 }
 
@@ -901,7 +712,7 @@ impl Repository {
 mod tests {
     use super::*;
     use crate::repository::RepositoryOptions;
-    use phylo::builder::{balanced_binary, figure1_tree};
+    use phylo::builder::balanced_binary;
     use simulation::birth_death::yule_tree;
     use tempfile::tempdir;
 
@@ -1017,18 +828,18 @@ mod tests {
         let tree = yule_tree(80, 1.0, 11);
         let ha = repo.load_tree("bulk", &tree).unwrap();
         let hb = repo.load_tree_reference("reference", &tree).unwrap();
-        let sa = repo.tree_stats(ha).unwrap().unwrap();
-        let sb = repo.tree_stats(hb).unwrap().unwrap();
+        let sa = repo.view().tree_stats(ha).unwrap();
+        let sb = repo.view().tree_stats(hb).unwrap();
         assert_eq!(sa.root_hash, sb.root_hash);
         assert_eq!(sa.rooted_clades, sb.rooted_clades);
         assert_eq!(sa.unrooted_splits, sb.unrooted_splits);
         assert!(sa.distinct_leaves && sb.distinct_leaves);
         assert!(!sa.cold && !sb.cold);
-        assert!(repo.trees_equal(ha, hb).unwrap());
+        assert!(repo.view().trees_equal(ha, hb).unwrap());
         // Per-node hashes agree too: both pre ranges map hash → pre
         // identically up to rank numbering.
-        let ma = repo.ctx().hash_to_pre_map(ha).unwrap();
-        let mb = repo.ctx().hash_to_pre_map(hb).unwrap();
+        let ma = repo.view().hash_to_pre_map(ha).unwrap();
+        let mb = repo.view().hash_to_pre_map(hb).unwrap();
         assert_eq!(ma, mb);
     }
 
@@ -1039,13 +850,16 @@ mod tests {
         let b = yule_tree(50, 1.0, 4);
         let ha = repo.load_tree("a", &a).unwrap();
         let hb = repo.load_tree("b", &b).unwrap();
-        assert!(!repo.trees_equal(ha, hb).unwrap());
+        assert!(!repo.view().trees_equal(ha, hb).unwrap());
         let root_hash = clade_hash::root_hash(&a).unwrap();
-        assert_eq!(repo.trees_with_root_hash(root_hash).unwrap(), vec![ha]);
+        assert_eq!(
+            repo.view().trees_with_root_hash(root_hash).unwrap(),
+            vec![ha]
+        );
         // Subtree self-equality via stored nodes.
-        let root = repo.tree_record(ha).unwrap().root;
-        assert!(repo.subtrees_equal(root, root).unwrap());
-        assert_eq!(repo.subtree_hash(root).unwrap(), root_hash);
+        let root = repo.view().tree_record(ha).unwrap().root;
+        assert!(repo.view().subtrees_equal(root, root).unwrap());
+        assert_eq!(repo.view().subtree_hash(root).unwrap(), root_hash);
     }
 
     #[test]
@@ -1058,14 +872,14 @@ mod tests {
         assert!(hit2);
         assert_eq!(h1, h2);
         // No second tree row was created.
-        assert_eq!(repo.list_trees().unwrap().len(), 1);
+        assert_eq!(repo.view().list_trees().unwrap().len(), 1);
         // A different topology stores fresh.
         let other = yule_tree(64, 1.0, 10);
         let (h3, hit3) = repo.store_tree_dedup("third", &other).unwrap();
         assert!(!hit3);
         assert_ne!(h1, h3);
-        let report = repo.integrity_check().unwrap();
-        assert_eq!(report.hashed_trees, 2);
+        let report = repo.view().integrity_check().unwrap();
+        assert_eq!(report.trees, 2);
         assert_eq!(report.clade_refs, 0);
     }
 
@@ -1075,23 +889,23 @@ mod tests {
         let tree = yule_tree(300, 1.0, 21);
         let hot = repo.load_tree("hot", &tree).unwrap();
         let cold = repo.store_tree_shared("cold", &tree, 1).unwrap();
-        let refs = repo.clade_refs_of(cold).unwrap();
+        let refs = repo.view().clade_refs_of(cold).unwrap();
         assert!(!refs.is_empty(), "an identical tree must bridge something");
         for r in &refs {
             assert_eq!(r.src_tree, hot.0);
             assert_eq!(r.end - r.pre, r.src_end - r.src_pre);
         }
         // Catalog keeps logical counts; stats flag the tree cold.
-        let rec = repo.tree_record(cold).unwrap();
+        let rec = repo.view().tree_record(cold).unwrap();
         assert_eq!(rec.node_count, tree.node_count() as u64);
-        let stats = repo.tree_stats(cold).unwrap().unwrap();
+        let stats = repo.view().tree_stats(cold).unwrap();
         assert!(stats.cold);
         assert_eq!(
             stats.root_hash,
-            repo.tree_stats(hot).unwrap().unwrap().root_hash
+            repo.view().tree_stats(hot).unwrap().root_hash
         );
         // Sharing statistics see the saved rows.
-        let cs = repo.content_stats().unwrap();
+        let cs = repo.view().content_stats().unwrap();
         assert_eq!(cs.trees, 2);
         assert_eq!(cs.cold_trees, 1);
         assert!(cs.bridged_nodes > 0);
@@ -1102,118 +916,20 @@ mod tests {
         // Cold trees publish nothing globally: the root hash resolves only
         // to the hot tree.
         let root_hash = clade_hash::root_hash(&tree).unwrap();
-        assert_eq!(repo.trees_with_root_hash(root_hash).unwrap(), vec![hot]);
+        assert_eq!(
+            repo.view().trees_with_root_hash(root_hash).unwrap(),
+            vec![hot]
+        );
         // LCA between materialized nodes still works through the gaps.
         let root = rec.root;
-        let (pre, end) = repo.interval_of(root).unwrap();
+        let (pre, end) = repo.view().interval_of(root).unwrap();
         assert_eq!((pre, end), (0, tree.node_count() as u32 - 1));
         // Cold trees, bridges, and the hash indexes all satisfy the
         // integrity invariants.
-        let report = repo.integrity_check().unwrap();
-        assert_eq!(report.hashed_trees, 2);
+        let report = repo.view().integrity_check().unwrap();
+        assert_eq!(report.trees, 2);
         assert_eq!(report.clade_refs, refs.len() as u64);
         assert!(report.hash_entries > 0);
         assert!(report.global_hash_entries > 0);
-    }
-
-    #[test]
-    fn backfill_restores_stripped_content_addresses() {
-        let dir = tempdir().unwrap();
-        let path = dir.path().join("backfill.crimson");
-        let tree = yule_tree(70, 1.0, 5);
-        let handle;
-        let expected;
-        {
-            let mut repo = Repository::create(&path, RepositoryOptions::default()).unwrap();
-            handle = repo.load_tree("t", &tree).unwrap();
-            expected = repo.tree_stats(handle).unwrap().unwrap();
-            // Simulate a pre-hash file: strip the stats row and every hash
-            // entry, leaving exactly what an old build would have written.
-            repo.db.begin().unwrap();
-            let rows = repo.db.scan(repo.tables.tree_stats).unwrap();
-            for (rid, _) in rows {
-                repo.db.delete(repo.tables.tree_stats, rid).unwrap();
-            }
-            let mut keys: Vec<Vec<u8>> = Vec::new();
-            repo.db
-                .raw_scan(repo.tables.hash_by_pre, None, None, &mut |key, _| {
-                    keys.push(key.to_vec());
-                    Ok(true)
-                })
-                .unwrap();
-            for key in &keys {
-                repo.db.raw_delete(repo.tables.hash_by_pre, key).unwrap();
-            }
-            let mut keys: Vec<Vec<u8>> = Vec::new();
-            repo.db
-                .raw_scan(repo.tables.hash_idx, None, None, &mut |key, _| {
-                    keys.push(key.to_vec());
-                    Ok(true)
-                })
-                .unwrap();
-            for key in &keys {
-                repo.db.raw_delete(repo.tables.hash_idx, key).unwrap();
-            }
-            repo.db.commit().unwrap();
-            assert!(repo.tree_stats(handle).unwrap().is_none());
-            // Checkpoint the raw database directly: `Repository::flush`
-            // would backfill (that path has its own test below).
-            repo.db.flush().unwrap();
-        }
-        // Reopen: the stripped file opens cleanly, reads degrade to None …
-        let mut repo = Repository::open(&path, RepositoryOptions::default()).unwrap();
-        assert!(repo.tree_stats(handle).unwrap().is_none());
-        assert!(matches!(
-            repo.trees_equal(handle, handle),
-            Err(CrimsonError::MissingContentAddress(_))
-        ));
-        // … and an explicit backfill restores the identical address.
-        assert_eq!(repo.backfill_clade_hashes().unwrap(), 1);
-        let restored = repo.tree_stats(handle).unwrap().unwrap();
-        assert_eq!(restored, expected);
-        assert!(repo.trees_equal(handle, handle).unwrap());
-        let root_hash = clade_hash::root_hash(&tree).unwrap();
-        assert_eq!(repo.trees_with_root_hash(root_hash).unwrap(), vec![handle]);
-        // Backfill is idempotent.
-        assert_eq!(repo.backfill_clade_hashes().unwrap(), 0);
-    }
-
-    #[test]
-    fn checkpoint_backfills_automatically() {
-        let dir = tempdir().unwrap();
-        let path = dir.path().join("auto.crimson");
-        let mut repo = Repository::create(&path, RepositoryOptions::default()).unwrap();
-        let handle = repo.load_tree("fig", &figure1_tree()).unwrap();
-        // Strip the stats row only (enough to make the tree "pre-hash").
-        repo.db.begin().unwrap();
-        let rows = repo.db.scan(repo.tables.tree_stats).unwrap();
-        for (rid, _) in rows {
-            repo.db.delete(repo.tables.tree_stats, rid).unwrap();
-        }
-        let mut keys: Vec<Vec<u8>> = Vec::new();
-        repo.db
-            .raw_scan(repo.tables.hash_by_pre, None, None, &mut |key, _| {
-                keys.push(key.to_vec());
-                Ok(true)
-            })
-            .unwrap();
-        for key in &keys {
-            repo.db.raw_delete(repo.tables.hash_by_pre, key).unwrap();
-        }
-        let mut keys: Vec<Vec<u8>> = Vec::new();
-        repo.db
-            .raw_scan(repo.tables.hash_idx, None, None, &mut |key, _| {
-                keys.push(key.to_vec());
-                Ok(true)
-            })
-            .unwrap();
-        for key in &keys {
-            repo.db.raw_delete(repo.tables.hash_idx, key).unwrap();
-        }
-        repo.db.commit().unwrap();
-        assert!(repo.tree_stats(handle).unwrap().is_none());
-        // The next checkpoint upgrades the file in place.
-        repo.flush().unwrap();
-        assert!(repo.tree_stats(handle).unwrap().is_some());
     }
 }

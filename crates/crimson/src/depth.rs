@@ -682,7 +682,7 @@ mod tests {
     /// only the rank's content is wrong. Returns the original value.
     fn damage_rank(repo: &mut Repository, tree: u64, rank: usize, edit: RankEdit) -> (u32, u32) {
         let b = rank / BLOCK_RANKS;
-        let rid = repo.ctx().read_minima(tree).unwrap().blocks[b].rid;
+        let rid = repo.view().read_minima(tree).unwrap().blocks[b].rid;
         let row = repo.db.get(repo.tables.depth_blocks, rid).unwrap();
         let bytes = row.values[2].as_bytes().unwrap().to_vec();
         let block = Block::decode(b * BLOCK_RANKS, bytes).unwrap();
@@ -749,7 +749,7 @@ mod tests {
             let handle = repo.load_tree("yule", &tree).unwrap();
             let (depth, _) = damage_rank(&mut repo, handle.0, rank, edit);
             assert!(depth >= 2, "pick a rank below the root's children");
-            match repo.integrity_check() {
+            match repo.view().integrity_check() {
                 Err(CrimsonError::CorruptRepository(msg)) => {
                     assert!(msg.contains("depth column"), "{what}: {msg}")
                 }
@@ -762,7 +762,7 @@ mod tests {
             for lo in rank - 40..rank {
                 for hi in rank..rank + 40 {
                     let (a, b) = (by_rank[lo], by_rank[hi]);
-                    match repo.lca(sid(a), sid(b)) {
+                    match repo.view().lca(sid(a), sid(b)) {
                         Ok(got) => {
                             assert_eq!(got, sid(tree.lca(a, b)), "{what}: ranks {lo}, {hi}")
                         }

@@ -40,11 +40,6 @@ pub enum CrimsonError {
     /// panic; surfaced as a typed error so callers can distinguish a damaged
     /// repository file from a caller mistake.
     CorruptRepository(String),
-    /// The tree carries no content address (stored by a pre-hash build and
-    /// not yet backfilled), so a hash-based operation cannot answer. Run
-    /// `Repository::backfill_clade_hashes` (or any checkpoint) to upgrade
-    /// the file in place.
-    MissingContentAddress(u64),
     /// A snapshot read exhausted its re-pin budget: every pinned epoch was
     /// retired mid-operation because the writer committed past the pool's
     /// bounded per-page version chains each time. With versioned reads this
@@ -77,12 +72,6 @@ impl fmt::Display for CrimsonError {
             }
             CrimsonError::History(m) => write!(f, "query history error: {m}"),
             CrimsonError::CorruptRepository(m) => write!(f, "corrupt repository: {m}"),
-            CrimsonError::MissingContentAddress(id) => {
-                write!(
-                    f,
-                    "tree {id} has no content address (pre-hash file); run backfill_clade_hashes"
-                )
-            }
             CrimsonError::Busy(m) => write!(f, "repository busy: {m}"),
         }
     }

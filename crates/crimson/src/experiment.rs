@@ -574,7 +574,7 @@ impl<'a> ExperimentRunner<'a> {
     /// Execute one transient evaluation run (not persisted beyond its
     /// history entry — the old `BenchmarkManager::run`).
     pub fn evaluate(&mut self, spec: &EvalSpec) -> CrimsonResult<EvalReport> {
-        let eval = self.repo.ctx().evaluate_cell(
+        let eval = self.repo.view().evaluate_cell(
             self.tree,
             spec.method,
             spec.distance_source,
@@ -649,7 +649,7 @@ impl<'a> ExperimentRunner<'a> {
     /// parameter, so the new experiment reproduces the old one's metrics
     /// exactly.
     pub fn rerun(&mut self, existing: &str, new_name: &str) -> CrimsonResult<ExperimentRecord> {
-        let record = self.repo.experiment_by_name(existing)?;
+        let record = self.repo.view().experiment_by_name(existing)?;
         let mut spec = record.spec;
         spec.name = new_name.to_string();
         run_sweep(self.repo, record.gold, &spec)
@@ -682,11 +682,11 @@ fn run_sweep(
                 .to_string(),
         ));
     }
-    if repo.find_experiment(&spec.name)?.is_some() {
+    if repo.view().find_experiment(&spec.name)?.is_some() {
         return Err(CrimsonError::DuplicateExperiment(spec.name.clone()));
     }
     // The gold tree must be committed — the snapshot workers read it.
-    let gold_record: TreeRecord = repo.tree_record(gold)?;
+    let gold_record: TreeRecord = repo.view().tree_record(gold)?;
 
     let mut cells = Vec::with_capacity(spec.methods.len() * spec.strategies.len());
     for mi in 0..spec.methods.len() {
@@ -820,14 +820,16 @@ fn evaluate_grid(
                     // pins before the first page touch): the whole cell —
                     // sampling, distance estimation, comparison — sees one
                     // committed state even while sibling cells commit.
-                    let out = reader.evaluate_cell(
-                        gold,
-                        spec.methods[cell.mi],
-                        spec.distance_source,
-                        &spec.strategies[cell.si],
-                        cell.seed,
-                        spec.compute_triplets,
-                    );
+                    let out = reader.read(|v| {
+                        v.evaluate_cell(
+                            gold,
+                            spec.methods[cell.mi],
+                            spec.distance_source,
+                            &spec.strategies[cell.si],
+                            cell.seed,
+                            spec.compute_triplets,
+                        )
+                    });
                     if tx.send((i, out)).is_err() {
                         break;
                     }
@@ -881,7 +883,7 @@ fn evaluate_grid(
 }
 
 /// The per-cell-commit sweep: a provisional catalog row is committed before
-/// any result row (so readers and [`Repository::integrity_check`] never see
+/// any result row (so readers and [`ReadCtx::integrity_check`] never see
 /// a result without its experiment), each finished cell commits as its own
 /// transaction through the repository's configured durability mode, and a
 /// final transaction replaces the provisional row with the real figures and
@@ -1078,7 +1080,7 @@ fn persist_cell(
     // its content hash (equal trees hold every clade of one another).
     let node_ids: Vec<i64> = if deduped {
         let hashes = labeling::clade_hash::tree_hashes(&eval.reconstruction);
-        let node_map = repo.ctx().hash_to_node_map(recon)?;
+        let node_map = repo.view().hash_to_node_map(recon)?;
         eval.clades
             .iter()
             .map(|c| {
@@ -1156,33 +1158,6 @@ fn next_id(repo: &Repository, table: storage::db::TableId, column: &str) -> Crim
     match repo.db.index_range(table, column, None, None)?.last() {
         Some(&rid) => Ok(repo.db.get(table, rid)?.values[0].as_int().unwrap_or(-1) as u64 + 1),
         None => Ok(0),
-    }
-}
-
-impl Repository {
-    /// All persisted experiments, in id order.
-    pub fn list_experiments(&self) -> CrimsonResult<Vec<ExperimentRecord>> {
-        self.ctx().list_experiments()
-    }
-
-    /// Look up an experiment by name.
-    pub fn find_experiment(&self, name: &str) -> CrimsonResult<Option<ExperimentRecord>> {
-        self.ctx().find_experiment(name)
-    }
-
-    /// Look up an experiment by name, failing when absent.
-    pub fn experiment_by_name(&self, name: &str) -> CrimsonResult<ExperimentRecord> {
-        self.ctx().experiment_by_name(name)
-    }
-
-    /// All result rows of an experiment, in grid-cell order.
-    pub fn experiment_results(&self, experiment: u64) -> CrimsonResult<Vec<ExperimentResult>> {
-        self.ctx().experiment_results(experiment)
-    }
-
-    /// The per-clade agreement rows of one result.
-    pub fn experiment_clades(&self, result: u64) -> CrimsonResult<Vec<CladeRow>> {
-        self.ctx().experiment_clades(result)
     }
 }
 
@@ -1278,7 +1253,7 @@ mod tests {
         assert!(report.rf.normalized <= 1.0);
         assert_eq!(report.reference.leaf_count(), 12);
         assert_eq!(report.reconstruction.leaf_count(), 12);
-        let history = repo.history_of_kind(QueryKind::Benchmark).unwrap();
+        let history = repo.view().history_of_kind(QueryKind::Benchmark).unwrap();
         assert_eq!(history.len(), 1);
         assert_eq!(history[0].params["sample_size"], 12);
     }
@@ -1429,10 +1404,10 @@ mod tests {
         assert_eq!(record.name, "sweep");
 
         // Catalog rows are all there, in grid order.
-        let fetched = repo.experiment_by_name("sweep").unwrap();
+        let fetched = repo.view().experiment_by_name("sweep").unwrap();
         assert_eq!(fetched.id, record.id);
         assert_eq!(fetched.spec.methods, spec.methods);
-        let results = repo.experiment_results(record.id).unwrap();
+        let results = repo.view().experiment_results(record.id).unwrap();
         assert_eq!(results.len(), 8);
         for (i, r) in results.iter().enumerate() {
             assert_eq!(r.experiment, record.id);
@@ -1451,21 +1426,21 @@ mod tests {
             );
             assert_eq!(r.cell_seed, cell_seed(77, expected_cell.1, expected_cell.2));
             // The reconstruction is an ordinary stored tree.
-            let tree = repo.tree_record(r.recon).unwrap();
+            let tree = repo.view().tree_record(r.recon).unwrap();
             assert_eq!(tree.leaf_count as usize, r.sample_size);
             // Per-clade rows reference stored nodes of that tree.
-            let clades = repo.experiment_clades(r.id).unwrap();
+            let clades = repo.view().experiment_clades(r.id).unwrap();
             assert!(!clades.is_empty());
             for c in &clades {
                 assert_eq!(c.node.0 >> TREE_SHIFT, r.recon.0);
-                assert!(repo.node_record(c.node).is_ok());
+                assert!(repo.view().node_record(c.node).is_ok());
             }
             // Agreement rows are consistent with the rooted RF share count.
             let agreeing = clades.iter().filter(|c| c.agrees).count();
             assert_eq!(agreeing, r.rooted_rf.shared);
         }
         // History carries the spec, seed and tree handles.
-        let history = repo.history_of_kind(QueryKind::Experiment).unwrap();
+        let history = repo.view().history_of_kind(QueryKind::Experiment).unwrap();
         assert_eq!(history.len(), 1);
         assert_eq!(history[0].params["seed"], 77);
         assert_eq!(history[0].params["gold_tree"], handle.0);
@@ -1473,7 +1448,7 @@ mod tests {
             history[0].params["recon_trees"].as_array().unwrap().len(),
             8
         );
-        repo.integrity_check().unwrap();
+        repo.view().integrity_check().unwrap();
     }
 
     #[test]
@@ -1500,7 +1475,7 @@ mod tests {
     #[test]
     fn failed_sweep_rolls_back_completely() {
         let (_d, mut repo, handle) = gold_repo(24, 0, 4); // no sequences
-        let trees_before = repo.list_trees().unwrap().len();
+        let trees_before = repo.view().list_trees().unwrap().len();
         let spec = ExperimentSpec {
             name: "doomed".to_string(),
             methods: vec![Method::NeighborJoining],
@@ -1514,13 +1489,14 @@ mod tests {
             cell_commits: false,
         };
         assert!(ExperimentRunner::new(&mut repo, handle).run(&spec).is_err());
-        assert_eq!(repo.list_trees().unwrap().len(), trees_before);
-        assert!(repo.list_experiments().unwrap().is_empty());
+        assert_eq!(repo.view().list_trees().unwrap().len(), trees_before);
+        assert!(repo.view().list_experiments().unwrap().is_empty());
         assert!(repo
+            .view()
             .history_of_kind(QueryKind::Experiment)
             .unwrap()
             .is_empty());
-        repo.integrity_check().unwrap();
+        repo.view().integrity_check().unwrap();
         // The failure is transient state only: the same name works next.
         let mut ok_spec = spec.clone();
         ok_spec.distance_source = DistanceSource::TruePatristic;
@@ -1565,8 +1541,8 @@ mod tests {
         let second = ExperimentRunner::new(&mut repo, handle)
             .rerun("orig", "again")
             .unwrap();
-        let r1 = repo.experiment_results(first.id).unwrap();
-        let r2 = repo.experiment_results(second.id).unwrap();
+        let r1 = repo.view().experiment_results(first.id).unwrap();
+        let r2 = repo.view().experiment_results(second.id).unwrap();
         assert_eq!(r1.len(), r2.len());
         for (a, b) in r1.iter().zip(&r2) {
             assert_eq!(a.rf, b.rf);

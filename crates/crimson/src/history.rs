@@ -147,21 +147,6 @@ impl Repository {
         self.next_history_id = id + 1;
         Ok(id)
     }
-
-    /// All recorded queries in execution order.
-    pub fn query_history(&self) -> CrimsonResult<Vec<HistoryEntry>> {
-        self.ctx().query_history()
-    }
-
-    /// Fetch one history entry by id.
-    pub fn history_entry(&self, id: u64) -> CrimsonResult<HistoryEntry> {
-        self.ctx().history_entry(id)
-    }
-
-    /// Entries of a given kind, in execution order.
-    pub fn history_of_kind(&self, kind: QueryKind) -> CrimsonResult<Vec<HistoryEntry>> {
-        self.ctx().history_of_kind(kind)
-    }
 }
 
 #[cfg(test)]
@@ -200,7 +185,7 @@ mod tests {
             .unwrap();
         assert_eq!(id0, 0);
         assert_eq!(id1, 1);
-        let all = repo.query_history().unwrap();
+        let all = repo.view().query_history().unwrap();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].kind, QueryKind::Sampling);
         assert_eq!(all[0].params["k"], 16);
@@ -216,11 +201,20 @@ mod tests {
             .unwrap();
         repo.record_query(QueryKind::Benchmark, json!({"method": "nj"}), "rf = 2")
             .unwrap();
-        let entry = repo.history_entry(1).unwrap();
+        let entry = repo.view().history_entry(1).unwrap();
         assert_eq!(entry.params["a"], 3);
-        assert_eq!(repo.history_of_kind(QueryKind::Lca).unwrap().len(), 2);
-        assert_eq!(repo.history_of_kind(QueryKind::Benchmark).unwrap().len(), 1);
-        assert!(repo.history_entry(99).is_err());
+        assert_eq!(
+            repo.view().history_of_kind(QueryKind::Lca).unwrap().len(),
+            2
+        );
+        assert_eq!(
+            repo.view()
+                .history_of_kind(QueryKind::Benchmark)
+                .unwrap()
+                .len(),
+            1
+        );
+        assert!(repo.view().history_entry(99).is_err());
     }
 
     const ALL_KINDS: [QueryKind; 8] = [
@@ -261,7 +255,7 @@ mod tests {
             assert_eq!(id, i as u64);
         }
         // list: all entries in execution order with their kinds intact.
-        let all = repo.query_history().unwrap();
+        let all = repo.view().query_history().unwrap();
         assert_eq!(all.len(), ALL_KINDS.len());
         for (i, entry) in all.iter().enumerate() {
             assert_eq!(entry.kind, ALL_KINDS[i]);
@@ -269,12 +263,12 @@ mod tests {
         }
         // fetch-params: each entry's JSON payload survives the round-trip.
         for (i, kind) in ALL_KINDS.iter().enumerate() {
-            let entry = repo.history_entry(i as u64).unwrap();
+            let entry = repo.view().history_entry(i as u64).unwrap();
             assert_eq!(entry.kind, *kind);
             assert_eq!(entry.params["kind_index"], i);
             assert_eq!(entry.params["nested"]["a"][2], 3);
             assert_eq!(entry.summary, format!("summary #{i}"));
-            assert_eq!(repo.history_of_kind(*kind).unwrap().len(), 1);
+            assert_eq!(repo.view().history_of_kind(*kind).unwrap().len(), 1);
         }
     }
 
@@ -291,7 +285,7 @@ mod tests {
             repo.flush().unwrap();
         }
         let repo = Repository::open(&path, RepositoryOptions::default()).unwrap();
-        let all = repo.query_history().unwrap();
+        let all = repo.view().query_history().unwrap();
         assert_eq!(all.len(), ALL_KINDS.len());
         for (i, entry) in all.iter().enumerate() {
             assert_eq!(entry.kind, ALL_KINDS[i]);
@@ -320,7 +314,7 @@ mod tests {
             report.committed_txns > 0,
             "history transactions must replay: {report:?}"
         );
-        let all = repo.query_history().unwrap();
+        let all = repo.view().query_history().unwrap();
         assert_eq!(all.len(), ALL_KINDS.len());
         for (i, kind) in ALL_KINDS.iter().enumerate() {
             assert_eq!(all[i].kind, *kind);
@@ -342,7 +336,7 @@ mod tests {
             repo.flush().unwrap();
         }
         let mut repo = Repository::open(&path, RepositoryOptions::default()).unwrap();
-        let all = repo.query_history().unwrap();
+        let all = repo.view().query_history().unwrap();
         assert_eq!(all.len(), 1);
         assert_eq!(all[0].kind, QueryKind::Load);
         // New ids continue after the persisted ones.

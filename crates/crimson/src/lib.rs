@@ -67,8 +67,8 @@
 //! let gold = GoldStandardBuilder::new().leaves(64).sequence_length(200).seed(7).build().unwrap();
 //! let mut repo = Repository::create("demo.crimson", RepositoryOptions::default()).unwrap();
 //! let tree_id = repo.load_gold_standard("gold", &gold).unwrap();
-//! let sample = repo.sample_uniform(tree_id, 16, 1).unwrap();
-//! let projection = repo.project(tree_id, &sample).unwrap();
+//! let sample = repo.view().sample_uniform(tree_id, 16, 1).unwrap();
+//! let projection = repo.view().project(tree_id, &sample).unwrap();
 //! assert_eq!(projection.leaf_count(), 16);
 //! ```
 
@@ -99,7 +99,7 @@ pub use experiment::{
 pub use labeling::clade_hash::CladeHash;
 pub use reader::{PinnedReader, ReadRetry, RepositoryReader};
 pub use repository::{
-    DegradedReport, Durability, Repository, RepositoryOptions, ScrubReport, StoredNodeId,
+    DegradedReport, Durability, ReadCtx, Repository, RepositoryOptions, ScrubReport, StoredNodeId,
     TreeHandle, TreeStatsRecord,
 };
 pub use storage::CheckpointPolicy;
@@ -118,8 +118,8 @@ pub mod prelude {
     pub use crate::loader::LoadMode;
     pub use crate::reader::{PinnedReader, ReadRetry, RepositoryReader};
     pub use crate::repository::{
-        DegradedReport, Durability, IntegrityReport, Repository, RepositoryOptions, ScrubReport,
-        StoredNodeId, TreeHandle, TreeStatsRecord,
+        DegradedReport, Durability, IntegrityReport, ReadCtx, Repository, RepositoryOptions,
+        ScrubReport, StoredNodeId, TreeHandle, TreeStatsRecord,
     };
     pub use crate::sampling::SamplingStrategy;
     pub use storage::CheckpointPolicy;

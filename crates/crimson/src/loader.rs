@@ -2,7 +2,7 @@
 //!
 //! Users may load a phylogenetic tree with species data, load a tree
 //! structure only, or append species data to an existing tree. Input can be
-//! an in-memory [`Tree`], a Newick string or a NEXUS document; status
+//! an in-memory [`phylo::Tree`], a Newick string or a NEXUS document; status
 //! messages are collected in a [`LoadReport`] mirroring the progress messages
 //! the Crimson GUI displays.
 
@@ -123,7 +123,7 @@ impl Repository {
                 })
             }
             LoadMode::AppendSpecies => {
-                let record = self.tree_by_name(name)?;
+                let record = self.view().tree_by_name(name)?;
                 if doc.sequences.is_empty() {
                     return Err(CrimsonError::MissingSequences(name.to_string()));
                 }
@@ -181,7 +181,7 @@ impl Repository {
         name: &str,
         sequences: &HashMap<String, String>,
     ) -> CrimsonResult<LoadReport> {
-        let record = self.tree_by_name(name)?;
+        let record = self.view().tree_by_name(name)?;
         self.with_txn(|repo| {
             let species_loaded = repo.load_species(record.handle, sequences)?;
             let report = LoadReport {
@@ -200,15 +200,16 @@ impl Repository {
     /// Export a stored tree (and its species data) back to a NEXUS document —
     /// the "view results as NEXUS files" output path of §3.
     pub fn export_nexus(&self, name: &str) -> CrimsonResult<NexusDocument> {
-        let record = self.tree_by_name(name)?;
-        let leaves = self.leaves(record.handle)?;
-        let tree = self.project(record.handle, &leaves)?;
+        let view = self.view();
+        let record = view.tree_by_name(name)?;
+        let leaves = view.leaves(record.handle)?;
+        let tree = view.project(record.handle, &leaves)?;
         let mut doc = NexusDocument::new();
-        let leaf_names = self.names_of(&leaves)?;
+        let leaf_names = view.names_of(&leaves)?;
         // Attach sequences when present; taxa without sequences still get a
         // TAXA entry.
         for leaf_name in leaf_names {
-            match self.sequences_for(record.handle, std::slice::from_ref(&leaf_name)) {
+            match view.sequences_for(record.handle, std::slice::from_ref(&leaf_name)) {
                 Ok(seqs) => doc.push_sequence(leaf_name.clone(), seqs[&leaf_name].clone()),
                 Err(_) => doc.taxa.push(leaf_name),
             }
@@ -262,7 +263,7 @@ mod tests {
         assert_eq!(report.nodes_loaded, 8);
         assert_eq!(report.species_loaded, 0);
         assert!(report.messages[0].contains("fig1"));
-        let history = repo.history_of_kind(QueryKind::Load).unwrap();
+        let history = repo.view().history_of_kind(QueryKind::Load).unwrap();
         assert_eq!(history.len(), 1);
         assert_eq!(history[0].params["nodes"], 8);
     }
@@ -282,7 +283,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.nodes_loaded, gold.tree.node_count());
         assert_eq!(report.species_loaded, 10);
-        assert_eq!(repo.species_count(report.handle).unwrap(), 10);
+        assert_eq!(repo.view().species_count(report.handle).unwrap(), 10);
     }
 
     #[test]
@@ -297,14 +298,14 @@ mod tests {
         let doc = gold.to_nexus();
         let report = repo.load_nexus("gold", &doc, LoadMode::TreeOnly).unwrap();
         assert_eq!(report.species_loaded, 0);
-        assert_eq!(repo.species_count(report.handle).unwrap(), 0);
+        assert_eq!(repo.view().species_count(report.handle).unwrap(), 0);
         // Append the species data afterwards (§3: "append species data to an
         // existing phylogenetic tree").
         let report = repo
             .load_nexus("gold", &doc, LoadMode::AppendSpecies)
             .unwrap();
         assert_eq!(report.species_loaded, 8);
-        assert_eq!(repo.species_count(report.handle).unwrap(), 8);
+        assert_eq!(repo.view().species_count(report.handle).unwrap(), 8);
     }
 
     #[test]

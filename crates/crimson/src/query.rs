@@ -31,13 +31,12 @@
 //! `*_reference` methods: the property tests cross-validate against them and
 //! the benchmark suite uses them as the page-read baseline.
 //!
-//! Everything here is implemented on the shared [`ReadCtx`] engine, so the
-//! same code serves the writer's `Repository` (current view) and concurrent
-//! [`crate::reader::RepositoryReader`]s (committed-snapshot view); all of
-//! it takes `&self`.
+//! Everything here is a method of [`ReadCtx`], the one read surface: the
+//! writer's [`Repository::view`](crate::Repository::view) and concurrent
+//! [`crate::reader::RepositoryReader`]s run the same code.
 
 use crate::error::{CrimsonError, CrimsonResult};
-use crate::repository::{NodeRecord, ReadCtx, Repository, StoredNodeId, TreeHandle, TREE_SHIFT};
+use crate::repository::{NodeRecord, ReadCtx, StoredNodeId, TreeHandle, TREE_SHIFT};
 use labeling::interval::{interval_key_prefix, interval_range_end, IntervalEntry};
 use phylo::ops;
 use phylo::{NodeId, Tree};
@@ -66,6 +65,13 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     // Minimal spanning clade
     // ------------------------------------------------------------------
 
+    /// Minimal spanning clade of a set of nodes: all nodes in the subtree
+    /// rooted at their least common ancestor (§2.2), in pre-order.
+    ///
+    /// Each input node's interval is fetched exactly once; the LCA of the
+    /// whole set is the LCA of its minimum- and maximum-rank members; and
+    /// the clade itself is **one contiguous range scan** over the interval
+    /// index — no per-node row fetch, no breadth-first search.
     pub fn minimal_spanning_clade(
         &self,
         nodes: &[StoredNodeId],
@@ -123,6 +129,10 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         Ok(out)
     }
 
+    /// Reference implementation of the minimal spanning clade from before
+    /// the interval index: fold pairwise label-walk LCAs, then breadth-first
+    /// collection through the parent index with one row fetch per node.
+    /// Kept for cross-validation and as the page-read baseline.
     pub fn minimal_spanning_clade_reference(
         &self,
         nodes: &[StoredNodeId],
@@ -149,6 +159,26 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     // Tree projection
     // ------------------------------------------------------------------
 
+    /// Project the stored tree onto a set of leaf nodes, following the
+    /// paper's algorithm: sort the leaves by pre-order, insert them left to
+    /// right, and determine each insertion point from the LCA of consecutive
+    /// leaves along the rightmost path of the partial tree. Unary nodes
+    /// never arise; edge weights are differences of stored cumulative root
+    /// distances.
+    ///
+    /// The consecutive-pair LCAs take the same path as
+    /// [`ReadCtx::lca`]: range-minimum queries over the tree's pre-order
+    /// depth column. The block minima are read once per query (and cached
+    /// per tree), then each pair reads at most two partial depth blocks,
+    /// whatever the tree's depth. A selected internal node is checked
+    /// against its interval first, since it may be an ancestor of the next
+    /// selected node. Node rows are fetched (through the record
+    /// cache, the LCAs' through their interval entries' heap locators) only
+    /// for nodes that appear in the output — ~2k rows for k selected
+    /// leaves, independent of tree size.
+    ///
+    /// The result is an in-memory [`Tree`] whose leaves carry the stored
+    /// species names.
     pub fn project(&self, handle: TreeHandle, leaves: &[StoredNodeId]) -> CrimsonResult<Tree> {
         if leaves.is_empty() {
             return Err(CrimsonError::InvalidSample("empty leaf set".to_string()));
@@ -182,6 +212,9 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         assemble_projection(&records, &lca_records)
     }
 
+    /// Reference implementation of projection from before the interval
+    /// index: per-pair label-walk LCAs and uncached row fetches. Kept for
+    /// cross-validation and as the page-read baseline.
     pub fn project_reference(
         &self,
         handle: TreeHandle,
@@ -221,6 +254,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         assemble_projection(&records, &lca_records)
     }
 
+    /// Project by species names (§3 "user input" selection).
     pub fn project_species(&self, handle: TreeHandle, names: &[&str]) -> CrimsonResult<Tree> {
         let mut leaves = Vec::with_capacity(names.len());
         for name in names {
@@ -233,6 +267,9 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     // Tree pattern match
     // ------------------------------------------------------------------
 
+    /// Tree pattern match (§2.2): project the stored tree onto the pattern's
+    /// leaves and compare the projection with the pattern — exactly for an
+    /// exact match, by Robinson–Foulds distance for an approximate one.
     pub fn pattern_match(&self, handle: TreeHandle, pattern: &Tree) -> CrimsonResult<PatternMatch> {
         let names: Vec<String> = pattern.leaf_names();
         if names.is_empty() {
@@ -260,80 +297,6 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             rf,
             projection,
         })
-    }
-}
-
-impl Repository {
-    /// Minimal spanning clade of a set of nodes: all nodes in the subtree
-    /// rooted at their least common ancestor (§2.2), in pre-order.
-    ///
-    /// Each input node's interval is fetched exactly once; the LCA of the
-    /// whole set is the LCA of its minimum- and maximum-rank members; and
-    /// the clade itself is **one contiguous range scan** over the interval
-    /// index — no per-node row fetch, no breadth-first search.
-    pub fn minimal_spanning_clade(
-        &self,
-        nodes: &[StoredNodeId],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().minimal_spanning_clade(nodes)
-    }
-
-    /// Reference implementation of the minimal spanning clade from before
-    /// the interval index: fold pairwise label-walk LCAs, then breadth-first
-    /// collection through the parent index with one row fetch per node.
-    /// Kept for cross-validation and as the page-read baseline.
-    pub fn minimal_spanning_clade_reference(
-        &self,
-        nodes: &[StoredNodeId],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().minimal_spanning_clade_reference(nodes)
-    }
-
-    /// Project the stored tree onto a set of leaf nodes, following the
-    /// paper's algorithm: sort the leaves by pre-order, insert them left to
-    /// right, and determine each insertion point from the LCA of consecutive
-    /// leaves along the rightmost path of the partial tree. Unary nodes
-    /// never arise; edge weights are differences of stored cumulative root
-    /// distances.
-    ///
-    /// The consecutive-pair LCAs take the same path as
-    /// [`Repository::lca`]: range-minimum queries over the tree's pre-order
-    /// depth column. The block minima are read once per query (and cached
-    /// per tree), then each pair reads at most two partial depth blocks,
-    /// whatever the tree's depth. A selected internal node is checked
-    /// against its interval first, since it may be an ancestor of the next
-    /// selected node. Node rows are fetched (through the record
-    /// cache, the LCAs' through their interval entries' heap locators) only
-    /// for nodes that appear in the output — ~2k rows for k selected
-    /// leaves, independent of tree size.
-    ///
-    /// The result is an in-memory [`Tree`] whose leaves carry the stored
-    /// species names.
-    pub fn project(&self, handle: TreeHandle, leaves: &[StoredNodeId]) -> CrimsonResult<Tree> {
-        self.ctx().project(handle, leaves)
-    }
-
-    /// Reference implementation of projection from before the interval
-    /// index: per-pair label-walk LCAs and uncached row fetches. Kept for
-    /// cross-validation and as the page-read baseline.
-    pub fn project_reference(
-        &self,
-        handle: TreeHandle,
-        leaves: &[StoredNodeId],
-    ) -> CrimsonResult<Tree> {
-        self.ctx().project_reference(handle, leaves)
-    }
-
-    /// Project by species names (§3 "user input" selection).
-    pub fn project_species(&self, handle: TreeHandle, names: &[&str]) -> CrimsonResult<Tree> {
-        self.ctx().project_species(handle, names)
-    }
-
-    /// Tree pattern match (§2.2): project the stored tree onto the pattern's
-    /// leaves and compare the projection with the pattern — exactly for an
-    /// exact match, by Robinson–Foulds distance for an approximate one.
-    pub fn pattern_match(&self, handle: TreeHandle, pattern: &Tree) -> CrimsonResult<PatternMatch> {
-        self.ctx().pattern_match(handle, pattern)
     }
 }
 
@@ -419,7 +382,7 @@ pub(crate) fn assemble_projection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repository::RepositoryOptions;
+    use crate::repository::{Repository, RepositoryOptions};
     use phylo::builder::{balanced_binary, figure1_tree};
     use phylo::ops::{is_unary_free, project_by_names};
     use simulation::birth_death::yule_tree;
@@ -445,6 +408,7 @@ mod tests {
         let tree = figure1_tree();
         let (_d, repo, handle) = repo_with(&tree, 2);
         let projection = repo
+            .view()
             .project_species(handle, &["Bha", "Lla", "Syn"])
             .unwrap();
         // Must equal the in-memory projection (the paper's Figure 2).
@@ -477,7 +441,7 @@ mod tests {
             if subset.len() < 2 {
                 continue;
             }
-            let stored = repo.project_species(handle, &subset).unwrap();
+            let stored = repo.view().project_species(handle, &subset).unwrap();
             let expected = project_by_names(&tree, &subset).unwrap();
             assert!(
                 ops::isomorphic_with_lengths(&stored, &expected, 1e-9),
@@ -494,7 +458,7 @@ mod tests {
         let (_d, repo, handle) = repo_with(&tree, 8);
         let names = tree.leaf_names();
         let subset: Vec<&str> = names.iter().step_by(9).map(|s| s.as_str()).collect();
-        let stored = repo.project_species(handle, &subset).unwrap();
+        let stored = repo.view().project_species(handle, &subset).unwrap();
         let expected = project_by_names(&tree, &subset).unwrap();
         assert!(ops::isomorphic_with_lengths(&stored, &expected, 1e-9));
     }
@@ -503,12 +467,12 @@ mod tests {
     fn projection_single_leaf_and_errors() {
         let tree = figure1_tree();
         let (_d, repo, handle) = repo_with(&tree, 2);
-        let syn = repo.require_species_node(handle, "Syn").unwrap();
-        let p = repo.project(handle, &[syn]).unwrap();
+        let syn = repo.view().require_species_node(handle, "Syn").unwrap();
+        let p = repo.view().project(handle, &[syn]).unwrap();
         assert_eq!(p.node_count(), 1);
         assert_eq!(p.name(p.root_unchecked()), Some("Syn"));
-        assert!(repo.project(handle, &[]).is_err());
-        assert!(repo.project_species(handle, &["Ghost"]).is_err());
+        assert!(repo.view().project(handle, &[]).is_err());
+        assert!(repo.view().project_species(handle, &["Ghost"]).is_err());
     }
 
     #[test]
@@ -529,31 +493,31 @@ mod tests {
             (dir, repo, handle)
         };
         let other = repo.load_tree("other", &balanced_binary(3, 1.0)).unwrap();
-        let foreign = repo.require_species_node(other, "T0").unwrap();
-        assert!(repo.project(handle, &[foreign]).is_err());
+        let foreign = repo.view().require_species_node(other, "T0").unwrap();
+        assert!(repo.view().project(handle, &[foreign]).is_err());
     }
 
     #[test]
     fn minimal_spanning_clade_figure1() {
         let tree = figure1_tree();
         let (_d, repo, handle) = repo_with(&tree, 2);
-        let lla = repo.require_species_node(handle, "Lla").unwrap();
-        let spy = repo.require_species_node(handle, "Spy").unwrap();
-        let clade = repo.minimal_spanning_clade(&[lla, spy]).unwrap();
+        let lla = repo.view().require_species_node(handle, "Lla").unwrap();
+        let spy = repo.view().require_species_node(handle, "Spy").unwrap();
+        let clade = repo.view().minimal_spanning_clade(&[lla, spy]).unwrap();
         // LCA is their parent; the clade is {parent, Lla, Spy}.
         assert_eq!(clade.len(), 3);
-        let bha = repo.require_species_node(handle, "Bha").unwrap();
-        let clade = repo.minimal_spanning_clade(&[lla, bha]).unwrap();
+        let bha = repo.view().require_species_node(handle, "Bha").unwrap();
+        let clade = repo.view().minimal_spanning_clade(&[lla, bha]).unwrap();
         // LCA is the interior node i1; its subtree has 5 nodes.
         assert_eq!(clade.len(), 5);
-        let syn = repo.require_species_node(handle, "Syn").unwrap();
-        let clade = repo.minimal_spanning_clade(&[lla, syn]).unwrap();
+        let syn = repo.view().require_species_node(handle, "Syn").unwrap();
+        let clade = repo.view().minimal_spanning_clade(&[lla, syn]).unwrap();
         assert_eq!(
             clade.len(),
             8,
             "spanning clade of distant leaves is the whole tree"
         );
-        assert!(repo.minimal_spanning_clade(&[]).is_err());
+        assert!(repo.view().minimal_spanning_clade(&[]).is_err());
     }
 
     #[test]
@@ -562,26 +526,26 @@ mod tests {
         let (_d, repo, handle) = repo_with(&tree, 2);
         // The Figure 2 pattern matches exactly.
         let pattern = phylo::newick::parse("((Bha:0.75,Lla:1.5):1.5,Syn:2.5);").unwrap();
-        let result = repo.pattern_match(handle, &pattern).unwrap();
+        let result = repo.view().pattern_match(handle, &pattern).unwrap();
         assert!(result.exact_topology);
         assert!(result.exact_with_lengths);
         assert_eq!(result.rf.distance, 0);
         // Swapping Bha and Lla (the paper's counter-example) breaks the
         // weighted match.
         let swapped = phylo::newick::parse("((Lla:0.75,Bha:1.5):1.5,Syn:2.5);").unwrap();
-        let result = repo.pattern_match(handle, &swapped).unwrap();
+        let result = repo.view().pattern_match(handle, &swapped).unwrap();
         assert!(!result.exact_with_lengths);
         // A topologically different pattern is not even an approximate match:
         // the pattern groups {Bha,Lla} and {Spy,Syn}, while the stored tree
         // groups {Lla,Spy}, so the RF distance is positive.
         let wrong = phylo::newick::parse("((Bha,Lla),(Spy,Syn));").unwrap();
-        let result = repo.pattern_match(handle, &wrong).unwrap();
+        let result = repo.view().pattern_match(handle, &wrong).unwrap();
         assert!(!result.exact_topology);
         assert!(result.rf.distance > 0);
         // Three-leaf patterns carry no non-trivial unrooted splits, so RF
         // cannot discriminate them — only the exact check does.
         let wrong3 = phylo::newick::parse("((Bha,Syn),Lla);").unwrap();
-        let result = repo.pattern_match(handle, &wrong3).unwrap();
+        let result = repo.view().pattern_match(handle, &wrong3).unwrap();
         assert!(!result.exact_topology);
         assert_eq!(result.rf.distance, 0);
     }
@@ -591,6 +555,6 @@ mod tests {
         let tree = figure1_tree();
         let (_d, repo, handle) = repo_with(&tree, 2);
         let pattern = phylo::newick::parse("((Bha,Ghost),Syn);").unwrap();
-        assert!(repo.pattern_match(handle, &pattern).is_err());
+        assert!(repo.view().pattern_match(handle, &pattern).is_err());
     }
 }

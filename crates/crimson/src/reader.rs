@@ -9,54 +9,54 @@
 //! the pin) invisible, so readers never block behind a load and never
 //! observe a half-loaded tree.
 //!
-//! ## The snapshot-read rule
+//! ## One read surface
 //!
-//! A single page read is always committed-consistent, but a multi-page
-//! operation (an LCA walk, a clade scan, a projection) must not straddle a
-//! commit — the first pages read pre-commit, the rest post-commit. Every
-//! public operation therefore **pins a snapshot epoch** before its first
-//! page touch ([`storage::db::DbReader::pin_epoch`]) and runs entirely
-//! against that epoch's view ([`storage::EpochView`]): the pool keeps the
-//! last `K = `[`storage::buffer::VERSION_CHAIN_CAP`] committed versions of
-//! every recently-written page, and the pinned read resolves each page to
-//! the newest version at or below its epoch. Commits landing mid-operation
-//! are simply never seen — the operation completes against a frozen state
-//! without retrying, however fast the writer commits.
+//! Every read query is a method of [`ReadCtx`]; this module only decides
+//! which committed state it runs on:
+//!
+//! * [`RepositoryReader::pin`] returns a [`PinnedReader`], an RAII guard
+//!   that derefs to a `ReadCtx` frozen at one epoch — the way a
+//!   `MutexGuard` derefs to its data — and unpins when dropped. Use it to
+//!   make a group of reads mutually consistent.
+//! * [`RepositoryReader::read`] runs a closure on a freshly pinned
+//!   `ReadCtx` and re-pins on the cold failure below; it is the one
+//!   retrying reader.
+//!
+//! A multi-page operation (an LCA, a clade scan, a projection) must not
+//! straddle a commit, so it runs entirely against one epoch's view
+//! ([`storage::EpochView`]): the pool keeps the last
+//! `K = `[`storage::buffer::BufferPool::VERSION_CHAIN_CAP`] committed
+//! versions of every recently-written page a pinned epoch still needs, and
+//! a pinned read resolves each page to the newest version at or below its
+//! epoch. Commits landing mid-operation are never seen.
 //!
 //! The one residual failure is [`storage::StorageError::SnapshotRetired`]:
-//! the version chain is bounded, so a read that holds its pin while the
-//! writer commits more than K new versions of a page the read then touches
-//! finds its epoch garbage-collected. The reader handles it by re-pinning
-//! a fresh epoch and re-running the operation, bounded by [`ReadRetry`];
-//! exhausting that budget surfaces
-//! [`CrimsonError::Busy`](crate::error::CrimsonError::Busy). The
-//! concurrency stress harness drives a group-commit-cadence writer against
-//! four readers and observes zero retirements at K = 4, so the fallback is
-//! cold in practice — kept only so the contract degrades loudly instead of
-//! serving a torn view if a future workload breaks the bound.
+//! when more than K distinct pinned epochs crowd one page's chain, the
+//! oldest is retired. [`RepositoryReader::read`] handles it by re-pinning a
+//! fresh epoch and re-running the closure, bounded by [`ReadRetry`];
+//! exhausting that budget surfaces [`CrimsonError::Busy`]. The concurrency
+//! stress harness drives a group-commit-cadence writer against four readers
+//! and observes zero retirements, so the fallback is cold in practice —
+//! kept so the contract degrades loudly instead of serving a torn view.
 //!
-//! Each reader carries its own record/interval caches (sharded, see
-//! [`crate::cache::ShardedCache`]). Cached rows are immutable once loaded
-//! and readers only ever observe committed rows, so the caches never need
-//! invalidation — exactly the same argument the writer's caches rely on.
+//! Each reader carries its own record/interval/minima caches (sharded, two
+//! generations each). Cached rows are immutable once loaded and readers
+//! only ever observe committed rows, so the caches never need invalidation
+//! — the same argument the writer's caches rely on.
 
 use crate::cache::ShardedCache;
 use crate::depth::DepthMinima;
 use crate::error::{CrimsonError, CrimsonResult};
-use crate::history::{HistoryEntry, QueryKind};
-use crate::query::PatternMatch;
 use crate::repository::{
-    FrameRecord, IntegrityReport, NodeAtRank, NodeRecord, ReadCtx, Repository, StoredFrameId,
-    StoredNodeId, Tables, TreeHandle, TreeRecord, ENTRY_CACHE_GEN, MINIMA_CACHE_GEN,
-    RECORD_CACHE_GEN,
+    NodeAtRank, NodeRecord, ReadCtx, Repository, StoredNodeId, Tables, TreeHandle, TreeRecord,
+    ENTRY_CACHE_GEN, MINIMA_CACHE_GEN, RECORD_CACHE_GEN,
 };
 use phylo::Tree;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use storage::db::DbReader;
-use storage::{EpochView, StorageError};
+use storage::{EpochPin, EpochView, StorageError};
 
 /// Monotone id source for per-reader backoff salts: every reader gets its
 /// own splitmix64-whitened seed, so concurrent readers that do hit the
@@ -74,15 +74,15 @@ fn splitmix64(seed: u64) -> u64 {
 
 /// Retry/backoff policy for the **cold** snapshot-retired fallback: a
 /// bounded number of attempts with **jittered exponential backoff** between
-/// them. Under versioned reads an attempt only fails when the writer
-/// committed more than [`storage::buffer::VERSION_CHAIN_CAP`] versions of a
-/// touched page while the read held its pin; backing off with per-reader
-/// jitter desynchronises the re-pin from the commit cadence (and from other
-/// readers) so the retry lands inside the version window.
+/// them. Under versioned reads an attempt only fails when its epoch was
+/// retired from a page's version chain (more than
+/// [`storage::buffer::BufferPool::VERSION_CHAIN_CAP`] pinned epochs crowded
+/// it); backing off with per-reader jitter desynchronises the re-pin from
+/// the commit cadence (and from other readers) so the retry lands inside
+/// the version window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadRetry {
-    /// Maximum pin attempts before giving up with
-    /// [`CrimsonError::Busy`](crate::error::CrimsonError::Busy).
+    /// Maximum pin attempts before giving up with [`CrimsonError::Busy`].
     pub attempts: usize,
     /// Backoff before the second attempt; doubles per retry. Zero disables
     /// sleeping entirely (pure spin).
@@ -142,28 +142,22 @@ pub struct RepositoryReader {
 impl std::fmt::Debug for RepositoryReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RepositoryReader")
-            .field("generation", &self.db.generation())
+            .field("retry", &self.retry)
             .finish()
     }
 }
 
 impl RepositoryReader {
-    pub(crate) fn new(repo: &Repository) -> CrimsonResult<RepositoryReader> {
-        Ok(RepositoryReader {
-            db: repo.db.reader()?,
+    pub(crate) fn new(repo: &Repository) -> RepositoryReader {
+        RepositoryReader {
+            db: repo.db.reader(),
             tables: repo.tables,
             records: ShardedCache::new(RECORD_CACHE_GEN),
             entries: ShardedCache::new(ENTRY_CACHE_GEN),
             minima: ShardedCache::new(MINIMA_CACHE_GEN),
             retry: ReadRetry::default(),
             salt: splitmix64(READER_SEQ.fetch_add(1, Ordering::Relaxed)),
-        })
-    }
-
-    /// The storage read generation this reader currently observes (advances
-    /// with every commit or rollback).
-    pub fn generation(&self) -> u64 {
-        self.db.generation()
+        }
     }
 
     /// Block until the write-ahead log is durable up to `lsn` (leading or
@@ -196,29 +190,31 @@ impl RepositoryReader {
         self.retry
     }
 
-    /// Pin a snapshot of the current committed state. Every query method on
-    /// the returned [`PinnedReader`] evaluates against this one frozen
-    /// epoch — commits landing after the pin are invisible until the pin is
-    /// dropped. Use it to make a *group* of reads mutually consistent (the
-    /// batch executor pins one epoch per batch) or to hold a stable view
-    /// open across writer activity.
+    /// Pin a snapshot of the current committed state. The returned guard
+    /// derefs to a [`ReadCtx`] on that one frozen epoch — commits landing
+    /// after the pin are invisible until the guard is dropped. Use it to
+    /// make a *group* of reads mutually consistent (the batch executor pins
+    /// one epoch per batch) or to hold a stable view open across writer
+    /// activity.
     pub fn pin(&self) -> CrimsonResult<PinnedReader<'_>> {
         let pin = self.db.pin_epoch();
-        let view = self.db.at_epoch(&pin)?;
-        Ok(PinnedReader {
-            reader: self,
-            _pin: pin,
-            view,
-        })
+        let ctx = ReadCtx {
+            db: self.db.at_epoch(&pin)?,
+            tables: self.tables,
+            records: &self.records,
+            entries: &self.entries,
+            minima: &self.minima,
+        };
+        Ok(PinnedReader { ctx, _pin: pin })
     }
 
-    /// Run `f` against a freshly pinned snapshot epoch: pin, resolve the
-    /// epoch view, run, unpin. The operation never races the writer — its
-    /// epoch's page versions are immutable — so the only reason to loop is
-    /// the cold [`StorageError::SnapshotRetired`] fallback (the writer
-    /// committed past the bounded version chain mid-operation), in which
-    /// case we re-pin a fresh epoch after a jittered backoff.
-    fn read<R>(
+    /// Run `f` against a freshly pinned snapshot epoch: pin, run, unpin —
+    /// e.g. `reader.read(|v| v.lca(a, b))`. The operation never races the
+    /// writer — its epoch's page versions are immutable — so the only
+    /// reason to loop is the cold [`StorageError::SnapshotRetired`]
+    /// fallback, in which case `f` runs again on a fresh epoch after a
+    /// jittered backoff, at most [`ReadRetry::attempts`] times in all.
+    pub fn read<R>(
         &self,
         f: impl Fn(&ReadCtx<'_, EpochView<'_>>) -> CrimsonResult<R>,
     ) -> CrimsonResult<R> {
@@ -236,22 +232,7 @@ impl RepositoryReader {
                 // schedule.
                 self.retry.backoff(attempt, self.salt);
             }
-            let pin = self.db.pin_epoch();
-            let out = self
-                .db
-                .at_epoch(&pin)
-                .map_err(CrimsonError::from)
-                .and_then(|view| {
-                    let ctx = ReadCtx {
-                        db: &view,
-                        tables: self.tables,
-                        records: &self.records,
-                        entries: &self.entries,
-                        minima: &self.minima,
-                    };
-                    f(&ctx)
-                });
-            match out {
+            match self.pin().and_then(|pinned| f(&pinned)) {
                 Err(e) if snapshot_retired(&e) => last = e.to_string(),
                 other => return other,
             }
@@ -269,363 +250,63 @@ impl RepositoryReader {
     }
 
     // ------------------------------------------------------------------
-    // Catalog
+    // One-line shorthands over `read`, kept for existing callers
     // ------------------------------------------------------------------
 
-    /// Look up a tree by name.
-    pub fn find_tree(&self, name: &str) -> CrimsonResult<Option<TreeRecord>> {
-        self.read(|ctx| ctx.find_tree(name))
-    }
-
-    /// Look up a tree by name, failing when absent.
-    pub fn tree_by_name(&self, name: &str) -> CrimsonResult<TreeRecord> {
-        self.read(|ctx| ctx.tree_by_name(name))
-    }
-
-    /// Look up a tree by handle.
-    pub fn tree_record(&self, handle: TreeHandle) -> CrimsonResult<TreeRecord> {
-        self.read(|ctx| ctx.tree_record(handle))
-    }
-
-    /// All trees committed so far.
+    /// `self.read(|v| v.list_trees())`.
     pub fn list_trees(&self) -> CrimsonResult<Vec<TreeRecord>> {
-        self.read(|ctx| ctx.list_trees())
+        self.read(|v| v.list_trees())
     }
 
-    // ------------------------------------------------------------------
-    // Nodes, frames, species
-    // ------------------------------------------------------------------
-
-    /// Fetch a node row (through this reader's record cache).
-    pub fn node_record(&self, id: StoredNodeId) -> CrimsonResult<NodeRecord> {
-        self.read(|ctx| ctx.node_record(id))
-    }
-
-    /// Fetch a frame row.
-    pub fn frame_record(&self, id: StoredFrameId) -> CrimsonResult<FrameRecord> {
-        self.read(|ctx| ctx.frame_record(id))
-    }
-
-    /// Children of a stored node (via the parent index).
-    pub fn children(&self, id: StoredNodeId) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.children(id))
-    }
-
-    /// All leaf node ids of a tree.
+    /// `self.read(|v| v.leaves(handle))`.
     pub fn leaves(&self, handle: TreeHandle) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.leaves(handle))
+        self.read(|v| v.leaves(handle))
     }
 
-    /// The leaf node a species name maps to in the given tree, if any.
-    pub fn species_node(
-        &self,
-        handle: TreeHandle,
-        name: &str,
-    ) -> CrimsonResult<Option<StoredNodeId>> {
-        self.read(|ctx| ctx.species_node(handle, name))
-    }
-
-    /// The leaf node a species name maps to, failing when absent.
-    pub fn require_species_node(
-        &self,
-        handle: TreeHandle,
-        name: &str,
-    ) -> CrimsonResult<StoredNodeId> {
-        self.read(|ctx| ctx.require_species_node(handle, name))
-    }
-
-    /// Sequences stored for the given species names.
-    pub fn sequences_for(
-        &self,
-        handle: TreeHandle,
-        names: &[String],
-    ) -> CrimsonResult<HashMap<String, String>> {
-        self.read(|ctx| ctx.sequences_for(handle, names))
-    }
-
-    /// Number of species rows stored for a tree.
-    pub fn species_count(&self, handle: TreeHandle) -> CrimsonResult<usize> {
-        self.read(|ctx| ctx.species_count(handle))
-    }
-
-    // ------------------------------------------------------------------
-    // Structure queries
-    // ------------------------------------------------------------------
-
-    /// The packed `[pre, end]` interval of a stored node.
-    pub fn interval_of(&self, id: StoredNodeId) -> CrimsonResult<(u32, u32)> {
-        self.read(|ctx| ctx.interval_of(id))
-    }
-
-    /// Least common ancestor over the interval index (see
-    /// [`Repository::lca`]).
+    /// `self.read(|v| v.lca(a, b))`.
     pub fn lca(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
-        self.read(|ctx| ctx.lca(a, b))
+        self.read(|v| v.lca(a, b))
     }
 
-    /// Ancestor-or-self test: two interval lookups, two comparisons.
+    /// `self.read(|v| v.is_ancestor(ancestor, node))`.
     pub fn is_ancestor(&self, ancestor: StoredNodeId, node: StoredNodeId) -> CrimsonResult<bool> {
-        self.read(|ctx| ctx.is_ancestor(ancestor, node))
+        self.read(|v| v.is_ancestor(ancestor, node))
     }
 
-    /// Reference LCA over the stored hierarchical Dewey labels (see
-    /// [`Repository::lca_label_walk`]); kept on the reader so the
-    /// concurrency stress harness can cross-validate under load.
-    pub fn lca_label_walk(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
-        self.read(|ctx| ctx.lca_label_walk(a, b))
-    }
-
-    /// Minimal spanning clade (one LCA + one interval range scan).
+    /// `self.read(|v| v.minimal_spanning_clade(nodes))`.
     pub fn minimal_spanning_clade(
         &self,
         nodes: &[StoredNodeId],
     ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.minimal_spanning_clade(nodes))
+        self.read(|v| v.minimal_spanning_clade(nodes))
     }
 
-    /// Reference spanning clade (label-walk LCA + BFS row fetches).
-    pub fn minimal_spanning_clade_reference(
-        &self,
-        nodes: &[StoredNodeId],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.minimal_spanning_clade_reference(nodes))
-    }
-
-    /// Tree projection onto a leaf selection (see [`Repository::project`]).
+    /// `self.read(|v| v.project(handle, leaves))`.
     pub fn project(&self, handle: TreeHandle, leaves: &[StoredNodeId]) -> CrimsonResult<Tree> {
-        self.read(|ctx| ctx.project(handle, leaves))
+        self.read(|v| v.project(handle, leaves))
     }
 
-    /// Reference projection (per-pair label walks, uncached rows).
-    pub fn project_reference(
-        &self,
-        handle: TreeHandle,
-        leaves: &[StoredNodeId],
-    ) -> CrimsonResult<Tree> {
-        self.read(|ctx| ctx.project_reference(handle, leaves))
-    }
-
-    /// Project by species names.
-    pub fn project_species(&self, handle: TreeHandle, names: &[&str]) -> CrimsonResult<Tree> {
-        self.read(|ctx| ctx.project_species(handle, names))
-    }
-
-    /// Tree pattern match (projection + comparison).
-    pub fn pattern_match(&self, handle: TreeHandle, pattern: &Tree) -> CrimsonResult<PatternMatch> {
-        self.read(|ctx| ctx.pattern_match(handle, pattern))
-    }
-
-    // ------------------------------------------------------------------
-    // Sampling (deterministic per seed, identical to the writer's draws)
-    // ------------------------------------------------------------------
-
-    /// Execute a sampling strategy, returning the selected leaf nodes.
-    pub fn sample(
-        &self,
-        handle: TreeHandle,
-        strategy: &crate::sampling::SamplingStrategy,
-        seed: u64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.sample(handle, strategy, seed))
-    }
-
-    /// Uniformly sample `k` distinct species from the tree.
+    /// `self.read(|v| v.sample_uniform(handle, k, seed))`.
     pub fn sample_uniform(
         &self,
         handle: TreeHandle,
         k: usize,
         seed: u64,
     ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.sample_uniform(handle, k, seed))
+        self.read(|v| v.sample_uniform(handle, k, seed))
     }
 
-    /// Sample `k` species with respect to evolutionary time `time`.
-    pub fn sample_by_time(
-        &self,
-        handle: TreeHandle,
-        time: f64,
-        k: usize,
-        seed: u64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.sample_by_time(handle, time, k, seed))
-    }
-
-    /// The evolutionary-time frontier (see [`Repository::time_frontier`]).
-    pub fn time_frontier(&self, handle: TreeHandle, time: f64) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.time_frontier(handle, time))
-    }
-
-    /// Resolve an explicit list of species names to leaf nodes.
-    pub fn sample_by_names(
-        &self,
-        handle: TreeHandle,
-        names: &[&str],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.read(|ctx| ctx.sample_by_names(handle, names))
-    }
-
-    /// The names of a set of stored leaf nodes.
-    pub fn names_of(&self, nodes: &[StoredNodeId]) -> CrimsonResult<Vec<String>> {
-        self.read(|ctx| ctx.names_of(nodes))
-    }
-
-    // ------------------------------------------------------------------
-    // Index-native tree comparison
-    // ------------------------------------------------------------------
-
-    /// Compare two stored trees inside the interval index (see
-    /// [`Repository::compare_stored`]).
-    pub fn compare_stored(
-        &self,
-        a: TreeHandle,
-        b: TreeHandle,
-        triplets: bool,
-    ) -> CrimsonResult<reconstruction::compare::SourceComparison> {
-        self.read(|ctx| ctx.compare_stored(a, b, triplets))
-    }
-
-    /// Compare a stored tree (reference side) against an in-memory tree.
-    pub fn compare_stored_with_tree(
-        &self,
-        a: TreeHandle,
-        b: &Tree,
-        triplets: bool,
-    ) -> CrimsonResult<reconstruction::compare::SourceComparison> {
-        self.read(|ctx| ctx.compare_stored_with_tree(a, b, triplets))
-    }
-
-    // ------------------------------------------------------------------
-    // Content addresses
-    // ------------------------------------------------------------------
-
-    /// The content-address summary row of a tree (see
-    /// [`Repository::tree_stats`]).
-    pub fn tree_stats(
-        &self,
-        handle: TreeHandle,
-    ) -> CrimsonResult<Option<crate::repository::TreeStatsRecord>> {
-        self.read(|ctx| ctx.tree_stats(handle))
-    }
-
-    /// O(1) whole-tree equality via stored root hashes.
-    pub fn trees_equal(&self, a: TreeHandle, b: TreeHandle) -> CrimsonResult<bool> {
-        self.read(|ctx| ctx.trees_equal(a, b))
-    }
-
-    /// O(1) subtree equality between two stored nodes.
-    pub fn subtrees_equal(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<bool> {
-        self.read(|ctx| ctx.subtrees_equal(a, b))
-    }
-
-    /// The canonical clade hash of the subtree rooted at a stored node.
-    pub fn subtree_hash(&self, id: StoredNodeId) -> CrimsonResult<labeling::CladeHash> {
-        self.read(|ctx| ctx.node_content_hash(id))
-    }
-
-    /// Stored trees whose content address equals `hash` (no-scan lookup).
-    pub fn trees_with_root_hash(
-        &self,
-        hash: labeling::CladeHash,
-    ) -> CrimsonResult<Vec<TreeHandle>> {
-        self.read(|ctx| ctx.trees_with_root_hash(hash))
-    }
-
-    /// Every published stored subtree whose content address equals `hash`.
-    pub fn subtrees_with_hash(
-        &self,
-        hash: labeling::CladeHash,
-    ) -> CrimsonResult<Vec<(TreeHandle, u32, u32)>> {
-        self.read(|ctx| ctx.subtrees_with_hash(hash))
-    }
-
-    /// The structural-sharing reference rows of a cold tree.
-    pub fn clade_refs_of(&self, handle: TreeHandle) -> CrimsonResult<Vec<labeling::CladeRef>> {
-        self.read(|ctx| ctx.clade_refs_of(handle))
-    }
-
-    /// Aggregate sharing statistics across the repository snapshot.
-    pub fn content_stats(&self) -> CrimsonResult<crate::content::ContentStats> {
-        self.read(|ctx| ctx.content_stats())
-    }
-
-    // ------------------------------------------------------------------
-    // Experiments
-    // ------------------------------------------------------------------
-
-    /// Evaluate one experiment grid cell against this snapshot — the unit
-    /// of work [`crate::experiment::ExperimentRunner`] fans across workers.
-    pub(crate) fn evaluate_cell(
-        &self,
-        gold: TreeHandle,
-        method: crate::experiment::Method,
-        distance_source: crate::experiment::DistanceSource,
-        strategy: &crate::sampling::SamplingStrategy,
-        seed: u64,
-        compute_triplets: bool,
-    ) -> CrimsonResult<crate::experiment::CellEval> {
-        self.read(|ctx| {
-            ctx.evaluate_cell(
-                gold,
-                method,
-                distance_source,
-                strategy,
-                seed,
-                compute_triplets,
-            )
-        })
-    }
-
-    /// All persisted experiments, in id order.
+    /// `self.read(|v| v.list_experiments())`.
     pub fn list_experiments(&self) -> CrimsonResult<Vec<crate::experiment::ExperimentRecord>> {
-        self.read(|ctx| ctx.list_experiments())
+        self.read(|v| v.list_experiments())
     }
 
-    /// Look up an experiment by name, failing when absent.
-    pub fn experiment_by_name(
-        &self,
-        name: &str,
-    ) -> CrimsonResult<crate::experiment::ExperimentRecord> {
-        self.read(|ctx| ctx.experiment_by_name(name))
-    }
-
-    /// All result rows of an experiment, in grid-cell order.
+    /// `self.read(|v| v.experiment_results(experiment))`.
     pub fn experiment_results(
         &self,
         experiment: u64,
     ) -> CrimsonResult<Vec<crate::experiment::ExperimentResult>> {
-        self.read(|ctx| ctx.experiment_results(experiment))
-    }
-
-    /// The per-clade agreement rows of one result.
-    pub fn experiment_clades(
-        &self,
-        result: u64,
-    ) -> CrimsonResult<Vec<crate::experiment::CladeRow>> {
-        self.read(|ctx| ctx.experiment_clades(result))
-    }
-
-    // ------------------------------------------------------------------
-    // History and integrity
-    // ------------------------------------------------------------------
-
-    /// All recorded queries in execution order.
-    pub fn query_history(&self) -> CrimsonResult<Vec<HistoryEntry>> {
-        self.read(|ctx| ctx.query_history())
-    }
-
-    /// Entries of a given kind, in execution order.
-    pub fn history_of_kind(&self, kind: QueryKind) -> CrimsonResult<Vec<HistoryEntry>> {
-        self.read(|ctx| ctx.history_of_kind(kind))
-    }
-
-    /// Fetch one history entry by id.
-    pub fn history_entry(&self, id: u64) -> CrimsonResult<HistoryEntry> {
-        self.read(|ctx| ctx.history_entry(id))
-    }
-
-    /// Cross-table invariant check over the committed state.
-    pub fn integrity_check(&self) -> CrimsonResult<IntegrityReport> {
-        self.read(|ctx| ctx.integrity_check())
+        self.read(|v| v.experiment_results(experiment))
     }
 }
 
@@ -638,29 +319,29 @@ fn snapshot_retired(e: &CrimsonError) -> bool {
     )
 }
 
-/// A [`RepositoryReader`] frozen at one snapshot epoch, created by
-/// [`RepositoryReader::pin`]. Every query evaluates against the same
-/// committed state however many commits land while the pin is held, which
-/// makes a *group* of reads mutually consistent — the property the batch
-/// executor and the experiment sweep rely on. Shares the parent reader's
-/// row caches.
+/// A [`RepositoryReader`]'s pin on one snapshot epoch, created by
+/// [`RepositoryReader::pin`]: an RAII guard that derefs to the pinned
+/// [`ReadCtx`] and unpins the epoch when dropped. Every query evaluates
+/// against the same committed state however many commits land while the
+/// pin is held, which makes a *group* of reads mutually consistent — the
+/// property the batch executor, the server's coalesced reads and the
+/// experiment sweep rely on. Shares the parent reader's row caches.
 ///
 /// Holding the pin keeps the epoch's page versions alive in the pool, so
 /// drop it promptly when done. A query can still fail with
-/// [`StorageError::SnapshotRetired`] if the writer commits more versions of
-/// a touched page than the bounded chain keeps (unreachable in the stress
-/// harness at the current depth); callers who need to absorb even that fall
-/// back to the parent reader's re-pinning methods.
+/// [`StorageError::SnapshotRetired`] if more pinned epochs crowd a touched
+/// page than the bounded chain keeps (unreachable in the stress harness at
+/// the current depth); callers who need to absorb even that use
+/// [`RepositoryReader::read`].
 pub struct PinnedReader<'a> {
-    reader: &'a RepositoryReader,
-    _pin: storage::EpochPin,
-    view: EpochView<'a>,
+    ctx: ReadCtx<'a, EpochView<'a>>,
+    _pin: EpochPin,
 }
 
 impl std::fmt::Debug for PinnedReader<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PinnedReader")
-            .field("epoch", &self.view.epoch())
+            .field("epoch", &self.epoch())
             .finish()
     }
 }
@@ -669,143 +350,15 @@ impl PinnedReader<'_> {
     /// The pinned snapshot epoch (the commit sequence this view reads as
     /// of).
     pub fn epoch(&self) -> u64 {
-        self.view.epoch()
+        self.ctx.db.epoch()
     }
+}
 
-    /// Run `f` against the pinned epoch view with the parent reader's
-    /// caches.
-    fn run<R>(
-        &self,
-        f: impl FnOnce(&ReadCtx<'_, EpochView<'_>>) -> CrimsonResult<R>,
-    ) -> CrimsonResult<R> {
-        let ctx = ReadCtx {
-            db: &self.view,
-            tables: self.reader.tables,
-            records: &self.reader.records,
-            entries: &self.reader.entries,
-            minima: &self.reader.minima,
-        };
-        f(&ctx)
-    }
+impl<'a> std::ops::Deref for PinnedReader<'a> {
+    type Target = ReadCtx<'a, EpochView<'a>>;
 
-    /// Look up a tree by name.
-    pub fn find_tree(&self, name: &str) -> CrimsonResult<Option<TreeRecord>> {
-        self.run(|ctx| ctx.find_tree(name))
-    }
-
-    /// Look up a tree by name, failing when absent.
-    pub fn tree_by_name(&self, name: &str) -> CrimsonResult<TreeRecord> {
-        self.run(|ctx| ctx.tree_by_name(name))
-    }
-
-    /// All trees committed as of the pinned epoch.
-    pub fn list_trees(&self) -> CrimsonResult<Vec<TreeRecord>> {
-        self.run(|ctx| ctx.list_trees())
-    }
-
-    /// Fetch a node row (through the parent reader's record cache).
-    pub fn node_record(&self, id: StoredNodeId) -> CrimsonResult<NodeRecord> {
-        self.run(|ctx| ctx.node_record(id))
-    }
-
-    /// All leaf node ids of a tree.
-    pub fn leaves(&self, handle: TreeHandle) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.run(|ctx| ctx.leaves(handle))
-    }
-
-    /// The leaf node a species name maps to in the given tree, if any.
-    pub fn species_node(
-        &self,
-        handle: TreeHandle,
-        name: &str,
-    ) -> CrimsonResult<Option<StoredNodeId>> {
-        self.run(|ctx| ctx.species_node(handle, name))
-    }
-
-    /// Least common ancestor over the interval index.
-    pub fn lca(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
-        self.run(|ctx| ctx.lca(a, b))
-    }
-
-    /// Ancestor-or-self test.
-    pub fn is_ancestor(&self, ancestor: StoredNodeId, node: StoredNodeId) -> CrimsonResult<bool> {
-        self.run(|ctx| ctx.is_ancestor(ancestor, node))
-    }
-
-    /// Reference LCA over the stored hierarchical labels.
-    pub fn lca_label_walk(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
-        self.run(|ctx| ctx.lca_label_walk(a, b))
-    }
-
-    /// Minimal spanning clade (one LCA + one interval range scan).
-    pub fn minimal_spanning_clade(
-        &self,
-        nodes: &[StoredNodeId],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.run(|ctx| ctx.minimal_spanning_clade(nodes))
-    }
-
-    /// Reference spanning clade (label-walk LCA + BFS row fetches).
-    pub fn minimal_spanning_clade_reference(
-        &self,
-        nodes: &[StoredNodeId],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.run(|ctx| ctx.minimal_spanning_clade_reference(nodes))
-    }
-
-    /// Tree projection onto a leaf selection.
-    pub fn project(&self, handle: TreeHandle, leaves: &[StoredNodeId]) -> CrimsonResult<Tree> {
-        self.run(|ctx| ctx.project(handle, leaves))
-    }
-
-    /// Reference projection (per-pair label walks, uncached rows).
-    pub fn project_reference(
-        &self,
-        handle: TreeHandle,
-        leaves: &[StoredNodeId],
-    ) -> CrimsonResult<Tree> {
-        self.run(|ctx| ctx.project_reference(handle, leaves))
-    }
-
-    /// Tree pattern match (projection + comparison).
-    pub fn pattern_match(&self, handle: TreeHandle, pattern: &Tree) -> CrimsonResult<PatternMatch> {
-        self.run(|ctx| ctx.pattern_match(handle, pattern))
-    }
-
-    /// Compare two stored trees inside the interval index.
-    pub fn compare_stored(
-        &self,
-        a: TreeHandle,
-        b: TreeHandle,
-        triplets: bool,
-    ) -> CrimsonResult<reconstruction::compare::SourceComparison> {
-        self.run(|ctx| ctx.compare_stored(a, b, triplets))
-    }
-
-    /// The names of a set of stored leaf nodes.
-    pub fn names_of(&self, nodes: &[StoredNodeId]) -> CrimsonResult<Vec<String>> {
-        self.run(|ctx| ctx.names_of(nodes))
-    }
-
-    /// Look up a tree by handle.
-    pub fn tree_record(&self, handle: TreeHandle) -> CrimsonResult<TreeRecord> {
-        self.run(|ctx| ctx.tree_record(handle))
-    }
-
-    /// Uniformly sample `k` distinct species from the tree (deterministic
-    /// per seed, identical to the writer's draws).
-    pub fn sample_uniform(
-        &self,
-        handle: TreeHandle,
-        k: usize,
-        seed: u64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.run(|ctx| ctx.sample_uniform(handle, k, seed))
-    }
-
-    /// Cross-table invariant check over the pinned committed state.
-    pub fn integrity_check(&self) -> CrimsonResult<IntegrityReport> {
-        self.run(|ctx| ctx.integrity_check())
+    fn deref(&self) -> &Self::Target {
+        &self.ctx
     }
 }
 
@@ -832,26 +385,36 @@ mod tests {
         let handle = repo.load_tree("fig1", &tree).unwrap();
         let reader = repo.reader().unwrap();
 
-        assert_eq!(reader.tree_by_name("fig1").unwrap().handle, handle);
+        assert_eq!(
+            reader.read(|v| v.tree_by_name("fig1")).unwrap().handle,
+            handle
+        );
         assert_eq!(reader.leaves(handle).unwrap().len(), 5);
-        let lla = reader.require_species_node(handle, "Lla").unwrap();
-        let spy = reader.require_species_node(handle, "Spy").unwrap();
+        let lla = reader
+            .read(|v| v.require_species_node(handle, "Lla"))
+            .unwrap();
+        let spy = reader
+            .read(|v| v.require_species_node(handle, "Spy"))
+            .unwrap();
         assert_eq!(
             reader.lca(lla, spy).unwrap(),
-            repo.lca(lla, spy).unwrap(),
+            repo.view().lca(lla, spy).unwrap(),
             "reader and writer disagree on an LCA"
         );
         assert_eq!(
             reader.lca(lla, spy).unwrap(),
-            reader.lca_label_walk(lla, spy).unwrap()
+            reader.read(|v| v.lca_label_walk(lla, spy)).unwrap()
         );
         let clade = reader.minimal_spanning_clade(&[lla, spy]).unwrap();
-        assert_eq!(clade, repo.minimal_spanning_clade(&[lla, spy]).unwrap());
+        assert_eq!(
+            clade,
+            repo.view().minimal_spanning_clade(&[lla, spy]).unwrap()
+        );
         let p = reader
-            .project_species(handle, &["Bha", "Lla", "Syn"])
+            .read(|v| v.project_species(handle, &["Bha", "Lla", "Syn"]))
             .unwrap();
         assert_eq!(p.leaf_count(), 3);
-        reader.integrity_check().unwrap();
+        reader.read(|v| v.integrity_check()).unwrap();
     }
 
     #[test]
@@ -874,15 +437,86 @@ mod tests {
         // keep seeing exactly one tree until the commit.
         repo.db.begin().unwrap();
         repo.load_tree("second", &figure1_tree()).unwrap();
-        assert_eq!(repo.list_trees().unwrap().len(), 2, "writer sees its load");
+        assert_eq!(
+            repo.view().list_trees().unwrap().len(),
+            2,
+            "writer sees its load"
+        );
         assert_eq!(
             reader.list_trees().unwrap().len(),
             1,
             "reader must not see the in-flight load"
         );
-        assert!(reader.find_tree("second").unwrap().is_none());
+        assert!(reader.read(|v| v.find_tree("second")).unwrap().is_none());
         repo.db.commit().unwrap();
         assert_eq!(reader.list_trees().unwrap().len(), 2);
-        assert!(reader.find_tree("second").unwrap().is_some());
+        assert!(reader.read(|v| v.find_tree("second")).unwrap().is_some());
+    }
+
+    #[test]
+    fn read_repins_when_its_epoch_is_retired() {
+        use std::cell::{Cell, RefCell};
+        use storage::buffer::BufferPool;
+        let dir = tempdir().unwrap();
+        let mut repo = Repository::create(
+            dir.path().join("r.crimson"),
+            RepositoryOptions {
+                frame_depth: 2,
+                buffer_pool_pages: 256,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let handle = repo.load_tree("fig1", &figure1_tree()).unwrap();
+        let reader = repo.reader().unwrap();
+        let retries_before = repo.buffer_stats().reader_retries;
+        let repo = RefCell::new(repo);
+        let crowd = RefCell::new(Vec::new());
+        let calls = Cell::new(0);
+        let leaves = reader
+            .read(|v| {
+                calls.set(calls.get() + 1);
+                if calls.get() == 1 {
+                    // Every load rewrites the tree catalog's pages. Pinning
+                    // an epoch between loads crowds more than the chain cap
+                    // of distinct epochs onto them, so this attempt's epoch,
+                    // the oldest, is retired before it reads anything.
+                    for i in 0..=BufferPool::VERSION_CHAIN_CAP {
+                        repo.borrow_mut()
+                            .load_tree(&format!("crowd{i}"), &figure1_tree())
+                            .unwrap();
+                        crowd.borrow_mut().push(reader.pin().unwrap());
+                    }
+                }
+                v.leaves(handle)
+            })
+            .unwrap();
+        assert_eq!(calls.get(), 2, "the retired attempt re-pins exactly once");
+        assert_eq!(leaves.len(), 5);
+        assert_eq!(
+            repo.borrow().buffer_stats().reader_retries,
+            retries_before + 1
+        );
+        drop(crowd);
+
+        // With no attempts left the retirement surfaces as Busy.
+        let mut reader = reader;
+        reader.set_read_retry(ReadRetry {
+            attempts: 1,
+            ..ReadRetry::default()
+        });
+        let crowd = RefCell::new(Vec::new());
+        let err = reader
+            .read(|v| {
+                for i in 0..=BufferPool::VERSION_CHAIN_CAP {
+                    repo.borrow_mut()
+                        .load_tree(&format!("again{i}"), &figure1_tree())
+                        .unwrap();
+                    crowd.borrow_mut().push(reader.pin().unwrap());
+                }
+                v.leaves(handle)
+            })
+            .unwrap_err();
+        assert!(matches!(err, CrimsonError::Busy(_)), "got {err:?}");
     }
 }

@@ -18,13 +18,16 @@
 //!
 //! ## The read surface
 //!
-//! Every pure read — catalog lookups, node/frame fetches, LCA and the
-//! structure queries in [`crate::query`] — is implemented once on
-//! [`ReadCtx`], generic over [`storage::DbRead`]. The writer's `Repository`
-//! methods delegate to it over the live [`Database`]; concurrent
-//! [`crate::reader::RepositoryReader`]s delegate to it over a snapshot
-//! [`storage::DbReader`]. All of these take `&self`; only loading,
-//! checkpointing and history recording take `&mut self`.
+//! Every read query — catalog lookups, node/frame fetches, LCA, the
+//! structure queries in [`crate::query`], sampling, comparison, content
+//! addresses, experiments, history, `integrity_check` — is defined once, on
+//! [`ReadCtx`], generic over the [`storage::DbRead`] handle it holds.
+//! [`Repository::view`] hands out the writer's `ReadCtx` over the live
+//! [`Database`] (`repo.view().lca(a, b)`); a
+//! [`crate::reader::PinnedReader`] derefs to one over a pinned
+//! [`storage::EpochView`]; [`crate::reader::RepositoryReader::read`] runs a
+//! closure on one. `Repository`'s own methods are the mutations — loading,
+//! checkpointing, history recording — and its handles and settings.
 
 use crate::cache::ShardedCache;
 use crate::depth::DepthMinima;
@@ -211,9 +214,8 @@ pub struct TreeRecord {
 
 /// Content-address summary row of a stored tree: its canonical root hash
 /// plus the distinct rooted-clade and unrooted-split counts the comparison
-/// metrics are defined over. Written at load time (or by
-/// [`Repository::backfill_clade_hashes`] for pre-hash files); the
-/// ingredients of the O(1) equal-tree compare short-circuit.
+/// metrics are defined over. Written in the same transaction as the tree;
+/// the ingredients of the O(1) equal-tree compare short-circuit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TreeStatsRecord {
     /// The tree this row summarizes.
@@ -348,7 +350,7 @@ pub struct Repository {
     recovery: Option<RecoveryReport>,
 }
 
-/// Row counts gathered by [`Repository::integrity_check`]. Every row was
+/// Row counts gathered by [`ReadCtx::integrity_check`]. Every row was
 /// verified to belong to a tree listed in the `trees` table, so a report
 /// implies there are no orphan rows from interrupted loads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -374,9 +376,6 @@ pub struct IntegrityReport {
     /// Per-clade agreement rows (each referencing an existing result and a
     /// stored node of its reconstruction).
     pub experiment_clades: u64,
-    /// Trees carrying a content-address (`tree_stats`) row. Trees loaded by
-    /// a pre-hash build may lack one until backfilled.
-    pub hashed_trees: u64,
     /// Entries in the per-tree clade-hash index (one per materialized node
     /// plus one per bridge of every hashed tree).
     pub hash_entries: u64,
@@ -468,32 +467,34 @@ pub(crate) struct NodeAtRank {
     pub rid: storage::RecordId,
 }
 
-/// The repository's read engine: every pure read is implemented here once,
-/// generic over [`DbRead`]. `Repository` instantiates it over the live
-/// [`Database`] (the writer sees its own uncommitted state);
-/// [`crate::reader::RepositoryReader`] instantiates it over a
-/// [`storage::DbReader`] snapshot (concurrent readers see the last
-/// committed state).
-pub(crate) struct ReadCtx<'a, D> {
-    pub(crate) db: &'a D,
+/// The repository's read surface: every read query is defined here once,
+/// generic over the [`DbRead`] handle `D` it holds. Three handles hand one
+/// out:
+///
+/// * [`Repository::view`] — `D = &Database`, the writer's own current
+///   view (it sees its uncommitted state);
+/// * [`crate::reader::PinnedReader`] — derefs to `D = EpochView`, one
+///   pinned committed epoch for as long as the guard lives;
+/// * [`crate::reader::RepositoryReader::read`] — pins a fresh epoch per
+///   call and re-pins on [`storage::StorageError::SnapshotRetired`].
+///
+/// The row, interval-entry and depth-minima caches it reads through belong
+/// to the handle that made it.
+#[derive(Clone, Copy)]
+pub struct ReadCtx<'a, D> {
+    pub(crate) db: D,
     pub(crate) tables: Tables,
     pub(crate) records: &'a ShardedCache<StoredNodeId, Arc<NodeRecord>>,
     pub(crate) entries: &'a ShardedCache<u64, NodeAtRank>,
     pub(crate) minima: &'a ShardedCache<u64, Arc<DepthMinima>>,
 }
 
-impl<'a, D> Clone for ReadCtx<'a, D> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<'a, D> Copy for ReadCtx<'a, D> {}
-
 impl<'a, D: DbRead> ReadCtx<'a, D> {
     // ------------------------------------------------------------------
     // Catalog access
     // ------------------------------------------------------------------
 
+    /// Look up a tree by name.
     pub fn find_tree(&self, name: &str) -> CrimsonResult<Option<TreeRecord>> {
         let rows = self
             .db
@@ -504,11 +505,13 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             .map(|(_, row)| decode_tree_row(&row)))
     }
 
+    /// Look up a tree by name, failing when absent.
     pub fn tree_by_name(&self, name: &str) -> CrimsonResult<TreeRecord> {
         self.find_tree(name)?
             .ok_or_else(|| CrimsonError::UnknownTree(name.to_string()))
     }
 
+    /// Look up a tree by handle.
     pub fn tree_record(&self, handle: TreeHandle) -> CrimsonResult<TreeRecord> {
         let rows =
             self.db
@@ -519,6 +522,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             .ok_or(CrimsonError::UnknownTreeId(handle.0))
     }
 
+    /// All trees currently loaded.
     pub fn list_trees(&self) -> CrimsonResult<Vec<TreeRecord>> {
         let rows = self.db.scan(self.tables.trees)?;
         Ok(rows.iter().map(|(_, row)| decode_tree_row(row)).collect())
@@ -528,10 +532,15 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     // Node / frame access
     // ------------------------------------------------------------------
 
+    /// Fetch a node row (served from the repository's record cache when
+    /// warm; node rows are immutable once loaded, so cached entries never go
+    /// stale).
     pub fn node_record(&self, id: StoredNodeId) -> CrimsonResult<NodeRecord> {
         Ok((*self.node_record_arc(id)?).clone())
     }
 
+    /// Fetch a node row as a shared handle — the zero-copy variant the query
+    /// engine uses internally.
     pub fn node_record_arc(&self, id: StoredNodeId) -> CrimsonResult<Arc<NodeRecord>> {
         if let Some(rec) = self.records.get(&id) {
             return Ok(rec);
@@ -544,7 +553,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     /// Fetch a node row through its physical record id (the locator the
     /// interval index stores), skipping the node-id index descent. One heap
     /// page read on a cache miss.
-    pub fn node_record_by_locator(
+    pub(crate) fn node_record_by_locator(
         &self,
         id: StoredNodeId,
         rid: storage::RecordId,
@@ -564,6 +573,8 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         Ok(rec)
     }
 
+    /// Fetch a node row straight from the node table, bypassing the record
+    /// cache. Reference path for the cache-effectiveness assertions.
     pub fn node_record_uncached(&self, id: StoredNodeId) -> CrimsonResult<NodeRecord> {
         let rows = self
             .db
@@ -574,6 +585,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             .ok_or(CrimsonError::UnknownNode(id.0))
     }
 
+    /// Fetch a frame row.
     pub fn frame_record(&self, id: StoredFrameId) -> CrimsonResult<FrameRecord> {
         let rows = self
             .db
@@ -584,6 +596,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             .ok_or(CrimsonError::UnknownNode(id.0))
     }
 
+    /// Children of a stored node (via the parent index).
     pub fn children(&self, id: StoredNodeId) -> CrimsonResult<Vec<StoredNodeId>> {
         let rows = self
             .db
@@ -594,6 +607,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             .collect())
     }
 
+    /// The leaf node a species name maps to in the given tree, if any.
     pub fn species_node(
         &self,
         handle: TreeHandle,
@@ -611,6 +625,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         Ok(None)
     }
 
+    /// The leaf node a species name maps to, failing when absent.
     pub fn require_species_node(
         &self,
         handle: TreeHandle,
@@ -620,6 +635,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             .ok_or_else(|| CrimsonError::UnknownSpecies(name.to_string()))
     }
 
+    /// All leaf node ids of a tree (via the `leaf_of_tree` index).
     pub fn leaves(&self, handle: TreeHandle) -> CrimsonResult<Vec<StoredNodeId>> {
         let rows = self.db.lookup_rows(
             self.tables.nodes,
@@ -632,6 +648,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             .collect())
     }
 
+    /// Sequences stored for the given species names.
     pub fn sequences_for(
         &self,
         handle: TreeHandle,
@@ -659,6 +676,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         Ok(out)
     }
 
+    /// Number of species rows stored for a tree.
     pub fn species_count(&self, handle: TreeHandle) -> CrimsonResult<usize> {
         let rows =
             self.db
@@ -670,6 +688,15 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     // Integrity
     // ------------------------------------------------------------------
 
+    /// Verify cross-table invariants: every node, frame and species row
+    /// belongs to a tree in the catalog; per-tree node and leaf counts
+    /// match the tree row; both interval indexes hold exactly one entry per
+    /// node; each tree's depth column agrees with its block minima, its
+    /// interval entries' parent ranks and its node rows' depths; every
+    /// tree carries its `tree_stats` row and clade-hash entries; every
+    /// species row points at a leaf of its tree; the query
+    /// history parses in full. Violations — orphan rows from an interrupted
+    /// load, say — surface as [`CrimsonError::CorruptRepository`].
     pub fn integrity_check(&self) -> CrimsonResult<IntegrityReport> {
         let trees: HashMap<u64, TreeRecord> = self
             .list_trees()?
@@ -731,7 +758,12 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
                 )));
             }
         }
-        report.hashed_trees = stats.len() as u64;
+        if let Some(t) = trees.values().find(|t| !stats.contains_key(&t.handle.0)) {
+            return Err(CrimsonError::CorruptRepository(format!(
+                "tree `{}` has no tree_stats row",
+                t.name
+            )));
+        }
 
         let mut refs_by_tree: HashMap<u64, Vec<clade_hash::CladeRef>> = HashMap::new();
         {
@@ -759,14 +791,14 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
                 refs_by_tree.entry(tree).or_default().push(r);
             }
         }
-        // Every bridge must sit in a cold, hashed tree and point at a
-        // hash-identical span of a fully materialized (hot) hashed tree —
+        // Every bridge must sit in a cold tree and point at a
+        // hash-identical span of a fully materialized (hot) tree —
         // so reference chains cannot exist and every read bottoms out after
         // one hop.
         for (tree_id, refs) in &refs_by_tree {
             let Some(st) = stats.get(tree_id) else {
                 return Err(CrimsonError::CorruptRepository(format!(
-                    "tree {tree_id} carries bridges but no content address"
+                    "orphan clade refs reference missing tree {tree_id}"
                 )));
             };
             if !st.cold {
@@ -778,7 +810,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
                 report.clade_refs += 1;
                 let Some(src) = stats.get(&r.src_tree) else {
                     return Err(CrimsonError::CorruptRepository(format!(
-                        "bridge in tree {tree_id} references unhashed tree {}",
+                        "bridge in tree {tree_id} references missing tree {}",
                         r.src_tree
                     )));
                 };
@@ -816,7 +848,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
                 .get(tree_id)
                 .map(|rs| rs.iter().map(|r| (r.end - r.pre + 1) as u64).sum())
                 .unwrap_or(0);
-            if stats.get(tree_id).is_some_and(|s| s.cold) {
+            if stats[tree_id].cold {
                 // The catalog keeps logical counts; bridged nodes (leaves
                 // included) live only in the canonical source tree.
                 if nodes + bridged != tree.node_count || leaves > tree.leaf_count {
@@ -872,10 +904,9 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         report.interval_entries = by_pre;
         report.depth_blocks = self.check_depth_columns(&trees, &node_depths)?;
 
-        // Per-tree clade hashes: a hot hashed tree carries one entry per
-        // node, a cold tree one per materialized node plus one per bridge,
-        // and an unhashed (pre-hash) tree none. The stats root hash must
-        // match the entry stored at rank 0.
+        // Per-tree clade hashes: a hot tree carries one entry per node, a
+        // cold tree one per materialized node plus one per bridge. The
+        // stats root hash must match the entry stored at rank 0.
         let mut hash_counts: HashMap<u64, u64> = HashMap::new();
         let mut qualifying: HashMap<u64, u64> = HashMap::new();
         {
@@ -908,17 +939,16 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         }
         for (tree_id, tree) in &trees {
             let have = hash_counts.get(tree_id).copied().unwrap_or(0);
-            let expected = match stats.get(tree_id) {
-                None => 0,
-                Some(st) if st.cold => {
-                    let refs = refs_by_tree.get(tree_id);
-                    let bridged: u64 = refs
-                        .map(|rs| rs.iter().map(|r| (r.end - r.pre + 1) as u64).sum())
-                        .unwrap_or(0);
-                    let n_refs = refs.map_or(0, |rs| rs.len() as u64);
-                    tree.node_count - bridged + n_refs
-                }
-                Some(_) => tree.node_count,
+            let st = &stats[tree_id];
+            let expected = if st.cold {
+                let refs = refs_by_tree.get(tree_id);
+                let bridged: u64 = refs
+                    .map(|rs| rs.iter().map(|r| (r.end - r.pre + 1) as u64).sum())
+                    .unwrap_or(0);
+                let n_refs = refs.map_or(0, |rs| rs.len() as u64);
+                tree.node_count - bridged + n_refs
+            } else {
+                tree.node_count
             };
             if have != expected {
                 return Err(CrimsonError::CorruptRepository(format!(
@@ -927,23 +957,21 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
                 )));
             }
             report.hash_entries += have;
-            if let Some(st) = stats.get(tree_id) {
-                match self.subtree_hash_at(st.handle, 0)? {
-                    Some((h, end)) if h == st.root_hash && end as u64 == tree.node_count - 1 => {}
-                    _ => {
-                        return Err(CrimsonError::CorruptRepository(format!(
-                            "stats root hash of tree `{}` contradicts its stored entry",
-                            tree.name
-                        )));
-                    }
+            match self.subtree_hash_at(st.handle, 0)? {
+                Some((h, end)) if h == st.root_hash && end as u64 == tree.node_count - 1 => {}
+                _ => {
+                    return Err(CrimsonError::CorruptRepository(format!(
+                        "stats root hash of tree `{}` contradicts its stored entry",
+                        tree.name
+                    )));
                 }
             }
         }
 
         // Global hash index: every entry must decode, belong to a hot
-        // hashed tree, agree with that tree's per-tree entry, and meet the
+        // tree, agree with that tree's per-tree entry, and meet the
         // publication threshold; conversely every qualifying span of a hot
-        // hashed tree must be published.
+        // tree must be published.
         {
             let mut malformed = false;
             let mut entries: Vec<(CladeHash, u64, u32)> = Vec::new();
@@ -968,7 +996,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             for (hash, tree, pre) in entries {
                 let Some(st) = stats.get(&tree) else {
                     return Err(CrimsonError::CorruptRepository(format!(
-                        "global hash index references unhashed tree {tree}"
+                        "global hash index references missing tree {tree}"
                     )));
                 };
                 if st.cold {
@@ -994,7 +1022,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             }
             let expected_global: u64 = trees
                 .keys()
-                .filter(|id| stats.get(id).is_some_and(|s| !s.cold))
+                .filter(|id| !stats[*id].cold)
                 .map(|id| qualifying.get(id).copied().unwrap_or(0))
                 .sum();
             if report.global_hash_entries != expected_global {
@@ -1077,6 +1105,8 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     // Structure primitives over the persistent interval index
     // ------------------------------------------------------------------
 
+    /// The packed `[pre, end]` interval of a stored node: one point lookup
+    /// in the `ivl_by_node` raw index, no row decode.
     pub fn interval_of(&self, id: StoredNodeId) -> CrimsonResult<(u32, u32)> {
         let packed = self
             .db
@@ -1155,7 +1185,20 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             .collect())
     }
 
-    /// Least common ancestor of two stored nodes (see [`Repository::lca`]).
+    /// Least common ancestor of two stored nodes: a range-minimum query
+    /// over the tree's pre-order depth column.
+    ///
+    /// Both node rows are resolved first (through the record cache), so an
+    /// unknown id is [`CrimsonError::UnknownNode`] even for `lca(x, x)`;
+    /// nodes of different trees are [`CrimsonError::InvalidSample`]. This
+    /// is the same path as each consecutive pair of [`ReadCtx::project`]:
+    /// for `pre(a) < pre(b)`, a leaf `a` is never an ancestor and an
+    /// internal `a` is tested against its interval; otherwise the LCA is
+    /// the parent of the shallowest rank in `(pre(a), pre(b)]` — the cached
+    /// block minima plus at most two partial depth blocks, then the LCA's
+    /// interval entry and row — a constant number of page reads however
+    /// deep the tree is. The answer is checked against the interval index
+    /// and the LCA's row before it is returned.
     pub fn lca(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
         let (ra, rb) = (self.node_record_arc(a)?, self.node_record_arc(b)?);
         if ra.tree != rb.tree {
@@ -1174,6 +1217,11 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         Ok(self.consecutive_lcas(a.0 >> TREE_SHIFT, &sel)?[0].id)
     }
 
+    /// `true` when `ancestor` is an ancestor-or-self of `node`: two interval
+    /// lookups and two integer comparisons (§2.2's LCA test, at the cost the
+    /// XML-indexing literature promises for interval labels). Both ids must
+    /// exist ([`CrimsonError::UnknownNode`] otherwise); nodes of different
+    /// trees are never ancestors of each other.
     pub fn is_ancestor(&self, ancestor: StoredNodeId, node: StoredNodeId) -> CrimsonResult<bool> {
         let (pa, ea) = self.interval_of(ancestor)?;
         let (pn, _) = self.interval_of(node)?;
@@ -1185,7 +1233,13 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     // ------------------------------------------------------------------
 
     /// Least common ancestor computed from the stored hierarchical Dewey
-    /// labels (see [`Repository::lca_label_walk`]).
+    /// labels (local prefix within a frame; source-node hops across frames),
+    /// exactly as §2.1 describes.
+    ///
+    /// This is the pre-interval-index implementation, kept as the reference
+    /// the property tests cross-validate [`ReadCtx::lca`] against and as
+    /// the baseline for the page-read comparisons. It pays one full row
+    /// decode per node visited.
     pub fn lca_label_walk(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
         if a == b {
             return Ok(a);
@@ -1405,7 +1459,7 @@ impl Repository {
             quarantined_pages: self.db.quarantined_pages(),
             ..DegradedReport::default()
         };
-        match self.ctx().list_trees() {
+        match self.view().list_trees() {
             Ok(trees) => {
                 for tree in trees {
                     match self.probe_tree(&tree) {
@@ -1418,7 +1472,7 @@ impl Repository {
                 .unreadable_trees
                 .push(("<tree catalog>".into(), e.to_string())),
         }
-        match self.ctx().list_experiments() {
+        match self.view().list_experiments() {
             Ok(experiments) => {
                 for exp in experiments {
                     match self.probe_experiment(exp.id) {
@@ -1440,7 +1494,7 @@ impl Repository {
     /// column, every leaf's node row and interval entry. Damage on any of those pages
     /// surfaces as the typed error the caller records.
     fn probe_tree(&self, tree: &TreeRecord) -> CrimsonResult<()> {
-        let ctx = self.ctx();
+        let ctx = self.view();
         ctx.interval_of(tree.root)?;
         ctx.probe_depth_column(tree.handle.0)?;
         for leaf in ctx.leaves(tree.handle)? {
@@ -1453,15 +1507,18 @@ impl Repository {
 
     /// Touch an experiment's result and clade rows.
     fn probe_experiment(&self, id: u64) -> CrimsonResult<()> {
-        let ctx = self.ctx();
+        let ctx = self.view();
         for result in ctx.experiment_results(id)? {
             ctx.experiment_clades(result.id)?;
         }
         Ok(())
     }
 
-    /// The read engine over the writer's own (current) view.
-    pub(crate) fn ctx(&self) -> ReadCtx<'_, Database> {
+    /// The read surface over the writer's own current view: every read
+    /// query is a method of the returned [`ReadCtx`], e.g.
+    /// `repo.view().lca(a, b)`. Inside an open transaction it sees the
+    /// writer's uncommitted rows; concurrent readers never do.
+    pub fn view(&self) -> ReadCtx<'_, &Database> {
         ReadCtx {
             db: &self.db,
             tables: self.tables,
@@ -1475,7 +1532,7 @@ impl Repository {
     /// other threads while this value keeps loading: they see the last
     /// committed state and never block behind an in-flight transaction.
     pub fn reader(&self) -> CrimsonResult<crate::reader::RepositoryReader> {
-        crate::reader::RepositoryReader::new(self)
+        Ok(crate::reader::RepositoryReader::new(self))
     }
 
     /// The options this repository was opened with.
@@ -1491,13 +1548,8 @@ impl Repository {
     }
 
     /// Checkpoint: write all dirty state to the data file and truncate the
-    /// write-ahead log. Before checkpointing, any tree stored by a pre-hash
-    /// build gets its content address backfilled, so old files upgrade in
-    /// place the first time they are flushed by a hash-aware build.
+    /// write-ahead log.
     pub fn flush(&mut self) -> CrimsonResult<()> {
-        if !self.db.read_only() && !self.db.is_poisoned() {
-            self.backfill_clade_hashes()?;
-        }
         self.db.flush()?;
         Ok(())
     }
@@ -1654,12 +1706,12 @@ impl Repository {
     /// Incremental media scrub: verify every page's checksum (backfilling,
     /// repairing from the WAL or quarantining as appropriate — see
     /// [`storage::buffer::BufferPool::scrub`]), then cross-check the page
-    /// scan with the logical [`Repository::integrity_check`] when no page
+    /// scan with the logical [`ReadCtx::integrity_check`] when no page
     /// is quarantined.
     pub fn scrub(&self, opts: ScrubOptions) -> CrimsonResult<ScrubReport> {
         let pages = self.db.scrub(opts)?;
         let integrity = if pages.pages_quarantined == 0 {
-            Some(self.ctx().integrity_check()?)
+            Some(self.view().integrity_check()?)
         } else {
             // Quarantined pages make the row-level walk fail by
             // construction; the page-level report already carries the bad
@@ -1762,7 +1814,7 @@ impl Repository {
         if tree.is_empty() {
             return Err(CrimsonError::Phylo(phylo::PhyloError::EmptyTree));
         }
-        if self.find_tree(name)?.is_some() {
+        if self.view().find_tree(name)?.is_some() {
             return Err(CrimsonError::DuplicateTree(name.to_string()));
         }
         let tree_id = self.next_tree_id()?;
@@ -1996,7 +2048,7 @@ impl Repository {
         if tree.is_empty() {
             return Err(CrimsonError::Phylo(phylo::PhyloError::EmptyTree));
         }
-        if self.find_tree(name)?.is_some() {
+        if self.view().find_tree(name)?.is_some() {
             return Err(CrimsonError::DuplicateTree(name.to_string()));
         }
         let tree_id = self.next_tree_id()?;
@@ -2170,6 +2222,7 @@ impl Repository {
             Vec::with_capacity(sequences.len());
         for (name, seq) in sequences {
             let node = self
+                .view()
                 .species_node(handle, name)?
                 .ok_or_else(|| CrimsonError::UnknownSpecies(name.clone()))?;
             resolved.push((name, node, seq));
@@ -2214,153 +2267,6 @@ impl Repository {
             .max()
             .unwrap_or(0);
         Ok(if rows.is_empty() { 1 } else { max + 1 })
-    }
-
-    // ------------------------------------------------------------------
-    // Read surface (delegates to the shared engine; all `&self`)
-    // ------------------------------------------------------------------
-
-    /// Look up a tree by name.
-    pub fn find_tree(&self, name: &str) -> CrimsonResult<Option<TreeRecord>> {
-        self.ctx().find_tree(name)
-    }
-
-    /// Look up a tree by name, failing when absent.
-    pub fn tree_by_name(&self, name: &str) -> CrimsonResult<TreeRecord> {
-        self.ctx().tree_by_name(name)
-    }
-
-    /// Look up a tree by handle.
-    pub fn tree_record(&self, handle: TreeHandle) -> CrimsonResult<TreeRecord> {
-        self.ctx().tree_record(handle)
-    }
-
-    /// All trees currently loaded.
-    pub fn list_trees(&self) -> CrimsonResult<Vec<TreeRecord>> {
-        self.ctx().list_trees()
-    }
-
-    /// Fetch a node row (served from the repository's record cache when
-    /// warm; node rows are immutable once loaded, so cached entries never go
-    /// stale).
-    pub fn node_record(&self, id: StoredNodeId) -> CrimsonResult<NodeRecord> {
-        self.ctx().node_record(id)
-    }
-
-    /// Fetch a node row as a shared handle — the zero-copy variant the query
-    /// engine uses internally.
-    pub fn node_record_arc(&self, id: StoredNodeId) -> CrimsonResult<Arc<NodeRecord>> {
-        self.ctx().node_record_arc(id)
-    }
-
-    /// Fetch a node row straight from the node table, bypassing the record
-    /// cache. Reference path for the cache-effectiveness assertions.
-    pub fn node_record_uncached(&self, id: StoredNodeId) -> CrimsonResult<NodeRecord> {
-        self.ctx().node_record_uncached(id)
-    }
-
-    /// Fetch a frame row.
-    pub fn frame_record(&self, id: StoredFrameId) -> CrimsonResult<FrameRecord> {
-        self.ctx().frame_record(id)
-    }
-
-    /// Children of a stored node (via the parent index).
-    pub fn children(&self, id: StoredNodeId) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().children(id)
-    }
-
-    /// The leaf node a species name maps to in the given tree, if any.
-    pub fn species_node(
-        &self,
-        handle: TreeHandle,
-        name: &str,
-    ) -> CrimsonResult<Option<StoredNodeId>> {
-        self.ctx().species_node(handle, name)
-    }
-
-    /// The leaf node a species name maps to, failing when absent.
-    pub fn require_species_node(
-        &self,
-        handle: TreeHandle,
-        name: &str,
-    ) -> CrimsonResult<StoredNodeId> {
-        self.ctx().require_species_node(handle, name)
-    }
-
-    /// All leaf node ids of a tree (via the `leaf_of_tree` index).
-    pub fn leaves(&self, handle: TreeHandle) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().leaves(handle)
-    }
-
-    /// Sequences stored for the given species names.
-    pub fn sequences_for(
-        &self,
-        handle: TreeHandle,
-        names: &[String],
-    ) -> CrimsonResult<HashMap<String, String>> {
-        self.ctx().sequences_for(handle, names)
-    }
-
-    /// Number of species rows stored for a tree.
-    pub fn species_count(&self, handle: TreeHandle) -> CrimsonResult<usize> {
-        self.ctx().species_count(handle)
-    }
-
-    /// Verify cross-table invariants: every node, frame and species row
-    /// belongs to a tree in the catalog; per-tree node and leaf counts
-    /// match the tree row; both interval indexes hold exactly one entry per
-    /// node; each tree's depth column agrees with its block minima, its
-    /// interval entries' parent ranks and its node rows' depths; every
-    /// species row points at a leaf of its tree; the query
-    /// history parses in full. Violations — orphan rows from an interrupted
-    /// load, say — surface as [`CrimsonError::CorruptRepository`].
-    pub fn integrity_check(&self) -> CrimsonResult<IntegrityReport> {
-        self.ctx().integrity_check()
-    }
-
-    /// The packed `[pre, end]` interval of a stored node: one point lookup
-    /// in the `ivl_by_node` raw index, no row decode.
-    pub fn interval_of(&self, id: StoredNodeId) -> CrimsonResult<(u32, u32)> {
-        self.ctx().interval_of(id)
-    }
-
-    /// Least common ancestor of two stored nodes: a range-minimum query
-    /// over the tree's pre-order depth column.
-    ///
-    /// Both node rows are resolved first (through the record cache), so an
-    /// unknown id is [`CrimsonError::UnknownNode`] even for `lca(x, x)`;
-    /// nodes of different trees are [`CrimsonError::InvalidSample`]. This
-    /// is the same path as each consecutive pair of [`Repository::project`]:
-    /// for `pre(a) < pre(b)`, a leaf `a` is never an ancestor and an
-    /// internal `a` is tested against its interval; otherwise the LCA is
-    /// the parent of the shallowest rank in `(pre(a), pre(b)]` — the cached
-    /// block minima plus at most two partial depth blocks, then the LCA's
-    /// interval entry and row — a constant number of page reads however
-    /// deep the tree is. The answer is checked against the interval index
-    /// and the LCA's row before it is returned.
-    pub fn lca(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
-        self.ctx().lca(a, b)
-    }
-
-    /// `true` when `ancestor` is an ancestor-or-self of `node`: two interval
-    /// lookups and two integer comparisons (§2.2's LCA test, at the cost the
-    /// XML-indexing literature promises for interval labels). Both ids must
-    /// exist ([`CrimsonError::UnknownNode`] otherwise); nodes of different
-    /// trees are never ancestors of each other.
-    pub fn is_ancestor(&self, ancestor: StoredNodeId, node: StoredNodeId) -> CrimsonResult<bool> {
-        self.ctx().is_ancestor(ancestor, node)
-    }
-
-    /// Least common ancestor computed from the stored hierarchical Dewey
-    /// labels (local prefix within a frame; source-node hops across frames),
-    /// exactly as §2.1 describes.
-    ///
-    /// This is the pre-interval-index implementation, kept as the reference
-    /// the property tests cross-validate [`Repository::lca`] against and as
-    /// the baseline for the page-read comparisons. It pays one full row
-    /// decode per node visited.
-    pub fn lca_label_walk(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
-        self.ctx().lca_label_walk(a, b)
     }
 }
 
@@ -2593,24 +2499,24 @@ mod tests {
         let (_d, mut repo) = repo();
         let tree = figure1_tree();
         let handle = repo.load_tree("fig1", &tree).unwrap();
-        let rec = repo.tree_by_name("fig1").unwrap();
+        let rec = repo.view().tree_by_name("fig1").unwrap();
         assert_eq!(rec.handle, handle);
         assert_eq!(rec.node_count, 8);
         assert_eq!(rec.leaf_count, 5);
         assert_eq!(rec.frame_depth, 2);
 
-        let lla = repo.require_species_node(handle, "Lla").unwrap();
-        let rec = repo.node_record(lla).unwrap();
+        let lla = repo.view().require_species_node(handle, "Lla").unwrap();
+        let rec = repo.view().node_record(lla).unwrap();
         assert!(rec.is_leaf);
         assert_eq!(rec.depth, 3);
         assert!((rec.root_distance - 3.0).abs() < 1e-12);
         assert_eq!(rec.name.as_deref(), Some("Lla"));
 
-        let root = repo.tree_by_name("fig1").unwrap().root;
-        let root_rec = repo.node_record(root).unwrap();
+        let root = repo.view().tree_by_name("fig1").unwrap().root;
+        let root_rec = repo.view().node_record(root).unwrap();
         assert_eq!(root_rec.parent, None);
-        assert_eq!(repo.children(root).unwrap().len(), 3);
-        assert_eq!(repo.leaves(handle).unwrap().len(), 5);
+        assert_eq!(repo.view().children(root).unwrap().len(), 3);
+        assert_eq!(repo.view().leaves(handle).unwrap().len(), 5);
     }
 
     #[test]
@@ -2633,15 +2539,15 @@ mod tests {
         let names = ["Bha", "Lla", "Spy", "Syn", "Bsu"];
         for a in names {
             for b in names {
-                let sa = repo.require_species_node(handle, a).unwrap();
-                let sb = repo.require_species_node(handle, b).unwrap();
-                let stored_lca = repo.lca(sa, sb).unwrap();
+                let sa = repo.view().require_species_node(handle, a).unwrap();
+                let sb = repo.view().require_species_node(handle, b).unwrap();
+                let stored_lca = repo.view().lca(sa, sb).unwrap();
                 let mem_lca = tree.lca(
                     tree.find_leaf_by_name(a).unwrap(),
                     tree.find_leaf_by_name(b).unwrap(),
                 );
                 // Compare via names / depth (stored ids differ from NodeIds).
-                let stored_rec = repo.node_record(stored_lca).unwrap();
+                let stored_rec = repo.view().node_record(stored_lca).unwrap();
                 assert_eq!(
                     stored_rec.depth as usize,
                     tree.depth(mem_lca),
@@ -2676,12 +2582,17 @@ mod tests {
                     let a = leaves[i];
                     let b = leaves[j];
                     let sa = repo
+                        .view()
                         .require_species_node(handle, tree.name(a).unwrap())
                         .unwrap();
                     let sb = repo
+                        .view()
                         .require_species_node(handle, tree.name(b).unwrap())
                         .unwrap();
-                    let stored = repo.node_record(repo.lca(sa, sb).unwrap()).unwrap();
+                    let stored = repo
+                        .view()
+                        .node_record(repo.view().lca(sa, sb).unwrap())
+                        .unwrap();
                     let expected = tree.lca(a, b);
                     assert_eq!(stored.depth as usize, tree.depth(expected), "f={f} {a} {b}");
                 }
@@ -2694,13 +2605,13 @@ mod tests {
         let (_d, mut repo) = repo();
         let tree = figure1_tree();
         let handle = repo.load_tree("fig1", &tree).unwrap();
-        let root = repo.tree_by_name("fig1").unwrap().root;
-        let lla = repo.require_species_node(handle, "Lla").unwrap();
-        let syn = repo.require_species_node(handle, "Syn").unwrap();
-        assert!(repo.is_ancestor(root, lla).unwrap());
-        assert!(repo.is_ancestor(lla, lla).unwrap());
-        assert!(!repo.is_ancestor(lla, root).unwrap());
-        assert!(!repo.is_ancestor(syn, lla).unwrap());
+        let root = repo.view().tree_by_name("fig1").unwrap().root;
+        let lla = repo.view().require_species_node(handle, "Lla").unwrap();
+        let syn = repo.view().require_species_node(handle, "Syn").unwrap();
+        assert!(repo.view().is_ancestor(root, lla).unwrap());
+        assert!(repo.view().is_ancestor(lla, lla).unwrap());
+        assert!(!repo.view().is_ancestor(lla, root).unwrap());
+        assert!(!repo.view().is_ancestor(syn, lla).unwrap());
     }
 
     #[test]
@@ -2712,12 +2623,15 @@ mod tests {
         seqs.insert("Bha".to_string(), "ACGT".to_string());
         seqs.insert("Lla".to_string(), "ACGA".to_string());
         assert_eq!(repo.load_species(handle, &seqs).unwrap(), 2);
-        assert_eq!(repo.species_count(handle).unwrap(), 2);
-        let got = repo.sequences_for(handle, &["Bha".to_string()]).unwrap();
+        assert_eq!(repo.view().species_count(handle).unwrap(), 2);
+        let got = repo
+            .view()
+            .sequences_for(handle, &["Bha".to_string()])
+            .unwrap();
         assert_eq!(got["Bha"], "ACGT");
         // Missing sequence is an error.
         assert!(matches!(
-            repo.sequences_for(handle, &["Syn".to_string()]),
+            repo.view().sequences_for(handle, &["Syn".to_string()]),
             Err(CrimsonError::MissingSequences(_))
         ));
         // Unknown species rejected on load.
@@ -2737,13 +2651,13 @@ mod tests {
             .load_tree("balanced", &balanced_binary(4, 1.0))
             .unwrap();
         assert_ne!(h1, h2);
-        assert_eq!(repo.list_trees().unwrap().len(), 2);
-        assert_eq!(repo.leaves(h1).unwrap().len(), 5);
-        assert_eq!(repo.leaves(h2).unwrap().len(), 16);
+        assert_eq!(repo.view().list_trees().unwrap().len(), 2);
+        assert_eq!(repo.view().leaves(h1).unwrap().len(), 5);
+        assert_eq!(repo.view().leaves(h2).unwrap().len(), 16);
         // Name lookups are scoped per tree even though both trees may share
         // leaf names.
-        assert!(repo.species_node(h1, "T3").unwrap().is_none());
-        assert!(repo.species_node(h2, "T3").unwrap().is_some());
+        assert!(repo.view().species_node(h1, "T3").unwrap().is_none());
+        assert!(repo.view().species_node(h2, "T3").unwrap().is_some());
     }
 
     #[test]
@@ -2765,11 +2679,14 @@ mod tests {
             repo.flush().unwrap();
         }
         let repo = Repository::open(&path, RepositoryOptions::default()).unwrap();
-        let rec = repo.tree_by_name("fig1").unwrap();
+        let rec = repo.view().tree_by_name("fig1").unwrap();
         assert_eq!(rec.handle, handle);
-        let lla = repo.require_species_node(handle, "Lla").unwrap();
-        let spy = repo.require_species_node(handle, "Spy").unwrap();
-        let lca = repo.node_record(repo.lca(lla, spy).unwrap()).unwrap();
+        let lla = repo.view().require_species_node(handle, "Lla").unwrap();
+        let spy = repo.view().require_species_node(handle, "Spy").unwrap();
+        let lca = repo
+            .view()
+            .node_record(repo.view().lca(lla, spy).unwrap())
+            .unwrap();
         assert_eq!(lca.depth, 2);
     }
 
@@ -2777,15 +2694,15 @@ mod tests {
     fn unknown_lookups_error() {
         let (_d, repo) = repo();
         assert!(matches!(
-            repo.tree_by_name("ghost"),
+            repo.view().tree_by_name("ghost"),
             Err(CrimsonError::UnknownTree(_))
         ));
         assert!(matches!(
-            repo.node_record(StoredNodeId(999)),
+            repo.view().node_record(StoredNodeId(999)),
             Err(CrimsonError::UnknownNode(_))
         ));
         assert!(matches!(
-            repo.tree_record(TreeHandle(42)),
+            repo.view().tree_record(TreeHandle(42)),
             Err(CrimsonError::UnknownTreeId(42))
         ));
     }
@@ -2797,8 +2714,8 @@ mod tests {
         let h2 = repo
             .load_tree("balanced", &balanced_binary(2, 1.0))
             .unwrap();
-        let known = repo.tree_record(h1).unwrap().root;
-        let other = repo.tree_record(h2).unwrap().root;
+        let known = repo.view().tree_record(h1).unwrap().root;
+        let other = repo.view().tree_record(h2).unwrap().root;
         // Ids in an existing tree's id space but past its node count, in a
         // missing tree's id space, and at the top of the id space.
         let ghosts = [
@@ -2809,22 +2726,22 @@ mod tests {
         let unknown = |r: CrimsonResult<_>| matches!(r, Err(CrimsonError::UnknownNode(_)));
         for ghost in ghosts {
             assert!(
-                unknown(repo.lca(ghost, ghost).map(|_| ())),
+                unknown(repo.view().lca(ghost, ghost).map(|_| ())),
                 "lca({ghost}, {ghost})"
             );
-            assert!(unknown(repo.lca(ghost, known).map(|_| ())));
-            assert!(unknown(repo.lca(other, ghost).map(|_| ())));
-            assert!(unknown(repo.is_ancestor(ghost, ghost).map(|_| ())));
-            assert!(unknown(repo.is_ancestor(ghost, known).map(|_| ())));
-            assert!(unknown(repo.is_ancestor(known, ghost).map(|_| ())));
-            assert!(unknown(repo.is_ancestor(other, ghost).map(|_| ())));
+            assert!(unknown(repo.view().lca(ghost, known).map(|_| ())));
+            assert!(unknown(repo.view().lca(other, ghost).map(|_| ())));
+            assert!(unknown(repo.view().is_ancestor(ghost, ghost).map(|_| ())));
+            assert!(unknown(repo.view().is_ancestor(ghost, known).map(|_| ())));
+            assert!(unknown(repo.view().is_ancestor(known, ghost).map(|_| ())));
+            assert!(unknown(repo.view().is_ancestor(other, ghost).map(|_| ())));
         }
         // Known nodes keep their answers: self-pairs, and distinct trees.
-        assert_eq!(repo.lca(known, known).unwrap(), known);
-        assert!(repo.is_ancestor(known, known).unwrap());
-        assert!(!repo.is_ancestor(known, other).unwrap());
+        assert_eq!(repo.view().lca(known, known).unwrap(), known);
+        assert!(repo.view().is_ancestor(known, known).unwrap());
+        assert!(!repo.view().is_ancestor(known, other).unwrap());
         assert!(matches!(
-            repo.lca(known, other),
+            repo.view().lca(known, other),
             Err(CrimsonError::InvalidSample(_))
         ));
         let reader = repo.reader().unwrap();

@@ -10,7 +10,7 @@
 //! under each frontier node.
 
 use crate::error::{CrimsonError, CrimsonResult};
-use crate::repository::{ReadCtx, Repository, StoredNodeId, TreeHandle};
+use crate::repository::{ReadCtx, StoredNodeId, TreeHandle};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -162,7 +162,7 @@ impl<D: DbRead> ReadCtx<'_, D> {
         Ok(picked)
     }
 
-    /// The evolutionary-time frontier used by [`Repository::sample_by_time`]:
+    /// The evolutionary-time frontier used by [`ReadCtx::sample_by_time`]:
     /// the **maximal nodes whose clade age (subtree height) is at most
     /// `time`** — every node below the frontier diverged from its frontier
     /// ancestor within the last `time` units.
@@ -173,7 +173,7 @@ impl<D: DbRead> ReadCtx<'_, D> {
     /// total weight from the root exceeds t", which on the same tree would
     /// give a different, smaller set; the worked example is taken as the
     /// authoritative semantics — see DESIGN.md. The literal prose predicate
-    /// is available as [`Repository::root_distance_frontier`].)
+    /// is available as [`ReadCtx::root_distance_frontier`].)
     ///
     /// Implemented with a range scan over the `subtree_height` index followed
     /// by a parent check, so only the candidate rows are read.
@@ -284,77 +284,10 @@ impl<D: DbRead> ReadCtx<'_, D> {
     }
 }
 
-impl Repository {
-    /// Execute a sampling strategy, returning the selected leaf nodes.
-    pub fn sample(
-        &self,
-        handle: TreeHandle,
-        strategy: &SamplingStrategy,
-        seed: u64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().sample(handle, strategy, seed)
-    }
-
-    /// Uniformly sample `k` distinct species from the tree.
-    pub fn sample_uniform(
-        &self,
-        handle: TreeHandle,
-        k: usize,
-        seed: u64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().sample_uniform(handle, k, seed)
-    }
-
-    /// Sample `k` species with respect to evolutionary time `time` (§2.2).
-    pub fn sample_by_time(
-        &self,
-        handle: TreeHandle,
-        time: f64,
-        k: usize,
-        seed: u64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().sample_by_time(handle, time, k, seed)
-    }
-
-    /// The evolutionary-time frontier used by [`Repository::sample_by_time`].
-    pub fn time_frontier(&self, handle: TreeHandle, time: f64) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().time_frontier(handle, time)
-    }
-
-    /// The literal frontier from the paper's prose: the minimal nodes whose
-    /// cumulative distance from the root is at least `time`.
-    pub fn root_distance_frontier(
-        &self,
-        handle: TreeHandle,
-        time: f64,
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().root_distance_frontier(handle, time)
-    }
-
-    /// All leaves in the subtree rooted at `node`.
-    pub fn leaves_under(&self, node: StoredNodeId) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().leaves_under(node)
-    }
-
-    /// Resolve an explicit list of species names to leaf nodes.
-    pub fn sample_by_names(
-        &self,
-        handle: TreeHandle,
-        names: &[&str],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        self.ctx().sample_by_names(handle, names)
-    }
-
-    /// Convenience: the names of a set of stored leaf nodes.
-    pub fn names_of(&self, nodes: &[StoredNodeId]) -> CrimsonResult<Vec<String>> {
-        self.ctx().names_of(nodes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repository::RepositoryOptions;
+    use crate::repository::{Repository, RepositoryOptions};
     use phylo::builder::figure1_tree;
     use simulation::birth_death::yule_tree;
     use std::collections::HashSet;
@@ -379,23 +312,23 @@ mod tests {
     fn uniform_sampling_properties() {
         let tree = yule_tree(100, 1.0, 3);
         let (_d, repo, handle) = repo_with(&tree, 8);
-        let sample = repo.sample_uniform(handle, 20, 1).unwrap();
+        let sample = repo.view().sample_uniform(handle, 20, 1).unwrap();
         assert_eq!(sample.len(), 20);
         // Distinct leaves.
         let set: HashSet<_> = sample.iter().collect();
         assert_eq!(set.len(), 20);
         // All are leaves of this tree.
         for &n in &sample {
-            let rec = repo.node_record(n).unwrap();
+            let rec = repo.view().node_record(n).unwrap();
             assert!(rec.is_leaf);
             assert_eq!(rec.tree, handle);
         }
         // Deterministic per seed, different across seeds.
-        assert_eq!(repo.sample_uniform(handle, 20, 1).unwrap(), sample);
-        assert_ne!(repo.sample_uniform(handle, 20, 2).unwrap(), sample);
+        assert_eq!(repo.view().sample_uniform(handle, 20, 1).unwrap(), sample);
+        assert_ne!(repo.view().sample_uniform(handle, 20, 2).unwrap(), sample);
         // Errors.
-        assert!(repo.sample_uniform(handle, 0, 1).is_err());
-        assert!(repo.sample_uniform(handle, 101, 1).is_err());
+        assert!(repo.view().sample_uniform(handle, 0, 1).is_err());
+        assert!(repo.view().sample_uniform(handle, 101, 1).is_err());
     }
 
     #[test]
@@ -404,11 +337,11 @@ mod tests {
         // {Bha, x, Syn, Bsu} where x is the parent of Lla and Spy.
         let tree = figure1_tree();
         let (_d, repo, handle) = repo_with(&tree, 2);
-        let frontier = repo.time_frontier(handle, 1.0).unwrap();
+        let frontier = repo.view().time_frontier(handle, 1.0).unwrap();
         assert_eq!(frontier.len(), 4);
         let mut names: Vec<Option<String>> = frontier
             .iter()
-            .map(|&n| repo.node_record(n).unwrap().name)
+            .map(|&n| repo.view().node_record(n).unwrap().name)
             .collect();
         names.sort();
         // Three named nodes (Bha, Bsu, Syn) and one unnamed interior (x).
@@ -424,11 +357,11 @@ mod tests {
         // The unnamed frontier node is the parent of Lla and Spy at depth 2.
         let x = frontier
             .iter()
-            .find(|&&n| repo.node_record(n).unwrap().name.is_none())
+            .find(|&&n| repo.view().node_record(n).unwrap().name.is_none())
             .copied()
             .unwrap();
-        assert_eq!(repo.node_record(x).unwrap().depth, 2);
-        assert_eq!(repo.leaves_under(x).unwrap().len(), 2);
+        assert_eq!(repo.view().node_record(x).unwrap().depth, 2);
+        assert_eq!(repo.view().leaves_under(x).unwrap().len(), 2);
     }
 
     #[test]
@@ -438,8 +371,9 @@ mod tests {
         let tree = figure1_tree();
         let (_d, repo, handle) = repo_with(&tree, 2);
         for seed in 0..10 {
-            let sample = repo.sample_by_time(handle, 1.0, 4, seed).unwrap();
-            let names: HashSet<String> = repo.names_of(&sample).unwrap().into_iter().collect();
+            let sample = repo.view().sample_by_time(handle, 1.0, 4, seed).unwrap();
+            let names: HashSet<String> =
+                repo.view().names_of(&sample).unwrap().into_iter().collect();
             assert_eq!(names.len(), 4);
             assert!(names.contains("Bha"));
             assert!(names.contains("Syn"));
@@ -455,9 +389,9 @@ mod tests {
         // Pick a threshold at half the tree height.
         let height = tree.root_distance(tree.leaf_ids().next().unwrap());
         let t = height / 2.0;
-        let frontier = repo.time_frontier(handle, t).unwrap();
+        let frontier = repo.view().time_frontier(handle, t).unwrap();
         assert!(!frontier.is_empty());
-        let sample = repo.sample_by_time(handle, t, 32, 5).unwrap();
+        let sample = repo.view().sample_by_time(handle, t, 32, 5).unwrap();
         assert_eq!(sample.len(), 32);
         let set: HashSet<_> = sample.iter().collect();
         assert_eq!(set.len(), 32);
@@ -465,7 +399,7 @@ mod tests {
         for &leaf in &sample {
             let mut ok = false;
             for &f in &frontier {
-                if repo.is_ancestor(f, leaf).unwrap() {
+                if repo.view().is_ancestor(f, leaf).unwrap() {
                     ok = true;
                     break;
                 }
@@ -479,18 +413,24 @@ mod tests {
         let tree = figure1_tree();
         let (_d, repo, handle) = repo_with(&tree, 2);
         // A negative clade age admits no nodes at all: empty frontier.
-        assert!(repo.sample_by_time(handle, -1.0, 2, 1).is_err());
+        assert!(repo.view().sample_by_time(handle, -1.0, 2, 1).is_err());
         // More species than exist below the frontier.
-        assert!(repo.sample_by_time(handle, 1.0, 6, 1).is_err());
-        assert!(repo.sample_by_time(handle, 1.0, 0, 1).is_err());
+        assert!(repo.view().sample_by_time(handle, 1.0, 6, 1).is_err());
+        assert!(repo.view().sample_by_time(handle, 1.0, 0, 1).is_err());
         // A very large age collapses the frontier to the root, below which
         // every species is available.
-        let all = repo.sample_by_time(handle, 100.0, 5, 1).unwrap();
+        let all = repo.view().sample_by_time(handle, 100.0, 5, 1).unwrap();
         assert_eq!(all.len(), 5);
         // The literal prose predicate (root-distance frontier) is also
         // available: at t=1 it yields the three minimal nodes crossing the
         // threshold (the unnamed clade root, Syn and Bsu).
-        assert_eq!(repo.root_distance_frontier(handle, 1.0).unwrap().len(), 3);
+        assert_eq!(
+            repo.view()
+                .root_distance_frontier(handle, 1.0)
+                .unwrap()
+                .len(),
+            3
+        );
     }
 
     #[test]
@@ -498,6 +438,7 @@ mod tests {
         let tree = figure1_tree();
         let (_d, repo, handle) = repo_with(&tree, 2);
         let sample = repo
+            .view()
             .sample(
                 handle,
                 &SamplingStrategy::UserList {
@@ -507,9 +448,12 @@ mod tests {
             )
             .unwrap();
         assert_eq!(sample.len(), 3);
-        assert_eq!(repo.names_of(&sample).unwrap(), vec!["Bha", "Lla", "Syn"]);
-        assert!(repo.sample_by_names(handle, &["Ghost"]).is_err());
-        assert!(repo.sample_by_names(handle, &[]).is_err());
+        assert_eq!(
+            repo.view().names_of(&sample).unwrap(),
+            vec!["Bha", "Lla", "Syn"]
+        );
+        assert!(repo.view().sample_by_names(handle, &["Ghost"]).is_err());
+        assert!(repo.view().sample_by_names(handle, &[]).is_err());
     }
 
     #[test]
@@ -517,10 +461,12 @@ mod tests {
         let tree = yule_tree(32, 1.0, 2);
         let (_d, repo, handle) = repo_with(&tree, 4);
         let uniform = repo
+            .view()
             .sample(handle, &SamplingStrategy::Uniform { k: 8 }, 3)
             .unwrap();
         assert_eq!(uniform.len(), 8);
         let timed = repo
+            .view()
             .sample(
                 handle,
                 &SamplingStrategy::TimeRespecting { time: 0.1, k: 8 },

@@ -53,8 +53,8 @@ fn bulk_and_reference_loads_answer_identically_on_random_trees() {
         let hr = reference.load_tree_reference(&name, &tree).unwrap();
         assert_eq!(hb, hr, "case {case}: handles must line up");
 
-        let mut leaves_b = bulk.leaves(hb).unwrap();
-        let mut leaves_r = reference.leaves(hr).unwrap();
+        let mut leaves_b = bulk.view().leaves(hb).unwrap();
+        let mut leaves_r = reference.view().leaves(hr).unwrap();
         leaves_b.sort();
         leaves_r.sort();
         assert_eq!(leaves_b, leaves_r, "case {case}: leaf sets differ");
@@ -64,16 +64,16 @@ fn bulk_and_reference_loads_answer_identically_on_random_trees() {
         for _ in 0..12 {
             let a = *leaves_b.choose(&mut rng).unwrap();
             let b = *leaves_b.choose(&mut rng).unwrap();
-            let lb = bulk.lca(a, b).unwrap();
-            let lr = reference.lca(a, b).unwrap();
+            let lb = bulk.view().lca(a, b).unwrap();
+            let lr = reference.view().lca(a, b).unwrap();
             assert_eq!(lb, lr, "case {case}: lca({a}, {b})");
             assert_eq!(
-                reference.lca_label_walk(a, b).unwrap(),
+                reference.view().lca_label_walk(a, b).unwrap(),
                 lb,
                 "case {case}: label walk disagrees"
             );
             assert!(
-                bulk.is_ancestor(lb, a).unwrap() && bulk.is_ancestor(lb, b).unwrap(),
+                bulk.view().is_ancestor(lb, a).unwrap() && bulk.view().is_ancestor(lb, b).unwrap(),
                 "case {case}: lca must cover both"
             );
         }
@@ -83,8 +83,8 @@ fn bulk_and_reference_loads_answer_identically_on_random_trees() {
             .choose_multiple(&mut rng, 4.min(leaves_b.len()))
             .copied()
             .collect();
-        let mut cb = bulk.minimal_spanning_clade(&set).unwrap();
-        let mut cr = reference.minimal_spanning_clade(&set).unwrap();
+        let mut cb = bulk.view().minimal_spanning_clade(&set).unwrap();
+        let mut cr = reference.view().minimal_spanning_clade(&set).unwrap();
         cb.sort();
         cr.sort();
         assert_eq!(cb, cr, "case {case}: spanning clades differ");
@@ -92,8 +92,8 @@ fn bulk_and_reference_loads_answer_identically_on_random_trees() {
         // Projection of an evenly spread leaf sample.
         let sample: Vec<StoredNodeId> = leaves_b.iter().step_by(3).copied().collect();
         if sample.len() >= 2 {
-            let pb = bulk.project(hb, &sample).unwrap();
-            let pr = reference.project(hr, &sample).unwrap();
+            let pb = bulk.view().project(hb, &sample).unwrap();
+            let pr = reference.view().project(hr, &sample).unwrap();
             assert!(
                 phylo::ops::isomorphic_with_lengths(&pb, &pr, 1e-9),
                 "case {case}: projections differ"
@@ -103,14 +103,14 @@ fn bulk_and_reference_loads_answer_identically_on_random_trees() {
         // Node records agree field for field on a sample.
         for &leaf in leaves_b.iter().take(5) {
             assert_eq!(
-                bulk.node_record(leaf).unwrap(),
-                reference.node_record(leaf).unwrap(),
+                bulk.view().node_record(leaf).unwrap(),
+                reference.view().node_record(leaf).unwrap(),
                 "case {case}: node record differs"
             );
         }
     }
-    let rb = bulk.integrity_check().unwrap();
-    let rr = reference.integrity_check().unwrap();
+    let rb = bulk.view().integrity_check().unwrap();
+    let rr = reference.view().integrity_check().unwrap();
     assert_eq!(rb, rr, "integrity reports must match");
     assert_eq!(rb.trees, 50);
 }
@@ -134,19 +134,19 @@ fn mixed_load_paths_share_one_repository() {
         };
         handles.push(handle);
     }
-    repo.integrity_check().unwrap();
+    repo.view().integrity_check().unwrap();
     for &handle in &handles {
-        let leaves = repo.leaves(handle).unwrap();
+        let leaves = repo.view().leaves(handle).unwrap();
         let a = leaves[0];
         let b = *leaves.last().unwrap();
-        let lca = repo.lca(a, b).unwrap();
-        assert_eq!(repo.lca_label_walk(a, b).unwrap(), lca);
-        assert!(repo.is_ancestor(lca, b).unwrap());
+        let lca = repo.view().lca(a, b).unwrap();
+        assert_eq!(repo.view().lca_label_walk(a, b).unwrap(), lca);
+        assert!(repo.view().is_ancestor(lca, b).unwrap());
     }
     // Queries across distinct trees still refuse to mix.
-    let l0 = repo.leaves(handles[0]).unwrap()[0];
-    let l1 = repo.leaves(handles[1]).unwrap()[0];
-    assert!(repo.lca(l0, l1).is_err());
+    let l0 = repo.view().leaves(handles[0]).unwrap()[0];
+    let l1 = repo.view().leaves(handles[1]).unwrap()[0];
+    assert!(repo.view().lca(l0, l1).is_err());
 }
 
 /// Crash a bulk load at a sweep of WAL-append and data-write kill points;
@@ -189,21 +189,22 @@ fn bulk_load_crash_recovers_to_pre_load_state() {
         }
         let mut repo = Repository::open(&path, RepositoryOptions::default()).unwrap();
         repo.recovery_report().expect("recovery must be reported");
-        repo.integrity_check()
+        repo.view()
+            .integrity_check()
             .unwrap_or_else(|e| panic!("{point:?}: integrity after recovery: {e}"));
-        let rec = repo.tree_by_name("committed").unwrap();
+        let rec = repo.view().tree_by_name("committed").unwrap();
         assert_eq!(rec.node_count as usize, committed_tree.node_count());
         assert!(
-            repo.find_tree("victim").unwrap().is_none(),
+            repo.view().find_tree("victim").unwrap().is_none(),
             "{point:?}: interrupted bulk load must vanish"
         );
         // The recovered repository accepts the retried bulk load.
         let handle = repo.load_tree("victim", &victim_tree).unwrap();
         assert_eq!(
-            repo.tree_record(handle).unwrap().leaf_count as usize,
+            repo.view().tree_record(handle).unwrap().leaf_count as usize,
             victim_tree.leaf_count()
         );
-        repo.integrity_check().unwrap();
+        repo.view().integrity_check().unwrap();
     }
 }
 
@@ -220,5 +221,5 @@ fn bulk_load_rejects_empty_and_duplicate_trees() {
         Err(crimson::CrimsonError::DuplicateTree(_))
     ));
     // The failed loads left nothing behind.
-    assert_eq!(repo.integrity_check().unwrap().trees, 1);
+    assert_eq!(repo.view().integrity_check().unwrap().trees, 1);
 }

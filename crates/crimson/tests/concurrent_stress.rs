@@ -39,8 +39,8 @@ fn four_readers_cross_validate_while_writer_loads() {
     let t1 = repo.load_tree("base1", &yule_tree(300, 1.0, 11)).unwrap();
     let t2 = repo.load_tree("base2", &yule_tree(250, 1.0, 22)).unwrap();
     repo.flush().unwrap();
-    let leaves1 = repo.leaves(t1).unwrap();
-    let leaves2 = repo.leaves(t2).unwrap();
+    let leaves1 = repo.view().leaves(t1).unwrap();
+    let leaves2 = repo.view().leaves(t2).unwrap();
     let baseline_stats = repo.buffer_stats();
 
     let validated = AtomicU64::new(0);
@@ -65,7 +65,9 @@ fn four_readers_cross_validate_while_writer_loads() {
 
                     // LCA: interval walk vs. Dewey label walk.
                     let fast = reader.lca(a, b).expect("lca");
-                    let slow = reader.lca_label_walk(a, b).expect("reference lca");
+                    let slow = reader
+                        .read(|v| v.lca_label_walk(a, b))
+                        .expect("reference lca");
                     assert_eq!(fast, slow, "lca mismatch for ({a}, {b})");
                     validated.fetch_add(1, Ordering::Relaxed);
 
@@ -83,7 +85,7 @@ fn four_readers_cross_validate_while_writer_loads() {
                         let set = [a, b, c];
                         let mut clade = reader.minimal_spanning_clade(&set).expect("clade");
                         let mut reference = reader
-                            .minimal_spanning_clade_reference(&set)
+                            .read(|v| v.minimal_spanning_clade_reference(&set))
                             .expect("reference clade");
                         // The fast path yields pre-order, the reference BFS
                         // order; compare as sets.
@@ -102,7 +104,7 @@ fn four_readers_cross_validate_while_writer_loads() {
                             .collect();
                         let fast = reader.project(handle, &sel).expect("projection");
                         let slow = reader
-                            .project_reference(handle, &sel)
+                            .read(|v| v.project_reference(handle, &sel))
                             .expect("reference projection");
                         assert!(
                             phylo::ops::isomorphic_with_lengths(&fast, &slow, 1e-9),
@@ -125,7 +127,7 @@ fn four_readers_cross_validate_while_writer_loads() {
             let handle = repo
                 .load_tree(&format!("load{i}"), &tree)
                 .expect("concurrent load");
-            assert_eq!(repo.leaves(handle).unwrap().len(), tree.leaf_count());
+            assert_eq!(repo.view().leaves(handle).unwrap().len(), tree.leaf_count());
             repo.record_query(
                 QueryKind::Load,
                 serde_json::json!({ "tree": format!("load{i}") }),
@@ -177,13 +179,16 @@ fn four_readers_cross_validate_while_writer_loads() {
     assert_eq!(repo.version_pages(), 0, "leaked page version chains");
 
     // Everything the writer did landed, and the repository is intact.
-    assert_eq!(repo.list_trees().unwrap().len(), 2 + WRITER_LOADS);
+    assert_eq!(repo.view().list_trees().unwrap().len(), 2 + WRITER_LOADS);
     assert_eq!(
-        repo.history_of_kind(QueryKind::Load).unwrap().len(),
+        repo.view().history_of_kind(QueryKind::Load).unwrap().len(),
         WRITER_LOADS
     );
     repo.flush().unwrap();
-    let report = repo.integrity_check().expect("integrity after stress");
+    let report = repo
+        .view()
+        .integrity_check()
+        .expect("integrity after stress");
     assert_eq!(report.trees, 2 + WRITER_LOADS as u64);
 }
 
@@ -208,5 +213,10 @@ fn reader_created_on_empty_repository_sees_later_loads() {
     let leaves = reader.leaves(handle).unwrap();
     assert_eq!(leaves.len(), 60);
     let lca = reader.lca(leaves[0], leaves[59]).unwrap();
-    assert_eq!(lca, reader.lca_label_walk(leaves[0], leaves[59]).unwrap());
+    assert_eq!(
+        lca,
+        reader
+            .read(|v| v.lca_label_walk(leaves[0], leaves[59]))
+            .unwrap()
+    );
 }

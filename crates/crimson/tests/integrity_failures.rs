@@ -3,7 +3,8 @@
 //! The happy path (a report with matching counts) is exercised all over the
 //! crash-recovery suites; these tests corrupt a *closed* repository file
 //! through the raw storage engine — an orphan node row, a deleted node row,
-//! a missing interval entry, a contradictory interval mapping — reopen it,
+//! a stripped content-address row, a missing interval entry, a
+//! contradictory interval mapping — reopen it,
 //! and assert that the check fails with the specific
 //! `CrimsonError::CorruptRepository` message for that corruption. A file
 //! laid out without the depth column is refused at open. (Damage inside
@@ -34,14 +35,16 @@ fn build_repo(dir: &tempfile::TempDir) -> std::path::PathBuf {
     let mut seqs = std::collections::HashMap::new();
     seqs.insert("Bha".to_string(), "ACGT".to_string());
     repo.load_species(handle, &seqs).unwrap();
-    repo.integrity_check().expect("pristine repository passes");
+    repo.view()
+        .integrity_check()
+        .expect("pristine repository passes");
     repo.flush().unwrap();
     path
 }
 
 fn reopen_and_expect_corrupt(path: &Path, needle: &str) {
     let repo = Repository::open(path, RepositoryOptions::default()).unwrap();
-    match repo.integrity_check() {
+    match repo.view().integrity_check() {
         Err(CrimsonError::CorruptRepository(msg)) => {
             assert!(
                 msg.contains(needle),
@@ -100,6 +103,42 @@ fn deleted_node_row_breaks_tree_counts() {
         db.flush().unwrap();
     }
     reopen_and_expect_corrupt(&path, "nodes/leaves but");
+}
+
+#[test]
+fn stripped_tree_stats_row_is_corruption() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = build_repo(&dir);
+    {
+        let mut db = Database::open(&path).unwrap();
+        let stats = db.table("tree_stats").unwrap();
+        let (rid, _) = db.scan(stats).unwrap().into_iter().next().unwrap();
+        db.delete(stats, rid).unwrap();
+        db.flush().unwrap();
+    }
+    reopen_and_expect_corrupt(&path, "has no tree_stats row");
+    // Hash-based reads name the damage instead of answering.
+    let repo = Repository::open(&path, RepositoryOptions::default()).unwrap();
+    let handle = repo.view().tree_by_name("fig1").unwrap().handle;
+    for result in [
+        repo.view().tree_stats(handle).map(|_| ()),
+        repo.view().trees_equal(handle, handle).map(|_| ()),
+        repo.view()
+            .compare_stored(handle, handle, false)
+            .map(|_| ()),
+    ] {
+        match result {
+            Err(CrimsonError::CorruptRepository(msg)) => {
+                assert!(msg.contains("has no tree_stats row"), "got: {msg}")
+            }
+            other => panic!("expected CorruptRepository, got {other:?}"),
+        }
+    }
+    // An unknown handle stays a caller mistake, not corruption.
+    assert!(matches!(
+        repo.view().tree_stats(TreeHandle(999)),
+        Err(CrimsonError::UnknownTreeId(999))
+    ));
 }
 
 #[test]

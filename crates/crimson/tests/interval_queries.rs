@@ -71,10 +71,10 @@ fn interval_lca_matches_label_walk_on_random_trees() {
         };
         let f = rng.gen_range(2usize..10);
         let (_d, repo, handle) = fresh_repo(&tree, f, 512);
-        let rec = repo.tree_record(handle).unwrap();
+        let rec = repo.view().tree_record(handle).unwrap();
 
         // Random stored-node pairs: leaves and internals alike.
-        let clade = repo.minimal_spanning_clade(&[rec.root]).unwrap();
+        let clade = repo.view().minimal_spanning_clade(&[rec.root]).unwrap();
         assert_eq!(
             clade.len(),
             tree.node_count(),
@@ -83,12 +83,12 @@ fn interval_lca_matches_label_walk_on_random_trees() {
         for _ in 0..60 {
             let a = clade[rng.gen_range(0..clade.len())];
             let b = clade[rng.gen_range(0..clade.len())];
-            let via_interval = repo.lca(a, b).unwrap();
-            let via_labels = repo.lca_label_walk(a, b).unwrap();
+            let via_interval = repo.view().lca(a, b).unwrap();
+            let via_labels = repo.view().lca_label_walk(a, b).unwrap();
             assert_eq!(via_interval, via_labels, "case {case}: lca({a}, {b}) f={f}");
             assert_eq!(
-                repo.is_ancestor(a, b).unwrap(),
-                repo.lca_label_walk(a, b).unwrap() == a,
+                repo.view().is_ancestor(a, b).unwrap(),
+                repo.view().lca_label_walk(a, b).unwrap() == a,
                 "case {case}: is_ancestor({a}, {b})"
             );
         }
@@ -101,21 +101,21 @@ fn interval_clade_and_projection_match_references_on_random_trees() {
     for case in 0..12 {
         let tree = yule_tree(rng.gen_range(10usize..60), 1.0, rng.gen_range(0u64..1000));
         let (_d, repo, handle) = fresh_repo(&tree, rng.gen_range(2usize..8), 512);
-        let leaves = repo.leaves(handle).unwrap();
+        let leaves = repo.view().leaves(handle).unwrap();
 
         for set_size in [2usize, 3, 5] {
             let set: Vec<StoredNodeId> = leaves
                 .choose_multiple(&mut rng, set_size.min(leaves.len()))
                 .copied()
                 .collect();
-            let mut fast = repo.minimal_spanning_clade(&set).unwrap();
-            let mut reference = repo.minimal_spanning_clade_reference(&set).unwrap();
+            let mut fast = repo.view().minimal_spanning_clade(&set).unwrap();
+            let mut reference = repo.view().minimal_spanning_clade_reference(&set).unwrap();
             fast.sort();
             reference.sort();
             assert_eq!(fast, reference, "case {case}: clade of {set_size} leaves");
 
-            let fast = repo.project(handle, &set).unwrap();
-            let reference = repo.project_reference(handle, &set).unwrap();
+            let fast = repo.view().project(handle, &set).unwrap();
+            let reference = repo.view().project_reference(handle, &set).unwrap();
             assert!(
                 phylo::ops::isomorphic_with_lengths(&fast, &reference, 1e-9),
                 "case {case}: projection of {set_size} leaves\nfast:\n{}\nreference:\n{}",
@@ -134,12 +134,12 @@ fn projection_matches_reference_on_dense_and_sparse_selections() {
     // match the label-walk reference.
     let tree = yule_tree(300, 1.0, 7);
     let (_d, repo, handle) = fresh_repo(&tree, 8, 1024);
-    let leaves = repo.leaves(handle).unwrap();
+    let leaves = repo.view().leaves(handle).unwrap();
     let mut rng = StdRng::seed_from_u64(9);
     for take in [2usize, 5, 20, 150, 290] {
         let set: Vec<StoredNodeId> = leaves.choose_multiple(&mut rng, take).copied().collect();
-        let fast = repo.project(handle, &set).unwrap();
-        let reference = repo.project_reference(handle, &set).unwrap();
+        let fast = repo.view().project(handle, &set).unwrap();
+        let reference = repo.view().project_reference(handle, &set).unwrap();
         assert!(
             phylo::ops::isomorphic_with_lengths(&fast, &reference, 1e-9),
             "selection of {take} leaves"
@@ -151,7 +151,7 @@ fn projection_matches_reference_on_dense_and_sparse_selections() {
 fn interval_paths_read_5x_fewer_pages_on_10k_leaf_tree() {
     let tree = yule_tree(10_000, 1.0, 42);
     let (_d, repo, handle) = fresh_repo(&tree, 16, 8192);
-    let leaves = repo.leaves(handle).unwrap();
+    let leaves = repo.view().leaves(handle).unwrap();
     let mut rng = StdRng::seed_from_u64(5);
 
     // --- minimal spanning clade over 32 random leaves ---
@@ -159,12 +159,12 @@ fn interval_paths_read_5x_fewer_pages_on_10k_leaf_tree() {
 
     repo.clear_cache().unwrap();
     repo.reset_buffer_stats();
-    let fast = repo.minimal_spanning_clade(&set).unwrap();
+    let fast = repo.view().minimal_spanning_clade(&set).unwrap();
     let fast_reads = repo.buffer_stats().page_reads();
 
     repo.clear_cache().unwrap();
     repo.reset_buffer_stats();
-    let reference = repo.minimal_spanning_clade_reference(&set).unwrap();
+    let reference = repo.view().minimal_spanning_clade_reference(&set).unwrap();
     let reference_reads = repo.buffer_stats().page_reads();
 
     assert_eq!(fast.len(), reference.len());
@@ -181,12 +181,12 @@ fn interval_paths_read_5x_fewer_pages_on_10k_leaf_tree() {
 
     repo.clear_cache().unwrap();
     repo.reset_buffer_stats();
-    let fast = repo.project(handle, &sample).unwrap();
+    let fast = repo.view().project(handle, &sample).unwrap();
     let fast_reads = repo.buffer_stats().page_reads();
 
     repo.clear_cache().unwrap();
     repo.reset_buffer_stats();
-    let reference = repo.project_reference(handle, &sample).unwrap();
+    let reference = repo.view().project_reference(handle, &sample).unwrap();
     let reference_reads = repo.buffer_stats().page_reads();
 
     assert!(phylo::ops::isomorphic_with_lengths(&fast, &reference, 1e-9));
@@ -209,12 +209,12 @@ fn repository_scan_stays_within_pool_capacity() {
     let (_, capacity) = repo.buffer_utilization();
     assert_eq!(capacity, 64);
 
-    let rec = repo.tree_record(handle).unwrap();
-    let clade = repo.minimal_spanning_clade(&[rec.root]).unwrap();
+    let rec = repo.view().tree_record(handle).unwrap();
+    let clade = repo.view().minimal_spanning_clade(&[rec.root]).unwrap();
     assert_eq!(clade.len() as u64, rec.node_count);
     // Touch every node row, sweeping the whole heap through the small pool.
     for &node in &clade {
-        let _ = repo.node_record(node).unwrap();
+        let _ = repo.view().node_record(node).unwrap();
         let (resident, capacity) = repo.buffer_utilization();
         assert!(
             resident <= capacity,
@@ -231,13 +231,13 @@ fn repository_scan_stays_within_pool_capacity() {
 fn record_cache_serves_repeated_queries() {
     let tree = yule_tree(200, 1.0, 3);
     let (_d, repo, handle) = fresh_repo(&tree, 8, 1024);
-    let leaves = repo.leaves(handle).unwrap();
+    let leaves = repo.view().leaves(handle).unwrap();
     let ((_, _), _) = repo.record_cache_stats();
     // First projection warms the cache; the second is served from it.
     let sample: Vec<StoredNodeId> = leaves.iter().step_by(3).copied().collect();
-    let _ = repo.project(handle, &sample).unwrap();
+    let _ = repo.view().project(handle, &sample).unwrap();
     let ((_, misses_after_first), _) = repo.record_cache_stats();
-    let _ = repo.project(handle, &sample).unwrap();
+    let _ = repo.view().project(handle, &sample).unwrap();
     let ((hits, misses_after_second), len) = repo.record_cache_stats();
     assert_eq!(
         misses_after_first, misses_after_second,

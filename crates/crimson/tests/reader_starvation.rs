@@ -32,7 +32,7 @@ fn two_attempt_reader_never_starves_under_continuous_commits() {
     let ta = repo.load_tree("base_a", &yule_tree(100, 1.0, 7)).unwrap();
     let tb = repo.load_tree("base_b", &yule_tree(100, 1.0, 8)).unwrap();
     repo.flush().unwrap();
-    let leaves_a = repo.leaves(ta).unwrap();
+    let leaves_a = repo.view().leaves(ta).unwrap();
     let baseline = repo.buffer_stats();
 
     // attempts: 2 previously guaranteed Busy against a back-to-back
@@ -63,15 +63,23 @@ fn two_attempt_reader_never_starves_under_continuous_commits() {
                     .expect("list_trees must never go Busy");
                 assert!(trees.len() >= 2, "base trees must always be visible");
                 let cmp = reader_ref
-                    .compare_stored(ta, tb, false)
+                    .read(|v| v.compare_stored(ta, tb, false))
                     .expect("compare_stored must never go Busy");
                 // The bases never change: the multi-page comparison must
                 // come back identical every round, whatever commits land.
-                assert_eq!(cmp.rf, reader_ref.compare_stored(ta, tb, false).unwrap().rf);
+                assert_eq!(
+                    cmp.rf,
+                    reader_ref
+                        .read(|v| v.compare_stored(ta, tb, false))
+                        .unwrap()
+                        .rf
+                );
                 let a = *leaves.choose(&mut rng).unwrap();
                 let b = *leaves.choose(&mut rng).unwrap();
                 let fast = reader_ref.lca(a, b).expect("lca");
-                let slow = reader_ref.lca_label_walk(a, b).expect("reference lca");
+                let slow = reader_ref
+                    .read(|v| v.lca_label_walk(a, b))
+                    .expect("reference lca");
                 assert_eq!(fast, slow, "lca mismatch under commit storm");
                 queries_ref.fetch_add(3, Ordering::Relaxed);
             }
@@ -109,7 +117,7 @@ fn two_attempt_reader_never_starves_under_continuous_commits() {
     );
     // A fresh snapshot sees everything the storm committed, and nothing
     // leaked from the long-held pin.
-    assert_eq!(repo.list_trees().unwrap().len(), 102);
+    assert_eq!(repo.view().list_trees().unwrap().len(), 102);
     let reader2 = repo.reader().unwrap();
     assert_eq!(reader2.list_trees().unwrap().len(), 102);
     assert_eq!(repo.pinned_epochs(), 0, "leaked epoch pins");

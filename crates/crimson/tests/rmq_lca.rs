@@ -49,13 +49,15 @@ fn check_pairs(
     let check = |a: NodeId, b: NodeId| {
         let want = tree.lca(a, b);
         assert_eq!(
-            repo.lca(sid(handle, a), sid(handle, b)).unwrap(),
+            repo.view().lca(sid(handle, a), sid(handle, b)).unwrap(),
             sid(handle, want),
             "lca({a:?}, {b:?}) of a {}-node tree",
             tree.node_count()
         );
         assert_eq!(
-            repo.is_ancestor(sid(handle, a), sid(handle, b)).unwrap(),
+            repo.view()
+                .is_ancestor(sid(handle, a), sid(handle, b))
+                .unwrap(),
             want == a
         );
     };
@@ -137,10 +139,10 @@ fn rmq_lca_matches_in_memory_lca_on_many_shapes() {
     // The deepest caterpillar nodes: every pair among the last 120 arena
     // ids (the bottom of the spine and its leaves).
     let cat = &trees[5];
-    let handle = repo.tree_by_name("t5").unwrap().handle;
+    let handle = repo.view().tree_by_name("t5").unwrap().handle;
     let bottom: Vec<NodeId> = all_nodes(cat).into_iter().rev().take(120).collect();
     check_pairs(&repo, handle, cat, &bottom, usize::MAX);
-    let report = repo.integrity_check().unwrap();
+    let report = repo.view().integrity_check().unwrap();
     assert_eq!(report.trees, trees.len() as u64);
     assert!(report.depth_blocks >= trees.len() as u64);
 }
@@ -178,10 +180,10 @@ fn every_store_path_writes_a_usable_depth_column() {
     graft(&mut spliced, root, &tree, "");
     graft(&mut spliced, root, &yule_tree(40, 1.0, 14), "y");
     let cold = repo.store_tree_shared("cold", &spliced, 1).unwrap();
-    assert!(!repo.clade_refs_of(cold).unwrap().is_empty());
+    assert!(!repo.view().clade_refs_of(cold).unwrap().is_empty());
     let present: Vec<NodeId> = all_nodes(&spliced)
         .into_iter()
-        .filter(|&n| repo.interval_of(sid(cold, n)).is_ok())
+        .filter(|&n| repo.view().interval_of(sid(cold, n)).is_ok())
         .collect();
     assert_eq!(present.len(), 1 + 2 * 79, "root and both fresh subtrees");
     check_pairs(&repo, cold, &spliced, &present, 4000);
@@ -191,10 +193,10 @@ fn every_store_path_writes_a_usable_depth_column() {
     let pick: Vec<&str> = names.iter().step_by(7).map(|s| s.as_str()).collect();
     let expected = phylo::ops::project_by_names(&tree, &pick).unwrap();
     for handle in [bulk, rows] {
-        let got = repo.project_species(handle, &pick).unwrap();
+        let got = repo.view().project_species(handle, &pick).unwrap();
         assert!(phylo::ops::isomorphic_with_lengths(&got, &expected, 1e-9));
     }
-    repo.integrity_check().unwrap();
+    repo.view().integrity_check().unwrap();
 }
 
 #[test]
@@ -226,7 +228,11 @@ fn deepest_pair_lca_costs_no_more_page_accesses_than_a_shallow_pair() {
     let tree = caterpillar(depth, 0.1);
     let (_d, mut repo) = fresh_repo(4096);
     let handle = repo.load_tree("cat", &tree).unwrap();
-    let leaf = |i: usize| repo.require_species_node(handle, &format!("L{i}")).unwrap();
+    let leaf = |i: usize| {
+        repo.view()
+            .require_species_node(handle, &format!("L{i}"))
+            .unwrap()
+    };
     // L{depth-1} and L{depth} hang off the deepest spine node (depth
     // 9,999); L0 and L1 meet at the root; L0 and L{depth} span every rank.
     let deepest = (leaf(depth - 1), leaf(depth));
@@ -235,16 +241,16 @@ fn deepest_pair_lca_costs_no_more_page_accesses_than_a_shallow_pair() {
     let cost = |(a, b): (StoredNodeId, StoredNodeId)| {
         repo.clear_cache().unwrap();
         repo.reset_buffer_stats();
-        let lca = repo.lca(a, b).unwrap();
+        let lca = repo.view().lca(a, b).unwrap();
         let stats = repo.buffer_stats();
         (lca, stats.hits + stats.misses)
     };
     let (deep_lca, deep) = cost(deepest);
     let (root_lca, low) = cost(shallow);
     let (wide_lca, wide) = cost(widest);
-    let rec = repo.node_record(deep_lca).unwrap();
+    let rec = repo.view().node_record(deep_lca).unwrap();
     assert_eq!(rec.depth, depth as u64 - 1);
-    assert_eq!(root_lca, repo.tree_record(handle).unwrap().root);
+    assert_eq!(root_lca, repo.view().tree_record(handle).unwrap().root);
     assert_eq!(wide_lca, root_lca);
     eprintln!(
         "caterpillar({depth}) lca page accesses: deepest {deep}, shallow {low}, widest {wide}"

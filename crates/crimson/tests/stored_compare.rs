@@ -59,7 +59,7 @@ fn index_native_distances_equal_materialized_compare_on_random_trees() {
 
         // The cubic triplet distance stays cheap below ~40 leaves.
         let triplets = n <= 40;
-        let stored = repo.compare_stored(ha, hb, triplets).unwrap();
+        let stored = repo.view().compare_stored(ha, hb, triplets).unwrap();
         let rf = robinson_foulds(&a, &b).unwrap();
         let rrf = rooted_robinson_foulds(&a, &b).unwrap();
         assert_eq!(stored.rf, rf, "case {case} (n={n}): unrooted RF differs");
@@ -79,7 +79,7 @@ fn index_native_distances_equal_materialized_compare_on_random_trees() {
         // Stored-vs-in-memory takes the same streaming path on one side
         // only; it must agree with both the stored-stored and the
         // materialized comparison.
-        let mixed = repo.compare_stored_with_tree(ha, &b, false).unwrap();
+        let mixed = repo.view().compare_stored_with_tree(ha, &b, false).unwrap();
         assert_eq!(mixed.rf, rf, "case {case}: mixed unrooted RF differs");
         assert_eq!(mixed.rooted_rf, rrf, "case {case}: mixed rooted RF differs");
 
@@ -90,5 +90,5 @@ fn index_native_distances_equal_materialized_compare_on_random_trees() {
             assert!(stored.clades.iter().all(|c| c.agrees));
         }
     }
-    repo.integrity_check().unwrap();
+    repo.view().integrity_check().unwrap();
 }

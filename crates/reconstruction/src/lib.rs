@@ -7,7 +7,7 @@
 //! * **Distance estimation** ([`distance`]): pairwise evolutionary distances
 //!   from aligned sequences (raw p-distance, Jukes–Cantor and Kimura
 //!   corrections) feeding the distance-based reconstruction methods.
-//! * **Reconstruction algorithms** ([`upgma`], [`nj`]): UPGMA hierarchical
+//! * **Reconstruction algorithms** ([`mod@upgma`], [`nj`]): UPGMA hierarchical
 //!   clustering and Neighbor-Joining — the canonical distance methods whose
 //!   behaviour the CIPRes benchmarking workflow was designed to score.
 //! * **Tree comparison** ([`compare`]): Robinson–Foulds distance over clades

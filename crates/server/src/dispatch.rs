@@ -10,7 +10,8 @@
 //!   different connections share the pin, the buffer-pool working set, and
 //!   the epoch bookkeeping, which is where the multi-connection throughput
 //!   scaling comes from. A job whose pinned epoch is retired mid-batch
-//!   falls back to fresh pins of its own.
+//!   falls back to [`crimson::RepositoryReader::read`], the one retrying
+//!   reader.
 //! * **Writes are exclusive.** A write job locks its tenant's single
 //!   writer, commits (the writer rides
 //!   [`crimson::repository::Durability::Async`], so the lock is held only
@@ -30,9 +31,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crimson::experiment::{DistanceSource, ExperimentRunner, ExperimentSpec, Method};
-use crimson::repository::{StoredNodeId, TreeHandle};
+use crimson::repository::{ReadCtx, StoredNodeId, TreeHandle};
 use crimson::sampling::SamplingStrategy;
-use crimson::{CrimsonError, PinnedReader};
+use crimson::CrimsonError;
+use storage::EpochView;
 
 use crate::frame::encode_frame;
 use crate::msg::{
@@ -286,7 +288,12 @@ fn execute_read_batch(batch: Vec<Job>, stats: &ServerStats) {
             for job in batch {
                 let resp = match exec_read(&pin, &job.request) {
                     Ok(resp) => resp,
-                    Err(e) if is_snapshot_retired(&e) => read_with_fresh_pin(&job),
+                    // The batch's shared epoch was retired under it: the
+                    // reader's own retrying path re-pins for this job.
+                    Err(e) if is_snapshot_retired(&e) => tenant
+                        .reader
+                        .read(|v| exec_read(v, &job.request))
+                        .unwrap_or_else(|e| Response::Error(WireError::from(&e))),
                     Err(e) => Response::Error(WireError::from(&e)),
                 };
                 job.reply.send(job.correlation, &resp);
@@ -301,27 +308,6 @@ fn execute_read_batch(batch: Vec<Job>, stats: &ServerStats) {
                     .send(job.correlation, &Response::Error(wire.clone()));
             }
         }
-    }
-}
-
-/// Per-job fallback when the batch's shared epoch was retired under it:
-/// retry on fresh pins of our own, then report the retirement honestly.
-fn read_with_fresh_pin(job: &Job) -> Response {
-    let mut last = None;
-    for _ in 0..3 {
-        let pin = match job.tenant.reader.pin() {
-            Ok(p) => p,
-            Err(e) => return Response::Error(WireError::from(&e)),
-        };
-        match exec_read(&pin, &job.request) {
-            Ok(resp) => return resp,
-            Err(e) if is_snapshot_retired(&e) => last = Some(e),
-            Err(e) => return Response::Error(WireError::from(&e)),
-        }
-    }
-    match last {
-        Some(e) => Response::Error(WireError::from(&e)),
-        None => unreachable!("loop ran at least once"),
     }
 }
 
@@ -347,7 +333,7 @@ fn ids(nodes: Vec<StoredNodeId>) -> Vec<u64> {
 }
 
 /// Execute one read request against a pinned snapshot.
-fn exec_read(pin: &PinnedReader<'_>, req: &Request) -> Result<Response, CrimsonError> {
+fn exec_read(pin: &ReadCtx<'_, EpochView<'_>>, req: &Request) -> Result<Response, CrimsonError> {
     Ok(match req {
         Request::ListTrees => Response::Trees(pin.list_trees()?.iter().map(wire_tree).collect()),
         Request::TreeByName { name } => Response::Tree(wire_tree(&pin.tree_by_name(name)?)),
@@ -437,7 +423,7 @@ fn load_tree(tenant: &Tenant, name: &str, newick: &str, durability: WireDurabili
             Ok(r) => r,
             Err(e) => return Response::Error(WireError::from(&e)),
         };
-        let rec = match repo.tree_record(report.handle) {
+        let rec = match repo.view().tree_record(report.handle) {
             Ok(r) => r,
             Err(e) => return Response::Error(WireError::from(&e)),
         };
@@ -487,7 +473,7 @@ fn run_experiment(tenant: &Tenant, spec: &crate::msg::WireExperimentSpec) -> Res
     };
     let (record, lsn) = {
         let mut repo = tenant.writer.lock();
-        let gold = match repo.tree_by_name(&spec.gold) {
+        let gold = match repo.view().tree_by_name(&spec.gold) {
             Ok(rec) => rec.handle,
             Err(e) => return Response::Error(WireError::from(&e)),
         };

@@ -71,8 +71,8 @@ pub enum ErrorCode {
     History = 110,
     /// `CrimsonError::CorruptRepository`.
     CorruptRepository = 111,
-    /// `CrimsonError::MissingContentAddress`.
-    MissingContentAddress = 112,
+    // 112 was `MissingContentAddress` (a tree without a content address);
+    // such a tree is now `CorruptRepository`. The number stays unused.
     /// `CrimsonError::Busy` — the snapshot-retired retry budget ran out.
     Busy = 113,
     /// `CrimsonError::Phylo` — tree parsing or manipulation failed (e.g. a
@@ -154,7 +154,6 @@ pub const ALL_ERROR_CODES: &[ErrorCode] = &[
     ErrorCode::MissingSequences,
     ErrorCode::History,
     ErrorCode::CorruptRepository,
-    ErrorCode::MissingContentAddress,
     ErrorCode::Busy,
     ErrorCode::TreeParse,
     ErrorCode::Compare,
@@ -283,7 +282,6 @@ pub fn crimson_code(e: &CrimsonError) -> ErrorCode {
         CrimsonError::MissingSequences(_) => ErrorCode::MissingSequences,
         CrimsonError::History(_) => ErrorCode::History,
         CrimsonError::CorruptRepository(_) => ErrorCode::CorruptRepository,
-        CrimsonError::MissingContentAddress(_) => ErrorCode::MissingContentAddress,
         CrimsonError::Busy(_) => ErrorCode::Busy,
     }
 }

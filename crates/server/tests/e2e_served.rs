@@ -57,7 +57,7 @@ fn build_mirror(dir: &std::path::Path, tenant: &str) -> Expected {
     let mut repo = Repository::create(dir.join(tenant), RepositoryOptions::default()).unwrap();
     repo.load_newick("gold", &gold_newick()).unwrap();
     let reader = repo.reader().unwrap();
-    let gold = reader.tree_by_name("gold").unwrap().handle;
+    let gold = reader.read(|v| v.tree_by_name("gold")).unwrap().handle;
     let leaf_ids = reader.leaves(gold).unwrap();
     let leaves: Vec<u64> = leaf_ids.iter().map(|n| n.0).collect();
     let mut lcas = Vec::new();

@@ -67,17 +67,10 @@
 //! When the last pin drops, all committed versions are cleared eagerly: a
 //! fresh pin at the current epoch always reads live frames.
 //!
-//! The writer's own committed view ([`BufferPool::with_page_snapshot`] /
-//! [`BufferPool::pin_snapshot`], or the [`Snapshot`] page source) is the
-//! degenerate epoch `commit_seq`: only the pending before-image can
-//! govern, so those paths check just the pending slot.
-//!
-//! Commit and rollback publish inside a **view transition**: the
-//! [`BufferPool::read_generation`] counter goes odd, pending images
-//! graduate (commit) or are restored into the frames (rollback), and the
-//! counter goes even again. Readers no longer retry on generation changes;
-//! the counter survives as a cheap "did anything commit?" key for cached
-//! reader metadata (catalog roots).
+//! A pinned epoch is the only committed view: a pin taken while a
+//! transaction is open reads the transaction's pending before-images, so
+//! the in-flight writes are invisible to it. The writer itself reads the
+//! live frames (`&BufferPool` as a [`PageSource`]).
 //!
 //! ## Transactions and WAL-before-data
 //!
@@ -566,11 +559,6 @@ pub struct BufferPool {
     /// acquiring the version-map read lock, so a passed check guarantees
     /// the epoch's entries are present for the whole lookup.
     version_floor: AtomicU64,
-    /// Read-view generation: even when the committed view is stable, odd
-    /// while commit/rollback publishes the version transition. Bumped by
-    /// two per transition, so it doubles as a "did anything commit?"
-    /// counter for snapshot readers' cached metadata.
-    view_gen: AtomicU64,
     resident: AtomicUsize,
     capacity: usize,
     stats: AtomicStats,
@@ -668,10 +656,10 @@ impl Drop for EpochPin {
 }
 
 /// Read-only page access, implemented by the pool's *current* view
-/// (`&BufferPool`) and its *committed-snapshot* view ([`Snapshot`]). The
-/// B+tree, heap and catalog read paths are generic over this, which is what
-/// lets the same descent code serve the writer and concurrent snapshot
-/// readers.
+/// (`&BufferPool`, the writer's) and by a pinned epoch
+/// ([`crate::db::EpochSnapshot`]). The B+tree, heap and catalog read paths
+/// are generic over this, which is what lets the same descent code serve
+/// the writer and concurrent snapshot readers.
 pub trait PageSource: Copy {
     /// Run `f` with read access to the page.
     fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&Page) -> R) -> StorageResult<R>;
@@ -692,27 +680,6 @@ impl PageSource for &BufferPool {
 
     fn catalog_root(&self) -> PageId {
         BufferPool::catalog_root(self)
-    }
-}
-
-/// The committed-snapshot view of a pool: reads route through the pending
-/// before-images, so an in-flight transaction is invisible. For reads
-/// frozen at a *pinned epoch* (stable across commits too), see
-/// [`BufferPool::pin_epoch`] and `db::EpochSnapshot`.
-#[derive(Clone, Copy)]
-pub struct Snapshot<'a>(pub &'a BufferPool);
-
-impl PageSource for Snapshot<'_> {
-    fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&Page) -> R) -> StorageResult<R> {
-        self.0.with_page_snapshot(pid, f)
-    }
-
-    fn pin_page(&self, pid: PageId) -> StorageResult<PinnedPage> {
-        self.0.pin_snapshot(pid)
-    }
-
-    fn catalog_root(&self) -> PageId {
-        self.0.committed_catalog_root()
     }
 }
 
@@ -775,7 +742,6 @@ impl BufferPool {
                 roots: BTreeMap::from([(0, initial_root)]),
             }),
             version_floor: AtomicU64::new(0),
-            view_gen: AtomicU64::new(0),
             resident: AtomicUsize::new(0),
             capacity,
             stats: AtomicStats::default(),
@@ -923,29 +889,6 @@ impl BufferPool {
     }
 
     // ------------------------------------------------------------------
-    // Read-view generation
-    // ------------------------------------------------------------------
-
-    /// The snapshot-read generation: even while the committed view is
-    /// stable, odd while a commit or rollback publishes its version
-    /// transition. Readers no longer retry on generation changes (pinned
-    /// epochs froze their view); a reader that caches derived metadata
-    /// (catalog roots) still keys the cache by this value.
-    pub fn read_generation(&self) -> u64 {
-        self.view_gen.load(Ordering::SeqCst)
-    }
-
-    fn begin_view_change(&self) {
-        let prev = self.view_gen.fetch_add(1, Ordering::SeqCst);
-        debug_assert!(prev.is_multiple_of(2), "nested view transition");
-    }
-
-    fn end_view_change(&self) {
-        let prev = self.view_gen.fetch_add(1, Ordering::SeqCst);
-        debug_assert!(prev % 2 == 1, "unbalanced view transition");
-    }
-
-    // ------------------------------------------------------------------
     // Transactions
     // ------------------------------------------------------------------
 
@@ -1037,9 +980,8 @@ impl BufferPool {
     fn commit_in_io(&self, io: &mut IoState) -> StorageResult<Lsn> {
         let txn = io.txn.take().ok_or(StorageError::NoActiveTransaction)?;
         if txn.dirty.is_empty() {
-            // A read-only transaction changed nothing: the committed view is
-            // untouched, so the generation must not advance (readers would
-            // pointlessly rebuild their cached catalogs).
+            // A read-only transaction changed nothing: no commit sequence
+            // is published, so pinned readers keep sharing cached catalogs.
             debug_assert!(self.versions.read().values().all(|c| c.pending.is_none()));
             return Ok(io.wal.end_lsn());
         }
@@ -1054,21 +996,17 @@ impl BufferPool {
             // Unlogged but dirty: nothing to log, yet the committed view
             // still advances — publish the version transition so snapshot
             // readers observe the new state.
-            self.begin_view_change();
             self.publish_commit(io.pager.catalog_root());
-            self.end_view_change();
             return Ok(io.wal.end_lsn());
         }
         match self.log_commit(io, &txn) {
             Ok(lsn) => {
-                self.begin_view_change();
                 for pid in &txn.dirty {
                     if let Some(frame) = self.lookup_frame(*pid) {
                         frame.body.write().rec_lsn = lsn;
                     }
                 }
                 self.publish_commit(io.pager.catalog_root());
-                self.end_view_change();
                 Ok(lsn)
             }
             Err(e) => {
@@ -1396,10 +1334,10 @@ impl BufferPool {
             }
         }
         let frame = self.load_frame(pid, true)?;
-        // The frame latch is held across the chain check (the same rule as
-        // `pin_snapshot`): dropping it first would open a window for a
-        // rollback to restore the frame and clear the pending image, after
-        // which the pre-restore clone would be served as committed.
+        // The frame latch is held across the chain check: dropping it
+        // first would open a window for a rollback to restore the frame
+        // and clear the pending image, after which the pre-restore clone
+        // would be served as committed.
         let body = frame.body.read();
         let hit = {
             let versions = self.versions.read();
@@ -1596,35 +1534,6 @@ impl BufferPool {
         Ok(f(&body.page))
     }
 
-    /// Run `f` with read access to the last *committed* content of the
-    /// page: if the open transaction touched it, its pending before-image
-    /// wins. The frame is read first and the chain second — the writer
-    /// publishes the before-image (under the frame latch) before mutating,
-    /// so a pending miss proves the frame content is committed.
-    pub fn with_page_snapshot<R>(
-        &self,
-        pid: PageId,
-        f: impl FnOnce(&Page) -> R,
-    ) -> StorageResult<R> {
-        let frame = self.load_frame(pid, false)?;
-        let body = frame.body.read();
-        if let Some(pending) = self
-            .versions
-            .read()
-            .get(&pid)
-            .and_then(|chain| chain.pending.as_ref())
-        {
-            return Ok(match pending {
-                Some(image) => f(image),
-                // Allocated inside the open transaction: its committed
-                // content is nonexistence. No committed structure can reach
-                // this page; serve an empty page for robustness.
-                None => f(&Page::new()),
-            });
-        }
-        Ok(f(&body.page))
-    }
-
     /// Run `f` with write access to the page; the page is marked dirty and,
     /// inside a transaction, its before-image is captured on first touch
     /// (for the undo log and the version chain's pending slot).
@@ -1674,47 +1583,6 @@ impl BufferPool {
         })
     }
 
-    /// Pin the last *committed* content of a page (see
-    /// [`BufferPool::with_page_snapshot`] for the pending rule). Pending
-    /// hits return a guard backed by the before-image `Arc` alone — there
-    /// is no frame to keep resident, the guard owns the bytes.
-    pub fn pin_snapshot(&self, pid: PageId) -> StorageResult<PinnedPage> {
-        let frame = self.load_frame(pid, true)?;
-        // The frame latch must be HELD across the pending check (same rule
-        // as `with_page_snapshot`): dropping it first would open a window
-        // for a rollback to restore the frame and clear the pending image,
-        // after which the pre-restore clone would be served as "committed".
-        let body = frame.body.read();
-        let pending_hit = self
-            .versions
-            .read()
-            .get(&pid)
-            .and_then(|chain| chain.pending.as_ref())
-            .map(|entry| match entry {
-                Some(image) => Arc::clone(image),
-                None => Arc::new(Page::new()),
-            });
-        let page = match &pending_hit {
-            Some(image) => Arc::clone(image),
-            None => Arc::clone(&body.page),
-        };
-        drop(body);
-        if pending_hit.is_some() {
-            // Drop the frame pin; the before-image is self-contained.
-            frame.pins.fetch_sub(1, Ordering::AcqRel);
-            return Ok(PinnedPage {
-                pid,
-                page,
-                frame: None,
-            });
-        }
-        Ok(PinnedPage {
-            pid,
-            page,
-            frame: Some(frame),
-        })
-    }
-
     /// Sequential-fill hint: clear the frame's reference bit so the clock
     /// hand may evict it on its first sweep instead of granting the usual
     /// second chance. Bulk loaders call this on pages they have packed and
@@ -1731,16 +1599,6 @@ impl BufferPool {
     /// transaction this is the writer's own, possibly uncommitted, value).
     pub fn catalog_root(&self) -> PageId {
         self.io.lock().pager.catalog_root()
-    }
-
-    /// The catalog root of the last committed state: while a transaction is
-    /// open, the value snapshotted at `begin_txn`.
-    pub fn committed_catalog_root(&self) -> PageId {
-        let io = self.io.lock();
-        match &io.txn {
-            Some(txn) => txn.header.1,
-            None => io.pager.catalog_root(),
-        }
     }
 
     /// Record the catalog root in the file header (persisted on commit and
@@ -2056,11 +1914,9 @@ impl BufferPool {
 
     /// Restore a transaction's before-images in memory and roll the header
     /// snapshot back. Works even after a simulated crash (no disk writes).
-    /// The whole restore happens inside one view transition: snapshot
-    /// readers either still see the pending before-images or the
+    /// Pinned readers either still see the pending before-images or the
     /// already-restored frames — both are the same committed bytes.
     fn rollback_with(&self, io: &mut IoState, txn: TxnState) -> StorageResult<()> {
-        self.begin_view_change();
         let mut deferred_installs: Vec<Arc<Frame>> = Vec::new();
         for (pid, undo) in &txn.undo {
             let stolen = txn.stolen.contains(pid);
@@ -2112,7 +1968,6 @@ impl BufferPool {
             chain.pending = None;
             !chain.committed.is_empty()
         });
-        self.end_view_change();
         result
     }
 
@@ -2789,6 +2644,7 @@ mod tests {
     #[test]
     fn snapshot_read_hides_in_flight_transaction() {
         let (_dir, pool) = pool(16);
+        let pool = Arc::new(pool);
         pool.begin_txn().unwrap();
         let pid = pool.allocate_page().unwrap();
         pool.with_page_mut(pid, |p| p.write_u64(0, 1)).unwrap();
@@ -2796,15 +2652,27 @@ mod tests {
 
         pool.begin_txn().unwrap();
         pool.with_page_mut(pid, |p| p.write_u64(0, 999)).unwrap();
-        // The writer sees its own mutation; a snapshot read sees the last
+        // The writer sees its own mutation; a pinned epoch sees the last
         // committed value.
         assert_eq!(pool.with_page(pid, |p| p.read_u64(0)).unwrap(), 999);
-        assert_eq!(pool.with_page_snapshot(pid, |p| p.read_u64(0)).unwrap(), 1);
-        let gen_before = pool.read_generation();
-        pool.commit_txn(false).unwrap();
-        assert!(pool.read_generation() > gen_before, "commit bumps the view");
+        let pin = pool.pin_epoch();
         assert_eq!(
-            pool.with_page_snapshot(pid, |p| p.read_u64(0)).unwrap(),
+            pool.with_page_at(pin.epoch(), pid, |p| p.read_u64(0))
+                .unwrap(),
+            1
+        );
+        pool.commit_txn(false).unwrap();
+        assert!(pool.current_epoch() > pin.epoch(), "commit publishes");
+        // The old pin stays frozen; a fresh one sees the commit.
+        assert_eq!(
+            pool.with_page_at(pin.epoch(), pid, |p| p.read_u64(0))
+                .unwrap(),
+            1
+        );
+        let fresh = pool.pin_epoch();
+        assert_eq!(
+            pool.with_page_at(fresh.epoch(), pid, |p| p.read_u64(0))
+                .unwrap(),
             999
         );
     }
@@ -2812,6 +2680,7 @@ mod tests {
     #[test]
     fn snapshot_read_hides_stolen_uncommitted_pages() {
         let (_dir, pool) = pool(8);
+        let pool = Arc::new(pool);
         pool.begin_txn().unwrap();
         let base = pool.allocate_page().unwrap();
         pool.with_page_mut(base, |p| p.write_u64(0, 7)).unwrap();
@@ -2824,31 +2693,48 @@ mod tests {
             pool.with_page_mut(pid, |p| p.write_u64(0, 1)).unwrap();
         }
         assert!(pool.stats().writebacks > 0, "steal must have happened");
-        // Even though the disk copy holds 700, the snapshot read serves the
+        // Even though the disk copy holds 700, a pinned read serves the
         // pending before-image.
-        assert_eq!(pool.with_page_snapshot(base, |p| p.read_u64(0)).unwrap(), 7);
+        let pin = pool.pin_epoch();
+        assert_eq!(
+            pool.with_page_at(pin.epoch(), base, |p| p.read_u64(0))
+                .unwrap(),
+            7
+        );
+        let page = pool.pin_at(pin.epoch(), base).unwrap();
+        assert_eq!(page.read_u64(0), 7);
+        drop(page);
         pool.rollback_txn().unwrap();
         assert_eq!(pool.with_page(base, |p| p.read_u64(0)).unwrap(), 7);
-        assert_eq!(pool.with_page_snapshot(base, |p| p.read_u64(0)).unwrap(), 7);
+        let fresh = pool.pin_epoch();
+        assert_eq!(
+            pool.with_page_at(fresh.epoch(), base, |p| p.read_u64(0))
+                .unwrap(),
+            7
+        );
     }
 
     #[test]
     fn snapshot_pin_serves_before_image() {
         let (_dir, pool) = pool(16);
+        let pool = Arc::new(pool);
         pool.begin_txn().unwrap();
         let pid = pool.allocate_page().unwrap();
         pool.with_page_mut(pid, |p| p.write_u64(0, 11)).unwrap();
         pool.commit_txn(false).unwrap();
         pool.begin_txn().unwrap();
         pool.with_page_mut(pid, |p| p.write_u64(0, 22)).unwrap();
-        let pin = pool.pin_snapshot(pid).unwrap();
+        let epoch = pool.pin_epoch();
+        let pin = pool.pin_at(epoch.epoch(), pid).unwrap();
         assert_eq!(pin.read_u64(0), 11);
         assert_eq!(pin.page_id(), pid);
-        // Overlay-backed pins hold no frame pin.
+        // Pending-backed pins hold no frame pin.
         assert_eq!(pool.pinned_frames(), 0);
         drop(pin);
+        drop(epoch);
         pool.commit_txn(false).unwrap();
-        let pin = pool.pin_snapshot(pid).unwrap();
+        let epoch = pool.pin_epoch();
+        let pin = pool.pin_at(epoch.epoch(), pid).unwrap();
         assert_eq!(pin.read_u64(0), 22);
         assert_eq!(pool.pinned_frames(), 1);
     }
@@ -2856,15 +2742,21 @@ mod tests {
     #[test]
     fn committed_catalog_root_ignores_in_flight_change() {
         let (_dir, pool) = pool(16);
+        let pool = Arc::new(pool);
+        pool.begin_txn().unwrap();
         let pid = pool.allocate_page().unwrap();
         pool.set_catalog_root(pid);
+        pool.commit_txn(false).unwrap();
         pool.begin_txn().unwrap();
         let other = pool.allocate_page().unwrap();
         pool.set_catalog_root(other);
         assert_eq!(pool.catalog_root(), other);
-        assert_eq!(pool.committed_catalog_root(), pid);
+        let pin = pool.pin_epoch();
+        assert_eq!(pool.catalog_entry_at(pin.epoch()).unwrap().1, pid);
         pool.commit_txn(false).unwrap();
-        assert_eq!(pool.committed_catalog_root(), other);
+        assert_eq!(pool.catalog_entry_at(pin.epoch()).unwrap().1, pid);
+        let fresh = pool.pin_epoch();
+        assert_eq!(pool.catalog_entry_at(fresh.epoch()).unwrap().1, other);
     }
 
     #[test]

@@ -10,21 +10,18 @@
 //! The engine is single-writer, many-reader. The [`Database`] value is the
 //! writer: mutations take `&mut self` and serialize on the buffer pool's io
 //! latch. Any number of [`DbReader`] handles (see [`Database::reader`]) may
-//! read concurrently from other threads: a reader routes every page access
-//! through the pool's committed-[`Snapshot`] view, so an in-flight
-//! transaction is invisible, and refreshes its cached catalog (table roots,
-//! heap heads) whenever the pool's read generation advances — i.e. after
-//! every commit. A reader that must see one *frozen* commit point across a
-//! multi-page operation pins an epoch ([`DbReader::pin_epoch`]) and reads
-//! through the resulting [`EpochView`] ([`DbReader::at_epoch`]) — the
-//! buffer pool's version chains serve every page as of that commit
-//! sequence. The [`DbRead`] trait abstracts over all of these, which lets
+//! read concurrently from other threads: a reader pins an epoch
+//! ([`DbReader::pin_epoch`]) and reads through the resulting [`EpochView`]
+//! ([`DbReader::at_epoch`]) — the buffer pool's version chains serve every
+//! page as of that commit sequence, so neither the writer's in-flight
+//! transaction nor a later commit is visible. The [`DbRead`] trait is
+//! implemented by the writer (`&Database`) and by [`EpochView`], which lets
 //! higher layers write their query engines once.
 
 use crate::btree::{BTree, RangeIter};
 use crate::buffer::{
     BufferPool, BufferStats, CheckpointPolicy, CheckpointerGuard, CrashPoint, EpochPin, PageSource,
-    PinnedPage, ScrubOptions, ScrubStats, Snapshot,
+    PinnedPage, ScrubOptions, ScrubStats,
 };
 use crate::catalog::{Catalog, IndexMeta, RawIndexMeta, TableMeta};
 use crate::error::{StorageError, StorageResult};
@@ -35,7 +32,7 @@ use crate::pager::Pager;
 use crate::schema::{Row, Schema};
 use crate::value::Value;
 use crate::wal::{Lsn, RecoveryReport};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -49,8 +46,8 @@ pub struct TableId(pub usize);
 pub struct RawIndexId(pub usize);
 
 /// Read-only record-store surface shared by the writer ([`Database`], which
-/// reads its own current state) and concurrent snapshot readers
-/// ([`DbReader`], which read the last committed state). Higher layers write
+/// reads its own current state) and pinned snapshot readers
+/// ([`EpochView`], which read one committed state). Higher layers write
 /// their query engines generically over this trait.
 pub trait DbRead {
     /// Fetch a row by record id.
@@ -100,8 +97,8 @@ pub trait DbRead {
 
 /// In-memory handles derived from the on-disk catalog: table metadata, heap
 /// files and B+tree roots. The writer owns one (kept in lockstep with its
-/// mutations); every [`DbReader`] owns its own copy (rebuilt from the
-/// committed catalog when the read generation advances).
+/// mutations); every [`DbReader`] caches one per recent commit point,
+/// shared by the [`EpochView`]s pinned at it.
 #[derive(Clone)]
 struct Meta {
     catalog: Catalog,
@@ -383,8 +380,11 @@ impl Database {
     /// A concurrent snapshot reader over this database's buffer pool.
     /// Readers see the last committed state only; they never block behind —
     /// and are never torn by — the writer's in-flight transaction.
-    pub fn reader(&self) -> StorageResult<DbReader> {
-        DbReader::new(Arc::clone(&self.pool))
+    pub fn reader(&self) -> DbReader {
+        DbReader {
+            pool: Arc::clone(&self.pool),
+            epoch_meta: Mutex::new(Vec::new()),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1227,10 +1227,65 @@ impl DbRead for Database {
     }
 }
 
-/// Cached reader-side metadata, keyed by the pool's read generation.
-struct CachedMeta {
-    gen: u64,
-    meta: Meta,
+impl<T: DbRead> DbRead for &T {
+    fn get(&self, table: TableId, rid: RecordId) -> StorageResult<Row> {
+        T::get(self, table, rid)
+    }
+
+    fn scan(&self, table: TableId) -> StorageResult<Vec<(RecordId, Row)>> {
+        T::scan(self, table)
+    }
+
+    fn row_count(&self, table: TableId) -> StorageResult<usize> {
+        T::row_count(self, table)
+    }
+
+    fn lookup_rows(
+        &self,
+        table: TableId,
+        column: &str,
+        value: &Value,
+    ) -> StorageResult<Vec<(RecordId, Row)>> {
+        T::lookup_rows(self, table, column, value)
+    }
+
+    fn index_range(
+        &self,
+        table: TableId,
+        column: &str,
+        low: Option<&Value>,
+        high: Option<&Value>,
+    ) -> StorageResult<Vec<RecordId>> {
+        T::index_range(self, table, column, low, high)
+    }
+
+    fn raw_get(&self, id: RawIndexId, key: &[u8]) -> StorageResult<Option<u64>> {
+        T::raw_get(self, id, key)
+    }
+
+    fn raw_len(&self, id: RawIndexId) -> StorageResult<usize> {
+        T::raw_len(self, id)
+    }
+
+    fn raw_first_in_range<R>(
+        &self,
+        id: RawIndexId,
+        low: &[u8],
+        high: &[u8],
+        f: impl FnOnce(&[u8], u64) -> R,
+    ) -> StorageResult<Option<R>> {
+        T::raw_first_in_range(self, id, low, high, f)
+    }
+
+    fn raw_scan(
+        &self,
+        id: RawIndexId,
+        low: Option<&[u8]>,
+        high: Option<&[u8]>,
+        f: &mut dyn FnMut(&[u8], u64) -> StorageResult<bool>,
+    ) -> StorageResult<()> {
+        T::raw_scan(self, id, low, high, f)
+    }
 }
 
 /// Entries kept in a reader's pinned-epoch metadata cache. Read brackets
@@ -1266,36 +1321,20 @@ impl PageSource for EpochSnapshot<'_> {
 /// Sync`: share one across threads or create one per thread — they are
 /// cheap (an `Arc` plus cached catalog handles).
 ///
-/// Every read routes through the pool's committed-[`Snapshot`] view: pages
-/// touched by the writer's open transaction read as their before-images, so
-/// a reader observes the last committed state and never blocks behind an
-/// in-flight load. The cached catalog handles are rebuilt whenever the
-/// pool's read generation advances (i.e. after every commit or rollback).
-///
-/// For a multi-page operation that must not observe a concurrent commit
-/// mid-flight, pin an epoch ([`DbReader::pin_epoch`]) and run it against
-/// the frozen [`EpochView`] ([`DbReader::at_epoch`]): the version chains
-/// keep every page the epoch needs, so the operation completes without
-/// retrying (see `crimson`'s `RepositoryReader`).
+/// Every read runs on a pinned epoch: pin one ([`DbReader::pin_epoch`])
+/// and read through the frozen [`EpochView`] ([`DbReader::at_epoch`]).
+/// Pages touched by the writer's open transaction read as their
+/// before-images and later commits stay invisible, so a reader never
+/// blocks behind an in-flight load and a multi-page operation completes
+/// without retrying (see `crimson`'s `RepositoryReader`).
 pub struct DbReader {
     pool: Arc<BufferPool>,
-    meta: RwLock<CachedMeta>,
     /// Pinned-epoch metadata cache, keyed by the governing commit
     /// sequence (most recent first, bounded at [`EPOCH_META_CACHE`]).
     epoch_meta: Mutex<Vec<(u64, Arc<Meta>)>>,
 }
 
 impl DbReader {
-    fn new(pool: Arc<BufferPool>) -> StorageResult<DbReader> {
-        let gen = Self::stable_gen(&pool);
-        let meta = Meta::load_from(Snapshot(&pool), false)?;
-        Ok(DbReader {
-            pool,
-            meta: RwLock::new(CachedMeta { gen, meta }),
-            epoch_meta: Mutex::new(Vec::new()),
-        })
-    }
-
     /// Pin the current commit sequence as a snapshot epoch (see
     /// [`BufferPool::pin_epoch`]). Pair with [`DbReader::at_epoch`] to
     /// read a view frozen at the pinned sequence.
@@ -1349,33 +1388,8 @@ impl DbReader {
         Ok(meta)
     }
 
-    fn stable_gen(pool: &BufferPool) -> u64 {
-        loop {
-            let gen = pool.read_generation();
-            if gen.is_multiple_of(2) {
-                return gen;
-            }
-            // A commit/rollback is retiring the overlay right now; the
-            // transition is a few map operations, so spin briefly.
-            std::thread::yield_now();
-        }
-    }
-
-    /// The current read generation (possibly odd while a commit retires the
-    /// overlay).
-    pub fn generation(&self) -> u64 {
-        self.pool.read_generation()
-    }
-
-    /// The current *stable* (even) read generation, waiting out an
-    /// in-progress view transition. Bracket a multi-page operation with
-    /// this and [`DbReader::generation`]: if the value changed, retry.
-    pub fn stable_generation(&self) -> u64 {
-        Self::stable_gen(&self.pool)
-    }
-
-    /// Report a snapshot retry (generation change mid-operation or a `Busy`
-    /// give-up) into the pool's `reader_retries` counter, so checkpoints'
+    /// Report a snapshot retry (a re-pin after
+    /// [`StorageError::SnapshotRetired`] or a `Busy` give-up) into the pool's `reader_retries` counter, so checkpoints'
     /// effect on reader tail latency is observable.
     pub fn note_snapshot_retry(&self) {
         self.pool.note_reader_retry();
@@ -1394,112 +1408,6 @@ impl DbReader {
     /// Absolute LSN up to which the write-ahead log is known durable.
     pub fn durable_lsn(&self) -> Lsn {
         self.pool.durable_lsn()
-    }
-
-    /// Look up a table id by name in the committed catalog.
-    pub fn table(&self, name: &str) -> StorageResult<TableId> {
-        self.with_meta(|meta, _| {
-            meta.catalog
-                .table_id(name)
-                .map(TableId)
-                .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
-        })
-    }
-
-    /// Look up a raw index id by name in the committed catalog.
-    pub fn raw_index(&self, name: &str) -> StorageResult<RawIndexId> {
-        self.with_meta(|meta, _| {
-            meta.catalog
-                .raw_indexes
-                .iter()
-                .position(|r| r.name == name)
-                .map(RawIndexId)
-                .ok_or_else(|| StorageError::UnknownIndex(name.to_string()))
-        })
-    }
-
-    /// Run `f` against metadata that matches the current committed state,
-    /// rebuilding the cached handles first when a commit has landed since
-    /// the last call.
-    fn with_meta<R>(
-        &self,
-        f: impl FnOnce(&Meta, Snapshot<'_>) -> StorageResult<R>,
-    ) -> StorageResult<R> {
-        let gen = self.stable_generation();
-        {
-            let cached = self.meta.read();
-            if cached.gen == gen {
-                return f(&cached.meta, Snapshot(&self.pool));
-            }
-        }
-        let mut cached = self.meta.write();
-        let gen = self.stable_generation();
-        if cached.gen != gen {
-            cached.meta = Meta::load_from(Snapshot(&self.pool), false)?;
-            cached.gen = gen;
-        }
-        f(&cached.meta, Snapshot(&self.pool))
-    }
-}
-
-impl DbRead for DbReader {
-    fn get(&self, table: TableId, rid: RecordId) -> StorageResult<Row> {
-        self.with_meta(|m, s| m.get(s, table, rid))
-    }
-
-    fn scan(&self, table: TableId) -> StorageResult<Vec<(RecordId, Row)>> {
-        self.with_meta(|m, s| m.scan(s, table))
-    }
-
-    fn row_count(&self, table: TableId) -> StorageResult<usize> {
-        self.with_meta(|m, s| m.row_count(s, table))
-    }
-
-    fn lookup_rows(
-        &self,
-        table: TableId,
-        column: &str,
-        value: &Value,
-    ) -> StorageResult<Vec<(RecordId, Row)>> {
-        self.with_meta(|m, s| m.lookup_rows(s, table, column, value))
-    }
-
-    fn index_range(
-        &self,
-        table: TableId,
-        column: &str,
-        low: Option<&Value>,
-        high: Option<&Value>,
-    ) -> StorageResult<Vec<RecordId>> {
-        self.with_meta(|m, s| m.index_range(s, table, column, low, high))
-    }
-
-    fn raw_get(&self, id: RawIndexId, key: &[u8]) -> StorageResult<Option<u64>> {
-        self.with_meta(|m, s| m.raw_get(s, id, key))
-    }
-
-    fn raw_len(&self, id: RawIndexId) -> StorageResult<usize> {
-        self.with_meta(|m, s| m.raw_len(s, id))
-    }
-
-    fn raw_first_in_range<R>(
-        &self,
-        id: RawIndexId,
-        low: &[u8],
-        high: &[u8],
-        f: impl FnOnce(&[u8], u64) -> R,
-    ) -> StorageResult<Option<R>> {
-        self.with_meta(|m, s| m.raw_first_in_range(s, id, low, high, f))
-    }
-
-    fn raw_scan(
-        &self,
-        id: RawIndexId,
-        low: Option<&[u8]>,
-        high: Option<&[u8]>,
-        f: &mut dyn FnMut(&[u8], u64) -> StorageResult<bool>,
-    ) -> StorageResult<()> {
-        self.with_meta(|m, s| m.raw_scan(s, id, low, high, f))
     }
 }
 
@@ -2244,6 +2152,12 @@ mod tests {
     // Snapshot readers
     // ------------------------------------------------------------------
 
+    /// Run `f` on a fresh epoch pinned through `reader`.
+    fn pinned<R>(reader: &DbReader, f: impl FnOnce(&EpochView<'_>) -> R) -> R {
+        let pin = reader.pin_epoch();
+        f(&reader.at_epoch(&pin).unwrap())
+    }
+
     #[test]
     fn reader_sees_committed_rows_only() {
         let (_d, mut db) = fresh();
@@ -2251,25 +2165,31 @@ mod tests {
         db.create_index(t, "name", true).unwrap();
         db.insert(t, &[Value::text("Bha"), Value::Int(1), Value::Null])
             .unwrap();
-        let reader = db.reader().unwrap();
-        assert_eq!(reader.table("species").unwrap(), t);
-        assert_eq!(reader.row_count(t).unwrap(), 1);
+        let reader = db.reader();
+        assert_eq!(pinned(&reader, |v| v.table("species").unwrap()), t);
+        assert_eq!(pinned(&reader, |v| v.row_count(t).unwrap()), 1);
 
         // An open transaction's inserts are invisible to the reader...
         db.begin().unwrap();
         db.insert(t, &[Value::text("Lla"), Value::Int(2), Value::Null])
             .unwrap();
         assert_eq!(db.row_count(t).unwrap(), 2, "writer sees its own insert");
-        assert_eq!(reader.row_count(t).unwrap(), 1, "reader must not");
-        assert!(reader
+        assert_eq!(
+            pinned(&reader, |v| v.row_count(t).unwrap()),
+            1,
+            "reader must not"
+        );
+        assert!(pinned(&reader, |v| v
             .lookup_rows(t, "name", &Value::text("Lla"))
             .unwrap()
-            .is_empty());
+            .is_empty()));
 
         // ...until the commit lands.
         db.commit().unwrap();
-        assert_eq!(reader.row_count(t).unwrap(), 2);
-        let rows = reader.lookup_rows(t, "name", &Value::text("Lla")).unwrap();
+        assert_eq!(pinned(&reader, |v| v.row_count(t).unwrap()), 2);
+        let rows = pinned(&reader, |v| {
+            v.lookup_rows(t, "name", &Value::text("Lla")).unwrap()
+        });
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].1.values[1], Value::Int(2));
     }
@@ -2280,7 +2200,7 @@ mod tests {
         let t = db.create_table("species", species_schema()).unwrap();
         db.insert(t, &[Value::text("Bha"), Value::Int(1), Value::Null])
             .unwrap();
-        let reader = db.reader().unwrap();
+        let reader = db.reader();
         db.begin().unwrap();
         for i in 0..50 {
             db.insert(
@@ -2293,9 +2213,9 @@ mod tests {
             )
             .unwrap();
         }
-        assert_eq!(reader.row_count(t).unwrap(), 1);
+        assert_eq!(pinned(&reader, |v| v.row_count(t).unwrap()), 1);
         db.rollback().unwrap();
-        assert_eq!(reader.row_count(t).unwrap(), 1);
+        assert_eq!(pinned(&reader, |v| v.row_count(t).unwrap()), 1);
         assert_eq!(db.row_count(t).unwrap(), 1);
     }
 
@@ -2305,14 +2225,14 @@ mod tests {
         let t = db.create_table("first", species_schema()).unwrap();
         db.insert(t, &[Value::text("a"), Value::Int(1), Value::Null])
             .unwrap();
-        let reader = db.reader().unwrap();
-        assert!(reader.table("second").is_err());
+        let reader = db.reader();
+        assert!(pinned(&reader, |v| v.table("second").is_err()));
         let t2 = db.create_table("second", species_schema()).unwrap();
         db.insert(t2, &[Value::text("b"), Value::Int(2), Value::Null])
             .unwrap();
-        // The reader picks up the new table after the auto-commits.
-        assert_eq!(reader.table("second").unwrap(), t2);
-        assert_eq!(reader.row_count(t2).unwrap(), 1);
+        // A fresh pin picks up the new table after the auto-commits.
+        assert_eq!(pinned(&reader, |v| v.table("second").unwrap()), t2);
+        assert_eq!(pinned(&reader, |v| v.row_count(t2).unwrap()), 1);
     }
 
     #[test]
@@ -2331,16 +2251,18 @@ mod tests {
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             for _ in 0..3 {
-                let reader = db.reader().unwrap();
+                let reader = db.reader();
                 let stop = &stop;
                 s.spawn(move || {
                     let mut rounds = 0u64;
                     while !stop.load(Ordering::Relaxed) || rounds < 50 {
                         // Row counts only ever grow by whole committed
                         // transactions of 10 rows.
-                        let n = reader.row_count(t).unwrap();
+                        let n = pinned(&reader, |v| v.row_count(t).unwrap());
                         assert!(n >= 200 && (n - 200) % 10 == 0, "torn count {n}");
-                        let rows = reader.lookup_rows(t, "node_id", &Value::Int(42)).unwrap();
+                        let rows = pinned(&reader, |v| {
+                            v.lookup_rows(t, "node_id", &Value::Int(42)).unwrap()
+                        });
                         assert_eq!(rows.len(), 1);
                         rounds += 1;
                         if rounds > 5000 {
@@ -2378,7 +2300,7 @@ mod tests {
         for i in 0..5 {
             db.insert(t, &species_row(i)).unwrap();
         }
-        let reader = db.reader().unwrap();
+        let reader = db.reader();
         let pin = reader.pin_epoch();
         let view = reader.at_epoch(&pin).unwrap();
         assert_eq!(view.row_count(t).unwrap(), 5);
@@ -2426,7 +2348,7 @@ mod tests {
         let (_d, mut db) = fresh();
         let t = db.create_table("species", species_schema()).unwrap();
         db.insert(t, &species_row(0)).unwrap();
-        let reader = db.reader().unwrap();
+        let reader = db.reader();
 
         // One pin per inter-commit window, each insert dirtying the same
         // heap page: after more than VERSION_CHAIN_CAP distinct pinned

@@ -95,8 +95,8 @@ impl HeapFile {
 
     /// Open a heap file for read-only use: the tail pointer is left at the
     /// first page instead of being located (only [`HeapFile::insert`] needs
-    /// the tail), so opening costs zero page reads. Snapshot readers rebuild
-    /// their catalog handles on every commit; this keeps that rebuild cheap.
+    /// the tail), so opening costs zero page reads. Snapshot readers build
+    /// catalog handles once per pinned commit point; this keeps that cheap.
     pub fn open_read_only(first_page: PageId) -> Self {
         HeapFile {
             first_page,

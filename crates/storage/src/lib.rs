@@ -55,9 +55,9 @@
 //! an in-flight transaction is invisible, readers never block behind the
 //! writer, and a pinned multi-page read never retries however fast commits
 //! land. The [`buffer::PageSource`] trait makes the B+tree, heap and
-//! catalog read paths generic over the current view, the committed view
-//! ([`buffer::Snapshot`]) and the pinned-epoch view ([`db::EpochSnapshot`]);
-//! `ARCHITECTURE.md` documents the latching protocol and the epoch-pinning
+//! catalog read paths generic over the writer's current view
+//! (`&BufferPool`) and the pinned-epoch view ([`db::EpochSnapshot`]), the
+//! only two sources; `ARCHITECTURE.md` documents the latching protocol and the epoch-pinning
 //! rule in full.
 //!
 //! ## Transactions, write-ahead logging and recovery
@@ -118,7 +118,7 @@ pub mod wal;
 
 pub use buffer::{
     CheckpointPolicy, CheckpointerGuard, CrashPoint, EpochPin, PageSource, PinnedPage,
-    ScrubOptions, ScrubStats, Snapshot,
+    ScrubOptions, ScrubStats,
 };
 pub use db::{Database, DbRead, DbReader, EpochSnapshot, EpochView, RawIndexId, TableId};
 pub use error::{StorageError, StorageResult};

@@ -18,13 +18,13 @@
 //!   [`Pager::sync`], i.e. at checkpoint and recovery). Checksums live out
 //!   of line because pages use all `PAGE_SIZE` bytes for payload (heap
 //!   cells pack down from the page end), so an in-page trailer would
-//!   change every page layout and break v1 files. Entries are verified on
-//!   every disk read; a mismatch is a typed [`StorageError::CorruptPage`].
+//!   change every page layout. Entries are verified on every disk read; a
+//!   mismatch is a typed [`StorageError::CorruptPage`].
 //!
-//! v1 files still open: their pages are simply *unverified* until the next
-//! checkpoint backfills the sidecar and bumps the header to v2. A missing
-//! or damaged sidecar likewise degrades to "unverified" (never a false
-//! corruption report) and heals at the next checkpoint.
+//! Only v2 files open; any other version is a typed
+//! [`StorageError::InvalidDatabase`]. A missing or damaged sidecar
+//! degrades to "unverified" (never a false corruption report) and heals at
+//! the next checkpoint.
 //!
 //! [`Pager::write_page`] records the new checksum **in memory only**; the
 //! sidecar file is rewritten at the next [`Pager::sync`]. Between
@@ -49,11 +49,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 const MAGIC: &[u8; 8] = b"CRIMSON1";
-/// Newest format this build writes.
+/// The one format this build reads and writes.
 const FORMAT_VERSION: u32 = 2;
-/// Oldest format this build still opens (checksums are backfilled on the
-/// next checkpoint, which also bumps the file to the current version).
-const MIN_FORMAT_VERSION: u32 = 1;
 
 const SUM_MAGIC: &[u8; 8] = b"CRIMSUM1";
 const SUM_VERSION: u32 = 1;
@@ -107,7 +104,7 @@ pub fn sum_path_for(db_path: &Path) -> PathBuf {
 pub(crate) enum PageVerdict {
     /// Checksum known and matched.
     Verified,
-    /// No checksum recorded for this page (v1 file or damaged sidecar);
+    /// No checksum recorded for this page (missing or damaged sidecar);
     /// the content was accepted unverified.
     Unverified,
 }
@@ -122,10 +119,8 @@ pub struct Pager {
     checkpoint_lsn: u64,
     header_dirty: bool,
     fresh: bool,
-    /// On-disk format version of this file (bumped to current at sync).
-    version: u32,
     /// Per-page CRC32 table, indexed by page id. `None` = unknown (page 0,
-    /// v1 files before backfill, damaged sidecar, freshly allocated pages).
+    /// missing or damaged sidecar, freshly allocated pages).
     checksums: Vec<Option<u32>>,
     /// The sidecar existed but failed its own validation at open.
     sum_damaged: bool,
@@ -138,7 +133,6 @@ impl std::fmt::Debug for Pager {
             .field("path", &self.path)
             .field("page_count", &self.page_count)
             .field("catalog_root", &self.catalog_root)
-            .field("version", &self.version)
             .finish()
     }
 }
@@ -165,7 +159,6 @@ impl Pager {
             checkpoint_lsn: 0,
             header_dirty: true,
             fresh: true,
-            version: FORMAT_VERSION,
             checksums: vec![None],
             sum_damaged: false,
             retry: RetryPolicy::default(),
@@ -198,23 +191,20 @@ impl Pager {
             ));
         }
         let version = header_u32(&header, HDR_VERSION, "format version")?;
-        if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(StorageError::InvalidDatabase(format!(
-                "unsupported format version {version} (this build reads versions \
-                 {MIN_FORMAT_VERSION} through {FORMAT_VERSION})"
+                "unsupported format version {version} (this build reads version {FORMAT_VERSION})"
             )));
         }
-        if version >= 2 {
-            let stored = header_u32(&header, HDR_HEADER_CRC, "header checksum")?;
-            header[HDR_HEADER_CRC..HDR_HEADER_CRC + 4].copy_from_slice(&[0u8; 4]);
-            let actual = crc32(&header);
-            if stored != actual {
-                return Err(StorageError::InvalidDatabase(format!(
-                    "header page checksum mismatch \
-                     (expected {stored:#010x}, found {actual:#010x}): \
-                     the header page is corrupt"
-                )));
-            }
+        let stored = header_u32(&header, HDR_HEADER_CRC, "header checksum")?;
+        header[HDR_HEADER_CRC..HDR_HEADER_CRC + 4].copy_from_slice(&[0u8; 4]);
+        let actual = crc32(&header);
+        if stored != actual {
+            return Err(StorageError::InvalidDatabase(format!(
+                "header page checksum mismatch \
+                 (expected {stored:#010x}, found {actual:#010x}): \
+                 the header page is corrupt"
+            )));
         }
         let page_count = header_u64(&header, HDR_PAGE_COUNT, "page count")?;
         if page_count == 0 {
@@ -230,11 +220,7 @@ impl Pager {
         }
         let user_meta = header_u64(&header, HDR_USER_META, "user metadata page")?;
         let checkpoint_lsn = header_u64(&header, HDR_CHECKPOINT_LSN, "checkpoint LSN")?;
-        let (checksums, sum_damaged) = if version >= 2 {
-            load_checksums(&sum_path_for(&path), page_count)
-        } else {
-            (vec![None; page_count as usize], false)
-        };
+        let (checksums, sum_damaged) = load_checksums(&sum_path_for(&path), page_count);
         Ok(Pager {
             io,
             path,
@@ -244,7 +230,6 @@ impl Pager {
             checkpoint_lsn,
             header_dirty: false,
             fresh: false,
-            version,
             checksums,
             sum_damaged,
             retry: RetryPolicy::default(),
@@ -254,12 +239,6 @@ impl Pager {
     /// `true` when this pager was just created (no recovery needed).
     pub(crate) fn is_fresh(&self) -> bool {
         self.fresh
-    }
-
-    /// On-disk format version of the open file (1 or 2; files are bumped to
-    /// the current version at the next sync).
-    pub fn format_version(&self) -> u32 {
-        self.version
     }
 
     /// `true` when the sidecar checksum file existed but failed its own
@@ -481,15 +460,13 @@ impl Pager {
         }
         let mut page = Page::new();
         page.write_bytes(0, MAGIC);
-        page.write_u32(HDR_VERSION, self.version);
+        page.write_u32(HDR_VERSION, FORMAT_VERSION);
         page.write_u64(HDR_PAGE_COUNT, self.page_count);
         page.write_u64(HDR_CATALOG_ROOT, self.catalog_root.0);
         page.write_u64(HDR_USER_META, self.user_meta.0);
         page.write_u64(HDR_CHECKPOINT_LSN, self.checkpoint_lsn);
-        if self.version >= 2 {
-            // CRC over the full header page with the checksum field zeroed.
-            page.write_u32(HDR_HEADER_CRC, crc32(page.bytes()));
-        }
+        // CRC over the full header page with the checksum field zeroed.
+        page.write_u32(HDR_HEADER_CRC, crc32(page.bytes()));
         let bytes = page.bytes();
         let io = &mut self.io;
         self.retry.run(|| io.write_at(0, bytes))?;
@@ -498,8 +475,8 @@ impl Pager {
     }
 
     /// Compute checksums for every page that lacks one, from current disk
-    /// content. This is the v1 → v2 backfill (and the heal path for a
-    /// damaged sidecar); it trusts the bytes as they stand.
+    /// content: the heal path for a missing or damaged sidecar; it trusts
+    /// the bytes as they stand.
     fn backfill_unknown(&mut self) -> StorageResult<()> {
         for raw in 1..self.page_count {
             let pid = PageId(raw);
@@ -551,15 +528,10 @@ impl Pager {
     }
 
     /// Flush everything (header + OS buffers) to stable storage and persist
-    /// the checksum table. A v1 file is backfilled and bumped to the
-    /// current format version here — "checksums appear at the next
-    /// checkpoint".
+    /// the checksum table, first filling in the checksum of every page that
+    /// lacks one.
     pub fn sync(&mut self) -> StorageResult<()> {
         self.backfill_unknown()?;
-        if self.version < FORMAT_VERSION {
-            self.version = FORMAT_VERSION;
-            self.header_dirty = true;
-        }
         self.save_checksums()?;
         self.write_header()?;
         self.io.sync()?;
@@ -784,39 +756,33 @@ mod tests {
     }
 
     #[test]
-    fn v1_file_opens_unverified_and_upgrades_at_sync() {
+    fn v1_file_is_refused_at_open() {
         let dir = tempdir().unwrap();
         let path = dir.path().join("t.crdb");
-        let pid = {
+        {
             let mut pager = Pager::create(&path).unwrap();
             let pid = pager.allocate_page().unwrap();
             let mut page = Page::new();
             page.write_u64(0, 4242);
             pager.write_page(pid, &page).unwrap();
             pager.sync().unwrap();
-            pid
-        };
+        }
         // Rewrite the header as a v1 header (no CRC field) and drop the
-        // sidecar, emulating a file written by the previous format.
+        // sidecar, as the previous format laid a file out.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[HDR_VERSION..HDR_VERSION + 4].copy_from_slice(&1u32.to_le_bytes());
         bytes[HDR_HEADER_CRC..HDR_HEADER_CRC + 4].copy_from_slice(&[0u8; 4]);
         std::fs::write(&path, &bytes).unwrap();
         std::fs::remove_file(sum_path_for(&path)).unwrap();
 
-        let mut pager = Pager::open(&path).unwrap();
-        assert_eq!(pager.format_version(), 1);
-        assert!(!pager.checksum_known(pid), "v1 pages start unverified");
-        assert_eq!(pager.read_page(pid).unwrap().read_u64(0), 4242);
-        // The next sync backfills checksums and bumps the version.
-        pager.sync().unwrap();
-        assert_eq!(pager.format_version(), 2);
-        assert!(pager.checksum_known(pid));
-        drop(pager);
-        let mut pager = Pager::open(&path).unwrap();
-        assert_eq!(pager.format_version(), 2);
-        assert!(pager.checksum_known(pid));
-        assert_eq!(pager.read_page(pid).unwrap().read_u64(0), 4242);
+        match Pager::open(&path) {
+            Err(StorageError::InvalidDatabase(msg)) => {
+                assert!(msg.contains("version 1"), "unexpected message: {msg}")
+            }
+            other => panic!("a v1 file must be refused, got {other:?}"),
+        }
+        // The file is left as it was: nothing was upgraded in place.
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
     }
 
     #[test]

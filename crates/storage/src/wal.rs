@@ -34,19 +34,19 @@
 //! The log is split into three coordination domains so that committers never
 //! serialize behind each other's fsyncs:
 //!
-//! * the **enqueue side** ([`WalQueue`]): appends — always made under the
+//! * the **enqueue side** (`WalQueue`): appends — always made under the
 //!   buffer pool's io latch, which is what keeps the log in commit order —
 //!   encode their frame and push it onto a pending queue, advancing the
 //!   logical `end` LSN. When no group-commit leader holds the file, the
 //!   appender opportunistically drains the queue through to the file
 //!   ("write-through"), so single-threaded behaviour — including where
 //!   write errors surface — is identical to a direct write.
-//! * the **file side** ([`WalFile`]): the file handle, its `flushed` cursor
+//! * the **file side** (`WalFile`): the file handle, its `flushed` cursor
 //!   and the write/fsync machinery, behind its own mutex. Whoever holds it
 //!   is the group-commit *leader*: it drains every pending frame (one
 //!   `write_at` per frame, in enqueue order) and issues ONE fsync that
 //!   durably covers every commit record drained so far.
-//! * the **shared side** ([`WalShared`]): the durable-LSN watermark,
+//! * the **shared side** (`WalShared`): the durable-LSN watermark,
 //!   fsync/group accounting, the poison slot and the follower parking lot.
 //!   Followers of a group commit block on the watermark (bounded condvar
 //!   waits), never on the fsync itself.

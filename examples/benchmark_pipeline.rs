@@ -36,13 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Load it.
     let mut repo = Repository::create(&db_path, RepositoryOptions::default())?;
     let handle = repo.load_gold_standard("gold_standard", &gold)?;
-    let record = repo.tree_record(handle)?;
+    let record = repo.view().tree_record(handle)?;
     println!(
         "loaded `{}`: {} nodes, {} taxa, {} species sequences\n",
         record.name,
         record.node_count,
         record.leaf_count,
-        repo.species_count(handle)?
+        repo.view().species_count(handle)?
     );
 
     // 3–6. Run the benchmark matrix.
@@ -88,7 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The query repository now holds every run for later recall.
-    let history = repo.history_of_kind(crimson::history::QueryKind::Benchmark)?;
+    let history = repo
+        .view()
+        .history_of_kind(crimson::history::QueryKind::Benchmark)?;
     println!(
         "\n{} benchmark runs recorded in the query repository",
         history.len()
@@ -119,8 +121,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "experiment `{}` (id {}): {} runs persisted in {:.0} ms",
         record.name, record.id, record.runs, record.wall_ms
     );
-    for result in repo.experiment_results(record.id)? {
-        let clades = repo.experiment_clades(result.id)?;
+    for result in repo.view().experiment_results(record.id)? {
+        let clades = repo.view().experiment_clades(result.id)?;
         let agreeing = clades.iter().filter(|c| c.agrees).count();
         println!(
             "  {:<6} strategy#{} rep{}  {:>3} taxa  RF={:<3} nRF={:.3}  clades {agreeing}/{} agree  tree #{}",
@@ -137,7 +139,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Stored reconstructions compare index-natively — no materialization.
     // Methods of the same (strategy, replicate) cell score the same sample,
     // so UPGMA's and NJ's stored trees share a leaf set.
-    let results = repo.experiment_results(record.id)?;
+    let results = repo.view().experiment_results(record.id)?;
     let upgma = &results[0]; // (UPGMA, strategy 0, replicate 0)
     let nj = results
         .iter()
@@ -147,7 +149,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 && r.replicate == upgma.replicate
         })
         .expect("the grid contains both methods");
-    let cmp = repo.compare_stored(upgma.recon, nj.recon, false)?;
+    let cmp = repo.view().compare_stored(upgma.recon, nj.recon, false)?;
     println!(
         "\nindex-native RF between stored UPGMA #{} and NJ #{} reconstructions: {} (normalized {:.3})",
         upgma.recon.0, nj.recon.0, cmp.rf.distance, cmp.rf.normalized
@@ -170,7 +172,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // probes, and `compare_stored` short-circuits off the stats rows
     // (distances zero, shared counts exact) without streaming a single
     // interval row.
-    let stats = repo.tree_stats(handle)?.expect("gold standard is hashed");
+    let stats = repo.view().tree_stats(handle)?;
     println!(
         "gold root hash {:032x}: {} rooted clades, {} unrooted splits",
         stats.root_hash.to_u128(),
@@ -179,20 +181,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!(
         "trees_equal(gold, gold)      = {}",
-        repo.trees_equal(handle, handle)?
+        repo.view().trees_equal(handle, handle)?
     );
     println!(
         "trees_equal(upgma, nj)       = {}",
-        repo.trees_equal(upgma.recon, nj.recon)?
+        repo.view().trees_equal(upgma.recon, nj.recon)?
     );
     println!(
         "trees_with_root_hash(gold)   = {:?}",
-        repo.trees_with_root_hash(stats.root_hash)?
+        repo.view().trees_with_root_hash(stats.root_hash)?
     );
 
     // The global hash index also answers subtree queries: every stored
     // occurrence of a clade (tree roots plus spans of >= 32 nodes) by hash.
-    let occurrences = repo.subtrees_with_hash(stats.root_hash)?;
+    let occurrences = repo.view().subtrees_with_hash(stats.root_hash)?;
     println!(
         "subtrees_with_hash(gold root) -> {} occurrence(s)",
         occurrences.len()
@@ -202,8 +204,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // tree become bridge rows instead of node rows, and reads stay
     // transparent (the comparison below streams through the bridges).
     let cold = repo.store_tree_shared("gold_cold", &gold.tree, 32)?;
-    let refs = repo.clade_refs_of(cold)?;
-    let cmp = repo.compare_stored(handle, cold, false)?;
+    let refs = repo.view().clade_refs_of(cold)?;
+    let cmp = repo.view().compare_stored(handle, cold, false)?;
     println!(
         "store_tree_shared(gold) -> tree #{}: {} bridge rows, RF vs canonical = {}",
         cold.0,
@@ -211,16 +213,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cmp.rf.distance
     );
 
-    let cs = repo.content_stats()?;
+    let cs = repo.view().content_stats()?;
     println!(
-        "content stats: {}/{} trees hashed, {} cold; {} logical nodes, {} stored, {} bridged via {} refs",
-        cs.hashed_trees,
-        cs.trees,
-        cs.cold_trees,
-        cs.logical_nodes,
-        cs.stored_nodes,
-        cs.bridged_nodes,
-        cs.dedup_refs
+        "content stats: {} trees, {} cold; {} logical nodes, {} stored, {} bridged via {} refs",
+        cs.trees, cs.cold_trees, cs.logical_nodes, cs.stored_nodes, cs.bridged_nodes, cs.dedup_refs
     );
     repo.flush()?;
     Ok(())

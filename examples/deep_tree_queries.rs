@@ -75,14 +75,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tree.node_count()
     );
 
-    let leaves = repo.leaves(handle)?;
+    let leaves = repo.view().leaves(handle)?;
     let mut rng = StdRng::seed_from_u64(3);
     let start = Instant::now();
     let mut max_depth = 0;
     for _ in 0..1_000 {
         let a = leaves[rng.gen_range(0..leaves.len())];
         let b = leaves[rng.gen_range(0..leaves.len())];
-        let lca = repo.node_record(repo.lca(a, b)?)?;
+        let lca = repo.view().node_record(repo.view().lca(a, b)?)?;
         max_depth = max_depth.max(lca.depth);
     }
     println!(

@@ -34,40 +34,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 2. Show the tree as an ASCII dendrogram (the Walrus stand-in).
-    let full = repo.project(handle, &repo.leaves(handle)?)?;
+    let full = repo.view().project(handle, &repo.view().leaves(handle)?)?;
     println!("\n== Figure 1 tree ==\n{}", render::ascii(&full));
 
     // 3. The paper's Figure 2: project onto {Bha, Lla, Syn}.
-    let projection = repo.project_species(handle, &["Bha", "Lla", "Syn"])?;
+    let projection = repo
+        .view()
+        .project_species(handle, &["Bha", "Lla", "Syn"])?;
     println!(
         "== Projection onto {{Bha, Lla, Syn}} (Figure 2) ==\n{}",
         render::ascii(&projection)
     );
 
     // 4. The §2.1 worked example: LCA of Lla and Syn via the stored labels.
-    let lla = repo.require_species_node(handle, "Lla")?;
-    let syn = repo.require_species_node(handle, "Syn")?;
-    let lca = repo.node_record(repo.lca(lla, syn)?)?;
+    let lla = repo.view().require_species_node(handle, "Lla")?;
+    let syn = repo.view().require_species_node(handle, "Syn")?;
+    let lca = repo.view().node_record(repo.view().lca(lla, syn)?)?;
     println!(
         "== LCA(Lla, Syn) == depth {} at evolutionary time {:.2} (the root)\n",
         lca.depth, lca.root_distance
     );
 
     // 5. The §2.2 worked example: sample 4 species with respect to time 1.
-    let sample = repo.sample_by_time(handle, 1.0, 4, 7)?;
-    let names = repo.names_of(&sample)?;
+    let sample = repo.view().sample_by_time(handle, 1.0, 4, 7)?;
+    let names = repo.view().names_of(&sample)?;
     println!("== Time-respecting sample (t = 1, k = 4) == {names:?}");
 
     // 6. Tree pattern match: Figure 2 as a pattern matches; a weight-swapped
     //    pattern does not.
     let pattern = phylo::newick::parse("((Bha:0.75,Lla:1.5):1.5,Syn:2.5);")?;
-    let result = repo.pattern_match(handle, &pattern)?;
+    let result = repo.view().pattern_match(handle, &pattern)?;
     println!(
         "\n== Pattern match == Figure 2 pattern: exact topology = {}, exact with lengths = {}",
         result.exact_topology, result.exact_with_lengths
     );
     let swapped = phylo::newick::parse("((Lla:0.75,Bha:1.5):1.5,Syn:2.5);")?;
-    let result = repo.pattern_match(handle, &swapped)?;
+    let result = repo.view().pattern_match(handle, &swapped)?;
     println!(
         "   swapped Bha/Lla pattern: exact topology = {}, exact with lengths = {}",
         result.exact_topology, result.exact_with_lengths
@@ -75,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 7. The query history recorded everything we just did.
     println!("\n== Query history ==");
-    for entry in repo.query_history()? {
+    for entry in repo.view().query_history()? {
         println!("  #{} [{:?}] {}", entry.id, entry.kind, entry.summary);
     }
 

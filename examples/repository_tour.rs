@@ -45,7 +45,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for m in &report.messages {
         println!("  {m}");
     }
-    println!("  species stored: {}", repo.species_count(report.handle)?);
+    println!(
+        "  species stored: {}",
+        repo.view().species_count(report.handle)?
+    );
 
     // Mode 2: append species data to the existing tree.
     let report = repo.load_nexus_text("tour_tree", &nexus_text, LoadMode::AppendSpecies)?;
@@ -53,7 +56,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for m in &report.messages {
         println!("  {m}");
     }
-    println!("  species stored: {}", repo.species_count(report.handle)?);
+    println!(
+        "  species stored: {}",
+        repo.view().species_count(report.handle)?
+    );
 
     // Mode 3: a second tree loaded with species in one step.
     let report = repo.load_nexus_text("tour_tree_full", &nexus_text, LoadMode::TreeWithSpecies)?;
@@ -64,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The repository catalog.
     println!("\nLoaded trees:");
-    for tree in repo.list_trees()? {
+    for tree in repo.view().list_trees()? {
         println!(
             "  `{}` — {} nodes, {} taxa, frame depth {}",
             tree.name, tree.node_count, tree.leaf_count, tree.frame_depth
@@ -72,9 +78,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Run a couple of queries so the history has content.
-    let handle = repo.tree_by_name("tour_tree")?.handle;
-    let sample = repo.sample_uniform(handle, 8, 11)?;
-    let projection = repo.project(handle, &sample)?;
+    let handle = repo.view().tree_by_name("tour_tree")?.handle;
+    let sample = repo.view().sample_uniform(handle, 8, 11)?;
+    let projection = repo.view().project(handle, &sample)?;
     println!(
         "\nprojected an 8-species sample: {} nodes\n{}",
         projection.node_count(),
@@ -89,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Query-history recall, the Query Repository in action.
     println!("\nQuery history:");
-    for entry in repo.query_history()? {
+    for entry in repo.view().query_history()? {
         println!("  #{:<3} {:<14?} {}", entry.id, entry.kind, entry.summary);
     }
 

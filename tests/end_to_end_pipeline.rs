@@ -128,7 +128,8 @@ fn upgma_vs_nj_headtohead_produces_reports_for_both() {
     }
     // Both runs were recorded in the query repository.
     assert_eq!(
-        repo.history_of_kind(crimson::history::QueryKind::Benchmark)
+        repo.view()
+            .history_of_kind(crimson::history::QueryKind::Benchmark)
             .unwrap()
             .len(),
         2
@@ -158,21 +159,25 @@ fn repository_persists_full_state_across_reopen() {
     }
     // Reopen: tree, species, history all still there and queryable.
     let repo = Repository::open(&path, RepositoryOptions::default()).unwrap();
-    let record = repo.tree_by_name("gold").unwrap();
+    let record = repo.view().tree_by_name("gold").unwrap();
     assert_eq!(record.handle, handle);
     assert_eq!(record.leaf_count, 80);
-    assert_eq!(repo.species_count(handle).unwrap(), 80);
+    assert_eq!(repo.view().species_count(handle).unwrap(), 80);
     assert_eq!(
-        repo.history_of_kind(crimson::history::QueryKind::Benchmark)
+        repo.view()
+            .history_of_kind(crimson::history::QueryKind::Benchmark)
             .unwrap()
             .len(),
         1
     );
     // Structure queries still work from disk.
-    let leaves = repo.leaves(handle).unwrap();
-    let lca = repo.lca(leaves[0], leaves[leaves.len() - 1]).unwrap();
-    assert!(repo.is_ancestor(lca, leaves[0]).unwrap());
-    let projection = repo.project(handle, &leaves[..10]).unwrap();
+    let leaves = repo.view().leaves(handle).unwrap();
+    let lca = repo
+        .view()
+        .lca(leaves[0], leaves[leaves.len() - 1])
+        .unwrap();
+    assert!(repo.view().is_ancestor(lca, leaves[0]).unwrap());
+    let projection = repo.view().project(handle, &leaves[..10]).unwrap();
     assert_eq!(projection.leaf_count(), 10);
 }
 
@@ -190,11 +195,12 @@ fn gold_standard_nexus_roundtrip_through_repository() {
         .unwrap();
     assert_eq!(report.species_loaded, 40);
     let stored = repo
-        .project(report.handle, &repo.leaves(report.handle).unwrap())
+        .view()
+        .project(report.handle, &repo.view().leaves(report.handle).unwrap())
         .unwrap();
     assert!(phylo::ops::isomorphic(&stored, &gold.tree));
     // Sequences survived the roundtrip byte for byte.
     let names: Vec<String> = gold.sequences.keys().cloned().collect();
-    let stored_seqs = repo.sequences_for(report.handle, &names).unwrap();
+    let stored_seqs = repo.view().sequences_for(report.handle, &names).unwrap();
     assert_eq!(stored_seqs, gold.sequences);
 }

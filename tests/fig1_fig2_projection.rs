@@ -57,6 +57,7 @@ fn figure2_projection_through_repository() {
     .unwrap();
     let handle = repo.load_newick("fig1", FIG1_NEWICK).unwrap().handle;
     let projection = repo
+        .view()
         .project_species(handle, &["Bha", "Lla", "Syn"])
         .unwrap();
     let expected = phylo::newick::parse("((Bha:0.75,Lla:1.5):1.5,Syn:2.5);").unwrap();
@@ -90,6 +91,7 @@ fn projection_roundtrips_through_nexus_output() {
     .unwrap();
     let handle = repo.load_newick("fig1", FIG1_NEWICK).unwrap().handle;
     let projection = repo
+        .view()
         .project_species(handle, &["Bha", "Lla", "Syn"])
         .unwrap();
     let mut doc = phylo::nexus::NexusDocument::new();

@@ -78,25 +78,31 @@ fn stored_frames_mirror_figure4() {
     let handle = repo.load_tree("fig1", &tree).unwrap();
 
     // Every stored node's label is bounded by f - 1 components.
-    for leaf in repo.leaves(handle).unwrap() {
-        let rec = repo.node_record(leaf).unwrap();
+    for leaf in repo.view().leaves(handle).unwrap() {
+        let rec = repo.view().node_record(leaf).unwrap();
         assert!(rec.local_label.len() < 2);
         // The node's frame exists and, when split off, its source node is the
         // parent of its root.
-        let frame = repo.frame_record(rec.frame).unwrap();
+        let frame = repo.view().frame_record(rec.frame).unwrap();
         if let Some(source) = frame.source_node {
-            let root_rec = repo.node_record(frame.root_node).unwrap();
+            let root_rec = repo.view().node_record(frame.root_node).unwrap();
             assert_eq!(root_rec.parent, Some(source));
         }
     }
 
     // The stored-label LCA reproduces the worked example.
-    let lla = repo.require_species_node(handle, "Lla").unwrap();
-    let syn = repo.require_species_node(handle, "Syn").unwrap();
-    let lca = repo.node_record(repo.lca(lla, syn).unwrap()).unwrap();
+    let lla = repo.view().require_species_node(handle, "Lla").unwrap();
+    let syn = repo.view().require_species_node(handle, "Syn").unwrap();
+    let lca = repo
+        .view()
+        .node_record(repo.view().lca(lla, syn).unwrap())
+        .unwrap();
     assert_eq!(lca.depth, 0, "LCA(Lla, Syn) is the root");
-    let spy = repo.require_species_node(handle, "Spy").unwrap();
-    let lca = repo.node_record(repo.lca(lla, spy).unwrap()).unwrap();
+    let spy = repo.view().require_species_node(handle, "Spy").unwrap();
+    let lca = repo
+        .view()
+        .node_record(repo.view().lca(lla, spy).unwrap())
+        .unwrap();
     assert_eq!(lca.depth, 2, "LCA(Lla, Spy) is their parent");
 }
 
@@ -130,12 +136,17 @@ fn stored_lca_agrees_with_all_schemes_on_simulated_tree() {
             assert_eq!(hier.lca(a, b), expected);
             assert_eq!(interval.lca(a, b), expected);
             let sa = repo
+                .view()
                 .require_species_node(handle, tree.name(a).unwrap())
                 .unwrap();
             let sb = repo
+                .view()
                 .require_species_node(handle, tree.name(b).unwrap())
                 .unwrap();
-            let stored = repo.node_record(repo.lca(sa, sb).unwrap()).unwrap();
+            let stored = repo
+                .view()
+                .node_record(repo.view().lca(sa, sb).unwrap())
+                .unwrap();
             assert_eq!(stored.depth as usize, tree.depth(expected));
             assert!((stored.root_distance - tree.root_distance(expected)).abs() < 1e-9);
         }

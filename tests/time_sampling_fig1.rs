@@ -24,7 +24,7 @@ fn repo() -> (tempfile::TempDir, Repository, TreeHandle) {
 #[test]
 fn frontier_is_the_papers_four_nodes() {
     let (_d, repo, handle) = repo();
-    let frontier = repo.time_frontier(handle, 1.0).unwrap();
+    let frontier = repo.view().time_frontier(handle, 1.0).unwrap();
     assert_eq!(
         frontier.len(),
         4,
@@ -33,7 +33,7 @@ fn frontier_is_the_papers_four_nodes() {
     let mut named: Vec<String> = Vec::new();
     let mut unnamed_depths = Vec::new();
     for node in frontier {
-        let rec = repo.node_record(node).unwrap();
+        let rec = repo.view().node_record(node).unwrap();
         match rec.name {
             Some(n) => named.push(n),
             None => unnamed_depths.push(rec.depth),
@@ -51,8 +51,8 @@ fn sampling_four_species_matches_paper_outcomes() {
     let mut seen_lla = false;
     let mut seen_spy = false;
     for seed in 0..20u64 {
-        let sample = repo.sample_by_time(handle, 1.0, 4, seed).unwrap();
-        let names: HashSet<String> = repo.names_of(&sample).unwrap().into_iter().collect();
+        let sample = repo.view().sample_by_time(handle, 1.0, 4, seed).unwrap();
+        let names: HashSet<String> = repo.view().names_of(&sample).unwrap().into_iter().collect();
         assert_eq!(names.len(), 4);
         assert!(names.contains("Bha"));
         assert!(names.contains("Syn"));
@@ -75,8 +75,8 @@ fn uniform_sampling_covers_all_species_eventually() {
     let (_d, repo, handle) = repo();
     let mut seen: HashSet<String> = HashSet::new();
     for seed in 0..30u64 {
-        let sample = repo.sample_uniform(handle, 2, seed).unwrap();
-        seen.extend(repo.names_of(&sample).unwrap());
+        let sample = repo.view().sample_uniform(handle, 2, seed).unwrap();
+        seen.extend(repo.view().names_of(&sample).unwrap());
     }
     assert_eq!(
         seen.len(),
@@ -93,10 +93,10 @@ fn sample_then_project_then_compare_is_consistent() {
     let (_d, repo, handle) = repo();
     let tree = figure1_tree();
     for seed in 0..5u64 {
-        let sample = repo.sample_by_time(handle, 1.0, 4, seed).unwrap();
-        let names = repo.names_of(&sample).unwrap();
+        let sample = repo.view().sample_by_time(handle, 1.0, 4, seed).unwrap();
+        let names = repo.view().names_of(&sample).unwrap();
         let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-        let stored = repo.project(handle, &sample).unwrap();
+        let stored = repo.view().project(handle, &sample).unwrap();
         let expected = phylo::ops::project_by_names(&tree, &refs).unwrap();
         assert!(phylo::ops::isomorphic_with_lengths(
             &stored, &expected, 1e-9
