@@ -1,11 +1,8 @@
-//! Shared helpers for the Criterion benchmark harness.
-//!
-//! The real content of this crate lives in `benches/`; this library exposes
-//! small utilities (workload construction, result printing) shared by the
-//! individual benchmark targets, plus a Criterion-free [`smoke`] profile
-//! that runs scaled-down versions of the scoreboard experiments under
-//! `cargo test -p bench` (use `--release` for representative numbers). See
-//! `EXPERIMENTS.md` for the experiment index.
+//! The cargo-test smoke profile ([`smoke`]) and the serving bench
+//! ([`serve`]) for the Crimson experiments, with the workload constructors
+//! they share ([`workloads`]). `cargo test -p bench` runs scaled-down
+//! versions of the scoreboard experiments in seconds (use `--release` for
+//! representative numbers); the end-to-end benchmark is `crimbench`.
 
 pub mod serve;
 pub mod smoke;

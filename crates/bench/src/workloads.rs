@@ -1,32 +1,11 @@
-//! Workload construction shared by the Criterion benchmark targets.
-//!
-//! Each experiment in `EXPERIMENTS.md` needs trees, repositories and samples
-//! of controlled size. Building them here keeps the individual bench files
-//! focused on what they measure.
+//! Workload construction shared by the smoke profile and the serving
+//! bench: trees, repositories and samples of controlled size.
 
 use crimson::prelude::*;
-use phylo::builder::caterpillar;
 use phylo::Tree;
 use simulation::birth_death::yule_tree;
 use simulation::gold::{GoldStandard, GoldStandardBuilder};
 use simulation::seqevo::Model;
-use std::path::PathBuf;
-
-/// Default Criterion settings used by every bench target: small sample counts
-/// and short measurement windows so the full harness finishes in minutes
-/// while still producing stable medians.
-pub fn criterion_config() -> criterion::Criterion {
-    criterion::Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(1200))
-        .configure_from_args()
-}
-
-/// A deep, fully unbalanced tree — the worst case for flat Dewey labels.
-pub fn deep_tree(depth: usize) -> Tree {
-    caterpillar(depth, 1.0)
-}
 
 /// A simulated (Yule) phylogeny with `leaves` extant taxa.
 pub fn simulated_tree(leaves: usize, seed: u64) -> Tree {
@@ -53,14 +32,12 @@ pub fn gold_standard(leaves: usize, sites: usize, seed: u64) -> GoldStandard {
 /// The TempDir must be kept alive for the lifetime of the repository.
 pub fn repository_with_tree(
     tree: &Tree,
-    frame_depth: usize,
     buffer_pool_pages: usize,
 ) -> (tempfile::TempDir, Repository, TreeHandle) {
     let dir = tempfile::tempdir().expect("temp dir");
     let mut repo = Repository::create(
         dir.path().join("bench.crimson"),
         RepositoryOptions {
-            frame_depth,
             buffer_pool_pages,
             ..Default::default()
         },
@@ -73,14 +50,12 @@ pub fn repository_with_tree(
 /// A repository loaded with a full gold standard (tree + sequences).
 pub fn repository_with_gold(
     gold: &GoldStandard,
-    frame_depth: usize,
     buffer_pool_pages: usize,
 ) -> (tempfile::TempDir, Repository, TreeHandle) {
     let dir = tempfile::tempdir().expect("temp dir");
     let mut repo = Repository::create(
         dir.path().join("bench.crimson"),
         RepositoryOptions {
-            frame_depth,
             buffer_pool_pages,
             ..Default::default()
         },
@@ -140,35 +115,19 @@ pub fn leaf_subset(tree: &Tree, count: usize) -> Vec<String> {
     names.into_iter().step_by(step).take(count).collect()
 }
 
-/// Path of a scratch NEXUS file containing the given gold standard; used by
-/// the loading benchmark.
-pub fn write_nexus_file(dir: &tempfile::TempDir, gold: &GoldStandard) -> PathBuf {
-    let path = dir.path().join("gold.nex");
-    std::fs::write(&path, phylo::nexus::write(&gold.to_nexus())).expect("write NEXUS");
-    path
-}
-
-/// Print a table header used by the experiment summary output.
-pub fn print_table(title: &str, header: &str) {
-    println!("\n=== {title} ===");
-    println!("{header}");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn workload_constructors() {
-        let deep = deep_tree(100);
-        assert_eq!(deep.max_depth(), 100);
         let sim = simulated_tree(32, 1);
         assert_eq!(sim.leaf_count(), 32);
         let gold = gold_standard(16, 50, 2);
         assert_eq!(gold.taxon_count(), 16);
         let subset = leaf_subset(&sim, 8);
         assert_eq!(subset.len(), 8);
-        let (_dir, repo, handle) = repository_with_tree(&sim, 8, 256);
+        let (_dir, repo, handle) = repository_with_tree(&sim, 256);
         assert_eq!(repo.view().tree_record(handle).unwrap().leaf_count, 32);
     }
 }

@@ -192,7 +192,6 @@ mod tests {
         let mut repo = Repository::create(
             dir.path().join("b.crimson"),
             RepositoryOptions {
-                frame_depth: 8,
                 buffer_pool_pages: 1024,
                 ..Default::default()
             },

@@ -371,7 +371,6 @@ mod tests {
         let repo = Repository::create(
             dir.path().join("cmp.crimson"),
             RepositoryOptions {
-                frame_depth: 8,
                 buffer_pool_pages: 1024,
                 ..Default::default()
             },

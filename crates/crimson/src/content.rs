@@ -29,8 +29,9 @@
 
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::repository::{
-    decode_tree_stats_row, ReadCtx, Repository, StoredNodeId, TreeHandle, TreeStatsRecord,
-    BULK_FILL, HASH_IDX_MIN_SPAN, STATS_FLAG_COLD, STATS_FLAG_DISTINCT_LEAVES, TREE_SHIFT,
+    decode_tree_stats_row, encode_node_row, tree_row, NodeScalars, ReadCtx, Repository,
+    StoredNodeId, TreeHandle, TreeStatsRecord, BULK_FILL, HASH_IDX_MIN_SPAN, STATS_FLAG_COLD,
+    STATS_FLAG_DISTINCT_LEAVES, TREE_SHIFT,
 };
 use labeling::clade_hash::{
     self, decode_hash_by_pre_key, decode_hash_idx_key, hash_by_pre_key, hash_idx_key,
@@ -487,9 +488,8 @@ impl Repository {
     ///
     /// Cold trees keep their full logical node/leaf counts in the catalog,
     /// carry hashes for every span (bridged ones included) but publish
-    /// nothing to the global index (bridges must never chain), and store no
-    /// frame rows — comparison streams and hash lookups are their query
-    /// surface; label-walk and frame queries need a fully materialized tree.
+    /// nothing to the global index (bridges must never chain) —
+    /// comparison streams and hash lookups are their query surface.
     pub fn store_tree_shared(
         &mut self,
         name: &str,
@@ -569,8 +569,7 @@ impl Repository {
             materialized.push(v);
         }
 
-        // Node rows for the materialized spine only. Cold trees store no
-        // frames: frame_id -1 and an empty label mark the rows.
+        // Node rows for the materialized spine only.
         let mut emit = 0usize;
         let row_ids = self
             .db
@@ -579,29 +578,18 @@ impl Repository {
                     return Ok(false);
                 };
                 emit += 1;
-                let is_leaf = tree.is_leaf(v);
-                values.push(Value::Int(node_sid(v).0 as i64));
-                values.push(Value::Int(tree_id as i64));
-                values.push(match tree.parent(v) {
-                    Some(p) => Value::Int(node_sid(p).0 as i64),
-                    None => Value::Int(-1),
-                });
-                values.push(match tree.name(v) {
-                    Some(nm) => Value::text(nm),
-                    None => Value::Null,
-                });
-                values.push(match tree.branch_length(v) {
-                    Some(l) => Value::Float(l),
-                    None => Value::Null,
-                });
-                values.push(Value::Float(root_dists[v.index()]));
-                values.push(Value::Int(depths[v.index()] as i64));
-                values.push(Value::Int(intervals.interval(v).0 as i64));
-                values.push(Value::Int(-1));
-                values.push(Value::bytes(Vec::new()));
-                values.push(Value::Bool(is_leaf));
-                values.push(Value::Int(if is_leaf { tree_id as i64 } else { -1 }));
-                values.push(Value::Float(heights[v.index()]));
+                encode_node_row(
+                    values,
+                    tree,
+                    tree_id,
+                    v,
+                    NodeScalars {
+                        root_distance: root_dists[v.index()],
+                        depth: depths[v.index()] as u64,
+                        preorder: intervals.interval(v).0,
+                        subtree_height: heights[v.index()],
+                    },
+                );
                 Ok(true)
             })?;
 
@@ -678,14 +666,13 @@ impl Repository {
         let leaf_count = tree.leaf_ids().count();
         self.db.insert(
             self.tables.trees,
-            &[
-                Value::Int(tree_id as i64),
-                Value::text(name),
-                Value::Int(node_sid(tree.root_unchecked()).0 as i64),
-                Value::Int(n as i64),
-                Value::Int(leaf_count as i64),
-                Value::Int(self.options.frame_depth as i64),
-            ],
+            &tree_row(
+                tree_id,
+                name,
+                node_sid(tree.root_unchecked()),
+                n as u64,
+                leaf_count as u64,
+            ),
         )?;
         Ok(handle)
     }
@@ -721,7 +708,6 @@ mod tests {
         let repo = Repository::create(
             dir.path().join("content.crimson"),
             RepositoryOptions {
-                frame_depth: 4,
                 buffer_pool_pages: 1024,
                 ..Default::default()
             },

@@ -34,9 +34,9 @@ pub enum CrimsonError {
     MissingSequences(String),
     /// Serialization of query history failed.
     History(String),
-    /// Stored structures are internally inconsistent (e.g. a frame without a
-    /// source node, a label-walk off the end of a parent chain, or an
-    /// interval-index entry that contradicts the node table). Previously a
+    /// Stored structures are internally inconsistent (e.g. an interval-index
+    /// entry that contradicts the node table, or a file laid out by an older
+    /// build). Previously a
     /// panic; surfaced as a typed error so callers can distinguish a damaged
     /// repository file from a caller mistake.
     CorruptRepository(String),

@@ -1178,7 +1178,6 @@ mod tests {
         let mut repo = Repository::create(
             dir.path().join("repo.crimson"),
             RepositoryOptions {
-                frame_depth: 8,
                 buffer_pool_pages: 1024,
                 ..Default::default()
             },

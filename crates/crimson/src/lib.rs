@@ -5,10 +5,12 @@
 //!
 //! * **Repository Manager** ([`repository`]) — trees are stored *in
 //!   relational form* on the embedded storage engine: a node table carrying
-//!   hierarchical Dewey labels, cumulative evolutionary time and parent
-//!   links; a frame (subtree) table with source nodes; a species table with
-//!   sequence data; and a tree catalog. Secondary B+tree indexes provide
-//!   random access by species name, node id and evolutionary time.
+//!   cumulative evolutionary time, depth, pre-order rank and parent links;
+//!   a species table with sequence data; and a tree catalog. Secondary
+//!   B+tree indexes provide random access by species name, node id and
+//!   evolutionary time. The paper's hierarchical Dewey labels are not
+//!   stored: the interval index and depth column below answer every
+//!   structure query, and the label schemes live in [`labeling`].
 //! * **Data Loader** ([`loader`]) — loads Newick/NEXUS trees with or without
 //!   species data, and appends species data to existing trees (§3 "Loading
 //!   Data").
@@ -36,10 +38,9 @@
 //!
 //! Decoded node rows, interval entries and each tree's block minima are
 //! held in small two-generation LRU caches, so repeated LCA/projection
-//! queries skip row decoding entirely. The pre-index label-walk/BFS
-//! implementations survive as `*_reference` methods — the property tests
-//! cross-validate against them, and `crimson-bench`'s smoke profile
-//! asserts the ≥5× page-read advantage.
+//! queries skip row decoding entirely. The tests check every answer
+//! against the in-memory tree it was loaded from, and `crimson-bench`'s
+//! smoke profile bounds the page reads of each structure query.
 //! * **Sampling** ([`sampling`]) — uniform random sampling, sampling with
 //!   respect to an evolutionary time, and user-supplied species lists (§2.2),
 //!   available on the writer and on snapshot readers alike.

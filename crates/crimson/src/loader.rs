@@ -247,7 +247,6 @@ mod tests {
         let repo = Repository::create(
             dir.path().join("repo.crimson"),
             RepositoryOptions {
-                frame_depth: 4,
                 buffer_pool_pages: 512,
                 ..Default::default()
             },

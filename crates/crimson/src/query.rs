@@ -27,9 +27,8 @@
 //!   selection covers its clade;
 //! * `pattern_match` rides on `project`.
 //!
-//! The pre-index implementations (label walks + BFS) are kept as
-//! `*_reference` methods: the property tests cross-validate against them and
-//! the benchmark suite uses them as the page-read baseline.
+//! The tests check every answer against the in-memory tree the stored one
+//! was loaded from.
 //!
 //! Everything here is a method of [`ReadCtx`], the one read surface: the
 //! writer's [`Repository::view`](crate::Repository::view) and concurrent
@@ -41,7 +40,6 @@ use labeling::interval::{interval_key_prefix, interval_range_end, IntervalEntry}
 use phylo::ops;
 use phylo::{NodeId, Tree};
 use reconstruction::compare::{robinson_foulds, RfResult};
-use std::collections::VecDeque;
 use std::sync::Arc;
 use storage::db::DbRead;
 
@@ -129,32 +127,6 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         Ok(out)
     }
 
-    /// Reference implementation of the minimal spanning clade from before
-    /// the interval index: fold pairwise label-walk LCAs, then breadth-first
-    /// collection through the parent index with one row fetch per node.
-    /// Kept for cross-validation and as the page-read baseline.
-    pub fn minimal_spanning_clade_reference(
-        &self,
-        nodes: &[StoredNodeId],
-    ) -> CrimsonResult<Vec<StoredNodeId>> {
-        if nodes.is_empty() {
-            return Err(CrimsonError::InvalidSample("empty node set".to_string()));
-        }
-        let mut lca = nodes[0];
-        for &n in &nodes[1..] {
-            lca = self.lca_label_walk(lca, n)?;
-        }
-        let mut out = Vec::new();
-        let mut queue = VecDeque::from([lca]);
-        while let Some(node) = queue.pop_front() {
-            out.push(node);
-            for child in self.children(node)? {
-                queue.push_back(child);
-            }
-        }
-        Ok(out)
-    }
-
     // ------------------------------------------------------------------
     // Tree projection
     // ------------------------------------------------------------------
@@ -209,48 +181,6 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         // One range-minimum LCA per consecutive pair, with the tree's depth
         // minima read once.
         let lca_records = self.consecutive_lcas(handle.0, &records)?;
-        assemble_projection(&records, &lca_records)
-    }
-
-    /// Reference implementation of projection from before the interval
-    /// index: per-pair label-walk LCAs and uncached row fetches. Kept for
-    /// cross-validation and as the page-read baseline.
-    pub fn project_reference(
-        &self,
-        handle: TreeHandle,
-        leaves: &[StoredNodeId],
-    ) -> CrimsonResult<Tree> {
-        if leaves.is_empty() {
-            return Err(CrimsonError::InvalidSample("empty leaf set".to_string()));
-        }
-        let mut records = Vec::with_capacity(leaves.len());
-        for &leaf in leaves {
-            let rec = self.node_record_uncached(leaf)?;
-            if rec.tree != handle {
-                return Err(CrimsonError::InvalidSample(format!(
-                    "node {leaf} does not belong to tree #{}",
-                    handle.0
-                )));
-            }
-            records.push(rec);
-        }
-        records.sort_by_key(|r| r.preorder);
-        records.dedup_by_key(|r| r.id);
-        let records: Vec<Arc<NodeRecord>> = records.into_iter().map(Arc::new).collect();
-
-        if records.len() == 1 {
-            let mut out = Tree::new();
-            let only = out.add_node();
-            if let Some(name) = &records[0].name {
-                out.set_name(only, name.clone())?;
-            }
-            return Ok(out);
-        }
-        let mut lca_records = Vec::with_capacity(records.len() - 1);
-        for pair in records.windows(2) {
-            let lca_id = self.lca_label_walk(pair[0].id, pair[1].id)?;
-            lca_records.push(Arc::new(self.node_record_uncached(lca_id)?));
-        }
         assemble_projection(&records, &lca_records)
     }
 
@@ -388,12 +318,11 @@ mod tests {
     use simulation::birth_death::yule_tree;
     use tempfile::tempdir;
 
-    fn repo_with(tree: &Tree, f: usize) -> (tempfile::TempDir, Repository, TreeHandle) {
+    fn repo_with(tree: &Tree) -> (tempfile::TempDir, Repository, TreeHandle) {
         let dir = tempdir().unwrap();
         let mut repo = Repository::create(
             dir.path().join("repo.crimson"),
             RepositoryOptions {
-                frame_depth: f,
                 buffer_pool_pages: 512,
                 ..Default::default()
             },
@@ -406,7 +335,7 @@ mod tests {
     #[test]
     fn figure2_projection_from_repository() {
         let tree = figure1_tree();
-        let (_d, repo, handle) = repo_with(&tree, 2);
+        let (_d, repo, handle) = repo_with(&tree);
         let projection = repo
             .view()
             .project_species(handle, &["Bha", "Lla", "Syn"])
@@ -428,7 +357,7 @@ mod tests {
     #[test]
     fn projection_matches_in_memory_on_many_subsets() {
         let tree = balanced_binary(5, 0.5); // 32 leaves
-        let (_d, repo, handle) = repo_with(&tree, 3);
+        let (_d, repo, handle) = repo_with(&tree);
         let names = tree.leaf_names();
         for (skip, take) in [(0usize, 2usize), (1, 3), (3, 7), (5, 16), (0, 32)] {
             let subset: Vec<&str> = names
@@ -455,7 +384,7 @@ mod tests {
     #[test]
     fn projection_on_simulated_tree_matches() {
         let tree = yule_tree(200, 1.0, 17);
-        let (_d, repo, handle) = repo_with(&tree, 8);
+        let (_d, repo, handle) = repo_with(&tree);
         let names = tree.leaf_names();
         let subset: Vec<&str> = names.iter().step_by(9).map(|s| s.as_str()).collect();
         let stored = repo.view().project_species(handle, &subset).unwrap();
@@ -466,7 +395,7 @@ mod tests {
     #[test]
     fn projection_single_leaf_and_errors() {
         let tree = figure1_tree();
-        let (_d, repo, handle) = repo_with(&tree, 2);
+        let (_d, repo, handle) = repo_with(&tree);
         let syn = repo.view().require_species_node(handle, "Syn").unwrap();
         let p = repo.view().project(handle, &[syn]).unwrap();
         assert_eq!(p.node_count(), 1);
@@ -483,7 +412,6 @@ mod tests {
             let mut repo = Repository::create(
                 dir.path().join("repo.crimson"),
                 RepositoryOptions {
-                    frame_depth: 2,
                     buffer_pool_pages: 256,
                     ..Default::default()
                 },
@@ -500,7 +428,7 @@ mod tests {
     #[test]
     fn minimal_spanning_clade_figure1() {
         let tree = figure1_tree();
-        let (_d, repo, handle) = repo_with(&tree, 2);
+        let (_d, repo, handle) = repo_with(&tree);
         let lla = repo.view().require_species_node(handle, "Lla").unwrap();
         let spy = repo.view().require_species_node(handle, "Spy").unwrap();
         let clade = repo.view().minimal_spanning_clade(&[lla, spy]).unwrap();
@@ -523,7 +451,7 @@ mod tests {
     #[test]
     fn pattern_match_exact_and_swapped() {
         let tree = figure1_tree();
-        let (_d, repo, handle) = repo_with(&tree, 2);
+        let (_d, repo, handle) = repo_with(&tree);
         // The Figure 2 pattern matches exactly.
         let pattern = phylo::newick::parse("((Bha:0.75,Lla:1.5):1.5,Syn:2.5);").unwrap();
         let result = repo.view().pattern_match(handle, &pattern).unwrap();
@@ -553,7 +481,7 @@ mod tests {
     #[test]
     fn pattern_match_unknown_species_errors() {
         let tree = figure1_tree();
-        let (_d, repo, handle) = repo_with(&tree, 2);
+        let (_d, repo, handle) = repo_with(&tree);
         let pattern = phylo::newick::parse("((Bha,Ghost),Syn);").unwrap();
         assert!(repo.view().pattern_match(handle, &pattern).is_err());
     }

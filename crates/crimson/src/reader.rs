@@ -375,7 +375,6 @@ mod tests {
         let mut repo = Repository::create(
             dir.path().join("r.crimson"),
             RepositoryOptions {
-                frame_depth: 2,
                 buffer_pool_pages: 256,
                 ..Default::default()
             },
@@ -401,9 +400,13 @@ mod tests {
             repo.view().lca(lla, spy).unwrap(),
             "reader and writer disagree on an LCA"
         );
+        let in_memory = tree.lca(
+            tree.find_leaf_by_name("Lla").unwrap(),
+            tree.find_leaf_by_name("Spy").unwrap(),
+        );
         assert_eq!(
             reader.lca(lla, spy).unwrap(),
-            reader.read(|v| v.lca_label_walk(lla, spy)).unwrap()
+            StoredNodeId((handle.0 << 32) | in_memory.0 as u64)
         );
         let clade = reader.minimal_spanning_clade(&[lla, spy]).unwrap();
         assert_eq!(
@@ -423,7 +426,6 @@ mod tests {
         let mut repo = Repository::create(
             dir.path().join("r.crimson"),
             RepositoryOptions {
-                frame_depth: 2,
                 buffer_pool_pages: 256,
                 ..Default::default()
             },
@@ -461,7 +463,6 @@ mod tests {
         let mut repo = Repository::create(
             dir.path().join("r.crimson"),
             RepositoryOptions {
-                frame_depth: 2,
                 buffer_pool_pages: 256,
                 ..Default::default()
             },

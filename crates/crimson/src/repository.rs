@@ -1,24 +1,25 @@
-//! The Repository Manager: relational storage of trees, frames and species.
+//! The Repository Manager: relational storage of trees and species.
 //!
 //! Crimson "stores trees in relational form, and uses indexes based on Dewey
 //! labeling to speed up queries" (§2.1), separating tree structure from
-//! species data. The repository owns four tables on the embedded storage
-//! engine:
+//! species data. The repository owns three core tables on the embedded
+//! storage engine:
 //!
 //! | table     | contents                                                    |
 //! |-----------|-------------------------------------------------------------|
-//! | `trees`   | one row per loaded tree: name, root node, counts, frame depth `f` |
-//! | `nodes`   | one row per node: parent, name, branch length, cumulative time, pre-order rank, frame id, local Dewey label |
-//! | `frames`  | one row per frame (subtree of depth ≤ f): parent frame, **source node**, frame rank |
+//! | `trees`   | one row per loaded tree: name, root node, counts            |
+//! | `nodes`   | one row per node: parent, name, branch length, cumulative time, depth, pre-order rank |
 //! | `species` | one row per taxon with sequence data, linked to its leaf node |
 //!
 //! Secondary indexes give the access paths the paper calls out: species name
 //! → node, node id → row, cumulative evolutionary time → nodes (a B+tree
-//! range scan), parent → children.
+//! range scan), parent → children. Structure queries run on the interval
+//! index and the per-tree depth column instead of the paper's hierarchical
+//! Dewey labels; that scheme lives in memory, in [`labeling::hierarchical`].
 //!
 //! ## The read surface
 //!
-//! Every read query — catalog lookups, node/frame fetches, LCA, the
+//! Every read query — catalog lookups, node fetches, LCA, the
 //! structure queries in [`crate::query`], sampling, comparison, content
 //! addresses, experiments, history, `integrity_check` — is defined once, on
 //! [`ReadCtx`], generic over the [`storage::DbRead`] handle it holds.
@@ -33,7 +34,6 @@ use crate::cache::ShardedCache;
 use crate::depth::DepthMinima;
 use crate::error::{CrimsonError, CrimsonResult};
 use labeling::clade_hash::{self, CladeHash};
-use labeling::hierarchical::HierarchicalDewey;
 use labeling::interval::{interval_key_prefix, interval_range_end, IntervalEntry, IntervalLabels};
 use phylo::traverse::Traverse;
 use phylo::Tree;
@@ -101,10 +101,6 @@ impl std::fmt::Display for StoredNodeId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TreeHandle(pub u64);
 
-/// Identifier of a stored frame (bounded-depth subtree).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StoredFrameId(pub u64);
-
 /// When a repository transaction becomes durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
@@ -123,7 +119,8 @@ pub enum Durability {
 /// Options controlling repository creation.
 #[derive(Debug, Clone)]
 pub struct RepositoryOptions {
-    /// Frame depth `f` used for hierarchical labels (≥ 2).
+    /// Unused: the repository stores no hierarchical labels. Kept so that
+    /// code naming the field still compiles; it will be removed.
     pub frame_depth: usize,
     /// Buffer-pool capacity in pages.
     pub buffer_pool_pages: usize,
@@ -165,34 +162,12 @@ pub struct NodeRecord {
     pub depth: u64,
     /// Pre-order rank within the tree (0 = root).
     pub preorder: u64,
-    /// Frame (bounded-depth subtree) this node belongs to.
-    pub frame: StoredFrameId,
-    /// Local Dewey label within the frame (1-based child ordinals).
-    pub local_label: Vec<u32>,
     /// `true` when the node has no children.
     pub is_leaf: bool,
     /// Maximum summed branch length from this node down to any descendant
     /// leaf (0 for leaves) — the "age" of the clade, used by time-respecting
     /// sampling.
     pub subtree_height: f64,
-}
-
-/// A decoded frame row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrameRecord {
-    /// The frame id.
-    pub id: StoredFrameId,
-    /// Owning tree.
-    pub tree: TreeHandle,
-    /// The frame's root node.
-    pub root_node: StoredNodeId,
-    /// Frame containing the parent of `root_node`, if any.
-    pub parent_frame: Option<StoredFrameId>,
-    /// The paper's *source node*: parent of `root_node` in the stored tree.
-    pub source_node: Option<StoredNodeId>,
-    /// Number of ancestor frames (0 for the frame containing the tree root);
-    /// used for the two-pointer frame walk during cross-frame LCA.
-    pub rank: u64,
 }
 
 /// Summary row for a stored tree.
@@ -208,8 +183,6 @@ pub struct TreeRecord {
     pub node_count: u64,
     /// Number of leaves.
     pub leaf_count: u64,
-    /// Frame depth `f` the labels were built with.
-    pub frame_depth: u64,
 }
 
 /// Content-address summary row of a stored tree: its canonical root hash
@@ -241,7 +214,6 @@ pub struct TreeStatsRecord {
 pub(crate) struct Tables {
     pub trees: TableId,
     pub nodes: TableId,
-    pub frames: TableId,
     pub species: TableId,
     pub history: TableId,
     /// Experiment catalog: one row per persisted evaluation sweep.
@@ -272,28 +244,37 @@ pub(crate) struct Tables {
 
 impl Tables {
     /// Resolve every table and raw index of an existing repository file.
-    /// The depth column is checked first: a file written before it existed
-    /// is refused with a typed error (there is no in-place upgrade; reload
-    /// its trees into a new repository).
+    /// The layout is checked first: a file written before the depth column
+    /// existed, or whose `trees` / `nodes` rows still carry the
+    /// hierarchical-label columns, is refused with a typed error (there is
+    /// no in-place upgrade; reload its trees into a new repository).
     fn open(db: &Database) -> CrimsonResult<Tables> {
-        let missing = |what: &'static str| {
-            move |_| {
-                CrimsonError::CorruptRepository(format!(
-                    "repository file lacks the {what}; it was written by an older build \
-                     and must be reloaded into a new repository"
-                ))
-            }
+        let older = |what: &str| {
+            CrimsonError::CorruptRepository(format!(
+                "repository file {what}; it was written by an older build \
+                 and must be reloaded into a new repository"
+            ))
         };
+        let missing = |what: &'static str| move |_| older(&format!("lacks the {what}"));
         let depth_blocks = db
             .table(DEPTH_BLOCKS)
             .map_err(missing("`depth_blocks` depth column"))?;
         let depth_minima = db
             .table(DEPTH_MINIMA)
             .map_err(missing("`depth_minima` depth column"))?;
+        let trees = db.table("trees")?;
+        let nodes = db.table("nodes")?;
+        for (name, table, schema) in [
+            ("trees", trees, trees_schema()),
+            ("nodes", nodes, nodes_schema()),
+        ] {
+            if *db.schema(table)? != schema {
+                return Err(older(&format!("lays out the `{name}` table differently")));
+            }
+        }
         Ok(Tables {
-            trees: db.table("trees")?,
-            nodes: db.table("nodes")?,
-            frames: db.table("frames")?,
+            trees,
+            nodes,
             species: db.table("species")?,
             history: db.table("query_history")?,
             experiments: db.table("experiments")?,
@@ -359,8 +340,6 @@ pub struct IntegrityReport {
     pub trees: u64,
     /// Node rows across all trees.
     pub nodes: u64,
-    /// Frame rows across all trees.
-    pub frames: u64,
     /// Species rows across all trees.
     pub species: u64,
     /// Entries in each interval index (they always match `nodes`).
@@ -529,7 +508,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     }
 
     // ------------------------------------------------------------------
-    // Node / frame access
+    // Node access
     // ------------------------------------------------------------------
 
     /// Fetch a node row (served from the repository's record cache when
@@ -545,7 +524,14 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         if let Some(rec) = self.records.get(&id) {
             return Ok(rec);
         }
-        let rec = Arc::new(self.node_record_uncached(id)?);
+        let rows = self
+            .db
+            .lookup_rows(self.tables.nodes, "node_id", &Value::Int(id.0 as i64))?;
+        let (_, row) = rows
+            .into_iter()
+            .next()
+            .ok_or(CrimsonError::UnknownNode(id.0))?;
+        let rec = Arc::new(decode_node_row(&row));
         self.records.insert(id, Arc::clone(&rec));
         Ok(rec)
     }
@@ -571,29 +557,6 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         }
         self.records.insert(id, Arc::clone(&rec));
         Ok(rec)
-    }
-
-    /// Fetch a node row straight from the node table, bypassing the record
-    /// cache. Reference path for the cache-effectiveness assertions.
-    pub fn node_record_uncached(&self, id: StoredNodeId) -> CrimsonResult<NodeRecord> {
-        let rows = self
-            .db
-            .lookup_rows(self.tables.nodes, "node_id", &Value::Int(id.0 as i64))?;
-        rows.into_iter()
-            .next()
-            .map(|(_, row)| decode_node_row(&row))
-            .ok_or(CrimsonError::UnknownNode(id.0))
-    }
-
-    /// Fetch a frame row.
-    pub fn frame_record(&self, id: StoredFrameId) -> CrimsonResult<FrameRecord> {
-        let rows = self
-            .db
-            .lookup_rows(self.tables.frames, "frame_id", &Value::Int(id.0 as i64))?;
-        rows.into_iter()
-            .next()
-            .map(|(_, row)| decode_frame_row(&row))
-            .ok_or(CrimsonError::UnknownNode(id.0))
     }
 
     /// Children of a stored node (via the parent index).
@@ -688,7 +651,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     // Integrity
     // ------------------------------------------------------------------
 
-    /// Verify cross-table invariants: every node, frame and species row
+    /// Verify cross-table invariants: every node and species row
     /// belongs to a tree in the catalog; per-tree node and leaf counts
     /// match the tree row; both interval indexes hold exactly one entry per
     /// node; each tree's depth column agrees with its block minima, its
@@ -863,17 +826,6 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
                     tree.name, tree.node_count, tree.leaf_count
                 )));
             }
-        }
-
-        for (rid, row) in self.db.scan(self.tables.frames)? {
-            let rec = decode_frame_row(&row);
-            if !trees.contains_key(&rec.tree.0) {
-                return Err(CrimsonError::CorruptRepository(format!(
-                    "orphan frame row {rid} references missing tree {}",
-                    rec.tree.0
-                )));
-            }
-            report.frames += 1;
         }
 
         for (rid, row) in self.db.scan(self.tables.species)? {
@@ -1227,74 +1179,6 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         let (pn, _) = self.interval_of(node)?;
         Ok(ancestor.0 >> TREE_SHIFT == node.0 >> TREE_SHIFT && pa <= pn && pn <= ea)
     }
-
-    // ------------------------------------------------------------------
-    // Reference structure primitives over stored hierarchical labels
-    // ------------------------------------------------------------------
-
-    /// Least common ancestor computed from the stored hierarchical Dewey
-    /// labels (local prefix within a frame; source-node hops across frames),
-    /// exactly as §2.1 describes.
-    ///
-    /// This is the pre-interval-index implementation, kept as the reference
-    /// the property tests cross-validate [`ReadCtx::lca`] against and as
-    /// the baseline for the page-read comparisons. It pays one full row
-    /// decode per node visited.
-    pub fn lca_label_walk(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<StoredNodeId> {
-        if a == b {
-            return Ok(a);
-        }
-        let ra = self.node_record_uncached(a)?;
-        let rb = self.node_record_uncached(b)?;
-        if ra.frame == rb.frame {
-            return self.local_lca(&ra, &rb);
-        }
-        // Cross-frame: walk the frame chains (two-pointer by frame rank),
-        // replacing each node by the source node of its frame as we lift it.
-        let mut na = ra;
-        let mut nb = rb;
-        let mut fa = self.frame_record(na.frame)?;
-        let mut fb = self.frame_record(nb.frame)?;
-        while fa.id != fb.id {
-            if fa.rank >= fb.rank {
-                let source = fa.source_node.ok_or_else(|| missing_source(&fa))?;
-                na = self.node_record_uncached(source)?;
-                fa = self.frame_record(na.frame)?;
-            } else {
-                let source = fb.source_node.ok_or_else(|| missing_source(&fb))?;
-                nb = self.node_record_uncached(source)?;
-                fb = self.frame_record(nb.frame)?;
-            }
-        }
-        self.local_lca(&na, &nb)
-    }
-
-    /// LCA of two nodes known to share a frame: longest common prefix of the
-    /// local labels, resolved to a node by walking at most `f` parent links.
-    fn local_lca(&self, a: &NodeRecord, b: &NodeRecord) -> CrimsonResult<StoredNodeId> {
-        debug_assert_eq!(a.frame, b.frame);
-        let prefix = a
-            .local_label
-            .iter()
-            .zip(b.local_label.iter())
-            .take_while(|(x, y)| x == y)
-            .count();
-        let (mut cur, depth) = if a.local_label.len() <= b.local_label.len() {
-            (a.clone(), a.local_label.len())
-        } else {
-            (b.clone(), b.local_label.len())
-        };
-        for _ in prefix..depth {
-            let parent = cur.parent.ok_or_else(|| {
-                CrimsonError::CorruptRepository(format!(
-                    "node {} sits below its frame root yet has no parent",
-                    cur.id
-                ))
-            })?;
-            cur = self.node_record_uncached(parent)?;
-        }
-        Ok(cur.id)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1319,8 +1203,6 @@ impl Repository {
         db.create_index(nodes_table, "root_dist", false)?;
         db.create_index(nodes_table, "leaf_of_tree", false)?;
         db.create_index(nodes_table, "subtree_height", false)?;
-        let frames_table = db.create_table("frames", frames_schema())?;
-        db.create_index(frames_table, "frame_id", true)?;
         let species_table = db.create_table("species", species_schema())?;
         db.create_index(species_table, "name", false)?;
         db.create_index(species_table, "tree_id", false)?;
@@ -1353,7 +1235,6 @@ impl Repository {
             tables: Tables {
                 trees: trees_table,
                 nodes: nodes_table,
-                frames: frames_table,
                 species: species_table,
                 history: history_table,
                 experiments: experiments_table,
@@ -1780,12 +1661,12 @@ impl Repository {
 
     /// Load a tree (structure only) under `name`; returns its handle.
     ///
-    /// Nodes are stored with hierarchical Dewey labels (frame depth taken
-    /// from the repository options), cumulative root distances, pre-order
-    /// ranks and parent links.
+    /// Nodes are stored with cumulative root distances, depths, pre-order
+    /// ranks and parent links; the interval index, the depth column and
+    /// the content address are written alongside.
     ///
     /// The load is one atomic transaction: a failed or interrupted load
-    /// leaves no orphan node/frame/interval rows and is invisible after
+    /// leaves no orphan node/interval rows and is invisible after
     /// reopening the repository.
     ///
     /// This is the bulk fast path: one DFS computes every per-node scalar
@@ -1801,11 +1682,11 @@ impl Repository {
     }
 
     /// Load a tree through the original row-at-a-time path: one
-    /// [`Database::insert`] per frame/node row and one `raw_insert` per
+    /// [`Database::insert`] per node row and one `raw_insert` per
     /// interval entry, each paying a full B+tree descent. Kept as the
     /// reference implementation the bulk property tests cross-validate
-    /// against, and as the cost baseline the load bench measures the bulk
-    /// path's speedup over.
+    /// against, and as the cost baseline `smoke_bulk_load` measures the
+    /// bulk path's speedup over.
     pub fn load_tree_reference(&mut self, name: &str, tree: &Tree) -> CrimsonResult<TreeHandle> {
         self.with_txn(|repo| repo.load_tree_reference_inner(name, tree))
     }
@@ -1820,10 +1701,7 @@ impl Repository {
         let tree_id = self.next_tree_id()?;
         let handle = TreeHandle(tree_id);
 
-        let labels = HierarchicalDewey::build(tree, self.options.frame_depth);
-        let layer0 = labels.layer(0);
         let node_sid = |n: phylo::NodeId| StoredNodeId((tree_id << TREE_SHIFT) | n.0 as u64);
-        let frame_sid = |f: u32| StoredFrameId((tree_id << TREE_SHIFT) | f as u64);
 
         // One iterative DFS computes every per-node scalar the row needs:
         // pre-order rank on entry; subtree end rank and height on exit. This
@@ -1892,45 +1770,6 @@ impl Repository {
         }
         debug_assert_eq!(order.len(), n);
 
-        // Frame ranks (number of ancestor frames) for the cross-frame walk.
-        let frame_count = layer0.frame_count();
-        let mut frame_rank = vec![0u64; frame_count];
-        for fid in 0..frame_count as u32 {
-            let mut rank = 0u64;
-            let mut cur = fid;
-            while let Some(parent) = layer0.frame(cur).parent_frame {
-                rank += 1;
-                cur = parent;
-            }
-            frame_rank[fid as usize] = rank;
-        }
-
-        // Frame rows, streamed through the bulk appender (frame ids ascend,
-        // so the unique frame_id index packs bottom-up).
-        let mut next_frame = 0u32;
-        self.db
-            .bulk_insert_with(self.tables.frames, BULK_FILL, |values| {
-                if next_frame as usize == frame_count {
-                    return Ok(false);
-                }
-                let fid = next_frame;
-                next_frame += 1;
-                let frame = layer0.frame(fid);
-                values.push(Value::Int(frame_sid(fid).0 as i64));
-                values.push(Value::Int(tree_id as i64));
-                values.push(Value::Int(node_sid(phylo::NodeId(frame.root)).0 as i64));
-                values.push(match frame.parent_frame {
-                    Some(p) => Value::Int(frame_sid(p).0 as i64),
-                    None => Value::Int(-1),
-                });
-                values.push(match frame.source {
-                    Some(s) => Value::Int(node_sid(phylo::NodeId(s)).0 as i64),
-                    None => Value::Int(-1),
-                });
-                values.push(Value::Int(frame_rank[fid as usize] as i64));
-                Ok(true)
-            })?;
-
         // Node rows in pre-order (heap locality aligned with the dominant
         // access pattern), one streaming emission: each row is encoded into
         // the engine's reusable buffer and appended to sequentially filled
@@ -1946,32 +1785,18 @@ impl Repository {
                 };
                 emit += 1;
                 let ai = node.index();
-                let is_leaf = tree.is_leaf(node);
-                let label = labels.label(node);
-                let label_bytes: Vec<u8> =
-                    label.path.iter().flat_map(|c| c.to_le_bytes()).collect();
-                values.push(Value::Int(node_sid(node).0 as i64));
-                values.push(Value::Int(tree_id as i64));
-                values.push(match tree.parent(node) {
-                    Some(p) => Value::Int(node_sid(p).0 as i64),
-                    None => Value::Int(-1),
-                });
-                values.push(match tree.name(node) {
-                    Some(n) => Value::text(n),
-                    None => Value::Null,
-                });
-                values.push(match tree.branch_length(node) {
-                    Some(l) => Value::Float(l),
-                    None => Value::Null,
-                });
-                values.push(Value::Float(root_dist[ai]));
-                values.push(Value::Int(depth_of[ai] as i64));
-                values.push(Value::Int(pre_of[ai] as i64));
-                values.push(Value::Int(frame_sid(label.frame).0 as i64));
-                values.push(Value::bytes(label_bytes));
-                values.push(Value::Bool(is_leaf));
-                values.push(Value::Int(if is_leaf { tree_id as i64 } else { -1 }));
-                values.push(Value::Float(height_of[ai]));
+                encode_node_row(
+                    values,
+                    tree,
+                    tree_id,
+                    node,
+                    NodeScalars {
+                        root_distance: root_dist[ai],
+                        depth: depth_of[ai],
+                        preorder: pre_of[ai],
+                        subtree_height: height_of[ai],
+                    },
+                );
                 Ok(true)
             })?;
 
@@ -2032,14 +1857,7 @@ impl Repository {
         // Insert the tree row last so a partially loaded tree is not visible.
         self.db.insert(
             self.tables.trees,
-            &[
-                Value::Int(tree_id as i64),
-                Value::text(name),
-                Value::Int(node_sid(root).0 as i64),
-                Value::Int(n as i64),
-                Value::Int(leaf_count as i64),
-                Value::Int(self.options.frame_depth as i64),
-            ],
+            &tree_row(tree_id, name, node_sid(root), n as u64, leaf_count),
         )?;
         Ok(handle)
     }
@@ -2054,8 +1872,6 @@ impl Repository {
         let tree_id = self.next_tree_id()?;
         let handle = TreeHandle(tree_id);
 
-        let labels = HierarchicalDewey::build(tree, self.options.frame_depth);
-        let layer0 = labels.layer(0);
         let root_dists = tree.all_root_distances();
         let depths = tree.all_depths();
         let preorder = tree.preorder_ranks();
@@ -2070,82 +1886,32 @@ impl Repository {
         }
 
         let node_sid = |n: phylo::NodeId| StoredNodeId((tree_id << TREE_SHIFT) | n.0 as u64);
-        let frame_sid = |f: u32| StoredFrameId((tree_id << TREE_SHIFT) | f as u64);
-
-        // Frame ranks (number of ancestor frames) for the cross-frame walk.
-        let frame_count = layer0.frame_count();
-        let mut frame_rank = vec![0u64; frame_count];
-        for fid in 0..frame_count as u32 {
-            let mut rank = 0u64;
-            let mut cur = fid;
-            while let Some(parent) = layer0.frame(cur).parent_frame {
-                rank += 1;
-                cur = parent;
-            }
-            frame_rank[fid as usize] = rank;
-        }
-
-        // Insert frames.
-        for fid in 0..frame_count as u32 {
-            let frame = layer0.frame(fid);
-            self.db.insert(
-                self.tables.frames,
-                &[
-                    Value::Int(frame_sid(fid).0 as i64),
-                    Value::Int(tree_id as i64),
-                    Value::Int(node_sid(phylo::NodeId(frame.root)).0 as i64),
-                    match frame.parent_frame {
-                        Some(p) => Value::Int(frame_sid(p).0 as i64),
-                        None => Value::Int(-1),
-                    },
-                    match frame.source {
-                        Some(s) => Value::Int(node_sid(phylo::NodeId(s)).0 as i64),
-                        None => Value::Int(-1),
-                    },
-                    Value::Int(frame_rank[fid as usize] as i64),
-                ],
-            )?;
-        }
 
         // Insert nodes in pre-order (keeps heap locality aligned with the
         // dominant access pattern), remembering each row's physical record
         // id — the interval index stores it as a direct row locator.
         let mut leaf_count = 0u64;
         let mut row_ids = vec![storage::RecordId { page: 0, slot: 0 }; tree.node_count()];
+        let mut values = Vec::new();
         for node in tree.preorder() {
-            let is_leaf = tree.is_leaf(node);
-            if is_leaf {
+            if tree.is_leaf(node) {
                 leaf_count += 1;
             }
-            let label = labels.label(node);
-            let label_bytes: Vec<u8> = label.path.iter().flat_map(|c| c.to_le_bytes()).collect();
-            row_ids[node.index()] = self.db.insert(
-                self.tables.nodes,
-                &[
-                    Value::Int(node_sid(node).0 as i64),
-                    Value::Int(tree_id as i64),
-                    match tree.parent(node) {
-                        Some(p) => Value::Int(node_sid(p).0 as i64),
-                        None => Value::Int(-1),
-                    },
-                    match tree.name(node) {
-                        Some(n) => Value::text(n),
-                        None => Value::Null,
-                    },
-                    match tree.branch_length(node) {
-                        Some(l) => Value::Float(l),
-                        None => Value::Null,
-                    },
-                    Value::Float(root_dists[node.index()]),
-                    Value::Int(depths[node.index()] as i64),
-                    Value::Int(preorder[node.index()] as i64),
-                    Value::Int(frame_sid(label.frame).0 as i64),
-                    Value::bytes(label_bytes),
-                    Value::Bool(is_leaf),
-                    Value::Int(if is_leaf { tree_id as i64 } else { -1 }),
-                    Value::Float(heights[node.index()]),
-                ],
-            )?;
+            let ai = node.index();
+            values.clear();
+            encode_node_row(
+                &mut values,
+                tree,
+                tree_id,
+                node,
+                NodeScalars {
+                    root_distance: root_dists[ai],
+                    depth: depths[ai] as u64,
+                    preorder: preorder[ai] as u32,
+                    subtree_height: heights[ai],
+                },
+            );
+            row_ids[ai] = self.db.insert(self.tables.nodes, &values)?;
         }
 
         // Persist the interval index: one covering entry per node keyed by
@@ -2188,14 +1954,13 @@ impl Repository {
         // Insert the tree row last so a partially loaded tree is not visible.
         self.db.insert(
             self.tables.trees,
-            &[
-                Value::Int(tree_id as i64),
-                Value::text(name),
-                Value::Int(node_sid(tree.root_unchecked()).0 as i64),
-                Value::Int(tree.node_count() as i64),
-                Value::Int(leaf_count as i64),
-                Value::Int(self.options.frame_depth as i64),
-            ],
+            &tree_row(
+                tree_id,
+                name,
+                node_sid(tree.root_unchecked()),
+                tree.node_count() as u64,
+                leaf_count,
+            ),
         )?;
         Ok(handle)
     }
@@ -2270,14 +2035,6 @@ impl Repository {
     }
 }
 
-/// Typed error for a frame that should carry a source node but does not.
-fn missing_source(frame: &FrameRecord) -> CrimsonError {
-    CrimsonError::CorruptRepository(format!(
-        "frame {:?} of tree #{} (rank {}) has no source node",
-        frame.id, frame.tree.0, frame.rank
-    ))
-}
-
 // ---------------------------------------------------------------------------
 // Schemas and row decoding
 // ---------------------------------------------------------------------------
@@ -2289,7 +2046,6 @@ fn trees_schema() -> Schema {
         ColumnDef::not_null("root_node", ValueType::Int),
         ColumnDef::not_null("node_count", ValueType::Int),
         ColumnDef::not_null("leaf_count", ValueType::Int),
-        ColumnDef::not_null("frame_depth", ValueType::Int),
     ])
 }
 
@@ -2303,22 +2059,9 @@ fn nodes_schema() -> Schema {
         ColumnDef::not_null("root_dist", ValueType::Float),
         ColumnDef::not_null("depth", ValueType::Int),
         ColumnDef::not_null("preorder", ValueType::Int),
-        ColumnDef::not_null("frame_id", ValueType::Int),
-        ColumnDef::not_null("label", ValueType::Bytes),
         ColumnDef::not_null("is_leaf", ValueType::Bool),
         ColumnDef::not_null("leaf_of_tree", ValueType::Int),
         ColumnDef::not_null("subtree_height", ValueType::Float),
-    ])
-}
-
-fn frames_schema() -> Schema {
-    Schema::new(vec![
-        ColumnDef::not_null("frame_id", ValueType::Int),
-        ColumnDef::not_null("tree_id", ValueType::Int),
-        ColumnDef::not_null("root_node", ValueType::Int),
-        ColumnDef::not_null("parent_frame", ValueType::Int),
-        ColumnDef::not_null("source_node", ValueType::Int),
-        ColumnDef::not_null("rank", ValueType::Int),
     ])
 }
 
@@ -2415,6 +2158,23 @@ pub(crate) fn decode_tree_stats_row(row: &storage::schema::Row) -> Option<TreeSt
     })
 }
 
+/// The `trees` row of a stored tree, in [`trees_schema`] column order.
+pub(crate) fn tree_row(
+    tree_id: u64,
+    name: &str,
+    root: StoredNodeId,
+    node_count: u64,
+    leaf_count: u64,
+) -> [Value; 5] {
+    [
+        Value::Int(tree_id as i64),
+        Value::text(name),
+        Value::Int(root.0 as i64),
+        Value::Int(node_count as i64),
+        Value::Int(leaf_count as i64),
+    ]
+}
+
 fn decode_tree_row(row: &storage::schema::Row) -> TreeRecord {
     TreeRecord {
         handle: TreeHandle(row.values[0].as_int().unwrap_or(0) as u64),
@@ -2422,17 +2182,52 @@ fn decode_tree_row(row: &storage::schema::Row) -> TreeRecord {
         root: StoredNodeId(row.values[2].as_int().unwrap_or(0) as u64),
         node_count: row.values[3].as_int().unwrap_or(0) as u64,
         leaf_count: row.values[4].as_int().unwrap_or(0) as u64,
-        frame_depth: row.values[5].as_int().unwrap_or(0) as u64,
     }
+}
+
+/// What a load computes for a node row beyond what the in-memory tree
+/// holds.
+pub(crate) struct NodeScalars {
+    /// Cumulative branch length from the root.
+    pub root_distance: f64,
+    /// Depth in edges from the root.
+    pub depth: u64,
+    /// Pre-order rank within the tree.
+    pub preorder: u32,
+    /// Maximum branch-length distance down to a descendant leaf.
+    pub subtree_height: f64,
+}
+
+/// Append the `nodes` row of arena node `node` of `tree`, stored as tree
+/// `tree_id`, to `values` in [`nodes_schema`] column order. Every load path
+/// encodes through it and [`decode_node_row`] reads it back, so only these
+/// two functions know the column order.
+pub(crate) fn encode_node_row(
+    values: &mut Vec<Value>,
+    tree: &Tree,
+    tree_id: u64,
+    node: phylo::NodeId,
+    scalars: NodeScalars,
+) {
+    let sid = |n: phylo::NodeId| Value::Int(((tree_id << TREE_SHIFT) | n.0 as u64) as i64);
+    let is_leaf = tree.is_leaf(node);
+    values.extend([
+        sid(node),
+        Value::Int(tree_id as i64),
+        tree.parent(node).map_or(Value::Int(-1), sid),
+        tree.name(node).map_or(Value::Null, Value::text),
+        tree.branch_length(node).map_or(Value::Null, Value::Float),
+        Value::Float(scalars.root_distance),
+        Value::Int(scalars.depth as i64),
+        Value::Int(scalars.preorder as i64),
+        Value::Bool(is_leaf),
+        Value::Int(if is_leaf { tree_id as i64 } else { -1 }),
+        Value::Float(scalars.subtree_height),
+    ]);
 }
 
 pub(crate) fn decode_node_row(row: &storage::schema::Row) -> NodeRecord {
     let parent_raw = row.values[2].as_int().unwrap_or(-1);
-    let label_bytes = row.values[9].as_bytes().unwrap_or(&[]);
-    let local_label: Vec<u32> = label_bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
     NodeRecord {
         id: StoredNodeId(row.values[0].as_int().unwrap_or(0) as u64),
         tree: TreeHandle(row.values[1].as_int().unwrap_or(0) as u64),
@@ -2446,31 +2241,8 @@ pub(crate) fn decode_node_row(row: &storage::schema::Row) -> NodeRecord {
         root_distance: row.values[5].as_float().unwrap_or(0.0),
         depth: row.values[6].as_int().unwrap_or(0) as u64,
         preorder: row.values[7].as_int().unwrap_or(0) as u64,
-        frame: StoredFrameId(row.values[8].as_int().unwrap_or(0) as u64),
-        local_label,
-        is_leaf: row.values[10].as_bool().unwrap_or(false),
-        subtree_height: row.values[12].as_float().unwrap_or(0.0),
-    }
-}
-
-fn decode_frame_row(row: &storage::schema::Row) -> FrameRecord {
-    let parent_raw = row.values[3].as_int().unwrap_or(-1);
-    let source_raw = row.values[4].as_int().unwrap_or(-1);
-    FrameRecord {
-        id: StoredFrameId(row.values[0].as_int().unwrap_or(0) as u64),
-        tree: TreeHandle(row.values[1].as_int().unwrap_or(0) as u64),
-        root_node: StoredNodeId(row.values[2].as_int().unwrap_or(0) as u64),
-        parent_frame: if parent_raw < 0 {
-            None
-        } else {
-            Some(StoredFrameId(parent_raw as u64))
-        },
-        source_node: if source_raw < 0 {
-            None
-        } else {
-            Some(StoredNodeId(source_raw as u64))
-        },
-        rank: row.values[5].as_int().unwrap_or(0) as u64,
+        is_leaf: row.values[8].as_bool().unwrap_or(false),
+        subtree_height: row.values[10].as_float().unwrap_or(0.0),
     }
 }
 
@@ -2485,7 +2257,6 @@ mod tests {
         let repo = Repository::create(
             dir.path().join("repo.crimson"),
             RepositoryOptions {
-                frame_depth: 2,
                 buffer_pool_pages: 256,
                 ..Default::default()
             },
@@ -2503,7 +2274,6 @@ mod tests {
         assert_eq!(rec.handle, handle);
         assert_eq!(rec.node_count, 8);
         assert_eq!(rec.leaf_count, 5);
-        assert_eq!(rec.frame_depth, 2);
 
         let lla = repo.view().require_species_node(handle, "Lla").unwrap();
         let rec = repo.view().node_record(lla).unwrap();
@@ -2562,20 +2332,18 @@ mod tests {
     }
 
     #[test]
-    fn lca_on_deeper_trees_various_frame_depths() {
-        for f in [2usize, 4, 16] {
+    fn lca_on_deeper_trees_matches_in_memory_tree() {
+        for tree in [caterpillar(60, 1.0), balanced_binary(6, 1.0)] {
             let dir = tempdir().unwrap();
             let mut repo = Repository::create(
                 dir.path().join("repo.crimson"),
                 RepositoryOptions {
-                    frame_depth: f,
                     buffer_pool_pages: 512,
                     ..Default::default()
                 },
             )
             .unwrap();
-            let tree = caterpillar(60, 1.0);
-            let handle = repo.load_tree("cat", &tree).unwrap();
+            let handle = repo.load_tree("t", &tree).unwrap();
             let leaves: Vec<_> = tree.leaf_ids().collect();
             for i in (0..leaves.len()).step_by(7) {
                 for j in (0..leaves.len()).step_by(11) {
@@ -2589,12 +2357,12 @@ mod tests {
                         .view()
                         .require_species_node(handle, tree.name(b).unwrap())
                         .unwrap();
-                    let stored = repo
-                        .view()
-                        .node_record(repo.view().lca(sa, sb).unwrap())
-                        .unwrap();
                     let expected = tree.lca(a, b);
-                    assert_eq!(stored.depth as usize, tree.depth(expected), "f={f} {a} {b}");
+                    assert_eq!(
+                        repo.view().lca(sa, sb).unwrap(),
+                        StoredNodeId((handle.0 << TREE_SHIFT) | expected.0 as u64),
+                        "lca({a:?}, {b:?})"
+                    );
                 }
             }
         }
@@ -2669,7 +2437,6 @@ mod tests {
             let mut repo = Repository::create(
                 &path,
                 RepositoryOptions {
-                    frame_depth: 4,
                     buffer_pool_pages: 128,
                     ..Default::default()
                 },

@@ -293,12 +293,11 @@ mod tests {
     use std::collections::HashSet;
     use tempfile::tempdir;
 
-    fn repo_with(tree: &phylo::Tree, f: usize) -> (tempfile::TempDir, Repository, TreeHandle) {
+    fn repo_with(tree: &phylo::Tree) -> (tempfile::TempDir, Repository, TreeHandle) {
         let dir = tempdir().unwrap();
         let mut repo = Repository::create(
             dir.path().join("repo.crimson"),
             RepositoryOptions {
-                frame_depth: f,
                 buffer_pool_pages: 512,
                 ..Default::default()
             },
@@ -311,7 +310,7 @@ mod tests {
     #[test]
     fn uniform_sampling_properties() {
         let tree = yule_tree(100, 1.0, 3);
-        let (_d, repo, handle) = repo_with(&tree, 8);
+        let (_d, repo, handle) = repo_with(&tree);
         let sample = repo.view().sample_uniform(handle, 20, 1).unwrap();
         assert_eq!(sample.len(), 20);
         // Distinct leaves.
@@ -336,7 +335,7 @@ mod tests {
         // §2.2: frontier at evolutionary distance 1 for the Figure 1 tree is
         // {Bha, x, Syn, Bsu} where x is the parent of Lla and Spy.
         let tree = figure1_tree();
-        let (_d, repo, handle) = repo_with(&tree, 2);
+        let (_d, repo, handle) = repo_with(&tree);
         let frontier = repo.view().time_frontier(handle, 1.0).unwrap();
         assert_eq!(frontier.len(), 4);
         let mut names: Vec<Option<String>> = frontier
@@ -369,7 +368,7 @@ mod tests {
         // Sampling 4 species at time 1 must yield {Bha, Syn, Bsu} plus one of
         // {Lla, Spy} — the two outcomes listed in the paper.
         let tree = figure1_tree();
-        let (_d, repo, handle) = repo_with(&tree, 2);
+        let (_d, repo, handle) = repo_with(&tree);
         for seed in 0..10 {
             let sample = repo.view().sample_by_time(handle, 1.0, 4, seed).unwrap();
             let names: HashSet<String> =
@@ -385,7 +384,7 @@ mod tests {
     #[test]
     fn time_sampling_on_simulated_tree() {
         let tree = yule_tree(128, 1.0, 9);
-        let (_d, repo, handle) = repo_with(&tree, 8);
+        let (_d, repo, handle) = repo_with(&tree);
         // Pick a threshold at half the tree height.
         let height = tree.root_distance(tree.leaf_ids().next().unwrap());
         let t = height / 2.0;
@@ -411,7 +410,7 @@ mod tests {
     #[test]
     fn time_sampling_errors() {
         let tree = figure1_tree();
-        let (_d, repo, handle) = repo_with(&tree, 2);
+        let (_d, repo, handle) = repo_with(&tree);
         // A negative clade age admits no nodes at all: empty frontier.
         assert!(repo.view().sample_by_time(handle, -1.0, 2, 1).is_err());
         // More species than exist below the frontier.
@@ -436,7 +435,7 @@ mod tests {
     #[test]
     fn user_list_sampling() {
         let tree = figure1_tree();
-        let (_d, repo, handle) = repo_with(&tree, 2);
+        let (_d, repo, handle) = repo_with(&tree);
         let sample = repo
             .view()
             .sample(
@@ -459,7 +458,7 @@ mod tests {
     #[test]
     fn strategy_dispatch() {
         let tree = yule_tree(32, 1.0, 2);
-        let (_d, repo, handle) = repo_with(&tree, 4);
+        let (_d, repo, handle) = repo_with(&tree);
         let uniform = repo
             .view()
             .sample(handle, &SamplingStrategy::Uniform { k: 8 }, 3)

@@ -38,7 +38,6 @@ fn flip_bit(path: &Path, byte_offset: u64, bit: u32) {
 
 fn small_opts() -> RepositoryOptions {
     RepositoryOptions {
-        frame_depth: 4,
         buffer_pool_pages: 64,
         ..Default::default()
     }

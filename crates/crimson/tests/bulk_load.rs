@@ -4,6 +4,9 @@
 //! crash at any point inside a bulk load must recover to the clean pre-load
 //! state.
 
+mod common;
+
+use common::Oracle;
 use crimson::prelude::*;
 use crimson::repository::RepositoryOptions;
 use rand::prelude::*;
@@ -11,9 +14,8 @@ use simulation::birth_death::{birth_death_tree, BirthDeathConfig};
 use storage::CrashPoint;
 use tempfile::tempdir;
 
-fn options(frame_depth: usize) -> RepositoryOptions {
+fn options() -> RepositoryOptions {
     RepositoryOptions {
-        frame_depth,
         buffer_pool_pages: 512,
         ..Default::default()
     }
@@ -43,8 +45,8 @@ fn random_tree(rng: &mut StdRng) -> phylo::Tree {
 #[test]
 fn bulk_and_reference_loads_answer_identically_on_random_trees() {
     let dir = tempdir().unwrap();
-    let mut bulk = Repository::create(dir.path().join("bulk.crimson"), options(4)).unwrap();
-    let mut reference = Repository::create(dir.path().join("ref.crimson"), options(4)).unwrap();
+    let mut bulk = Repository::create(dir.path().join("bulk.crimson"), options()).unwrap();
+    let mut reference = Repository::create(dir.path().join("ref.crimson"), options()).unwrap();
     let mut rng = StdRng::seed_from_u64(20260727);
     for case in 0..50 {
         let tree = random_tree(&mut rng);
@@ -59,19 +61,16 @@ fn bulk_and_reference_loads_answer_identically_on_random_trees() {
         leaves_r.sort();
         assert_eq!(leaves_b, leaves_r, "case {case}: leaf sets differ");
 
-        // LCA + ancestor tests over sampled pairs, also cross-checked
-        // against the reference repository's label-walk implementation.
+        // LCA + ancestor tests over sampled pairs, also checked against the
+        // in-memory tree.
+        let oracle = Oracle::new(hb, &tree);
         for _ in 0..12 {
             let a = *leaves_b.choose(&mut rng).unwrap();
             let b = *leaves_b.choose(&mut rng).unwrap();
             let lb = bulk.view().lca(a, b).unwrap();
             let lr = reference.view().lca(a, b).unwrap();
             assert_eq!(lb, lr, "case {case}: lca({a}, {b})");
-            assert_eq!(
-                reference.view().lca_label_walk(a, b).unwrap(),
-                lb,
-                "case {case}: label walk disagrees"
-            );
+            assert_eq!(oracle.lca(a, b), lb, "case {case}: in-memory lca disagrees");
             assert!(
                 bulk.view().is_ancestor(lb, a).unwrap() && bulk.view().is_ancestor(lb, b).unwrap(),
                 "case {case}: lca must cover both"
@@ -121,9 +120,10 @@ fn bulk_and_reference_loads_answer_identically_on_random_trees() {
 #[test]
 fn mixed_load_paths_share_one_repository() {
     let dir = tempdir().unwrap();
-    let mut repo = Repository::create(dir.path().join("mixed.crimson"), options(3)).unwrap();
+    let mut repo = Repository::create(dir.path().join("mixed.crimson"), options()).unwrap();
     let mut rng = StdRng::seed_from_u64(7);
     let mut handles = Vec::new();
+    let mut oracles = Vec::new();
     for case in 0..8 {
         let tree = random_tree(&mut rng);
         let name = format!("t{case}");
@@ -133,14 +133,15 @@ fn mixed_load_paths_share_one_repository() {
             repo.load_tree_reference(&name, &tree).unwrap()
         };
         handles.push(handle);
+        oracles.push(Oracle::new(handle, &tree));
     }
     repo.view().integrity_check().unwrap();
-    for &handle in &handles {
+    for (&handle, oracle) in handles.iter().zip(&oracles) {
         let leaves = repo.view().leaves(handle).unwrap();
         let a = leaves[0];
         let b = *leaves.last().unwrap();
         let lca = repo.view().lca(a, b).unwrap();
-        assert_eq!(repo.view().lca_label_walk(a, b).unwrap(), lca);
+        assert_eq!(oracle.lca(a, b), lca);
         assert!(repo.view().is_ancestor(lca, b).unwrap());
     }
     // Queries across distinct trees still refuse to mix.
@@ -173,7 +174,6 @@ fn bulk_load_crash_recovers_to_pre_load_state() {
             let mut repo = Repository::create(
                 &path,
                 RepositoryOptions {
-                    frame_depth: 8,
                     buffer_pool_pages: 64,
                     ..Default::default()
                 },
@@ -212,7 +212,7 @@ fn bulk_load_crash_recovers_to_pre_load_state() {
 #[test]
 fn bulk_load_rejects_empty_and_duplicate_trees() {
     let dir = tempdir().unwrap();
-    let mut repo = Repository::create(dir.path().join("r.crimson"), options(4)).unwrap();
+    let mut repo = Repository::create(dir.path().join("r.crimson"), options()).unwrap();
     assert!(repo.load_tree("empty", &phylo::Tree::new()).is_err());
     let tree = simulation::birth_death::yule_tree(16, 1.0, 3);
     repo.load_tree("dup", &tree).unwrap();

@@ -1,0 +1,97 @@
+//! In-memory oracles the integration tests check stored answers against.
+//!
+//! A node the repository stores from arena node `n` of a tree loaded under
+//! handle `h` has the id `(h << 32) | n`, so an answer read from disk maps
+//! straight onto the in-memory tree it was loaded from. The oracles answer
+//! from `labeling`'s in-memory schemes (parent pointers for LCA, interval
+//! labels for ancestry and clades) and `phylo`'s in-memory projection,
+//! which the labeling and phylo suites test on their own.
+
+#![allow(dead_code)]
+
+use crimson::prelude::*;
+use labeling::{IntervalLabels, LcaScheme, ParentPointers};
+use phylo::{NodeId, Tree};
+
+/// Stored id of arena node `n` of the tree stored under `handle`.
+pub fn sid(handle: TreeHandle, n: NodeId) -> StoredNodeId {
+    StoredNodeId((handle.0 << 32) | n.0 as u64)
+}
+
+/// Arena node of a stored id.
+pub fn arena(id: StoredNodeId) -> NodeId {
+    NodeId(id.0 as u32)
+}
+
+/// The in-memory answers for one stored tree.
+pub struct Oracle {
+    handle: TreeHandle,
+    tree: Tree,
+    parents: ParentPointers,
+    intervals: IntervalLabels,
+}
+
+impl Oracle {
+    /// Oracle for `tree`, as stored under `handle`.
+    pub fn new(handle: TreeHandle, tree: &Tree) -> Oracle {
+        Oracle {
+            handle,
+            tree: tree.clone(),
+            parents: ParentPointers::build(tree),
+            intervals: IntervalLabels::build(tree),
+        }
+    }
+
+    fn node(&self, id: StoredNodeId) -> NodeId {
+        assert_eq!(id.0 >> 32, self.handle.0, "{id} is not a node of this tree");
+        arena(id)
+    }
+
+    /// Least common ancestor, by the parent-pointer walk.
+    pub fn lca(&self, a: StoredNodeId, b: StoredNodeId) -> StoredNodeId {
+        sid(self.handle, self.parents.lca(self.node(a), self.node(b)))
+    }
+
+    /// Ancestor-or-self test, by interval containment.
+    pub fn is_ancestor(&self, ancestor: StoredNodeId, node: StoredNodeId) -> bool {
+        self.intervals
+            .is_ancestor(self.node(ancestor), self.node(node))
+    }
+
+    /// Minimal spanning clade of `set`, sorted by stored id.
+    pub fn spanning_clade(&self, set: &[StoredNodeId]) -> Vec<StoredNodeId> {
+        let top = set
+            .iter()
+            .map(|&n| self.node(n))
+            .reduce(|a, b| self.parents.lca(a, b))
+            .expect("non-empty set");
+        let mut clade: Vec<StoredNodeId> = self
+            .tree
+            .node_ids()
+            .filter(|&v| self.intervals.is_ancestor(top, v))
+            .map(|v| sid(self.handle, v))
+            .collect();
+        clade.sort_unstable();
+        clade
+    }
+
+    /// Projection onto the named leaves `leaves`.
+    pub fn project(&self, leaves: &[StoredNodeId]) -> Tree {
+        let names: Vec<&str> = leaves
+            .iter()
+            .map(|&n| self.tree.name(self.node(n)).expect("a named leaf"))
+            .collect();
+        phylo::ops::project_by_names(&self.tree, &names).expect("in-memory projection")
+    }
+}
+
+/// Assert that a stored projection equals the oracle's, branch lengths
+/// included.
+pub fn assert_same_projection(stored: &Tree, expected: &Tree, what: &str) {
+    assert!(
+        phylo::ops::isomorphic_with_lengths(stored, expected, 1e-9),
+        "{what}\nstored:\n{}\nexpected:\n{}",
+        phylo::render::ascii(stored),
+        phylo::render::ascii(expected)
+    );
+}

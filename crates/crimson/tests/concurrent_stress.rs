@@ -3,11 +3,10 @@
 //! Four reader threads hammer LCA / ancestor / spanning-clade / projection
 //! queries on trees loaded before they start, while the main thread keeps
 //! loading new trees, recording history and checkpointing — the shared-
-//! service workload the paper pitches. Every fast-path result is
-//! cross-validated in-thread against the pre-interval-index `*_reference`
-//! implementation (or a semantic invariant), so a single torn read, stale
-//! cache entry or latch bug surfaces as an assertion failure, not a flaky
-//! number.
+//! service workload the paper pitches. Every result is cross-validated
+//! in-thread against the in-memory tree that was loaded (or a semantic
+//! invariant), so a single torn read, stale cache entry or latch bug
+//! surfaces as an assertion failure, not a flaky number.
 //!
 //! The harness asserts ≥ 10,000 cross-validated queries across ≥ 4 reader
 //! threads with zero mismatches, that every concurrent load committed, and
@@ -15,6 +14,9 @@
 //! `RUST_TEST_THREADS=1` to keep the wall-clock budget honest — the test
 //! brings its own threads.
 
+mod common;
+
+use common::Oracle;
 use crimson::prelude::*;
 use rand::prelude::*;
 use simulation::birth_death::yule_tree;
@@ -30,14 +32,15 @@ fn four_readers_cross_validate_while_writer_loads() {
     let mut repo = Repository::create(
         dir.path().join("stress.crimson"),
         RepositoryOptions {
-            frame_depth: 8,
             buffer_pool_pages: 2048,
             ..Default::default()
         },
     )
     .unwrap();
-    let t1 = repo.load_tree("base1", &yule_tree(300, 1.0, 11)).unwrap();
-    let t2 = repo.load_tree("base2", &yule_tree(250, 1.0, 22)).unwrap();
+    let (tree1, tree2) = (yule_tree(300, 1.0, 11), yule_tree(250, 1.0, 22));
+    let t1 = repo.load_tree("base1", &tree1).unwrap();
+    let t2 = repo.load_tree("base2", &tree2).unwrap();
+    let oracles = [Oracle::new(t1, &tree1), Oracle::new(t2, &tree2)];
     repo.flush().unwrap();
     let leaves1 = repo.view().leaves(t1).unwrap();
     let leaves2 = repo.view().leaves(t2).unwrap();
@@ -49,6 +52,7 @@ fn four_readers_cross_validate_while_writer_loads() {
             let reader = repo.reader().unwrap();
             let leaves1 = &leaves1;
             let leaves2 = &leaves2;
+            let oracles = &oracles;
             let validated = &validated;
             scope.spawn(move || {
                 // Deterministic per-thread seed: the workload is
@@ -60,15 +64,13 @@ fn four_readers_cross_validate_while_writer_loads() {
                     } else {
                         (t2, &leaves2[..])
                     };
+                    let oracle = &oracles[i % 2];
                     let a = *leaves.choose(&mut rng).expect("non-empty");
                     let b = *leaves.choose(&mut rng).expect("non-empty");
 
-                    // LCA: interval walk vs. Dewey label walk.
+                    // LCA: range minimum vs. the in-memory tree.
                     let fast = reader.lca(a, b).expect("lca");
-                    let slow = reader
-                        .read(|v| v.lca_label_walk(a, b))
-                        .expect("reference lca");
-                    assert_eq!(fast, slow, "lca mismatch for ({a}, {b})");
+                    assert_eq!(fast, oracle.lca(a, b), "lca mismatch for ({a}, {b})");
                     validated.fetch_add(1, Ordering::Relaxed);
 
                     // Ancestor tests: the LCA must cover both arguments, and
@@ -84,14 +86,14 @@ fn four_readers_cross_validate_while_writer_loads() {
                         let c = *leaves.choose(&mut rng).expect("non-empty");
                         let set = [a, b, c];
                         let mut clade = reader.minimal_spanning_clade(&set).expect("clade");
-                        let mut reference = reader
-                            .read(|v| v.minimal_spanning_clade_reference(&set))
-                            .expect("reference clade");
-                        // The fast path yields pre-order, the reference BFS
-                        // order; compare as sets.
+                        // The stored clade comes in pre-order; compare as
+                        // sets.
                         clade.sort();
-                        reference.sort();
-                        assert_eq!(clade, reference, "clade mismatch for {set:?}");
+                        assert_eq!(
+                            clade,
+                            oracle.spanning_clade(&set),
+                            "clade mismatch for {set:?}"
+                        );
                         validated.fetch_add(1, Ordering::Relaxed);
                     }
 
@@ -103,13 +105,10 @@ fn four_readers_cross_validate_while_writer_loads() {
                             .copied()
                             .collect();
                         let fast = reader.project(handle, &sel).expect("projection");
-                        let slow = reader
-                            .read(|v| v.project_reference(handle, &sel))
-                            .expect("reference projection");
-                        assert!(
-                            phylo::ops::isomorphic_with_lengths(&fast, &slow, 1e-9),
-                            "projection mismatch on {} leaves",
-                            sel.len()
+                        common::assert_same_projection(
+                            &fast,
+                            &oracle.project(&sel),
+                            &format!("projection mismatch on {} leaves", sel.len()),
                         );
                         validated.fetch_add(1, Ordering::Relaxed);
                     }
@@ -200,7 +199,6 @@ fn reader_created_on_empty_repository_sees_later_loads() {
     let mut repo = Repository::create(
         dir.path().join("fresh.crimson"),
         RepositoryOptions {
-            frame_depth: 4,
             buffer_pool_pages: 512,
             ..Default::default()
         },
@@ -208,15 +206,11 @@ fn reader_created_on_empty_repository_sees_later_loads() {
     .unwrap();
     let reader = repo.reader().unwrap();
     assert!(reader.list_trees().unwrap().is_empty());
-    let handle = repo.load_tree("late", &yule_tree(60, 1.0, 3)).unwrap();
+    let tree = yule_tree(60, 1.0, 3);
+    let handle = repo.load_tree("late", &tree).unwrap();
     assert_eq!(reader.list_trees().unwrap().len(), 1);
     let leaves = reader.leaves(handle).unwrap();
     assert_eq!(leaves.len(), 60);
     let lca = reader.lca(leaves[0], leaves[59]).unwrap();
-    assert_eq!(
-        lca,
-        reader
-            .read(|v| v.lca_label_walk(leaves[0], leaves[59]))
-            .unwrap()
-    );
+    assert_eq!(lca, Oracle::new(handle, &tree).lca(leaves[0], leaves[59]));
 }

@@ -6,13 +6,16 @@
 //! repository without flushing), reopens, and asserts that exactly the
 //! committed loads are visible:
 //!
-//! * [`Repository::integrity_check`] passes — no orphan node / frame /
-//!   species rows, interval indexes consistent with the node table;
-//! * the interval-index query paths cross-validate against the pre-index
-//!   `*_reference` implementations on the recovered data;
+//! * [`Repository::integrity_check`] passes — no orphan node / species
+//!   rows, interval indexes consistent with the node table;
+//! * the structure queries on the recovered data agree with the in-memory
+//!   tree that was loaded;
 //! * the Query Repository holds exactly one `Load` entry per committed load
 //!   (loads and their history entries commit atomically).
 
+mod common;
+
+use common::Oracle;
 use crimson::prelude::*;
 use phylo::newick;
 use simulation::birth_death::yule_tree;
@@ -23,7 +26,6 @@ fn small_opts() -> RepositoryOptions {
     // A tiny pool forces evictions (steals) during the victim load, so
     // data-write crash points land on the eviction path too.
     RepositoryOptions {
-        frame_depth: 4,
         buffer_pool_pages: 32,
         ..Default::default()
     }
@@ -33,36 +35,36 @@ fn tree_newick(leaves: usize, seed: u64) -> String {
     newick::write(&yule_tree(leaves, 1.0, seed))
 }
 
-/// Cross-validate the interval-index query paths against the label-walk /
-/// BFS reference paths on the recovered repository.
-fn cross_validate(repo: &Repository, handle: TreeHandle) {
+/// Check the structure queries on the recovered tree stored under
+/// `handle` against the Newick text it was loaded from.
+fn cross_validate(repo: &Repository, handle: TreeHandle, newick_text: &str) {
+    let oracle = Oracle::new(handle, &newick::parse(newick_text).unwrap());
     let leaves = repo.view().leaves(handle).expect("leaves");
     assert!(!leaves.is_empty());
     for i in 0..20usize {
         let a = leaves[(i * 7) % leaves.len()];
         let b = leaves[(i * 13 + 3) % leaves.len()];
         let fast = repo.view().lca(a, b).expect("lca");
-        let reference = repo.view().lca_label_walk(a, b).expect("reference lca");
-        assert_eq!(fast, reference, "lca({a}, {b}) disagrees after recovery");
+        assert_eq!(
+            fast,
+            oracle.lca(a, b),
+            "lca({a}, {b}) disagrees after recovery"
+        );
     }
     let sample: Vec<StoredNodeId> = leaves.iter().step_by(5).take(24).copied().collect();
-    // The fast path yields pre-order, the reference BFS order; compare sets.
+    // The stored clade comes in pre-order; compare sets.
     let mut clade = repo.view().minimal_spanning_clade(&sample).expect("clade");
-    let mut clade_ref = repo
-        .view()
-        .minimal_spanning_clade_reference(&sample)
-        .expect("reference clade");
     clade.sort_unstable();
-    clade_ref.sort_unstable();
-    assert_eq!(clade, clade_ref, "spanning clade disagrees after recovery");
+    assert_eq!(
+        clade,
+        oracle.spanning_clade(&sample),
+        "spanning clade disagrees after recovery"
+    );
     let proj = repo.view().project(handle, &sample).expect("projection");
-    let proj_ref = repo
-        .view()
-        .project_reference(handle, &sample)
-        .expect("reference projection");
-    assert!(
-        phylo::ops::isomorphic_with_lengths(&proj, &proj_ref, 1e-9),
-        "projection disagrees after recovery"
+    common::assert_same_projection(
+        &proj,
+        &oracle.project(&sample),
+        "projection disagrees after recovery",
     );
 }
 
@@ -106,13 +108,13 @@ fn crash_scenario(point: CrashPoint) -> usize {
         .view()
         .tree_by_name("base")
         .expect("committed baseline must survive");
-    cross_validate(&repo, base_rec.handle);
+    cross_validate(&repo, base_rec.handle, &base);
     if victim_committed {
         let victim_rec = repo
             .view()
             .tree_by_name("victim")
             .expect("committed victim must survive");
-        cross_validate(&repo, victim_rec.handle);
+        cross_validate(&repo, victim_rec.handle, &victim);
     } else {
         assert!(
             repo.view().find_tree("victim").unwrap().is_none(),
@@ -157,8 +159,8 @@ fn crash_at_group_fsync_is_all_or_nothing_and_cross_validates() {
     // victim's log records may already sit in the WAL file (fsync failure
     // leaves durability *indeterminate*, not rolled back). After reopen the
     // victim is therefore recovered fully or not at all — and whatever is
-    // present must pass the integrity check and agree with the `*_reference`
-    // query paths.
+    // present must pass the integrity check and agree with the in-memory
+    // tree.
     for n in [0u64, 1] {
         let dir = tempdir().unwrap();
         let path = dir.path().join("repo.crimson");
@@ -190,10 +192,10 @@ fn crash_at_group_fsync_is_all_or_nothing_and_cross_validates() {
             "n={n}: loads and history commit atomically"
         );
         let base_rec = repo.view().tree_by_name("base").unwrap();
-        cross_validate(&repo, base_rec.handle);
+        cross_validate(&repo, base_rec.handle, &base);
         if victim_present {
             let victim_rec = repo.view().tree_by_name("victim").unwrap();
-            cross_validate(&repo, victim_rec.handle);
+            cross_validate(&repo, victim_rec.handle, &victim);
         }
     }
 }
@@ -216,7 +218,7 @@ fn crash_before_checkpoint_truncation_replays_idempotently() {
         .integrity_check()
         .expect("integrity after checkpoint crash");
     let base_rec = repo.view().tree_by_name("base").unwrap();
-    cross_validate(&repo, base_rec.handle);
+    cross_validate(&repo, base_rec.handle, &base);
     assert_eq!(
         repo.view().history_of_kind(QueryKind::Load).unwrap().len(),
         1
@@ -276,9 +278,10 @@ fn clean_reopen_reports_empty_recovery() {
 fn reopen_without_flush_replays_the_load() {
     let dir = tempdir().unwrap();
     let path = dir.path().join("repo.crimson");
+    let base = tree_newick(120, 13);
     {
         let mut repo = Repository::create(&path, small_opts()).unwrap();
-        repo.load_newick("base", &tree_newick(120, 13)).unwrap();
+        repo.load_newick("base", &base).unwrap();
         // No flush: commit durability comes from the WAL alone.
     }
     let repo = Repository::open(&path, small_opts()).unwrap();
@@ -286,8 +289,8 @@ fn reopen_without_flush_replays_the_load() {
     assert!(report.committed_txns >= 1);
     assert!(report.pages_redone > 0);
     repo.view().integrity_check().unwrap();
-    let base = repo.view().tree_by_name("base").unwrap();
-    cross_validate(&repo, base.handle);
+    let base_rec = repo.view().tree_by_name("base").unwrap();
+    cross_validate(&repo, base_rec.handle, &base);
 }
 
 #[test]
@@ -400,10 +403,10 @@ fn async_commit_survives_clean_close() {
         durability: Durability::Async,
         ..small_opts()
     };
+    let text = tree_newick(80, 29);
     {
         let mut repo = Repository::create(&path, opts.clone()).unwrap();
-        repo.load_newick("async_tree", &tree_newick(80, 29))
-            .unwrap();
+        repo.load_newick("async_tree", &text).unwrap();
         // No flush, no sync: drop while the commit may still be queued.
     }
     let repo = Repository::open(&path, opts).unwrap();
@@ -412,5 +415,5 @@ fn async_commit_survives_clean_close() {
         .view()
         .tree_by_name("async_tree")
         .expect("async-committed tree lost across a clean close");
-    cross_validate(&repo, tree.handle);
+    cross_validate(&repo, tree.handle, &text);
 }

@@ -21,7 +21,6 @@ fn build_gold(leaves: usize, sites: usize, seed: u64) -> GoldStandard {
 
 fn opts() -> RepositoryOptions {
     RepositoryOptions {
-        frame_depth: 8,
         buffer_pool_pages: 1024,
         ..Default::default()
     }
@@ -297,7 +296,6 @@ fn crash_mid_cell_commits_sweep_keeps_committed_prefix() {
     let dir = tempdir().unwrap();
     let path = dir.path().join("crash-cells.crimson");
     let small = RepositoryOptions {
-        frame_depth: 8,
         buffer_pool_pages: 32,
         ..Default::default()
     };
@@ -366,7 +364,6 @@ fn crash_scenario(point: CrashPoint, label: &str) {
     let dir = tempdir().unwrap();
     let path = dir.path().join(format!("crash-{label}.crimson"));
     let small = RepositoryOptions {
-        frame_depth: 8,
         // A tiny pool forces evictions mid-sweep so data-write crash
         // points land on the steal path as well as the commit path.
         buffer_pool_pages: 32,

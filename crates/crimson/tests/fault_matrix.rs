@@ -2,8 +2,11 @@
 //! workloads. Under injected media faults every workload must either
 //! complete correctly, fail with a typed error, or repair itself — never
 //! panic, and never return wrong results (reads are cross-validated against
-//! a fault-free rerun and the `*_reference` query paths).
+//! a fault-free rerun and the in-memory tree that was loaded).
 
+mod common;
+
+use common::Oracle;
 use crimson::prelude::*;
 use phylo::newick;
 use simulation::birth_death::yule_tree;
@@ -13,7 +16,6 @@ use tempfile::tempdir;
 
 fn small_opts() -> RepositoryOptions {
     RepositoryOptions {
-        frame_depth: 4,
         buffer_pool_pages: 48,
         ..Default::default()
     }
@@ -23,41 +25,35 @@ fn tree_newick(leaves: usize, seed: u64) -> String {
     newick::write(&yule_tree(leaves, 1.0, seed))
 }
 
-/// Interval-index query paths must agree with the reference paths.
-fn cross_validate(repo: &Repository, handle: TreeHandle) {
+/// Structure queries on the tree stored under `handle` must agree with
+/// the Newick text it was loaded from.
+fn cross_validate(repo: &Repository, handle: TreeHandle, newick_text: &str) {
+    let oracle = Oracle::new(handle, &newick::parse(newick_text).unwrap());
     let leaves = repo.view().leaves(handle).expect("leaves");
     assert!(!leaves.is_empty());
     for i in 0..12usize {
         let a = leaves[(i * 7) % leaves.len()];
         let b = leaves[(i * 13 + 3) % leaves.len()];
-        assert_eq!(
-            repo.view().lca(a, b).expect("lca"),
-            repo.view().lca_label_walk(a, b).expect("reference lca")
-        );
+        assert_eq!(repo.view().lca(a, b).expect("lca"), oracle.lca(a, b));
     }
     let sample: Vec<StoredNodeId> = leaves.iter().step_by(4).take(20).copied().collect();
     let mut clade = repo.view().minimal_spanning_clade(&sample).expect("clade");
-    let mut clade_ref = repo
-        .view()
-        .minimal_spanning_clade_reference(&sample)
-        .expect("reference clade");
     clade.sort_unstable();
-    clade_ref.sort_unstable();
-    assert_eq!(clade, clade_ref);
+    assert_eq!(clade, oracle.spanning_clade(&sample));
 }
 
 struct Baseline {
     base: TreeHandle,
+    /// Newick text the base tree was loaded from.
+    base_newick: String,
     gold: TreeHandle,
 }
 
 /// Create a clean repository with a committed base tree and gold standard.
 fn build_baseline(path: &std::path::Path, seed: u64) -> (Repository, Baseline) {
     let mut repo = Repository::create(path, small_opts()).unwrap();
-    let base = repo
-        .load_newick("base", &tree_newick(90, seed | 1))
-        .unwrap()
-        .handle;
+    let base_newick = tree_newick(90, seed | 1);
+    let base = repo.load_newick("base", &base_newick).unwrap().handle;
     let gold_data = GoldStandardBuilder::new()
         .leaves(40)
         .sequence_length(60)
@@ -66,7 +62,14 @@ fn build_baseline(path: &std::path::Path, seed: u64) -> (Repository, Baseline) {
         .unwrap();
     let gold = repo.load_gold_standard("gold", &gold_data).unwrap();
     repo.flush().unwrap();
-    (repo, Baseline { base, gold })
+    (
+        repo,
+        Baseline {
+            base,
+            base_newick,
+            gold,
+        },
+    )
 }
 
 fn install_faults(repo: &Repository, seed: u64) -> SharedFaultSchedule {
@@ -89,7 +92,7 @@ fn assert_recoverable(repo: Repository, baseline: &Baseline, path: &std::path::P
             repo.view()
                 .integrity_check()
                 .expect("integrity on clean pages");
-            cross_validate(&repo, baseline.base);
+            cross_validate(&repo, baseline.base, &baseline.base_newick);
         }
     }
     drop(repo);
@@ -136,7 +139,7 @@ fn bulk_load_under_fault_schedules() {
         for (i, leaves) in [120usize, 150, 180].iter().enumerate() {
             let nwk = tree_newick(*leaves, seed.wrapping_mul(31) + i as u64);
             match repo.load_newick(&format!("bulk-{i}"), &nwk) {
-                Ok(report) => loaded.push(report.handle),
+                Ok(report) => loaded.push((report.handle, nwk)),
                 Err(e) => {
                     // Typed failure; the repository must stay consistent.
                     let _ = format!("{e}");
@@ -149,8 +152,8 @@ fn bulk_load_under_fault_schedules() {
         // must answer queries identically on both index paths.
         let report = repo.scrub(ScrubOptions::default()).expect("scrub");
         if report.pages.pages_quarantined == 0 {
-            for handle in loaded {
-                cross_validate(&repo, handle);
+            for (handle, nwk) in loaded {
+                cross_validate(&repo, handle, &nwk);
             }
         }
         assert_recoverable(repo, &baseline, &path);

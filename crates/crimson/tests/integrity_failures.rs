@@ -7,7 +7,8 @@
 //! contradictory interval mapping — reopen it,
 //! and assert that the check fails with the specific
 //! `CrimsonError::CorruptRepository` message for that corruption. A file
-//! laid out without the depth column is refused at open. (Damage inside
+//! laid out without the depth column, or with the node and tree rows of a
+//! build that still stored hierarchical labels, is refused at open. (Damage inside
 //! the packed depth blocks is covered by `depth.rs`'s unit tests, which
 //! can re-encode a block.)
 
@@ -24,7 +25,6 @@ fn build_repo(dir: &tempfile::TempDir) -> std::path::PathBuf {
     let mut repo = Repository::create(
         &path,
         RepositoryOptions {
-            frame_depth: 2,
             buffer_pool_pages: 256,
             ..Default::default()
         },
@@ -77,8 +77,6 @@ fn orphan_node_row_is_detected() {
                 Value::Float(0.0),                  // root_dist
                 Value::Int(0),                      // depth
                 Value::Int(0),                      // preorder
-                Value::Int(ghost_tree << 32),       // frame_id
-                Value::bytes(vec![]),               // label
                 Value::Bool(true),                  // is_leaf
                 Value::Int(ghost_tree),             // leaf_of_tree
                 Value::Float(0.0),                  // subtree_height
@@ -231,6 +229,105 @@ fn repository_without_depth_column_is_refused_at_open() {
         match result {
             Err(CrimsonError::CorruptRepository(msg)) => {
                 assert!(msg.contains("depth_blocks"), "{msg}")
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn repository_with_label_columns_is_refused_at_open() {
+    // Lay out a file the way a build that stored hierarchical labels did:
+    // the current tables and raw indexes, but `nodes` rows with `frame_id`
+    // and `label` columns, `trees` rows with `frame_depth`, and a `frames`
+    // table.
+    use storage::{ColumnDef, Schema, ValueType};
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().join("labelled.crimson");
+    {
+        let mut db = Database::create(&path).unwrap();
+        let ints = |names: &[&str]| {
+            Schema::new(
+                names
+                    .iter()
+                    .map(|n| ColumnDef::not_null(*n, ValueType::Int))
+                    .collect(),
+            )
+        };
+        db.create_table(
+            "trees",
+            Schema::new(vec![
+                ColumnDef::not_null("tree_id", ValueType::Int),
+                ColumnDef::not_null("name", ValueType::Text),
+                ColumnDef::not_null("root_node", ValueType::Int),
+                ColumnDef::not_null("node_count", ValueType::Int),
+                ColumnDef::not_null("leaf_count", ValueType::Int),
+                ColumnDef::not_null("frame_depth", ValueType::Int),
+            ]),
+        )
+        .unwrap();
+        db.create_table(
+            "nodes",
+            Schema::new(vec![
+                ColumnDef::not_null("node_id", ValueType::Int),
+                ColumnDef::not_null("tree_id", ValueType::Int),
+                ColumnDef::not_null("parent_id", ValueType::Int),
+                ColumnDef::new("name", ValueType::Text),
+                ColumnDef::new("branch_length", ValueType::Float),
+                ColumnDef::not_null("root_dist", ValueType::Float),
+                ColumnDef::not_null("depth", ValueType::Int),
+                ColumnDef::not_null("preorder", ValueType::Int),
+                ColumnDef::not_null("frame_id", ValueType::Int),
+                ColumnDef::not_null("label", ValueType::Bytes),
+                ColumnDef::not_null("is_leaf", ValueType::Bool),
+                ColumnDef::not_null("leaf_of_tree", ValueType::Int),
+                ColumnDef::not_null("subtree_height", ValueType::Float),
+            ]),
+        )
+        .unwrap();
+        db.create_table(
+            "frames",
+            ints(&[
+                "frame_id",
+                "tree_id",
+                "root_node",
+                "parent_frame",
+                "source_node",
+                "rank",
+            ]),
+        )
+        .unwrap();
+        for table in [
+            "species",
+            "query_history",
+            "experiments",
+            "experiment_results",
+            "experiment_clades",
+            "tree_stats",
+            "depth_blocks",
+            "depth_minima",
+        ] {
+            db.create_table(table, ints(&["id"])).unwrap();
+        }
+        for index in [
+            "ivl_by_pre",
+            "ivl_by_node",
+            "clade_hash_by_pre",
+            "clade_hash_idx",
+            "clade_refs",
+        ] {
+            db.create_raw_index(index).unwrap();
+        }
+        db.flush().unwrap();
+    }
+    for result in [
+        Repository::open(&path, RepositoryOptions::default()).map(|_| ()),
+        Repository::open_degraded(&path, RepositoryOptions::default()).map(|_| ()),
+    ] {
+        match result {
+            Err(CrimsonError::CorruptRepository(msg)) => {
+                assert!(msg.contains("`trees` table"), "{msg}");
+                assert!(msg.contains("must be reloaded"), "{msg}");
             }
             other => panic!("expected a typed refusal, got {other:?}"),
         }

@@ -9,6 +9,9 @@
 //! pinned epoch that commits cannot disturb — and a long-lived pin must see
 //! a frozen tree list across all one hundred commits.
 
+mod common;
+
+use common::Oracle;
 use crimson::prelude::*;
 use rand::prelude::*;
 use simulation::birth_death::yule_tree;
@@ -20,7 +23,6 @@ fn two_attempt_reader_never_starves_under_continuous_commits() {
     let mut repo = Repository::create(
         dir.path().join("starve.crimson"),
         RepositoryOptions {
-            frame_depth: 8,
             buffer_pool_pages: 2048,
             ..Default::default()
         },
@@ -29,8 +31,10 @@ fn two_attempt_reader_never_starves_under_continuous_commits() {
     // Same leaf count (and thus the same generated leaf set) so the
     // stored comparison is well-defined; different seeds give different
     // topologies.
-    let ta = repo.load_tree("base_a", &yule_tree(100, 1.0, 7)).unwrap();
+    let tree_a = yule_tree(100, 1.0, 7);
+    let ta = repo.load_tree("base_a", &tree_a).unwrap();
     let tb = repo.load_tree("base_b", &yule_tree(100, 1.0, 8)).unwrap();
+    let oracle = Oracle::new(ta, &tree_a);
     repo.flush().unwrap();
     let leaves_a = repo.view().leaves(ta).unwrap();
     let baseline = repo.buffer_stats();
@@ -51,6 +55,7 @@ fn two_attempt_reader_never_starves_under_continuous_commits() {
         let stop_ref = &stop;
         let queries_ref = &queries;
         let leaves = &leaves_a;
+        let oracle = &oracle;
         scope.spawn(move || {
             let mut rng = StdRng::seed_from_u64(42);
             let mut done = false;
@@ -77,10 +82,13 @@ fn two_attempt_reader_never_starves_under_continuous_commits() {
                 let a = *leaves.choose(&mut rng).unwrap();
                 let b = *leaves.choose(&mut rng).unwrap();
                 let fast = reader_ref.lca(a, b).expect("lca");
-                let slow = reader_ref
-                    .read(|v| v.lca_label_walk(a, b))
-                    .expect("reference lca");
-                assert_eq!(fast, slow, "lca mismatch under commit storm");
+                assert_eq!(fast, oracle.lca(a, b), "lca mismatch under commit storm");
+                assert!(
+                    reader_ref
+                        .read(|v| v.is_ancestor(fast, b))
+                        .expect("is_ancestor must never go Busy"),
+                    "the lca must cover both nodes"
+                );
                 queries_ref.fetch_add(3, Ordering::Relaxed);
             }
         });

@@ -22,7 +22,6 @@ fn fresh_repo(pages: usize) -> (tempfile::TempDir, Repository) {
     let repo = Repository::create(
         dir.path().join("rmq.crimson"),
         RepositoryOptions {
-            frame_depth: 6,
             buffer_pool_pages: pages,
             ..Default::default()
         },

@@ -35,7 +35,6 @@ fn index_native_distances_equal_materialized_compare_on_random_trees() {
     let mut repo = Repository::create(
         dir.path().join("prop.crimson"),
         RepositoryOptions {
-            frame_depth: 8,
             buffer_pool_pages: 4096,
             ..Default::default()
         },

@@ -93,7 +93,9 @@ impl Tenant {
 /// Options every tenant repository is opened with.
 #[derive(Debug, Clone)]
 pub struct TenantOptions {
-    /// Forwarded to [`RepositoryOptions`].
+    /// Unused, like [`RepositoryOptions::frame_depth`]: the repository
+    /// stores no hierarchical labels. Kept so that code naming the field
+    /// still compiles; it will be removed.
     pub frame_depth: usize,
     /// Forwarded to [`RepositoryOptions`].
     pub buffer_pool_pages: usize,
@@ -155,10 +157,9 @@ impl TenantMap {
         // Sync semantics are implemented by waiting on the durable-LSN
         // watermark *after* the writer lock is released (see dispatch).
         let repo_options = RepositoryOptions {
-            frame_depth: self.options.frame_depth,
             buffer_pool_pages: self.options.buffer_pool_pages,
             durability: Durability::Async,
-            checkpoint: None,
+            ..RepositoryOptions::default()
         };
         let open = |opts: RepositoryOptions| {
             if exists {

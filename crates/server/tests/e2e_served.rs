@@ -348,6 +348,19 @@ fn overload_is_shed_with_typed_response() {
         other => panic!("load: {other:?}"),
     }
 
+    // Occupy the one dispatch worker first: a Sync load of a 5,000-leaf
+    // tree, sent without awaiting its reply, runs for many times longer
+    // than the burst below takes to arrive. The burst then meets a busy
+    // worker, so past the 2-deep queue it must be shed.
+    let big = simulation::birth_death::yule_tree(5_000, 1.0, 3);
+    let load = client
+        .send(&Request::LoadTree {
+            name: "busy".to_string(),
+            newick: phylo::newick::write(&big),
+            durability: WireDurability::Sync,
+        })
+        .unwrap();
+
     // Flood far past window + queue; some must be shed as Overloaded and
     // every correlation must still get exactly one response.
     let mut corrs = Vec::new();
@@ -366,10 +379,14 @@ fn overload_is_shed_with_typed_response() {
     assert_eq!(ok + shed, 64);
     assert!(shed > 0, "a 2-deep queue under a 64-burst must shed");
     assert!(ok > 0, "admitted requests still succeed");
+    match client.recv_matching(load).unwrap() {
+        Response::TreeLoaded { leaves, .. } => assert_eq!(leaves, 5_000),
+        other => panic!("busy load: {other:?}"),
+    }
 
     // And afterwards the connection is healthy.
     match client.call(&Request::ListTrees).unwrap() {
-        Response::Trees(trees) => assert_eq!(trees.len(), 1),
+        Response::Trees(trees) => assert_eq!(trees.len(), 2),
         other => panic!("post-overload: {other:?}"),
     }
     server.shutdown();

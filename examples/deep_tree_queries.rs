@@ -56,13 +56,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The same queries through the disk-backed repository.
-    println!("\nDisk-backed repository (depth 10 000 caterpillar, frame depth 16):");
+    println!("\nDisk-backed repository (depth 10 000 caterpillar):");
     let tree = caterpillar(10_000, 1.0);
     let dir = tempfile_dir()?;
     let mut repo = Repository::create(
         dir.join("deep.crimson"),
         RepositoryOptions {
-            frame_depth: 16,
             buffer_pool_pages: 4096,
             ..Default::default()
         },
@@ -86,7 +85,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_depth = max_depth.max(lca.depth);
     }
     println!(
-        "  1000 stored-label LCA queries: {:.1} ms (deepest LCA at depth {max_depth})",
+        "  1000 stored LCA queries (range minimum over the depth column): {:.1} ms \
+         (deepest LCA at depth {max_depth})",
         start.elapsed().as_secs_f64() * 1e3
     );
     println!("  buffer pool: {:?}", repo.buffer_stats());

@@ -21,7 +21,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut repo = Repository::create(
         &db_path,
         RepositoryOptions {
-            frame_depth: 2,
             buffer_pool_pages: 256,
             ..Default::default()
         },

@@ -72,8 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nLoaded trees:");
     for tree in repo.view().list_trees()? {
         println!(
-            "  `{}` — {} nodes, {} taxa, frame depth {}",
-            tree.name, tree.node_count, tree.leaf_count, tree.frame_depth
+            "  `{}` — {} nodes, {} taxa",
+            tree.name, tree.node_count, tree.leaf_count
         );
     }
 

@@ -49,7 +49,6 @@ fn figure2_projection_through_repository() {
     let mut repo = Repository::create(
         dir.path().join("e1.crimson"),
         RepositoryOptions {
-            frame_depth: 2,
             buffer_pool_pages: 256,
             ..Default::default()
         },
@@ -83,7 +82,6 @@ fn projection_roundtrips_through_nexus_output() {
     let mut repo = Repository::create(
         dir.path().join("e1b.crimson"),
         RepositoryOptions {
-            frame_depth: 2,
             buffer_pool_pages: 256,
             ..Default::default()
         },

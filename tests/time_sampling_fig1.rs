@@ -11,7 +11,6 @@ fn repo() -> (tempfile::TempDir, Repository, TreeHandle) {
     let mut repo = Repository::create(
         dir.path().join("e5.crimson"),
         RepositoryOptions {
-            frame_depth: 2,
             buffer_pool_pages: 256,
             ..Default::default()
         },
