@@ -21,7 +21,6 @@ use crate::content::TreeContent;
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::repository::{ReadCtx, StoredNodeId, TreeHandle, TreeStatsRecord, TREE_SHIFT};
 use labeling::clade_hash::CladeRef;
-use labeling::interval::{interval_key_prefix, interval_range_end, IntervalEntry};
 use phylo::traverse::Traverse;
 use phylo::Tree;
 use reconstruction::compare::{
@@ -139,7 +138,11 @@ impl<D: DbRead> CladeSource for StoredCladeSource<'_, D> {
 
     fn for_each_node(&self, visit: &mut NodeVisitor<'_>) -> CrimsonResult<()> {
         let tree = self.handle.0;
-        let entries = self.load_span(tree, 0, (self.nodes.saturating_sub(1)) as u32)?;
+        let mut entries = Vec::new();
+        self.ctx
+            .scan_span(tree, 0, self.nodes.saturating_sub(1) as u32, |e, rid| {
+                entries.push((e, rid))
+            })?;
         // A cold tree materializes fewer interval entries than its logical
         // node count: the difference must be covered exactly by its
         // structural-sharing bridges.
@@ -193,47 +196,16 @@ impl<D: DbRead> CladeSource for StoredCladeSource<'_, D> {
 }
 
 impl<D: DbRead> StoredCladeSource<'_, D> {
-    /// One contiguous `ivl_by_pre` range scan over `[lo_pre, hi_pre]` of
-    /// `tree`, yielding decoded entries with their heap locators.
-    fn load_span(
-        &self,
-        tree: u64,
-        lo_pre: u32,
-        hi_pre: u32,
-    ) -> CrimsonResult<Vec<(IntervalEntry, storage::RecordId)>> {
-        let low = interval_key_prefix(tree, lo_pre);
-        let high = interval_range_end(tree, hi_pre);
-        let mut entries: Vec<(IntervalEntry, storage::RecordId)> = Vec::new();
-        let mut malformed = false;
-        self.ctx.db.raw_scan(
-            self.ctx.tables.ivl_by_pre,
-            Some(&low),
-            Some(&high),
-            &mut |key, rid| match IntervalEntry::decode_key(key) {
-                Some((_, entry)) => {
-                    entries.push((entry, storage::RecordId::from_u64(rid)));
-                    Ok(true)
-                }
-                None => {
-                    malformed = true;
-                    Ok(false)
-                }
-            },
-        )?;
-        if malformed {
-            return Err(CrimsonError::CorruptRepository(
-                "malformed interval-index key".to_string(),
-            ));
-        }
-        Ok(entries)
-    }
-
     /// Stream one bridged span by scanning its canonical source range and
     /// shifting every rank into this tree's logical numbering. Bridged
     /// nodes have no rows in this tree, so the source-local id exposed to
     /// the visitor is the node's logical pre-order rank.
     fn visit_bridge(&self, r: &CladeRef, visit: &mut NodeVisitor<'_>) -> CrimsonResult<()> {
-        let span = self.load_span(r.src_tree, r.src_pre, r.src_end)?;
+        let mut span = Vec::new();
+        self.ctx
+            .scan_span(r.src_tree, r.src_pre, r.src_end, |e, rid| {
+                span.push((e, rid))
+            })?;
         if span.len() as u64 != (r.src_end - r.src_pre + 1) as u64 {
             return Err(CrimsonError::CorruptRepository(format!(
                 "bridge into tree #{} spans {} nodes but its source range holds {}",

@@ -338,20 +338,10 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         handle: TreeHandle,
     ) -> CrimsonResult<HashMap<CladeHash, StoredNodeId>> {
         let by_pre = self.hash_to_pre_map(handle)?;
-        let low = handle.0.to_be_bytes();
-        let high = (handle.0 + 1).to_be_bytes();
         let mut pre_to_node: HashMap<u32, u32> = HashMap::with_capacity(by_pre.len());
-        self.db.raw_scan(
-            self.tables.ivl_by_pre,
-            Some(low.as_slice()),
-            Some(high.as_slice()),
-            &mut |key, _| {
-                if let Some((_, e)) = IntervalEntry::decode_key(key) {
-                    pre_to_node.insert(e.pre, e.node);
-                }
-                Ok(true)
-            },
-        )?;
+        self.scan_span(handle.0, 0, u32::MAX, |e, _| {
+            pre_to_node.insert(e.pre, e.node);
+        })?;
         let mut map = HashMap::with_capacity(by_pre.len());
         for (hash, pre) in by_pre {
             if let Some(&node) = pre_to_node.get(&pre) {

@@ -31,7 +31,6 @@
 
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::repository::{NodeRecord, ReadCtx, Repository, StoredNodeId, TreeRecord, TREE_SHIFT};
-use labeling::interval::IntervalEntry;
 use phylo::traverse::Traverse;
 use phylo::Tree;
 use std::collections::{BTreeMap, HashMap};
@@ -40,6 +39,9 @@ use storage::db::DbRead;
 use storage::schema::{ColumnDef, Schema};
 use storage::value::{Value, ValueType};
 use storage::RecordId;
+
+/// Each tree's decoded `(depth, parent_pre)` column, by tree id.
+pub(crate) type DepthColumns = HashMap<u64, Vec<(u32, u32)>>;
 
 /// Ranks per depth block: a partial-block scan decodes at most this many
 /// ranks, and the minima cost 16 bytes per this many.
@@ -498,14 +500,15 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
 
     /// Cross-check every tree's depth column: blocks and minima belong to
     /// listed trees and agree with each other; every rank's parent is
-    /// shallower by one and earlier in pre-order; every interval entry's
-    /// `parent_pre` and every node row's depth match the column. Returns
-    /// the number of block rows.
+    /// shallower by one and earlier in pre-order; every node row's depth
+    /// matches the column. Returns the number of block rows and each
+    /// tree's decoded `(depth, parent_pre)` column, which the caller
+    /// checks the interval entries against.
     pub(crate) fn check_depth_columns(
         &self,
         trees: &HashMap<u64, TreeRecord>,
         node_depths: &[(u64, u64, u64)],
-    ) -> CrimsonResult<u64> {
+    ) -> CrimsonResult<(u64, DepthColumns)> {
         let mut blocks: HashMap<u64, BTreeMap<i64, (RecordId, Vec<u8>)>> = HashMap::new();
         let mut block_rows = 0u64;
         for (rid, mut row) in self.db.scan(self.tables.depth_blocks)? {
@@ -542,7 +545,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             minima_trees.insert(tree);
         }
 
-        let mut columns: HashMap<u64, Vec<(u32, u32)>> = HashMap::new();
+        let mut columns = DepthColumns::new();
         for (&tree_id, tree) in trees {
             let n = tree.node_count as usize;
             let expected_blocks = n.div_ceil(BLOCK_RANKS);
@@ -603,26 +606,6 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             columns.insert(tree_id, column);
         }
 
-        let mut fail: Option<CrimsonError> = None;
-        self.db
-            .raw_scan(self.tables.ivl_by_pre, None, None, &mut |key, _| {
-                let agrees = IntervalEntry::decode_key(key).is_some_and(|(tree, e)| {
-                    columns
-                        .get(&tree)
-                        .and_then(|c| c.get(e.pre as usize))
-                        .is_some_and(|&(_, parent)| parent == e.parent_pre)
-                });
-                if !agrees {
-                    fail = Some(corrupt(format!(
-                        "interval entry {key:02x?} contradicts the depth column"
-                    )));
-                    return Ok(false);
-                }
-                Ok(true)
-            })?;
-        if let Some(e) = fail {
-            return Err(e);
-        }
         for &(tree, pre, depth) in node_depths {
             let stored = columns
                 .get(&tree)
@@ -634,7 +617,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
                 )));
             }
         }
-        Ok(block_rows)
+        Ok((block_rows, columns))
     }
 }
 

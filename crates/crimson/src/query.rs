@@ -36,7 +36,6 @@
 
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::repository::{NodeRecord, ReadCtx, StoredNodeId, TreeHandle, TREE_SHIFT};
-use labeling::interval::{interval_key_prefix, interval_range_end, IntervalEntry};
 use phylo::ops;
 use phylo::{NodeId, Tree};
 use reconstruction::compare::{robinson_foulds, RfResult};
@@ -100,31 +99,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         );
         let lca = self.lca(min.1, max.1)?;
         let (lp, le) = self.interval_of(lca)?;
-        let low = interval_key_prefix(tree, lp);
-        let high = interval_range_end(tree, le);
-        let mut out = Vec::with_capacity((le - lp + 1) as usize);
-        let mut malformed = false;
-        self.db.raw_scan(
-            self.tables.ivl_by_pre,
-            Some(&low),
-            Some(&high),
-            &mut |key, _| match IntervalEntry::decode_key(key) {
-                Some((_, entry)) => {
-                    out.push(StoredNodeId((tree << TREE_SHIFT) | entry.node as u64));
-                    Ok(true)
-                }
-                None => {
-                    malformed = true;
-                    Ok(false)
-                }
-            },
-        )?;
-        if malformed {
-            return Err(CrimsonError::CorruptRepository(
-                "malformed interval-index key".to_string(),
-            ));
-        }
-        Ok(out)
+        self.nodes_in_span(tree, lp, le, |_| true)
     }
 
     // ------------------------------------------------------------------

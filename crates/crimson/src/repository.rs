@@ -12,10 +12,13 @@
 //! | `species` | one row per taxon with sequence data, linked to its leaf node |
 //!
 //! Secondary indexes give the access paths the paper calls out: species name
-//! → node, node id → row, cumulative evolutionary time → nodes (a B+tree
-//! range scan), parent → children. Structure queries run on the interval
-//! index and the per-tree depth column instead of the paper's hierarchical
-//! Dewey labels; that scheme lives in memory, in [`labeling::hierarchical`].
+//! → node, node id → row, and cumulative evolutionary time or clade age →
+//! nodes (B+tree range scans). Tree topology — a node's children, a tree's
+//! or a subtree's leaves — and the structure queries run on the per-tree
+//! interval index, whose entries carry each node's parent rank and leaf
+//! flag, and on the per-tree depth column, instead of the paper's
+//! hierarchical Dewey labels; that scheme lives in memory, in
+//! [`labeling::hierarchical`].
 //!
 //! ## The read surface
 //!
@@ -559,15 +562,13 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         Ok(rec)
     }
 
-    /// Children of a stored node (via the parent index).
+    /// Children of a stored node, in pre-order: the entries of its
+    /// subtree's `ivl_by_pre` range whose parent rank is its own. No row
+    /// is read. In a cold tree, a child inside a bridged span has no entry
+    /// and is not returned.
     pub fn children(&self, id: StoredNodeId) -> CrimsonResult<Vec<StoredNodeId>> {
-        let rows = self
-            .db
-            .lookup_rows(self.tables.nodes, "parent_id", &Value::Int(id.0 as i64))?;
-        Ok(rows
-            .iter()
-            .map(|(_, row)| StoredNodeId(row.values[0].as_int().unwrap_or(0) as u64))
-            .collect())
+        let (pre, end) = self.interval_of(id)?;
+        self.nodes_in_span(id.0 >> TREE_SHIFT, pre + 1, end, |e| e.parent_pre == pre)
     }
 
     /// The leaf node a species name maps to in the given tree, if any.
@@ -598,17 +599,11 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             .ok_or_else(|| CrimsonError::UnknownSpecies(name.to_string()))
     }
 
-    /// All leaf node ids of a tree (via the `leaf_of_tree` index).
+    /// All leaf node ids of a tree, in pre-order: one scan of the tree's
+    /// `ivl_by_pre` entries, reading no row. A cold tree answers its
+    /// materialized leaves.
     pub fn leaves(&self, handle: TreeHandle) -> CrimsonResult<Vec<StoredNodeId>> {
-        let rows = self.db.lookup_rows(
-            self.tables.nodes,
-            "leaf_of_tree",
-            &Value::Int(handle.0 as i64),
-        )?;
-        Ok(rows
-            .iter()
-            .map(|(_, row)| StoredNodeId(row.values[0].as_int().unwrap_or(0) as u64))
-            .collect())
+        self.nodes_in_span(handle.0, 0, u32::MAX, |e| e.is_leaf)
     }
 
     /// Sequences stored for the given species names.
@@ -654,12 +649,14 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     /// Verify cross-table invariants: every node and species row
     /// belongs to a tree in the catalog; per-tree node and leaf counts
     /// match the tree row; both interval indexes hold exactly one entry per
-    /// node; each tree's depth column agrees with its block minima, its
-    /// interval entries' parent ranks and its node rows' depths; every
-    /// tree carries its `tree_stats` row and clade-hash entries; every
-    /// species row points at a leaf of its tree; the query
-    /// history parses in full. Violations — orphan rows from an interrupted
-    /// load, say — surface as [`CrimsonError::CorruptRepository`].
+    /// node, and each `ivl_by_pre` entry's locator and leaf flag agree
+    /// with the row of the node it names; each tree's depth column agrees
+    /// with its block minima, its interval entries' parent ranks and its
+    /// node rows' depths; every tree carries its `tree_stats` row and
+    /// clade-hash entries; every species row points at a leaf of its tree;
+    /// the query history parses in full. Violations — orphan rows from an
+    /// interrupted load, say — surface as
+    /// [`CrimsonError::CorruptRepository`].
     pub fn integrity_check(&self) -> CrimsonResult<IntegrityReport> {
         let trees: HashMap<u64, TreeRecord> = self
             .list_trees()?
@@ -674,6 +671,8 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         let mut node_counts: HashMap<u64, u64> = HashMap::new();
         let mut leaf_counts: HashMap<u64, u64> = HashMap::new();
         let mut node_depths: Vec<(u64, u64, u64)> = Vec::new();
+        // Row locator → (node id, pre-order rank, leaf flag) of every row.
+        let mut rows_at: HashMap<u64, (StoredNodeId, u64, bool)> = HashMap::new();
         for (rid, row) in self.db.scan(self.tables.nodes)? {
             let rec = decode_node_row(&row);
             let tree_id = rec.tree.0;
@@ -695,6 +694,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
                 )));
             }
             node_depths.push((tree_id, rec.preorder, rec.depth));
+            rows_at.insert(rid.to_u64(), (rec.id, rec.preorder, rec.is_leaf));
             report.nodes += 1;
         }
         // Content-address catalog, loaded before the per-tree row-count
@@ -854,7 +854,42 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             )));
         }
         report.interval_entries = by_pre;
-        report.depth_blocks = self.check_depth_columns(&trees, &node_depths)?;
+        let (depth_blocks, columns) = self.check_depth_columns(&trees, &node_depths)?;
+        report.depth_blocks = depth_blocks;
+        // One pass over `ivl_by_pre`: each entry's parent rank must match
+        // its tree's depth column and, since `children`, `leaves` and
+        // `leaves_under` answer from the entries alone, its locator must
+        // resolve to the row of the node it names, whose leaf flag it
+        // repeats (and `end == pre` exactly for leaves).
+        let mut fail: Option<String> = None;
+        self.db
+            .raw_scan(self.tables.ivl_by_pre, None, None, &mut |key, rid| {
+                let Some((tree, e)) = IntervalEntry::decode_key(key) else {
+                    fail = Some(format!("malformed interval entry {key:02x?}"));
+                    return Ok(false);
+                };
+                let parent = columns.get(&tree).and_then(|c| c.get(e.pre as usize));
+                let row_agrees = rows_at.get(&rid).is_some_and(|&(id, pre, is_leaf)| {
+                    id.0 == (tree << TREE_SHIFT) | e.node as u64
+                        && pre == e.pre as u64
+                        && is_leaf == e.is_leaf
+                        && is_leaf == (e.end == e.pre)
+                });
+                fail = if parent.map(|&(_, p)| p) != Some(e.parent_pre) {
+                    Some(format!("interval entry {key:02x?} contradicts the depth column"))
+                } else if !row_agrees {
+                    Some(format!(
+                        "interval entry {key:02x?} contradicts the node row its locator {} resolves to",
+                        storage::RecordId::from_u64(rid)
+                    ))
+                } else {
+                    None
+                };
+                Ok(fail.is_none())
+            })?;
+        if let Some(msg) = fail {
+            return Err(CrimsonError::CorruptRepository(msg));
+        }
 
         // Per-tree clade hashes: a hot tree carries one entry per node, a
         // cold tree one per materialized node plus one per bridge. The
@@ -1067,6 +1102,58 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         Ok(((packed >> 32) as u32, packed as u32))
     }
 
+    /// Visit the `ivl_by_pre` entries of `tree` ranked `lo..=hi`, with
+    /// their row locators, in pre-order: one range scan of the covering
+    /// index, no row read.
+    pub(crate) fn scan_span(
+        &self,
+        tree: u64,
+        lo: u32,
+        hi: u32,
+        mut visit: impl FnMut(IntervalEntry, storage::RecordId),
+    ) -> CrimsonResult<()> {
+        let mut malformed = false;
+        self.db.raw_scan(
+            self.tables.ivl_by_pre,
+            Some(&interval_key_prefix(tree, lo)),
+            Some(&interval_range_end(tree, hi)),
+            &mut |key, rid| match IntervalEntry::decode_key(key) {
+                Some((_, entry)) => {
+                    visit(entry, storage::RecordId::from_u64(rid));
+                    Ok(true)
+                }
+                None => {
+                    malformed = true;
+                    Ok(false)
+                }
+            },
+        )?;
+        if malformed {
+            return Err(CrimsonError::CorruptRepository(
+                "malformed interval-index key".to_string(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// The nodes of `tree` ranked `lo..=hi` whose `ivl_by_pre` entry
+    /// `keep` accepts, in pre-order (see [`ReadCtx::scan_span`]).
+    pub(crate) fn nodes_in_span(
+        &self,
+        tree: u64,
+        lo: u32,
+        hi: u32,
+        keep: impl Fn(&IntervalEntry) -> bool,
+    ) -> CrimsonResult<Vec<StoredNodeId>> {
+        let mut out = Vec::new();
+        self.scan_span(tree, lo, hi, |entry, _| {
+            if keep(&entry) {
+                out.push(StoredNodeId((tree << TREE_SHIFT) | entry.node as u64));
+            }
+        })?;
+        Ok(out)
+    }
+
     /// The nodes ranked `ranks` (ascending, distinct) in `tree`, from
     /// their `ivl_by_pre` entries, cached across queries. Uncached ranks
     /// are read in one ascending pass over the index that re-seeks instead
@@ -1198,10 +1285,8 @@ impl Repository {
         db.create_index(trees_table, "name", true)?;
         let nodes_table = db.create_table("nodes", nodes_schema())?;
         db.create_index(nodes_table, "node_id", true)?;
-        db.create_index(nodes_table, "parent_id", false)?;
         db.create_index(nodes_table, "name", false)?;
         db.create_index(nodes_table, "root_dist", false)?;
-        db.create_index(nodes_table, "leaf_of_tree", false)?;
         db.create_index(nodes_table, "subtree_height", false)?;
         let species_table = db.create_table("species", species_schema())?;
         db.create_index(species_table, "name", false)?;
@@ -1773,8 +1858,8 @@ impl Repository {
         // Node rows in pre-order (heap locality aligned with the dominant
         // access pattern), one streaming emission: each row is encoded into
         // the engine's reusable buffer and appended to sequentially filled
-        // heap pages; the six secondary indexes are packed bottom-up from
-        // the buffered key runs. The returned physical record ids feed the
+        // heap pages; the four secondary indexes are applied from the
+        // buffered key runs. The returned physical record ids feed the
         // interval index below as direct row locators.
         let mut emit = 0usize;
         let row_ids = self
@@ -2060,7 +2145,6 @@ fn nodes_schema() -> Schema {
         ColumnDef::not_null("depth", ValueType::Int),
         ColumnDef::not_null("preorder", ValueType::Int),
         ColumnDef::not_null("is_leaf", ValueType::Bool),
-        ColumnDef::not_null("leaf_of_tree", ValueType::Int),
         ColumnDef::not_null("subtree_height", ValueType::Float),
     ])
 }
@@ -2210,7 +2294,6 @@ pub(crate) fn encode_node_row(
     scalars: NodeScalars,
 ) {
     let sid = |n: phylo::NodeId| Value::Int(((tree_id << TREE_SHIFT) | n.0 as u64) as i64);
-    let is_leaf = tree.is_leaf(node);
     values.extend([
         sid(node),
         Value::Int(tree_id as i64),
@@ -2220,8 +2303,7 @@ pub(crate) fn encode_node_row(
         Value::Float(scalars.root_distance),
         Value::Int(scalars.depth as i64),
         Value::Int(scalars.preorder as i64),
-        Value::Bool(is_leaf),
-        Value::Int(if is_leaf { tree_id as i64 } else { -1 }),
+        Value::Bool(tree.is_leaf(node)),
         Value::Float(scalars.subtree_height),
     ]);
 }
@@ -2242,7 +2324,7 @@ pub(crate) fn decode_node_row(row: &storage::schema::Row) -> NodeRecord {
         depth: row.values[6].as_int().unwrap_or(0) as u64,
         preorder: row.values[7].as_int().unwrap_or(0) as u64,
         is_leaf: row.values[8].as_bool().unwrap_or(false),
-        subtree_height: row.values[10].as_float().unwrap_or(0.0),
+        subtree_height: row.values[9].as_float().unwrap_or(0.0),
     }
 }
 

@@ -10,12 +10,11 @@
 //! under each frontier node.
 
 use crate::error::{CrimsonError, CrimsonResult};
-use crate::repository::{ReadCtx, StoredNodeId, TreeHandle};
+use crate::repository::{ReadCtx, StoredNodeId, TreeHandle, TREE_SHIFT};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use storage::db::DbRead;
 use storage::value::Value;
 
@@ -98,10 +97,10 @@ impl<D: DbRead> ReadCtx<'_, D> {
 
     /// Sample `k` species with respect to evolutionary time `time` (§2.2).
     ///
-    /// The frontier is found with a range scan on the `root_dist` index
-    /// (cumulative time ≥ `time`), keeping only nodes whose parent is above
-    /// the threshold's other side; `k` leaves are then drawn round-robin from
-    /// the frontier subtrees.
+    /// The frontier ([`ReadCtx::time_frontier`]) is found with a range scan
+    /// on the `subtree_height` index (clade age ≤ `time`), keeping only
+    /// nodes whose parent's clade is older than `time`; `k` leaves are then
+    /// drawn round-robin from the frontier subtrees.
     pub fn sample_by_time(
         &self,
         handle: TreeHandle,
@@ -239,20 +238,11 @@ impl<D: DbRead> ReadCtx<'_, D> {
         Ok(frontier)
     }
 
-    /// All leaves in the subtree rooted at `node` (BFS over the parent
-    /// index).
+    /// All leaves in the subtree rooted at `node`, in pre-order: one scan
+    /// of its `ivl_by_pre` range, reading no row.
     pub fn leaves_under(&self, node: StoredNodeId) -> CrimsonResult<Vec<StoredNodeId>> {
-        let mut out = Vec::new();
-        let mut queue = VecDeque::from([node]);
-        while let Some(n) = queue.pop_front() {
-            let children = self.children(n)?;
-            if children.is_empty() {
-                out.push(n);
-            } else {
-                queue.extend(children);
-            }
-        }
-        Ok(out)
+        let (pre, end) = self.interval_of(node)?;
+        self.nodes_in_span(node.0 >> TREE_SHIFT, pre, end, |e| e.is_leaf)
     }
 
     /// Resolve an explicit list of species names to leaf nodes.
@@ -322,6 +312,12 @@ mod tests {
             assert!(rec.is_leaf);
             assert_eq!(rec.tree, handle);
         }
+        // Pinned by name: the draw shuffles the leaves in pre-order, so a
+        // change of leaf order changes it.
+        assert_eq!(
+            repo.view().names_of(&sample[..8]).unwrap(),
+            ["S22", "S26", "S86", "S54", "S14", "S51", "S7", "S46"]
+        );
         // Deterministic per seed, different across seeds.
         assert_eq!(repo.view().sample_uniform(handle, 20, 1).unwrap(), sample);
         assert_ne!(repo.view().sample_uniform(handle, 20, 2).unwrap(), sample);

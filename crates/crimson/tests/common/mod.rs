@@ -11,6 +11,7 @@
 
 use crimson::prelude::*;
 use labeling::{IntervalLabels, LcaScheme, ParentPointers};
+use phylo::traverse::Traverse;
 use phylo::{NodeId, Tree};
 
 /// Stored id of arena node `n` of the tree stored under `handle`.
@@ -45,6 +46,36 @@ impl Oracle {
     fn node(&self, id: StoredNodeId) -> NodeId {
         assert_eq!(id.0 >> 32, self.handle.0, "{id} is not a node of this tree");
         arena(id)
+    }
+
+    /// The stored id of every node, in pre-order.
+    pub fn preorder(&self) -> Vec<StoredNodeId> {
+        self.tree.preorder().map(|v| sid(self.handle, v)).collect()
+    }
+
+    /// Children of `id`, in pre-order.
+    pub fn children(&self, id: StoredNodeId) -> Vec<StoredNodeId> {
+        let node = self.node(id);
+        self.tree
+            .children(node)
+            .iter()
+            .map(|&c| sid(self.handle, c))
+            .collect()
+    }
+
+    /// Leaves of the subtree rooted at `id`, in pre-order.
+    pub fn leaves_under(&self, id: StoredNodeId) -> Vec<StoredNodeId> {
+        let top = self.node(id);
+        self.tree
+            .preorder()
+            .filter(|&v| self.tree.is_leaf(v) && self.intervals.is_ancestor(top, v))
+            .map(|v| sid(self.handle, v))
+            .collect()
+    }
+
+    /// Leaves of the whole tree, in pre-order.
+    pub fn leaves(&self) -> Vec<StoredNodeId> {
+        self.leaves_under(sid(self.handle, self.tree.root_unchecked()))
     }
 
     /// Least common ancestor, by the parent-pointer walk.
@@ -94,4 +125,26 @@ pub fn assert_same_projection(stored: &Tree, expected: &Tree, what: &str) {
         phylo::render::ascii(stored),
         phylo::render::ascii(expected)
     );
+}
+
+/// Check `children`, `leaves` and `leaves_under` of the tree `oracle`
+/// describes against it, pre-order included, over the nodes `present`
+/// keeps: every node of a fully stored tree, the materialized ones of a
+/// cold tree (a bridged span has no interval entries to answer from).
+pub fn check_topology(repo: &Repository, oracle: &Oracle, present: impl Fn(StoredNodeId) -> bool) {
+    let kept = |ids: Vec<StoredNodeId>| -> Vec<StoredNodeId> {
+        ids.into_iter().filter(|&id| present(id)).collect()
+    };
+    let view = repo.view();
+    assert_eq!(view.leaves(oracle.handle).unwrap(), kept(oracle.leaves()));
+    for node in kept(oracle.preorder()) {
+        let children = view.children(node).unwrap();
+        assert_eq!(children, kept(oracle.children(node)), "children({node})");
+        let leaves = view.leaves_under(node).unwrap();
+        assert_eq!(
+            leaves,
+            kept(oracle.leaves_under(node)),
+            "leaves_under({node})"
+        );
+    }
 }

@@ -4,19 +4,20 @@
 //! crash-recovery suites; these tests corrupt a *closed* repository file
 //! through the raw storage engine — an orphan node row, a deleted node row,
 //! a stripped content-address row, a missing interval entry, a
-//! contradictory interval mapping — reopen it,
-//! and assert that the check fails with the specific
-//! `CrimsonError::CorruptRepository` message for that corruption. A file
-//! laid out without the depth column, or with the node and tree rows of a
-//! build that still stored hierarchical labels, is refused at open. (Damage inside
-//! the packed depth blocks is covered by `depth.rs`'s unit tests, which
-//! can re-encode a block.)
+//! contradictory interval mapping, a flipped interval leaf flag, swapped
+//! interval row locators — reopen it, and assert that the check fails with
+//! the specific `CrimsonError::CorruptRepository` message for that
+//! corruption. A file laid out without the depth column, with the node and
+//! tree rows of a build that still stored hierarchical labels, or with the
+//! 11-column node rows that carried `leaf_of_tree`, is refused at open.
+//! (Damage inside the packed depth blocks is covered by `depth.rs`'s unit
+//! tests, which can re-encode a block.)
 
 use crimson::prelude::*;
 use phylo::builder::figure1_tree;
 use std::path::Path;
 use storage::value::Value;
-use storage::Database;
+use storage::{ColumnDef, Database, Schema, ValueType};
 
 /// Build a small repository with one tree + species data, checkpoint it and
 /// close it, returning its path.
@@ -78,7 +79,6 @@ fn orphan_node_row_is_detected() {
                 Value::Int(0),                      // depth
                 Value::Int(0),                      // preorder
                 Value::Bool(true),                  // is_leaf
-                Value::Int(ghost_tree),             // leaf_of_tree
                 Value::Float(0.0),                  // subtree_height
             ],
         )
@@ -184,32 +184,77 @@ fn contradictory_interval_mapping_is_detected() {
     reopen_and_expect_corrupt(&path, "contradicts its pre-order rank");
 }
 
+/// Rewrite the `ivl_by_pre` entries of a closed repository file through
+/// the raw storage engine: `edit` gets every `(key, locator)` pair in key
+/// order and may change any of them.
+fn tamper_ivl_by_pre(path: &Path, edit: impl FnOnce(&mut [(Vec<u8>, u64)])) {
+    let mut db = Database::open(path).unwrap();
+    let ivl = db.raw_index("ivl_by_pre").unwrap();
+    let mut entries: Vec<(Vec<u8>, u64)> = db
+        .raw_range(ivl, None, None)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .collect();
+    for (key, _) in &entries {
+        assert!(db.raw_delete(ivl, key).unwrap());
+    }
+    edit(&mut entries);
+    for (key, locator) in &entries {
+        db.raw_insert(ivl, key, *locator).unwrap();
+    }
+    db.flush().unwrap();
+}
+
 #[test]
-fn repository_without_depth_column_is_refused_at_open() {
-    // Lay out a file the way a build before the depth column did: every
-    // other table and raw index, but no `depth_blocks` / `depth_minima`.
+fn flipped_interval_leaf_flag_is_detected() {
     let dir = tempfile::tempdir().unwrap();
-    let path = dir.path().join("old.crimson");
+    let path = build_repo(&dir);
+    // The last byte of an entry key is its leaf flag, which `leaves` and
+    // `leaves_under` answer from without reading the row.
+    tamper_ivl_by_pre(&path, |entries| {
+        let key = &mut entries.iter_mut().find(|(k, _)| k[24] == 1).unwrap().0;
+        key[24] = 0;
+    });
+    reopen_and_expect_corrupt(&path, "contradicts the node row");
+}
+
+#[test]
+fn swapped_interval_locators_are_detected() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = build_repo(&dir);
+    tamper_ivl_by_pre(&path, |entries| {
+        let root_locator = entries[0].1;
+        entries[0].1 = entries[1].1;
+        entries[1].1 = root_locator;
+    });
+    reopen_and_expect_corrupt(&path, "contradicts the node row");
+}
+
+/// Every table of the current layout beside `trees` and `nodes`.
+const OTHER_TABLES: [&str; 8] = [
+    "species",
+    "query_history",
+    "experiments",
+    "experiment_results",
+    "experiment_clades",
+    "tree_stats",
+    "depth_blocks",
+    "depth_minima",
+];
+
+/// Lay out a file with the given `trees` and `nodes` columns, the
+/// single-column `tables` and every current raw index, and return the
+/// message with which `open` and `open_degraded` both refuse it.
+fn refusal_of_layout(trees: Vec<ColumnDef>, nodes: Vec<ColumnDef>, tables: &[&str]) -> String {
+    let dir = tempfile::tempdir().unwrap();
+    let path = dir.path().join("older.crimson");
     {
         let mut db = Database::create(&path).unwrap();
-        let schema = || {
-            storage::Schema::new(vec![storage::ColumnDef::not_null(
-                "id",
-                storage::ValueType::Int,
-            )])
-        };
-        for table in [
-            "trees",
-            "nodes",
-            "frames",
-            "species",
-            "query_history",
-            "experiments",
-            "experiment_results",
-            "experiment_clades",
-            "tree_stats",
-        ] {
-            db.create_table(table, schema()).unwrap();
+        db.create_table("trees", Schema::new(trees)).unwrap();
+        db.create_table("nodes", Schema::new(nodes)).unwrap();
+        for table in tables {
+            let id = ColumnDef::not_null("id", ValueType::Int);
+            db.create_table(table, Schema::new(vec![id])).unwrap();
         }
         for index in [
             "ivl_by_pre",
@@ -222,114 +267,89 @@ fn repository_without_depth_column_is_refused_at_open() {
         }
         db.flush().unwrap();
     }
-    for result in [
+    let [open, degraded] = [
         Repository::open(&path, RepositoryOptions::default()).map(|_| ()),
         Repository::open_degraded(&path, RepositoryOptions::default()).map(|_| ()),
-    ] {
-        match result {
-            Err(CrimsonError::CorruptRepository(msg)) => {
-                assert!(msg.contains("depth_blocks"), "{msg}")
-            }
-            other => panic!("expected a typed refusal, got {other:?}"),
-        }
-    }
+    ]
+    .map(|result| match result {
+        Err(CrimsonError::CorruptRepository(msg)) => msg,
+        other => panic!("expected a typed refusal, got {other:?}"),
+    });
+    assert_eq!(open, degraded);
+    open
+}
+
+/// `(name, type)` pairs as not-null columns.
+fn columns(spec: &[(&str, ValueType)]) -> Vec<ColumnDef> {
+    spec.iter()
+        .map(|&(name, ty)| ColumnDef::not_null(name, ty))
+        .collect()
+}
+
+/// The `trees` columns of every layout since the depth column.
+const TREES: [(&str, ValueType); 5] = [
+    ("tree_id", ValueType::Int),
+    ("name", ValueType::Text),
+    ("root_node", ValueType::Int),
+    ("node_count", ValueType::Int),
+    ("leaf_count", ValueType::Int),
+];
+
+/// The leading `nodes` columns, through `preorder`, of every older
+/// layout, followed by `rest`.
+fn nodes_columns(rest: &[(&str, ValueType)]) -> Vec<ColumnDef> {
+    let mut nodes = columns(&[("node_id", ValueType::Int), ("tree_id", ValueType::Int)]);
+    nodes.extend([
+        ColumnDef::not_null("parent_id", ValueType::Int),
+        ColumnDef::new("name", ValueType::Text),
+        ColumnDef::new("branch_length", ValueType::Float),
+    ]);
+    nodes.extend(columns(&[
+        ("root_dist", ValueType::Float),
+        ("depth", ValueType::Int),
+        ("preorder", ValueType::Int),
+    ]));
+    nodes.extend(columns(rest));
+    nodes
+}
+
+#[test]
+fn repository_without_depth_column_is_refused_at_open() {
+    // The layout of a build before the depth column: every other table
+    // and raw index, but no `depth_blocks` / `depth_minima`.
+    let ids = || columns(&[("id", ValueType::Int)]);
+    let msg = refusal_of_layout(ids(), ids(), &[&["frames"], &OTHER_TABLES[..6]].concat());
+    assert!(msg.contains("depth_blocks"), "{msg}");
 }
 
 #[test]
 fn repository_with_label_columns_is_refused_at_open() {
-    // Lay out a file the way a build that stored hierarchical labels did:
-    // the current tables and raw indexes, but `nodes` rows with `frame_id`
-    // and `label` columns, `trees` rows with `frame_depth`, and a `frames`
-    // table.
-    use storage::{ColumnDef, Schema, ValueType};
-    let dir = tempfile::tempdir().unwrap();
-    let path = dir.path().join("labelled.crimson");
-    {
-        let mut db = Database::create(&path).unwrap();
-        let ints = |names: &[&str]| {
-            Schema::new(
-                names
-                    .iter()
-                    .map(|n| ColumnDef::not_null(*n, ValueType::Int))
-                    .collect(),
-            )
-        };
-        db.create_table(
-            "trees",
-            Schema::new(vec![
-                ColumnDef::not_null("tree_id", ValueType::Int),
-                ColumnDef::not_null("name", ValueType::Text),
-                ColumnDef::not_null("root_node", ValueType::Int),
-                ColumnDef::not_null("node_count", ValueType::Int),
-                ColumnDef::not_null("leaf_count", ValueType::Int),
-                ColumnDef::not_null("frame_depth", ValueType::Int),
-            ]),
-        )
-        .unwrap();
-        db.create_table(
-            "nodes",
-            Schema::new(vec![
-                ColumnDef::not_null("node_id", ValueType::Int),
-                ColumnDef::not_null("tree_id", ValueType::Int),
-                ColumnDef::not_null("parent_id", ValueType::Int),
-                ColumnDef::new("name", ValueType::Text),
-                ColumnDef::new("branch_length", ValueType::Float),
-                ColumnDef::not_null("root_dist", ValueType::Float),
-                ColumnDef::not_null("depth", ValueType::Int),
-                ColumnDef::not_null("preorder", ValueType::Int),
-                ColumnDef::not_null("frame_id", ValueType::Int),
-                ColumnDef::not_null("label", ValueType::Bytes),
-                ColumnDef::not_null("is_leaf", ValueType::Bool),
-                ColumnDef::not_null("leaf_of_tree", ValueType::Int),
-                ColumnDef::not_null("subtree_height", ValueType::Float),
-            ]),
-        )
-        .unwrap();
-        db.create_table(
-            "frames",
-            ints(&[
-                "frame_id",
-                "tree_id",
-                "root_node",
-                "parent_frame",
-                "source_node",
-                "rank",
-            ]),
-        )
-        .unwrap();
-        for table in [
-            "species",
-            "query_history",
-            "experiments",
-            "experiment_results",
-            "experiment_clades",
-            "tree_stats",
-            "depth_blocks",
-            "depth_minima",
-        ] {
-            db.create_table(table, ints(&["id"])).unwrap();
-        }
-        for index in [
-            "ivl_by_pre",
-            "ivl_by_node",
-            "clade_hash_by_pre",
-            "clade_hash_idx",
-            "clade_refs",
-        ] {
-            db.create_raw_index(index).unwrap();
-        }
-        db.flush().unwrap();
-    }
-    for result in [
-        Repository::open(&path, RepositoryOptions::default()).map(|_| ()),
-        Repository::open_degraded(&path, RepositoryOptions::default()).map(|_| ()),
-    ] {
-        match result {
-            Err(CrimsonError::CorruptRepository(msg)) => {
-                assert!(msg.contains("`trees` table"), "{msg}");
-                assert!(msg.contains("must be reloaded"), "{msg}");
-            }
-            other => panic!("expected a typed refusal, got {other:?}"),
-        }
-    }
+    // The layout of a build that stored hierarchical labels: `nodes` rows
+    // with `frame_id` and `label` columns, `trees` rows with
+    // `frame_depth`, and a `frames` table.
+    let trees = columns(&[&TREES[..], &[("frame_depth", ValueType::Int)]].concat());
+    let nodes = nodes_columns(&[
+        ("frame_id", ValueType::Int),
+        ("label", ValueType::Bytes),
+        ("is_leaf", ValueType::Bool),
+        ("leaf_of_tree", ValueType::Int),
+        ("subtree_height", ValueType::Float),
+    ]);
+    let msg = refusal_of_layout(trees, nodes, &[&["frames"], &OTHER_TABLES[..]].concat());
+    assert!(msg.contains("`trees` table"), "{msg}");
+    assert!(msg.contains("must be reloaded"), "{msg}");
+}
+
+#[test]
+fn repository_with_leaf_of_tree_column_is_refused_at_open() {
+    // The layout of a build whose 11-column `nodes` rows carried a
+    // `leaf_of_tree` column (the tree id on leaves, -1 elsewhere).
+    let nodes = nodes_columns(&[
+        ("is_leaf", ValueType::Bool),
+        ("leaf_of_tree", ValueType::Int),
+        ("subtree_height", ValueType::Float),
+    ]);
+    let msg = refusal_of_layout(columns(&TREES), nodes, &OTHER_TABLES);
+    assert!(msg.contains("`nodes` table"), "{msg}");
+    assert!(msg.contains("must be reloaded"), "{msg}");
 }

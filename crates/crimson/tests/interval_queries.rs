@@ -6,9 +6,9 @@
 //!   `project` must agree with the in-memory tree: the paper's hierarchical
 //!   Dewey label walk (built in memory by `labeling`), interval labels and
 //!   `phylo`'s projection.
-//! * Cost tests: on a 10k-leaf simulated tree, the spanning clade and the
-//!   projection stay within fixed buffer-pool page-read bounds, asserted via
-//!   `BufferStats`.
+//! * Cost tests: on a 10k-leaf simulated tree, listing the leaves, the
+//!   spanning clade and the projection stay within fixed buffer-pool
+//!   page-read bounds, asserted via `BufferStats`.
 //! * Capacity test: a repository scan over a file much larger than the pool
 //!   keeps residency bounded with nonzero evictions.
 
@@ -157,13 +157,27 @@ fn projection_matches_reference_on_dense_and_sparse_selections() {
 /// their 5x lead over that baseline.
 const CLADE_32_MAX_READS: u64 = 16_141;
 const PROJECTION_1000_MAX_READS: u64 = 8_855;
+/// Every leaf of the tree with cold caches: one scan of the tree's
+/// `ivl_by_pre` entries (98 page reads). Reading each leaf's row instead
+/// costs one page read per leaf (10,040).
+const LEAVES_10K_MAX_READS: u64 = 200;
 
 #[test]
 fn interval_paths_stay_within_page_bounds_on_10k_leaf_tree() {
     let tree = yule_tree(10_000, 1.0, 42);
     let (_d, repo, handle) = fresh_repo(&tree, 8192);
     let oracle = Oracle::new(handle, &tree);
+    // --- every leaf of the tree ---
+    repo.clear_cache().unwrap();
+    repo.reset_buffer_stats();
     let leaves = repo.view().leaves(handle).unwrap();
+    let leaves_reads = repo.buffer_stats().page_reads();
+    assert_eq!(leaves, oracle.leaves());
+    eprintln!("leaves/10k: {leaves_reads} page reads (bound {LEAVES_10K_MAX_READS})");
+    assert!(
+        leaves_reads <= LEAVES_10K_MAX_READS,
+        "leaves: read {leaves_reads} pages, bound {LEAVES_10K_MAX_READS}"
+    );
     let mut rng = StdRng::seed_from_u64(5);
 
     // --- minimal spanning clade over 32 random leaves ---

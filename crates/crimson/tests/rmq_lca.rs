@@ -5,11 +5,16 @@
 //!   2-node trees, for trees written by every store path (bulk
 //!   `load_tree`, the row-at-a-time `load_tree_reference`,
 //!   `store_tree_dedup` hits and misses, and cold `store_tree_shared` with
-//!   bridged spans).
+//!   bridged spans). On the same trees `children`, `leaves` and
+//!   `leaves_under` answer the in-memory tree in pre-order — a cold tree
+//!   its materialized nodes only.
 //! * Cost test: on the caterpillar, the deepest pair's LCA makes no more
 //!   buffer-pool page accesses than a shallow pair's, plus a small
 //!   constant.
 
+mod common;
+
+use common::{arena, check_topology, sid, Oracle};
 use crimson::prelude::*;
 use phylo::builder::{balanced_binary, caterpillar};
 use phylo::{NodeId, Tree};
@@ -28,11 +33,6 @@ fn fresh_repo(pages: usize) -> (tempfile::TempDir, Repository) {
     )
     .unwrap();
     (dir, repo)
-}
-
-/// Stored id of arena node `n` of the tree stored under `handle`.
-fn sid(handle: TreeHandle, n: NodeId) -> StoredNodeId {
-    StoredNodeId((handle.0 << 32) | n.0 as u64)
 }
 
 /// Check `lca` and `is_ancestor` against the in-memory tree on `pairs`
@@ -186,6 +186,15 @@ fn every_store_path_writes_a_usable_depth_column() {
         .collect();
     assert_eq!(present.len(), 1 + 2 * 79, "root and both fresh subtrees");
     check_pairs(&repo, cold, &spliced, &present, 4000);
+
+    // Children and leaves answer the in-memory tree on every path; the
+    // cold tree answers its materialized nodes only.
+    for (handle, t) in [(bulk, &tree), (rows, &tree), (fresh, &other)] {
+        check_topology(&repo, &Oracle::new(handle, t), |_| true);
+    }
+    check_topology(&repo, &Oracle::new(cold, &spliced), |id| {
+        present.contains(&arena(id))
+    });
 
     // Projections through every path agree with the in-memory projection.
     let names = tree.leaf_names();
