@@ -29,15 +29,15 @@
 
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::repository::{
-    decode_tree_stats_row, encode_node_row, tree_row, NodeScalars, ReadCtx, Repository,
-    StoredNodeId, TreeHandle, TreeStatsRecord, BULK_FILL, HASH_IDX_MIN_SPAN, STATS_FLAG_COLD,
+    decode_tree_stats_row, encode_node_row, tree_row, LoadPass, ReadCtx, Repository, StoredNodeId,
+    TreeHandle, TreeStatsRecord, BULK_FILL, HASH_IDX_MIN_SPAN, STATS_FLAG_COLD,
     STATS_FLAG_DISTINCT_LEAVES, TREE_SHIFT,
 };
 use labeling::clade_hash::{
     self, decode_hash_by_pre_key, decode_hash_idx_key, hash_by_pre_key, hash_idx_key,
     hash_idx_prefix, hash_idx_range_end, pack_span, unpack_span, CladeHash, CladeRef,
 };
-use labeling::interval::{interval_key_prefix, interval_range_end, IntervalEntry, IntervalLabels};
+use labeling::interval::{interval_key_prefix, interval_range_end};
 use phylo::traverse::Traverse;
 use phylo::Tree;
 use std::collections::{HashMap, HashSet};
@@ -89,9 +89,10 @@ pub(crate) fn count_clades(spans: impl Iterator<Item = (u32, u32)>, n_leaves: u3
 }
 
 /// The full content address of an in-memory tree: per-node hashes (arena
-/// indexed), clade counts and the distinct-leaf-names flag. The bulk loader
-/// computes all of this inside its single DFS; this standalone version
-/// serves the reference load path, dedup probing and cold storage.
+/// indexed), clade counts and the distinct-leaf-names flag. The bulk and
+/// cold loaders compute all of this inside their single DFS
+/// ([`crate::repository::LoadPass`]); this standalone version serves the
+/// reference load path and comparisons against in-memory trees.
 pub(crate) struct TreeContent {
     /// Canonical clade hash per node, indexed by arena index.
     pub hashes: Vec<CladeHash>,
@@ -495,29 +496,8 @@ impl Repository {
         tree: &Tree,
         min_span: u32,
     ) -> CrimsonResult<TreeHandle> {
-        if tree.is_empty() {
-            return Err(CrimsonError::Phylo(phylo::PhyloError::EmptyTree));
-        }
-        if self.view().find_tree(name)?.is_some() {
-            return Err(CrimsonError::DuplicateTree(name.to_string()));
-        }
-        let tree_id = self.next_tree_id()?;
-        let handle = TreeHandle(tree_id);
-        let n = tree.node_count();
-        let node_sid = |v: phylo::NodeId| StoredNodeId((tree_id << TREE_SHIFT) | v.0 as u64);
-
-        let content = TreeContent::compute(tree);
-        let intervals = IntervalLabels::build(tree);
-        let root_dists = tree.all_root_distances();
-        let depths = tree.all_depths();
-        let mut heights = vec![0.0f64; n];
-        for v in tree.postorder() {
-            let mut h = 0.0f64;
-            for &c in tree.children(v) {
-                h = h.max(heights[c.index()] + tree.node(c).branch_length_or_zero());
-            }
-            heights[v.index()] = h;
-        }
+        let tree_id = self.new_tree_id(name, tree)?;
+        let pass = LoadPass::compute(tree);
 
         // Pick the bridges: a pre-order walk that skips everything under an
         // already-bridged span. The root never bridges (a whole-tree
@@ -528,8 +508,8 @@ impl Repository {
         let mut bridges: Vec<(CladeRef, CladeHash)> = Vec::new();
         let mut materialized: Vec<phylo::NodeId> = Vec::new();
         let mut skip_end: Option<u32> = None;
-        for v in tree.preorder() {
-            let (pre, end) = intervals.interval(v);
+        for &v in &pass.order {
+            let (pre, end) = (pass.pre[v.index()], pass.end[v.index()]);
             if let Some(limit) = skip_end {
                 if pre <= limit {
                     continue;
@@ -538,14 +518,13 @@ impl Repository {
             }
             let span = end - pre + 1;
             if pre != 0 && span >= threshold {
-                let hash = content.hashes[v.index()];
+                let hash = pass.hash[v.index()];
                 if let Some((src_tree, src_pre, src_end)) = self.find_share_source(hash, span)? {
-                    let parent = tree.parent(v).expect("non-root node has a parent");
                     bridges.push((
                         CladeRef {
                             pre,
                             end,
-                            parent_pre: intervals.interval(parent).0,
+                            parent_pre: pass.parent_pre[v.index()],
                             src_tree,
                             src_pre,
                             src_end,
@@ -568,18 +547,7 @@ impl Repository {
                     return Ok(false);
                 };
                 emit += 1;
-                encode_node_row(
-                    values,
-                    tree,
-                    tree_id,
-                    v,
-                    NodeScalars {
-                        root_distance: root_dists[v.index()],
-                        depth: depths[v.index()] as u64,
-                        preorder: intervals.interval(v).0,
-                        subtree_height: heights[v.index()],
-                    },
-                );
+                encode_node_row(values, tree, tree_id, v, pass.scalars(v));
                 Ok(true)
             })?;
 
@@ -589,18 +557,7 @@ impl Repository {
             self.tables.ivl_by_pre,
             BULK_FILL,
             materialized.iter().enumerate().map(|(i, &v)| {
-                let (pre, end) = intervals.interval(v);
-                let parent_pre = match tree.parent(v) {
-                    Some(p) => intervals.interval(p).0,
-                    None => pre,
-                };
-                let entry = IntervalEntry {
-                    pre,
-                    end,
-                    parent_pre,
-                    node: v.0,
-                    is_leaf: tree.is_leaf(v),
-                };
+                let entry = pass.interval_entry(tree, v);
                 (entry.encode_key(tree_id), row_ids[i].to_u64())
             }),
         )?;
@@ -611,21 +568,20 @@ impl Repository {
             BULK_FILL,
             by_arena.iter().map(|&ai| {
                 let sid = (tree_id << TREE_SHIFT) | ai as u64;
-                let (pre, end) = intervals.interval(phylo::NodeId(ai as u32));
-                (sid.to_be_bytes(), pack_span(pre, end))
+                (sid.to_be_bytes(), pack_span(pass.pre[ai], pass.end[ai]))
             }),
         )?;
 
         // The depth column spans every logical rank, bridged ones included.
-        self.insert_depth_column(tree_id, &crate::depth::depth_column(tree))?;
+        self.insert_depth_column(tree_id, &pass.depth_column())?;
 
         // Hashes for every logical span: materialized nodes plus one entry
         // per bridge (the bridged subtree's own hash at its logical rank).
         let mut hash_rows: Vec<(u32, u32, CladeHash)> = materialized
             .iter()
             .map(|&v| {
-                let (pre, end) = intervals.interval(v);
-                (pre, end, content.hashes[v.index()])
+                let i = v.index();
+                (pass.pre[i], pass.end[i], pass.hash[i])
             })
             .collect();
         hash_rows.extend(bridges.iter().map(|&(r, h)| (r.pre, r.end, h)));
@@ -647,24 +603,17 @@ impl Repository {
 
         self.insert_tree_stats(
             tree_id,
-            content.hashes[tree.root_unchecked().index()],
-            content.counts,
-            content.distinct_leaves,
+            pass.hash[pass.order[0].index()],
+            pass.counts,
+            clade_hash::distinct_named_leaves(tree),
             true,
         )?;
 
-        let leaf_count = tree.leaf_ids().count();
         self.db.insert(
             self.tables.trees,
-            &tree_row(
-                tree_id,
-                name,
-                node_sid(tree.root_unchecked()),
-                n as u64,
-                leaf_count as u64,
-            ),
+            &tree_row(tree_id, name, tree, pass.leaf_count),
         )?;
-        Ok(handle)
+        Ok(TreeHandle(tree_id))
     }
 
     /// A canonical source span for a bridge: any global-index occurrence of

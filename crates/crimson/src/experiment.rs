@@ -676,7 +676,7 @@ fn run_sweep(
     spec: &ExperimentSpec,
 ) -> CrimsonResult<ExperimentRecord> {
     validate_spec(spec)?;
-    if repo.db.in_transaction() {
+    if repo.db.pool().in_txn() {
         return Err(CrimsonError::InvalidSample(
             "experiments cannot join an open transaction (their workers read committed snapshots)"
                 .to_string(),

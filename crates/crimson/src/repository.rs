@@ -1350,7 +1350,7 @@ impl Repository {
     /// column existed is refused with [`CrimsonError::CorruptRepository`].
     pub fn open(path: impl AsRef<Path>, options: RepositoryOptions) -> CrimsonResult<Self> {
         let db = Database::open_with_capacity(path, options.buffer_pool_pages)?;
-        let recovery = db.recovery_report();
+        let recovery = db.pool().recovery_report();
         let tables = Tables::open(&db)?;
         // Rolled-back transactions may have left gaps in the id sequence;
         // resume after the highest id actually present (a plain row count
@@ -1396,7 +1396,7 @@ impl Repository {
         options: RepositoryOptions,
     ) -> CrimsonResult<(Self, DegradedReport)> {
         let db = Database::open_degraded(path, options.buffer_pool_pages)?;
-        let recovery = db.recovery_report();
+        let recovery = db.pool().recovery_report();
         let tables = Tables::open(&db)?;
         let repo = Repository {
             // Mutation is refused in degraded mode; never checkpoint.
@@ -1422,7 +1422,7 @@ impl Repository {
     /// decode failures over flipped bits — marks it unreadable).
     fn survey_damage(&self) -> DegradedReport {
         let mut report = DegradedReport {
-            quarantined_pages: self.db.quarantined_pages(),
+            quarantined_pages: self.db.pool().quarantined_pages(),
             ..DegradedReport::default()
         };
         match self.view().list_trees() {
@@ -1526,20 +1526,20 @@ impl Repository {
     /// covering the last asynchronous commit — the natural call at a bulk
     /// load's batch boundary.
     pub fn sync(&self) -> CrimsonResult<()> {
-        self.db.wait_durable(self.last_commit)?;
+        self.db.pool().wait_durable(self.last_commit)?;
         Ok(())
     }
 
     /// Block until the write-ahead log is durable up to `lsn` (leading or
     /// following a group fsync as needed).
     pub fn wait_durable(&self, lsn: Lsn) -> CrimsonResult<()> {
-        self.db.wait_durable(lsn)?;
+        self.db.pool().wait_durable(lsn)?;
         Ok(())
     }
 
     /// Absolute LSN up to which the write-ahead log is known durable.
     pub fn durable_lsn(&self) -> Lsn {
-        self.db.durable_lsn()
+        self.db.pool().durable_lsn()
     }
 
     /// The highest commit LSN this repository has logged through the
@@ -1576,7 +1576,7 @@ impl Repository {
         &mut self,
         f: impl FnOnce(&mut Self) -> CrimsonResult<T>,
     ) -> CrimsonResult<T> {
-        if self.db.in_transaction() {
+        if self.db.pool().in_txn() {
             return f(self);
         }
         self.db.begin()?;
@@ -1630,43 +1630,43 @@ impl Repository {
     /// Inject a simulated crash into the storage engine (test
     /// instrumentation for the crash-recovery suites).
     pub fn inject_crash(&self, point: CrashPoint) {
-        self.db.inject_crash(point)
+        self.db.pool().inject_crash(point)
     }
 
     /// Install a deterministic fault-injection schedule over the data and
     /// log files (see [`storage::FaultSchedule`]). Test instrumentation for
     /// the media-fault suites; fails if a schedule is already installed.
     pub fn install_fault_schedule(&self, schedule: SharedFaultSchedule) -> CrimsonResult<()> {
-        self.db.install_fault_schedule(schedule)?;
+        self.db.pool().install_fault_schedule(schedule)?;
         Ok(())
     }
 
     /// The installed fault schedule, if any.
     pub fn fault_schedule(&self) -> Option<SharedFaultSchedule> {
-        self.db.fault_schedule()
+        self.db.pool().fault_schedule()
     }
 
     /// Set the transient-I/O retry policy for the data file and the
     /// write-ahead log.
     pub fn set_io_retry_policy(&self, policy: RetryPolicy) {
-        self.db.set_io_retry_policy(policy)
+        self.db.pool().set_io_retry_policy(policy)
     }
 
     /// Whether this repository is open in read-only (degraded) mode.
     pub fn read_only(&self) -> bool {
-        self.db.read_only()
+        self.db.pool().read_only()
     }
 
     /// Whether an earlier fsync failure poisoned the writer: further
     /// mutation is refused (readers keep serving the last committed
     /// snapshot); reopen the repository to recover from the log.
     pub fn is_poisoned(&self) -> bool {
-        self.db.is_poisoned()
+        self.db.pool().is_poisoned()
     }
 
     /// Page ids quarantined after unrepairable checksum failures.
     pub fn quarantined_pages(&self) -> Vec<u64> {
-        self.db.quarantined_pages()
+        self.db.pool().quarantined_pages()
     }
 
     /// Incremental media scrub: verify every page's checksum (backfilling,
@@ -1675,7 +1675,7 @@ impl Repository {
     /// scan with the logical [`ReadCtx::integrity_check`] when no page
     /// is quarantined.
     pub fn scrub(&self, opts: ScrubOptions) -> CrimsonResult<ScrubReport> {
-        let pages = self.db.scrub(opts)?;
+        let pages = self.db.pool().scrub(opts)?;
         let integrity = if pages.pages_quarantined == 0 {
             Some(self.view().integrity_check()?)
         } else {
@@ -1696,7 +1696,7 @@ impl Repository {
 
     /// Buffer-pool statistics from the underlying storage engine.
     pub fn buffer_stats(&self) -> storage::buffer::BufferStats {
-        self.db.buffer_stats()
+        self.db.pool().stats()
     }
 
     /// `(resident pages, frame capacity)` of the underlying buffer pool.
@@ -1721,16 +1721,14 @@ impl Repository {
 
     /// Reset buffer-pool statistics.
     pub fn reset_buffer_stats(&self) {
-        self.db.reset_buffer_stats()
+        self.db.pool().reset_stats()
     }
 
     /// Drop cached pages, decoded records and interval entries to measure
     /// cold-start query behaviour.
     pub fn clear_cache(&self) -> CrimsonResult<()> {
-        self.db.clear_cache()?;
-        self.record_cache.clear();
-        self.entry_cache.clear();
-        self.minima_cache.clear();
+        self.db.pool().clear_cache()?;
+        self.purge_caches();
         Ok(())
     }
 
@@ -1777,83 +1775,13 @@ impl Repository {
     }
 
     fn load_tree_inner(&mut self, name: &str, tree: &Tree) -> CrimsonResult<TreeHandle> {
-        if tree.is_empty() {
-            return Err(CrimsonError::Phylo(phylo::PhyloError::EmptyTree));
-        }
-        if self.view().find_tree(name)?.is_some() {
-            return Err(CrimsonError::DuplicateTree(name.to_string()));
-        }
-        let tree_id = self.next_tree_id()?;
-        let handle = TreeHandle(tree_id);
+        let tree_id = self.new_tree_id(name, tree)?;
 
-        let node_sid = |n: phylo::NodeId| StoredNodeId((tree_id << TREE_SHIFT) | n.0 as u64);
-
-        // One iterative DFS computes every per-node scalar the row needs:
-        // pre-order rank on entry; subtree end rank and height on exit. This
-        // replaces five separate traversals (root distances, depths,
-        // pre-order ranks, heights, interval labels) of the reference path.
+        // One iterative DFS computes every per-node value the rows, the
+        // interval indexes, the depth column and the content address need.
         let n = tree.node_count();
-        let mut pre_of = vec![0u32; n];
-        let mut end_of = vec![0u32; n];
-        let mut parent_pre = vec![0u32; n];
-        let mut root_dist = vec![0.0f64; n];
-        let mut depth_of = vec![0u64; n];
-        let mut height_of = vec![0.0f64; n];
-        // Canonical clade hashes and leaf-rank intervals, computed in the
-        // same DFS (children are final at a node's post-order exit): the
-        // content address comes for free with the load.
-        let mut hash_of = vec![CladeHash([0u8; clade_hash::CLADE_HASH_LEN]); n];
-        let mut leaf_lo = vec![u32::MAX; n];
-        let mut leaf_hi = vec![0u32; n];
-        let mut hash_scratch: Vec<CladeHash> = Vec::new();
-        let mut next_leaf_rank = 0u32;
-        // Pre-order sequence of arena ids: the emission order.
-        let mut order: Vec<phylo::NodeId> = Vec::with_capacity(n);
-        let mut leaf_count = 0u64;
-        let root = tree.root_unchecked();
-        order.push(root);
-        let mut next_pre = 1u32;
-        let mut stack: Vec<(phylo::NodeId, usize)> = vec![(root, 0)];
-        while let Some(&(node, child_idx)) = stack.last() {
-            let children = tree.children(node);
-            if child_idx < children.len() {
-                stack.last_mut().expect("just peeked").1 += 1;
-                let child = children[child_idx];
-                let ci = child.index();
-                pre_of[ci] = next_pre;
-                next_pre += 1;
-                parent_pre[ci] = pre_of[node.index()];
-                root_dist[ci] = root_dist[node.index()] + tree.node(child).branch_length_or_zero();
-                depth_of[ci] = depth_of[node.index()] + 1;
-                order.push(child);
-                stack.push((child, 0));
-            } else {
-                let ni = node.index();
-                end_of[ni] = next_pre - 1;
-                if children.is_empty() {
-                    leaf_count += 1;
-                    hash_of[ni] = CladeHash::leaf(tree.name(node));
-                    leaf_lo[ni] = next_leaf_rank;
-                    leaf_hi[ni] = next_leaf_rank;
-                    next_leaf_rank += 1;
-                } else {
-                    hash_scratch.clear();
-                    hash_scratch.extend(children.iter().map(|c| hash_of[c.index()]));
-                    hash_of[ni] = CladeHash::internal(&mut hash_scratch);
-                }
-                stack.pop();
-                if let Some(&(parent, _)) = stack.last() {
-                    let pi = parent.index();
-                    let lifted = height_of[ni] + tree.node(node).branch_length_or_zero();
-                    if lifted > height_of[pi] {
-                        height_of[pi] = lifted;
-                    }
-                    leaf_lo[pi] = leaf_lo[pi].min(leaf_lo[ni]);
-                    leaf_hi[pi] = leaf_hi[pi].max(leaf_hi[ni]);
-                }
-            }
-        }
-        debug_assert_eq!(order.len(), n);
+        let pass = LoadPass::compute(tree);
+        let order = &pass.order;
 
         // Node rows in pre-order (heap locality aligned with the dominant
         // access pattern), one streaming emission: each row is encoded into
@@ -1869,19 +1797,7 @@ impl Repository {
                     return Ok(false);
                 };
                 emit += 1;
-                let ai = node.index();
-                encode_node_row(
-                    values,
-                    tree,
-                    tree_id,
-                    node,
-                    NodeScalars {
-                        root_distance: root_dist[ai],
-                        depth: depth_of[ai],
-                        preorder: pre_of[ai],
-                        subtree_height: height_of[ai],
-                    },
-                );
+                encode_node_row(values, tree, tree_id, node, pass.scalars(node));
                 Ok(true)
             })?;
 
@@ -1893,14 +1809,7 @@ impl Repository {
             self.tables.ivl_by_pre,
             BULK_FILL,
             order.iter().enumerate().map(|(rank, &node)| {
-                let ai = node.index();
-                let entry = IntervalEntry {
-                    pre: pre_of[ai],
-                    end: end_of[ai],
-                    parent_pre: parent_pre[ai],
-                    node: node.0,
-                    is_leaf: tree.is_leaf(node),
-                };
+                let entry = pass.interval_entry(tree, node);
                 debug_assert_eq!(entry.pre as usize, rank);
                 (entry.encode_key(tree_id), row_ids[rank].to_u64())
             }),
@@ -1910,52 +1819,38 @@ impl Repository {
             BULK_FILL,
             (0..n).map(|ai| {
                 let sid = (tree_id << TREE_SHIFT) | ai as u64;
-                let packed = ((pre_of[ai] as u64) << 32) | end_of[ai] as u64;
-                (sid.to_be_bytes(), packed)
+                (
+                    sid.to_be_bytes(),
+                    clade_hash::pack_span(pass.pre[ai], pass.end[ai]),
+                )
             }),
         )?;
 
-        let column: Vec<(u32, u32)> = order
-            .iter()
-            .map(|v| (depth_of[v.index()] as u32, parent_pre[v.index()]))
-            .collect();
-        self.insert_depth_column(tree_id, &column)?;
+        self.insert_depth_column(tree_id, &pass.depth_column())?;
 
         // The content address: per-node hashes in `(tree_id, pre)` order (a
         // sorted bulk run like the interval index), the global hash entries,
         // and the stats row the equal-tree short-circuit reads.
-        let counts = crate::content::count_clades(
-            order
-                .iter()
-                .map(|&v| (leaf_lo[v.index()], leaf_hi[v.index()])),
-            leaf_count as u32,
-        );
         self.insert_content_address(
             tree_id,
-            order
-                .iter()
-                .map(|&v| (pre_of[v.index()], end_of[v.index()], hash_of[v.index()])),
-            counts,
+            order.iter().map(|&v| {
+                let i = v.index();
+                (pass.pre[i], pass.end[i], pass.hash[i])
+            }),
+            pass.counts,
             clade_hash::distinct_named_leaves(tree),
         )?;
 
         // Insert the tree row last so a partially loaded tree is not visible.
         self.db.insert(
             self.tables.trees,
-            &tree_row(tree_id, name, node_sid(root), n as u64, leaf_count),
+            &tree_row(tree_id, name, tree, pass.leaf_count),
         )?;
-        Ok(handle)
+        Ok(TreeHandle(tree_id))
     }
 
     fn load_tree_reference_inner(&mut self, name: &str, tree: &Tree) -> CrimsonResult<TreeHandle> {
-        if tree.is_empty() {
-            return Err(CrimsonError::Phylo(phylo::PhyloError::EmptyTree));
-        }
-        if self.view().find_tree(name)?.is_some() {
-            return Err(CrimsonError::DuplicateTree(name.to_string()));
-        }
-        let tree_id = self.next_tree_id()?;
-        let handle = TreeHandle(tree_id);
+        let tree_id = self.new_tree_id(name, tree)?;
 
         let root_dists = tree.all_root_distances();
         let depths = tree.all_depths();
@@ -2039,15 +1934,9 @@ impl Repository {
         // Insert the tree row last so a partially loaded tree is not visible.
         self.db.insert(
             self.tables.trees,
-            &tree_row(
-                tree_id,
-                name,
-                node_sid(tree.root_unchecked()),
-                tree.node_count() as u64,
-                leaf_count,
-            ),
+            &tree_row(tree_id, name, tree, leaf_count),
         )?;
-        Ok(handle)
+        Ok(TreeHandle(tree_id))
     }
 
     /// Append species (sequence) data to an already loaded tree. Species
@@ -2109,7 +1998,15 @@ impl Repository {
         })
     }
 
-    pub(crate) fn next_tree_id(&self) -> CrimsonResult<u64> {
+    /// The id a new tree stored under `name` gets: one past the largest
+    /// stored id. Refuses an empty tree and a name already in use.
+    pub(crate) fn new_tree_id(&self, name: &str, tree: &Tree) -> CrimsonResult<u64> {
+        if tree.is_empty() {
+            return Err(CrimsonError::Phylo(phylo::PhyloError::EmptyTree));
+        }
+        if self.view().find_tree(name)?.is_some() {
+            return Err(CrimsonError::DuplicateTree(name.to_string()));
+        }
         let rows = self.db.scan(self.tables.trees)?;
         let max = rows
             .iter()
@@ -2243,18 +2140,13 @@ pub(crate) fn decode_tree_stats_row(row: &storage::schema::Row) -> Option<TreeSt
 }
 
 /// The `trees` row of a stored tree, in [`trees_schema`] column order.
-pub(crate) fn tree_row(
-    tree_id: u64,
-    name: &str,
-    root: StoredNodeId,
-    node_count: u64,
-    leaf_count: u64,
-) -> [Value; 5] {
+pub(crate) fn tree_row(tree_id: u64, name: &str, tree: &Tree, leaf_count: u64) -> [Value; 5] {
+    let root = tree.root_unchecked().0 as u64;
     [
         Value::Int(tree_id as i64),
         Value::text(name),
-        Value::Int(root.0 as i64),
-        Value::Int(node_count as i64),
+        Value::Int(((tree_id << TREE_SHIFT) | root) as i64),
+        Value::Int(tree.node_count() as i64),
         Value::Int(leaf_count as i64),
     ]
 }
@@ -2266,6 +2158,143 @@ fn decode_tree_row(row: &storage::schema::Row) -> TreeRecord {
         root: StoredNodeId(row.values[2].as_int().unwrap_or(0) as u64),
         node_count: row.values[3].as_int().unwrap_or(0) as u64,
         leaf_count: row.values[4].as_int().unwrap_or(0) as u64,
+    }
+}
+
+/// Every per-node value a load stores, by arena id, from one iterative
+/// depth-first pass: the rows, interval entries, depth column and content
+/// address of [`Repository::load_tree`] and [`Repository::store_tree_shared`].
+/// [`Repository::load_tree_reference`] keeps its own traversals as the
+/// independent check.
+pub(crate) struct LoadPass {
+    /// Arena ids in pre-order: the emission order.
+    pub order: Vec<phylo::NodeId>,
+    /// Pre-order rank.
+    pub pre: Vec<u32>,
+    /// Largest pre-order rank in the subtree.
+    pub end: Vec<u32>,
+    /// The parent's pre-order rank (0 for the root).
+    pub parent_pre: Vec<u32>,
+    /// Cumulative branch length from the root.
+    pub root_dist: Vec<f64>,
+    /// Depth in edges from the root.
+    pub depth: Vec<u64>,
+    /// Maximum branch-length distance down to a descendant leaf.
+    pub height: Vec<f64>,
+    /// Canonical clade hash.
+    pub hash: Vec<CladeHash>,
+    /// Distinct clade and split counts of the tree.
+    pub counts: crate::content::CladeCounts,
+    /// Number of leaves.
+    pub leaf_count: u64,
+}
+
+impl LoadPass {
+    /// Run the pass over a non-empty `tree`.
+    pub fn compute(tree: &Tree) -> LoadPass {
+        let n = tree.node_count();
+        let mut p = LoadPass {
+            order: Vec::with_capacity(n),
+            pre: vec![0u32; n],
+            end: vec![0u32; n],
+            parent_pre: vec![0u32; n],
+            root_dist: vec![0.0f64; n],
+            depth: vec![0u64; n],
+            height: vec![0.0f64; n],
+            hash: vec![CladeHash([0u8; clade_hash::CLADE_HASH_LEN]); n],
+            counts: Default::default(),
+            leaf_count: 0,
+        };
+        // Leaf-rank span `[lo, hi]` of every subtree (leaves ranked left to
+        // right), the input of the clade counts.
+        let mut leaf_lo = vec![u32::MAX; n];
+        let mut leaf_hi = vec![0u32; n];
+        let mut hash_scratch: Vec<CladeHash> = Vec::new();
+        let mut next_leaf_rank = 0u32;
+        let root = tree.root_unchecked();
+        p.order.push(root);
+        let mut next_pre = 1u32;
+        let mut stack: Vec<(phylo::NodeId, usize)> = vec![(root, 0)];
+        while let Some(&(node, child_idx)) = stack.last() {
+            let children = tree.children(node);
+            if child_idx < children.len() {
+                stack.last_mut().expect("just peeked").1 += 1;
+                let child = children[child_idx];
+                let ci = child.index();
+                p.pre[ci] = next_pre;
+                next_pre += 1;
+                p.parent_pre[ci] = p.pre[node.index()];
+                p.root_dist[ci] =
+                    p.root_dist[node.index()] + tree.node(child).branch_length_or_zero();
+                p.depth[ci] = p.depth[node.index()] + 1;
+                p.order.push(child);
+                stack.push((child, 0));
+            } else {
+                let ni = node.index();
+                p.end[ni] = next_pre - 1;
+                if children.is_empty() {
+                    p.leaf_count += 1;
+                    p.hash[ni] = CladeHash::leaf(tree.name(node));
+                    leaf_lo[ni] = next_leaf_rank;
+                    leaf_hi[ni] = next_leaf_rank;
+                    next_leaf_rank += 1;
+                } else {
+                    hash_scratch.clear();
+                    hash_scratch.extend(children.iter().map(|c| p.hash[c.index()]));
+                    p.hash[ni] = CladeHash::internal(&mut hash_scratch);
+                }
+                stack.pop();
+                if let Some(&(parent, _)) = stack.last() {
+                    let pi = parent.index();
+                    let lifted = p.height[ni] + tree.node(node).branch_length_or_zero();
+                    if lifted > p.height[pi] {
+                        p.height[pi] = lifted;
+                    }
+                    leaf_lo[pi] = leaf_lo[pi].min(leaf_lo[ni]);
+                    leaf_hi[pi] = leaf_hi[pi].max(leaf_hi[ni]);
+                }
+            }
+        }
+        debug_assert_eq!(p.order.len(), n);
+        p.counts = crate::content::count_clades(
+            p.order
+                .iter()
+                .map(|&v| (leaf_lo[v.index()], leaf_hi[v.index()])),
+            p.leaf_count as u32,
+        );
+        p
+    }
+
+    /// The stored scalars of arena node `v`.
+    pub fn scalars(&self, v: phylo::NodeId) -> NodeScalars {
+        let i = v.index();
+        NodeScalars {
+            root_distance: self.root_dist[i],
+            depth: self.depth[i],
+            preorder: self.pre[i],
+            subtree_height: self.height[i],
+        }
+    }
+
+    /// The covering `ivl_by_pre` entry of arena node `v`.
+    pub fn interval_entry(&self, tree: &Tree, v: phylo::NodeId) -> IntervalEntry {
+        let i = v.index();
+        IntervalEntry {
+            pre: self.pre[i],
+            end: self.end[i],
+            parent_pre: self.parent_pre[i],
+            node: v.0,
+            is_leaf: tree.is_leaf(v),
+        }
+    }
+
+    /// `(depth, parent_pre)` by pre-order rank: the depth column, spanning
+    /// every logical rank.
+    pub fn depth_column(&self) -> Vec<(u32, u32)> {
+        self.order
+            .iter()
+            .map(|v| (self.depth[v.index()] as u32, self.parent_pre[v.index()]))
+            .collect()
     }
 }
 

@@ -17,7 +17,7 @@ use crimson::prelude::*;
 use phylo::builder::figure1_tree;
 use std::path::Path;
 use storage::value::Value;
-use storage::{ColumnDef, Database, Schema, ValueType};
+use storage::{ColumnDef, Database, DbRead, RawIndexId, Schema, ValueType};
 
 /// Build a small repository with one tree + species data, checkpoint it and
 /// close it, returning its path.
@@ -146,12 +146,7 @@ fn missing_interval_entry_is_detected() {
     {
         let mut db = Database::open(&path).unwrap();
         let ivl = db.raw_index("ivl_by_pre").unwrap();
-        let (first_key, _) = db
-            .raw_range(ivl, None, None)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap();
+        let (first_key, _) = raw_entries(&db, ivl).into_iter().next().unwrap();
         assert!(db.raw_delete(ivl, &first_key).unwrap());
         db.flush().unwrap();
     }
@@ -165,12 +160,7 @@ fn contradictory_interval_mapping_is_detected() {
     {
         let mut db = Database::open(&path).unwrap();
         let ivl = db.raw_index("ivl_by_node").unwrap();
-        let (key, packed) = db
-            .raw_range(ivl, None, None)
-            .unwrap()
-            .next()
-            .unwrap()
-            .unwrap();
+        let (key, packed) = raw_entries(&db, ivl).into_iter().next().unwrap();
         // Shift the stored pre-order rank by one: the mapping now
         // contradicts the node row's rank (count stays intact, so only the
         // per-node consistency check can catch it).
@@ -184,17 +174,24 @@ fn contradictory_interval_mapping_is_detected() {
     reopen_and_expect_corrupt(&path, "contradicts its pre-order rank");
 }
 
+/// Every `(key, value)` entry of a raw index, in key order.
+fn raw_entries(db: &Database, id: RawIndexId) -> Vec<(Vec<u8>, u64)> {
+    let mut out = Vec::new();
+    db.raw_scan(id, None, None, &mut |key, value| {
+        out.push((key.to_vec(), value));
+        Ok(true)
+    })
+    .unwrap();
+    out
+}
+
 /// Rewrite the `ivl_by_pre` entries of a closed repository file through
 /// the raw storage engine: `edit` gets every `(key, locator)` pair in key
 /// order and may change any of them.
 fn tamper_ivl_by_pre(path: &Path, edit: impl FnOnce(&mut [(Vec<u8>, u64)])) {
     let mut db = Database::open(path).unwrap();
     let ivl = db.raw_index("ivl_by_pre").unwrap();
-    let mut entries: Vec<(Vec<u8>, u64)> = db
-        .raw_range(ivl, None, None)
-        .unwrap()
-        .map(|e| e.unwrap())
-        .collect();
+    let mut entries = raw_entries(&db, ivl);
     for (key, _) in &entries {
         assert!(db.raw_delete(ivl, key).unwrap());
     }

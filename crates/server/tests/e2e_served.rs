@@ -391,3 +391,130 @@ fn overload_is_shed_with_typed_response() {
     }
     server.shutdown();
 }
+
+/// Pipelined reads beside `Sync` loads: one connection keeps 16 mixed
+/// reads in flight for 20,000 requests while a second connection loads
+/// trees with `Sync` durability. Every correlation id is answered exactly
+/// once, no reply carries an id that was never sent, and each read answers
+/// the same every time it is asked.
+#[test]
+fn pipelined_reads_beside_sync_loads_answer_each_id_once() {
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    const DEPTH: usize = 16;
+    const TOTAL: usize = 20_000;
+
+    let dir = tempfile::tempdir().unwrap();
+    let server = Server::start(ServerConfig::default(), dir.path()).unwrap();
+    let addr = server.addr();
+    let mut reads = Client::connect(addr).unwrap();
+    reads.attach("t").unwrap();
+    let gold = simulation::birth_death::yule_tree(400, 1.0, 7);
+    let tree = match reads
+        .load_tree("gold", &phylo::newick::write(&gold), WireDurability::Sync)
+        .unwrap()
+    {
+        Response::TreeLoaded { tree, .. } => tree,
+        other => panic!("gold load: {other:?}"),
+    };
+    let leaves = match reads.call(&Request::Leaves { tree }).unwrap() {
+        Response::Nodes(ids) => ids,
+        other => panic!("Leaves: {other:?}"),
+    };
+
+    // A fixed cycle of mixed reads over the gold tree.
+    let mut ops = Vec::new();
+    for i in 0..64usize {
+        let a = leaves[i * 37 % leaves.len()];
+        let b = leaves[(i * 101 + 5) % leaves.len()];
+        ops.push(match i % 6 {
+            0 => Request::Lca { a, b },
+            1 => Request::IsAncestor {
+                ancestor: a,
+                node: b,
+            },
+            2 => Request::SpanningClade {
+                nodes: vec![a, b, leaves[i % leaves.len()]],
+            },
+            3 => Request::Project {
+                tree,
+                leaves: (0..6)
+                    .map(|j| leaves[(i + j * 53) % leaves.len()])
+                    .collect(),
+            },
+            4 => Request::SampleUniform {
+                tree,
+                k: 8,
+                seed: i as u64,
+            },
+            _ => Request::TreeByName {
+                name: "gold".to_string(),
+            },
+        });
+    }
+
+    // The second connection loads small trees `Sync` until the reads end.
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).unwrap();
+            client.attach("t").unwrap();
+            let mut loads = 0u64;
+            while !stop.load(Ordering::Acquire) {
+                let tree = simulation::birth_death::yule_tree(32, 1.0, loads);
+                let name = format!("load-{loads}");
+                match client
+                    .load_tree(&name, &phylo::newick::write(&tree), WireDurability::Sync)
+                    .unwrap()
+                {
+                    Response::TreeLoaded { leaves, .. } => assert_eq!(leaves, 32),
+                    other => panic!("sync load: {other:?}"),
+                }
+                loads += 1;
+            }
+            loads
+        })
+    };
+
+    // Correlation id -> op index of every request still in flight.
+    let mut in_flight: HashMap<u64, usize> = HashMap::new();
+    let mut first_answer: Vec<Option<Response>> = vec![None; ops.len()];
+    let (mut sent, mut answered) = (0usize, 0usize);
+    while answered < TOTAL {
+        while sent < TOTAL && in_flight.len() < DEPTH {
+            let op = sent % ops.len();
+            let corr = reads.send(&ops[op]).unwrap();
+            assert!(
+                in_flight.insert(corr, op).is_none(),
+                "correlation id {corr} sent twice"
+            );
+            sent += 1;
+        }
+        let (corr, resp) = reads.recv().unwrap();
+        let op = in_flight.remove(&corr).unwrap_or_else(|| {
+            panic!("reply to correlation id {corr}, which is not in flight: {resp:?}")
+        });
+        answered += 1;
+        assert!(
+            !matches!(resp, Response::Error(_)),
+            "read {:?} failed: {resp:?}",
+            ops[op]
+        );
+        match &first_answer[op] {
+            Some(first) => assert_eq!(&resp, first, "read {:?} changed its answer", ops[op]),
+            None => first_answer[op] = Some(resp),
+        }
+    }
+    stop.store(true, Ordering::Release);
+    let loads = writer.join().expect("writer panicked");
+    assert!(in_flight.is_empty(), "unanswered ids: {in_flight:?}");
+    assert_eq!(sent, TOTAL);
+    assert!(loads > 0, "the loads ran beside the reads");
+
+    // Nothing else arrives: a probe's reply is the next frame on the wire.
+    let probe = reads.send(&Request::Ping).unwrap();
+    assert_eq!(reads.recv().unwrap().0, probe, "a stray reply was queued");
+    server.shutdown();
+}

@@ -15,23 +15,24 @@
 //! ([`DbReader::at_epoch`]) — the buffer pool's version chains serve every
 //! page as of that commit sequence, so neither the writer's in-flight
 //! transaction nor a later commit is visible. The [`DbRead`] trait is
-//! implemented by the writer (`&Database`) and by [`EpochView`], which lets
-//! higher layers write their query engines once.
+//! implemented by the writer ([`Database`]) and by [`EpochView`], which lets
+//! higher layers write their query engines once; each read operation is
+//! itself written once, as a provided method of [`DbRead`]. Everything else
+//! the buffer pool offers (statistics, fault injection, scrubbing,
+//! durability waits) is reached through [`Database::pool`].
 
-use crate::btree::{BTree, RangeIter};
+use crate::btree::BTree;
 use crate::buffer::{
-    BufferPool, BufferStats, CheckpointPolicy, CheckpointerGuard, CrashPoint, EpochPin, PageSource,
-    PinnedPage, ScrubOptions, ScrubStats,
+    BufferPool, CheckpointPolicy, CheckpointerGuard, EpochPin, PageSource, PinnedPage, ScrubOptions,
 };
 use crate::catalog::{Catalog, IndexMeta, RawIndexMeta, TableMeta};
 use crate::error::{StorageError, StorageResult};
 use crate::heap::{HeapFile, RecordId};
-use crate::io::{RetryPolicy, SharedFaultSchedule};
 use crate::page::{Page, PageId};
 use crate::pager::Pager;
 use crate::schema::{Row, Schema};
 use crate::value::Value;
-use crate::wal::{Lsn, RecoveryReport};
+use crate::wal::Lsn;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::Path;
@@ -49,63 +50,214 @@ pub struct RawIndexId(pub usize);
 /// reads its own current state) and pinned snapshot readers
 /// ([`EpochView`], which read one committed state). Higher layers write
 /// their query engines generically over this trait.
-pub trait DbRead {
+///
+/// Every operation is written once, here: a handle supplies only its page
+/// source and catalog metadata (`&BufferPool` for the writer,
+/// [`EpochSnapshot`] for a pinned view), and each method is monomorphized
+/// per source, so no page access goes through dynamic dispatch. The trait
+/// is sealed; the handles above are its only implementations.
+pub trait DbRead: sealed::Access {
+    /// Look up a table id by name.
+    fn table(&self, name: &str) -> StorageResult<TableId> {
+        self.access()
+            .1
+            .catalog
+            .table_id(name)
+            .map(TableId)
+            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
+    }
+
+    /// Names of all tables in creation order.
+    fn table_names(&self) -> Vec<String> {
+        let meta = self.access().1;
+        meta.catalog.tables.iter().map(|t| t.name.clone()).collect()
+    }
+
+    /// The schema of a table.
+    fn schema(&self, table: TableId) -> StorageResult<&Schema> {
+        self.access().1.table_meta(table).map(|t| &t.schema)
+    }
+
+    /// Look up a raw index id by name.
+    fn raw_index(&self, name: &str) -> StorageResult<RawIndexId> {
+        self.access()
+            .1
+            .catalog
+            .raw_indexes
+            .iter()
+            .position(|r| r.name == name)
+            .map(RawIndexId)
+            .ok_or_else(|| StorageError::UnknownIndex(name.to_string()))
+    }
+
     /// Fetch a row by record id.
-    fn get(&self, table: TableId, rid: RecordId) -> StorageResult<Row>;
+    fn get(&self, table: TableId, rid: RecordId) -> StorageResult<Row> {
+        let (src, meta) = self.access();
+        let bytes = meta.heap(table)?.get(src, rid)?;
+        meta.table_meta(table)?.schema.decode_row(&bytes)
+    }
+
     /// Scan every row of a table, in physical order.
-    fn scan(&self, table: TableId) -> StorageResult<Vec<(RecordId, Row)>>;
+    fn scan(&self, table: TableId) -> StorageResult<Vec<(RecordId, Row)>> {
+        let (src, meta) = self.access();
+        let schema = &meta.table_meta(table)?.schema;
+        let mut out = Vec::new();
+        for item in meta.heap(table)?.scan(src)? {
+            let (rid, bytes) = item?;
+            out.push((rid, schema.decode_row(&bytes)?));
+        }
+        Ok(out)
+    }
+
     /// Number of rows in a table.
-    fn row_count(&self, table: TableId) -> StorageResult<usize>;
+    fn row_count(&self, table: TableId) -> StorageResult<usize> {
+        let (src, meta) = self.access();
+        meta.heap(table)?.len(src)
+    }
+
+    /// Exact-match lookup through the index on `column`.
+    fn index_lookup(
+        &self,
+        table: TableId,
+        column: &str,
+        value: &Value,
+    ) -> StorageResult<Vec<RecordId>> {
+        let (src, meta) = self.access();
+        let unique = meta.index_meta(table, column)?.unique;
+        let btree = meta.index(table, column)?;
+        if unique {
+            Ok(btree
+                .get(src, &value.key_bytes())?
+                .map(RecordId::from_u64)
+                .into_iter()
+                .collect())
+        } else {
+            // Non-unique keys carry a record-id suffix; scan the value prefix.
+            let low = value.key_bytes();
+            let mut high = low.clone();
+            high.extend_from_slice(&[0xFF; 9]);
+            let mut out = Vec::new();
+            for item in btree.range(src, Some(&low), Some(&high))? {
+                let (_, v) = item?;
+                out.push(RecordId::from_u64(v));
+            }
+            Ok(out)
+        }
+    }
+
     /// Exact-match lookup through the index on `column`, returning full rows.
     fn lookup_rows(
         &self,
         table: TableId,
         column: &str,
         value: &Value,
-    ) -> StorageResult<Vec<(RecordId, Row)>>;
-    /// Range scan through the index on `column`: `low ≤ value < high`.
+    ) -> StorageResult<Vec<(RecordId, Row)>> {
+        self.index_lookup(table, column, value)?
+            .into_iter()
+            .map(|rid| Ok((rid, self.get(table, rid)?)))
+            .collect()
+    }
+
+    /// Range scan through the index on `column`: `low ≤ value < high`
+    /// (`None` = unbounded). Returns record ids in key order.
     fn index_range(
         &self,
         table: TableId,
         column: &str,
         low: Option<&Value>,
         high: Option<&Value>,
-    ) -> StorageResult<Vec<RecordId>>;
+    ) -> StorageResult<Vec<RecordId>> {
+        let (src, meta) = self.access();
+        meta.index_meta(table, column)?;
+        let btree = meta.index(table, column)?;
+        let low_key = low.map(|v| v.key_bytes());
+        let high_key = high.map(|v| v.key_bytes());
+        let mut out = Vec::new();
+        for item in btree.range(src, low_key.as_deref(), high_key.as_deref())? {
+            let (_, v) = item?;
+            out.push(RecordId::from_u64(v));
+        }
+        Ok(out)
+    }
+
     /// Point lookup in a raw index.
-    fn raw_get(&self, id: RawIndexId, key: &[u8]) -> StorageResult<Option<u64>>;
+    fn raw_get(&self, id: RawIndexId, key: &[u8]) -> StorageResult<Option<u64>> {
+        let (src, meta) = self.access();
+        meta.raw_btree(id)?.get(src, key)
+    }
+
     /// Number of entries in a raw index (full scan).
-    fn raw_len(&self, id: RawIndexId) -> StorageResult<usize>;
+    fn raw_len(&self, id: RawIndexId) -> StorageResult<usize> {
+        let (src, meta) = self.access();
+        meta.raw_btree(id)?.len(src)
+    }
+
     /// Visit the first raw-index entry in `low ≤ key < high` with `f` on
-    /// the borrowed in-page key bytes.
+    /// the borrowed in-page key bytes — an allocation-free point probe for
+    /// covering keys.
     fn raw_first_in_range<R>(
         &self,
         id: RawIndexId,
         low: &[u8],
         high: &[u8],
         f: impl FnOnce(&[u8], u64) -> R,
-    ) -> StorageResult<Option<R>>;
-    /// Walk a raw-index key range in order, calling `f` per entry; `f`
-    /// returning `Ok(false)` stops the scan early.
+    ) -> StorageResult<Option<R>> {
+        let (src, meta) = self.access();
+        meta.raw_btree(id)?.first_in_range(src, low, high, f)
+    }
+
+    /// Walk a raw-index key range (`low ≤ key < high`, `None` = unbounded)
+    /// in order, calling `f` per entry straight from the pinned leaf
+    /// frames; `f` returning `Ok(false)` stops the scan early.
     fn raw_scan(
         &self,
         id: RawIndexId,
         low: Option<&[u8]>,
         high: Option<&[u8]>,
         f: &mut dyn FnMut(&[u8], u64) -> StorageResult<bool>,
-    ) -> StorageResult<()>;
+    ) -> StorageResult<()> {
+        let (src, meta) = self.access();
+        for item in meta.raw_btree(id)?.range(src, low, high)? {
+            let (key, value) = item?;
+            if !f(&key, value)? {
+                break;
+            }
+        }
+        Ok(())
+    }
 }
 
-/// In-memory handles derived from the on-disk catalog: table metadata, heap
-/// files and B+tree roots. The writer owns one (kept in lockstep with its
-/// mutations); every [`DbReader`] caches one per recent commit point,
-/// shared by the [`EpochView`]s pinned at it.
-#[derive(Clone)]
-struct Meta {
-    catalog: Catalog,
-    heaps: HashMap<usize, HeapFile>,
-    indexes: HashMap<(usize, String), BTree>,
-    raw: Vec<BTree>,
+/// The seal on [`DbRead`]: the accessor every read operation is written
+/// against, and the catalog metadata it hands out. Both are nameable only
+/// inside this module, so no other crate can implement [`DbRead`].
+mod sealed {
+    use super::*;
+
+    /// In-memory handles derived from the on-disk catalog: table metadata,
+    /// heap files and B+tree roots. The writer owns one (kept in lockstep
+    /// with its mutations); every [`DbReader`] caches one per recent commit
+    /// point, shared by the [`EpochView`]s pinned at it.
+    pub struct Meta {
+        pub(super) catalog: Catalog,
+        pub(super) heaps: HashMap<usize, HeapFile>,
+        pub(super) indexes: HashMap<(usize, String), BTree>,
+        pub(super) raw: Vec<BTree>,
+    }
+
+    /// A read handle's page source and the catalog metadata valid for it.
+    pub trait Access {
+        /// Where pages come from: `&BufferPool` for the writer,
+        /// [`EpochSnapshot`] for a pinned view.
+        type Source<'s>: PageSource
+        where
+            Self: 's;
+
+        /// The page source and metadata every [`DbRead`] operation reads.
+        fn access(&self) -> (Self::Source<'_>, &Meta);
+    }
 }
+
+use sealed::{Access, Meta};
 
 impl Meta {
     fn empty() -> Meta {
@@ -185,133 +337,6 @@ impl Meta {
             .get(id.0)
             .ok_or_else(|| StorageError::UnknownIndex(format!("raw #{}", id.0)))
     }
-
-    // ---- read operations, generic over the page source ----
-
-    fn get<S: PageSource>(&self, src: S, table: TableId, rid: RecordId) -> StorageResult<Row> {
-        let meta = self.table_meta(table)?;
-        let heap = self.heap(table)?;
-        let bytes = heap.get(src, rid)?;
-        meta.schema.decode_row(&bytes)
-    }
-
-    fn scan<S: PageSource>(&self, src: S, table: TableId) -> StorageResult<Vec<(RecordId, Row)>> {
-        let meta = self.table_meta(table)?;
-        let heap = self.heap(table)?;
-        let mut out = Vec::new();
-        for item in heap.scan(src)? {
-            let (rid, bytes) = item?;
-            out.push((rid, meta.schema.decode_row(&bytes)?));
-        }
-        Ok(out)
-    }
-
-    fn row_count<S: PageSource>(&self, src: S, table: TableId) -> StorageResult<usize> {
-        self.heap(table)?.len(src)
-    }
-
-    fn index_lookup<S: PageSource>(
-        &self,
-        src: S,
-        table: TableId,
-        column: &str,
-        value: &Value,
-    ) -> StorageResult<Vec<RecordId>> {
-        let idx_meta = self.index_meta(table, column)?;
-        let btree = self.index(table, column)?;
-        if idx_meta.unique {
-            Ok(btree
-                .get(src, &value.key_bytes())?
-                .map(RecordId::from_u64)
-                .into_iter()
-                .collect())
-        } else {
-            // Non-unique keys carry a record-id suffix; scan the value prefix.
-            let low = value.key_bytes();
-            let mut high = low.clone();
-            high.extend_from_slice(&[0xFF; 9]);
-            let mut out = Vec::new();
-            for item in btree.range(src, Some(&low), Some(&high))? {
-                let (_, v) = item?;
-                out.push(RecordId::from_u64(v));
-            }
-            Ok(out)
-        }
-    }
-
-    fn index_range<S: PageSource>(
-        &self,
-        src: S,
-        table: TableId,
-        column: &str,
-        low: Option<&Value>,
-        high: Option<&Value>,
-    ) -> StorageResult<Vec<RecordId>> {
-        let _ = self.index_meta(table, column)?;
-        let btree = self.index(table, column)?;
-        let low_key = low.map(|v| v.key_bytes());
-        let high_key = high.map(|v| v.key_bytes());
-        let mut out = Vec::new();
-        for item in btree.range(src, low_key.as_deref(), high_key.as_deref())? {
-            let (_, v) = item?;
-            out.push(RecordId::from_u64(v));
-        }
-        Ok(out)
-    }
-
-    fn lookup_rows<S: PageSource>(
-        &self,
-        src: S,
-        table: TableId,
-        column: &str,
-        value: &Value,
-    ) -> StorageResult<Vec<(RecordId, Row)>> {
-        let rids = self.index_lookup(src, table, column, value)?;
-        rids.into_iter()
-            .map(|rid| Ok((rid, self.get(src, table, rid)?)))
-            .collect()
-    }
-
-    fn raw_get<S: PageSource>(
-        &self,
-        src: S,
-        id: RawIndexId,
-        key: &[u8],
-    ) -> StorageResult<Option<u64>> {
-        self.raw_btree(id)?.get(src, key)
-    }
-
-    fn raw_len<S: PageSource>(&self, src: S, id: RawIndexId) -> StorageResult<usize> {
-        self.raw_btree(id)?.len(src)
-    }
-
-    fn raw_first_in_range<S: PageSource, R>(
-        &self,
-        src: S,
-        id: RawIndexId,
-        low: &[u8],
-        high: &[u8],
-        f: impl FnOnce(&[u8], u64) -> R,
-    ) -> StorageResult<Option<R>> {
-        self.raw_btree(id)?.first_in_range(src, low, high, f)
-    }
-
-    fn raw_scan<S: PageSource>(
-        &self,
-        src: S,
-        id: RawIndexId,
-        low: Option<&[u8]>,
-        high: Option<&[u8]>,
-        f: &mut dyn FnMut(&[u8], u64) -> StorageResult<bool>,
-    ) -> StorageResult<()> {
-        for item in self.raw_btree(id)?.range(src, low, high)? {
-            let (key, value) = item?;
-            if !f(&key, value)? {
-                break;
-            }
-        }
-        Ok(())
-    }
 }
 
 /// An embedded, disk-backed record store with secondary B+tree indexes.
@@ -357,7 +382,7 @@ impl Database {
     /// Opening runs crash recovery against the sibling write-ahead log;
     /// committed transactions since the last checkpoint are replayed and
     /// interrupted ones rolled back before the catalog is read (see
-    /// [`Database::recovery_report`]).
+    /// [`BufferPool::recovery_report`], reached through [`Database::pool`]).
     pub fn open_with_capacity(path: impl AsRef<Path>, pages: usize) -> StorageResult<Self> {
         let pager = Pager::open(path)?;
         let pool = BufferPool::with_capacity(pager, pages)?;
@@ -416,7 +441,7 @@ impl Database {
 
     /// Commit the open transaction *asynchronously*: the commit is logged
     /// and visible (atomic on crash) but not yet durable. The returned
-    /// commit LSN can be handed to [`Database::wait_durable`]; the next
+    /// commit LSN can be handed to [`BufferPool::wait_durable`]; the next
     /// synchronous commit, group fsync or checkpoint also covers it.
     pub fn commit_async(&mut self) -> StorageResult<Lsn> {
         match self.pool.commit_txn(false) {
@@ -428,17 +453,6 @@ impl Database {
                 Err(e)
             }
         }
-    }
-
-    /// Block until the log is durable up to `lsn` (leading or following a
-    /// group fsync — see `BufferPool::wait_durable`).
-    pub fn wait_durable(&self, lsn: Lsn) -> StorageResult<()> {
-        self.pool.wait_durable(lsn)
-    }
-
-    /// Absolute LSN up to which the write-ahead log is known durable.
-    pub fn durable_lsn(&self) -> Lsn {
-        self.pool.durable_lsn()
     }
 
     /// Start the background checkpoint thread on this database's buffer
@@ -454,11 +468,6 @@ impl Database {
         let result = self.pool.rollback_txn();
         let reload = self.reload_meta();
         result.and(reload)
-    }
-
-    /// `true` while an explicit transaction is open.
-    pub fn in_transaction(&self) -> bool {
-        self.pool.in_txn()
     }
 
     /// Run `f` inside the open transaction, or wrap it in an implicit
@@ -489,40 +498,10 @@ impl Database {
         }
     }
 
-    /// The crash-recovery outcome from opening this database, when the file
-    /// pre-existed. `None` for a freshly created database.
-    pub fn recovery_report(&self) -> Option<RecoveryReport> {
-        self.pool.recovery_report()
-    }
-
     /// Enable or disable write-ahead logging (bench baseline only; disabled
     /// logging forfeits crash safety). Fails inside a transaction.
     pub fn set_logging(&mut self, enabled: bool) -> StorageResult<()> {
         self.pool.set_logging(enabled)
-    }
-
-    /// Inject a simulated crash at the given point (test instrumentation
-    /// for the crash-recovery suites; see [`CrashPoint`]).
-    pub fn inject_crash(&self, point: CrashPoint) {
-        self.pool.inject_crash(point)
-    }
-
-    /// Install a deterministic fault-injection schedule over the data and
-    /// log files (see [`crate::io::FaultSchedule`]). Fails if one is
-    /// already installed.
-    pub fn install_fault_schedule(&self, schedule: SharedFaultSchedule) -> StorageResult<()> {
-        self.pool.install_fault_schedule(schedule)
-    }
-
-    /// The installed fault schedule, if any.
-    pub fn fault_schedule(&self) -> Option<SharedFaultSchedule> {
-        self.pool.fault_schedule()
-    }
-
-    /// Set the transient-I/O retry policy for both the data file and the
-    /// write-ahead log.
-    pub fn set_io_retry_policy(&self, policy: RetryPolicy) {
-        self.pool.set_io_retry_policy(policy)
     }
 
     /// Open an existing database in **degraded read-only mode**: mutation
@@ -545,30 +524,6 @@ impl Database {
         // chain cannot block the open.
         db.meta = Meta::load_from(&*db.pool, false)?;
         Ok(db)
-    }
-
-    /// Whether this database is in read-only (degraded) mode.
-    pub fn read_only(&self) -> bool {
-        self.pool.read_only()
-    }
-
-    /// Whether an earlier fsync failure poisoned the writer (reads keep
-    /// working; reopen to recover from the log).
-    pub fn is_poisoned(&self) -> bool {
-        self.pool.is_poisoned()
-    }
-
-    /// Page ids quarantined after unrepairable checksum failures.
-    pub fn quarantined_pages(&self) -> Vec<u64> {
-        self.pool.quarantined_pages()
-    }
-
-    /// Incremental media scrub: verify every page's checksum, backfilling
-    /// missing ones, repairing failures from a resident frame or the WAL
-    /// and quarantining what cannot be repaired. See
-    /// [`BufferPool::scrub`].
-    pub fn scrub(&self, opts: ScrubOptions) -> StorageResult<ScrubStats> {
-        self.pool.scrub(opts)
     }
 
     // ------------------------------------------------------------------
@@ -596,30 +551,6 @@ impl Database {
         self.meta.heaps.insert(tid, heap);
         self.meta.catalog.save(&self.pool)?;
         Ok(TableId(tid))
-    }
-
-    /// Look up a table id by name.
-    pub fn table(&self, name: &str) -> StorageResult<TableId> {
-        self.meta
-            .catalog
-            .table_id(name)
-            .map(TableId)
-            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
-    }
-
-    /// The schema of a table.
-    pub fn schema(&self, table: TableId) -> StorageResult<&Schema> {
-        self.meta.table_meta(table).map(|t| &t.schema)
-    }
-
-    /// Names of all tables in creation order.
-    pub fn table_names(&self) -> Vec<String> {
-        self.meta
-            .catalog
-            .tables
-            .iter()
-            .map(|t| t.name.clone())
-            .collect()
     }
 
     /// Create a secondary index over `column`. Existing rows are indexed
@@ -893,11 +824,6 @@ impl Database {
         Ok(false)
     }
 
-    /// Fetch a row by record id.
-    pub fn get(&self, table: TableId, rid: RecordId) -> StorageResult<Row> {
-        self.meta.get(&*self.pool, table, rid)
-    }
-
     /// Delete a row by record id, maintaining indexes.
     pub fn delete(&mut self, table: TableId, rid: RecordId) -> StorageResult<()> {
         self.autocommit(|db| db.delete_inner(table, rid))
@@ -916,51 +842,9 @@ impl Database {
         heap.delete(&self.pool, rid)
     }
 
-    /// Scan every row of a table, in physical order.
-    pub fn scan(&self, table: TableId) -> StorageResult<Vec<(RecordId, Row)>> {
-        self.meta.scan(&*self.pool, table)
-    }
-
-    /// Number of rows in a table.
-    pub fn row_count(&self, table: TableId) -> StorageResult<usize> {
-        self.meta.row_count(&*self.pool, table)
-    }
-
     // ------------------------------------------------------------------
     // Index access paths
     // ------------------------------------------------------------------
-
-    /// Exact-match lookup through the index on `column`.
-    pub fn index_lookup(
-        &self,
-        table: TableId,
-        column: &str,
-        value: &Value,
-    ) -> StorageResult<Vec<RecordId>> {
-        self.meta.index_lookup(&*self.pool, table, column, value)
-    }
-
-    /// Range scan through the index on `column`: `low ≤ value < high`
-    /// (`None` = unbounded). Returns record ids in key order.
-    pub fn index_range(
-        &self,
-        table: TableId,
-        column: &str,
-        low: Option<&Value>,
-        high: Option<&Value>,
-    ) -> StorageResult<Vec<RecordId>> {
-        self.meta.index_range(&*self.pool, table, column, low, high)
-    }
-
-    /// Convenience: fetch full rows through [`Database::index_lookup`].
-    pub fn lookup_rows(
-        &self,
-        table: TableId,
-        column: &str,
-        value: &Value,
-    ) -> StorageResult<Vec<(RecordId, Row)>> {
-        self.meta.lookup_rows(&*self.pool, table, column, value)
-    }
 
     // ------------------------------------------------------------------
     // Raw (table-less) B+tree indexes
@@ -985,17 +869,6 @@ impl Database {
         self.meta.raw.push(btree);
         self.meta.catalog.save(&self.pool)?;
         Ok(RawIndexId(self.meta.raw.len() - 1))
-    }
-
-    /// Look up a raw index id by name.
-    pub fn raw_index(&self, name: &str) -> StorageResult<RawIndexId> {
-        self.meta
-            .catalog
-            .raw_indexes
-            .iter()
-            .position(|r| r.name == name)
-            .map(RawIndexId)
-            .ok_or_else(|| StorageError::UnknownIndex(name.to_string()))
     }
 
     /// Insert a key/value pair into a raw index. Root splits are persisted
@@ -1078,41 +951,6 @@ impl Database {
         })
     }
 
-    /// Point lookup in a raw index.
-    pub fn raw_get(&self, id: RawIndexId, key: &[u8]) -> StorageResult<Option<u64>> {
-        self.meta.raw_get(&*self.pool, id, key)
-    }
-
-    /// Range scan over a raw index: `low ≤ key < high`, `None` = unbounded.
-    /// The iterator yields `(key, value)` pairs straight from pinned leaf
-    /// frames — no heap rows are fetched.
-    pub fn raw_range(
-        &self,
-        id: RawIndexId,
-        low: Option<&[u8]>,
-        high: Option<&[u8]>,
-    ) -> StorageResult<RangeIter<&BufferPool>> {
-        self.meta.raw_btree(id)?.range(&*self.pool, low, high)
-    }
-
-    /// Visit the first raw-index entry in `low ≤ key < high` with `f` on
-    /// the borrowed in-page key bytes — an allocation-free point probe for
-    /// covering keys.
-    pub fn raw_first_in_range<R>(
-        &self,
-        id: RawIndexId,
-        low: &[u8],
-        high: &[u8],
-        f: impl FnOnce(&[u8], u64) -> R,
-    ) -> StorageResult<Option<R>> {
-        self.meta.raw_first_in_range(&*self.pool, id, low, high, f)
-    }
-
-    /// Number of entries in a raw index (full scan).
-    pub fn raw_len(&self, id: RawIndexId) -> StorageResult<usize> {
-        self.meta.raw_len(&*self.pool, id)
-    }
-
     // ------------------------------------------------------------------
     // Maintenance
     // ------------------------------------------------------------------
@@ -1128,27 +966,8 @@ impl Database {
         self.pool.flush()
     }
 
-    /// Buffer-pool statistics (hits, misses, evictions).
-    pub fn buffer_stats(&self) -> BufferStats {
-        self.pool.stats()
-    }
-
-    /// Reset buffer-pool statistics.
-    pub fn reset_buffer_stats(&self) {
-        self.pool.reset_stats()
-    }
-
-    /// Drop cached pages (after flushing) to measure cold-start behaviour.
-    pub fn clear_cache(&self) -> StorageResult<()> {
-        self.pool.clear_cache()
-    }
-
-    /// Total pages allocated in the file.
-    pub fn page_count(&self) -> u64 {
-        self.pool.page_count()
-    }
-
-    /// Direct access to the buffer pool (used by tests and benches).
+    /// The buffer pool under this database: statistics, cache control,
+    /// fault injection, scrubbing, recovery and durability state.
     pub fn pool(&self) -> &BufferPool {
         &self.pool
     }
@@ -1166,127 +985,30 @@ impl Database {
     }
 }
 
-impl DbRead for Database {
-    fn get(&self, table: TableId, rid: RecordId) -> StorageResult<Row> {
-        Database::get(self, table, rid)
-    }
+impl Access for Database {
+    type Source<'s> = &'s BufferPool;
 
-    fn scan(&self, table: TableId) -> StorageResult<Vec<(RecordId, Row)>> {
-        Database::scan(self, table)
-    }
-
-    fn row_count(&self, table: TableId) -> StorageResult<usize> {
-        Database::row_count(self, table)
-    }
-
-    fn lookup_rows(
-        &self,
-        table: TableId,
-        column: &str,
-        value: &Value,
-    ) -> StorageResult<Vec<(RecordId, Row)>> {
-        Database::lookup_rows(self, table, column, value)
-    }
-
-    fn index_range(
-        &self,
-        table: TableId,
-        column: &str,
-        low: Option<&Value>,
-        high: Option<&Value>,
-    ) -> StorageResult<Vec<RecordId>> {
-        Database::index_range(self, table, column, low, high)
-    }
-
-    fn raw_get(&self, id: RawIndexId, key: &[u8]) -> StorageResult<Option<u64>> {
-        Database::raw_get(self, id, key)
-    }
-
-    fn raw_len(&self, id: RawIndexId) -> StorageResult<usize> {
-        Database::raw_len(self, id)
-    }
-
-    fn raw_first_in_range<R>(
-        &self,
-        id: RawIndexId,
-        low: &[u8],
-        high: &[u8],
-        f: impl FnOnce(&[u8], u64) -> R,
-    ) -> StorageResult<Option<R>> {
-        Database::raw_first_in_range(self, id, low, high, f)
-    }
-
-    fn raw_scan(
-        &self,
-        id: RawIndexId,
-        low: Option<&[u8]>,
-        high: Option<&[u8]>,
-        f: &mut dyn FnMut(&[u8], u64) -> StorageResult<bool>,
-    ) -> StorageResult<()> {
-        self.meta.raw_scan(&*self.pool, id, low, high, f)
+    #[inline]
+    fn access(&self) -> (&BufferPool, &Meta) {
+        (&self.pool, &self.meta)
     }
 }
 
-impl<T: DbRead> DbRead for &T {
-    fn get(&self, table: TableId, rid: RecordId) -> StorageResult<Row> {
-        T::get(self, table, rid)
-    }
+impl DbRead for Database {}
 
-    fn scan(&self, table: TableId) -> StorageResult<Vec<(RecordId, Row)>> {
-        T::scan(self, table)
-    }
+impl<T: DbRead> Access for &T {
+    type Source<'s>
+        = T::Source<'s>
+    where
+        Self: 's;
 
-    fn row_count(&self, table: TableId) -> StorageResult<usize> {
-        T::row_count(self, table)
-    }
-
-    fn lookup_rows(
-        &self,
-        table: TableId,
-        column: &str,
-        value: &Value,
-    ) -> StorageResult<Vec<(RecordId, Row)>> {
-        T::lookup_rows(self, table, column, value)
-    }
-
-    fn index_range(
-        &self,
-        table: TableId,
-        column: &str,
-        low: Option<&Value>,
-        high: Option<&Value>,
-    ) -> StorageResult<Vec<RecordId>> {
-        T::index_range(self, table, column, low, high)
-    }
-
-    fn raw_get(&self, id: RawIndexId, key: &[u8]) -> StorageResult<Option<u64>> {
-        T::raw_get(self, id, key)
-    }
-
-    fn raw_len(&self, id: RawIndexId) -> StorageResult<usize> {
-        T::raw_len(self, id)
-    }
-
-    fn raw_first_in_range<R>(
-        &self,
-        id: RawIndexId,
-        low: &[u8],
-        high: &[u8],
-        f: impl FnOnce(&[u8], u64) -> R,
-    ) -> StorageResult<Option<R>> {
-        T::raw_first_in_range(self, id, low, high, f)
-    }
-
-    fn raw_scan(
-        &self,
-        id: RawIndexId,
-        low: Option<&[u8]>,
-        high: Option<&[u8]>,
-        f: &mut dyn FnMut(&[u8], u64) -> StorageResult<bool>,
-    ) -> StorageResult<()> {
-        T::raw_scan(self, id, low, high, f)
+    #[inline]
+    fn access(&self) -> (T::Source<'_>, &Meta) {
+        T::access(self)
     }
 }
+
+impl<T: DbRead> DbRead for &T {}
 
 /// Entries kept in a reader's pinned-epoch metadata cache. Read brackets
 /// are short, so a handful of recent commit points covers the traffic.
@@ -1433,34 +1155,6 @@ impl EpochView<'_> {
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
-
-    /// Look up a table id by name in the epoch's catalog.
-    pub fn table(&self, name: &str) -> StorageResult<TableId> {
-        self.meta
-            .catalog
-            .table_id(name)
-            .map(TableId)
-            .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
-    }
-
-    /// Look up a raw index id by name in the epoch's catalog.
-    pub fn raw_index(&self, name: &str) -> StorageResult<RawIndexId> {
-        self.meta
-            .catalog
-            .raw_indexes
-            .iter()
-            .position(|r| r.name == name)
-            .map(RawIndexId)
-            .ok_or_else(|| StorageError::UnknownIndex(name.to_string()))
-    }
-
-    fn source(&self) -> EpochSnapshot<'_> {
-        EpochSnapshot {
-            pool: &self.reader.pool,
-            epoch: self.epoch,
-            root: self.root,
-        }
-    }
 }
 
 impl std::fmt::Debug for EpochView<'_> {
@@ -1471,68 +1165,24 @@ impl std::fmt::Debug for EpochView<'_> {
     }
 }
 
-impl DbRead for EpochView<'_> {
-    fn get(&self, table: TableId, rid: RecordId) -> StorageResult<Row> {
-        self.meta.get(self.source(), table, rid)
-    }
+impl<'a> Access for EpochView<'a> {
+    type Source<'s>
+        = EpochSnapshot<'a>
+    where
+        Self: 's;
 
-    fn scan(&self, table: TableId) -> StorageResult<Vec<(RecordId, Row)>> {
-        self.meta.scan(self.source(), table)
-    }
-
-    fn row_count(&self, table: TableId) -> StorageResult<usize> {
-        self.meta.row_count(self.source(), table)
-    }
-
-    fn lookup_rows(
-        &self,
-        table: TableId,
-        column: &str,
-        value: &Value,
-    ) -> StorageResult<Vec<(RecordId, Row)>> {
-        self.meta.lookup_rows(self.source(), table, column, value)
-    }
-
-    fn index_range(
-        &self,
-        table: TableId,
-        column: &str,
-        low: Option<&Value>,
-        high: Option<&Value>,
-    ) -> StorageResult<Vec<RecordId>> {
-        self.meta
-            .index_range(self.source(), table, column, low, high)
-    }
-
-    fn raw_get(&self, id: RawIndexId, key: &[u8]) -> StorageResult<Option<u64>> {
-        self.meta.raw_get(self.source(), id, key)
-    }
-
-    fn raw_len(&self, id: RawIndexId) -> StorageResult<usize> {
-        self.meta.raw_len(self.source(), id)
-    }
-
-    fn raw_first_in_range<R>(
-        &self,
-        id: RawIndexId,
-        low: &[u8],
-        high: &[u8],
-        f: impl FnOnce(&[u8], u64) -> R,
-    ) -> StorageResult<Option<R>> {
-        self.meta
-            .raw_first_in_range(self.source(), id, low, high, f)
-    }
-
-    fn raw_scan(
-        &self,
-        id: RawIndexId,
-        low: Option<&[u8]>,
-        high: Option<&[u8]>,
-        f: &mut dyn FnMut(&[u8], u64) -> StorageResult<bool>,
-    ) -> StorageResult<()> {
-        self.meta.raw_scan(self.source(), id, low, high, f)
+    #[inline]
+    fn access(&self) -> (EpochSnapshot<'a>, &Meta) {
+        let source = EpochSnapshot {
+            pool: &self.reader.pool,
+            epoch: self.epoch,
+            root: self.root,
+        };
+        (source, &self.meta)
     }
 }
+
+impl DbRead for EpochView<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -1797,8 +1447,8 @@ mod tests {
             let hits = db.index_lookup(t, "node_id", &Value::Int(probe)).unwrap();
             assert_eq!(hits.len(), 1, "probe {probe}");
         }
-        assert!(db.buffer_stats().evictions > 0);
-        assert!(db.page_count() > 16);
+        assert!(db.pool().stats().evictions > 0);
+        assert!(db.pool().page_count() > 16);
     }
 
     #[test]
@@ -1831,11 +1481,12 @@ mod tests {
         // Bounded range scan decodes covering keys without heap access.
         let low = 100u64.to_be_bytes();
         let high = 110u64.to_be_bytes();
-        let hits: Vec<(Vec<u8>, u64)> = db
-            .raw_range(idx, Some(&low), Some(&high))
-            .unwrap()
-            .collect::<StorageResult<_>>()
-            .unwrap();
+        let mut hits: Vec<(Vec<u8>, u64)> = Vec::new();
+        db.raw_scan(idx, Some(&low), Some(&high), &mut |key, value| {
+            hits.push((key.to_vec(), value));
+            Ok(true)
+        })
+        .unwrap();
         assert_eq!(hits.len(), 10);
         assert_eq!(hits[0].1, 200);
         assert_eq!(&hits[0].0[8..], &[0xAB; 9]);
@@ -1883,12 +1534,12 @@ mod tests {
             )
             .unwrap();
         }
-        db.clear_cache().unwrap();
-        db.reset_buffer_stats();
+        db.pool().clear_cache().unwrap();
+        db.pool().reset_stats();
         let hits = db.index_lookup(t, "node_id", &Value::Int(123)).unwrap();
         assert_eq!(hits.len(), 1);
-        assert!(db.buffer_stats().misses > 0);
-        assert_eq!(db.buffer_stats().hit_ratio(), db.buffer_stats().hit_ratio());
+        assert!(db.pool().stats().misses > 0);
+        assert_eq!(db.pool().stats().hit_ratio(), db.pool().stats().hit_ratio());
     }
 
     #[test]
@@ -2128,24 +1779,24 @@ mod tests {
         let mut db = Database::create_with_capacity(dir.path().join("db.crdb"), 64).unwrap();
         let t = db.create_table("species", species_schema()).unwrap();
         db.create_index(t, "node_id", true).unwrap();
-        db.reset_buffer_stats();
+        db.pool().reset_stats();
         db.begin().unwrap();
         db.bulk_insert(t, 0.9, (0..20_000).map(species_row))
             .unwrap();
         db.commit().unwrap();
-        let stats = db.buffer_stats();
+        let stats = db.pool().stats();
         assert!(stats.evictions > 0, "the load must overflow the pool");
         db.flush().unwrap();
-        let data_bytes = (db.buffer_stats().page_writes() * PAGE_SIZE as u64) as f64;
-        let ratio = db.buffer_stats().wal_bytes as f64 / data_bytes;
+        let data_bytes = (db.pool().stats().page_writes() * PAGE_SIZE as u64) as f64;
+        let ratio = db.pool().stats().wal_bytes as f64 / data_bytes;
         assert!(
             ratio <= 1.1,
             "WAL bytes must stay within 1.1x of data bytes, got {ratio:.3} \
              ({} WAL bytes, {} page writes)",
-            db.buffer_stats().wal_bytes,
-            db.buffer_stats().page_writes()
+            db.pool().stats().wal_bytes,
+            db.pool().stats().page_writes()
         );
-        assert!(db.buffer_stats().wal_page_images > 0);
+        assert!(db.pool().stats().wal_page_images > 0);
     }
 
     // ------------------------------------------------------------------

@@ -72,7 +72,7 @@
 //! [`db::Database::flush`] is a checkpoint: it makes the data file durable
 //! and truncates the log. Opening an existing file replays the log — redo
 //! for committed transactions, undo for losers — before anything reads the
-//! catalog ([`db::Database::recovery_report`]). `ARCHITECTURE.md` documents
+//! catalog ([`buffer::BufferPool::recovery_report`]). `ARCHITECTURE.md` documents
 //! the on-disk formats and the recovery protocol in full.
 //!
 //! The engine intentionally supports exactly the operational envelope the
@@ -82,7 +82,7 @@
 //! See `DESIGN.md` §2 for the substitution argument.
 //!
 //! ```
-//! use storage::db::Database;
+//! use storage::db::{Database, DbRead};
 //! use storage::schema::{ColumnDef, Schema};
 //! use storage::value::{Value, ValueType};
 //!

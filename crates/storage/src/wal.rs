@@ -181,7 +181,7 @@ pub struct WalStats {
 }
 
 /// Outcome of crash recovery, reported by
-/// [`crate::db::Database::recovery_report`].
+/// [`crate::buffer::BufferPool::recovery_report`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Bytes of log scanned.

@@ -7,7 +7,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use storage::buffer::BufferPool;
-use storage::db::Database;
+use storage::db::{Database, DbRead};
 use storage::pager::Pager;
 use storage::{
     shared_schedule, FaultConfig, FaultSchedule, PageId, ScrubOptions, StorageError, PAGE_SIZE,
@@ -256,8 +256,8 @@ fn degraded_open_quarantines_damage_and_rejects_writes() {
     corrupt_byte(&path, victim * PAGE_SIZE as u64 + 1000);
 
     let db = Database::open_degraded(&path, 64).unwrap();
-    assert!(db.read_only());
-    assert_eq!(db.quarantined_pages(), vec![victim]);
+    assert!(db.pool().read_only());
+    assert_eq!(db.pool().quarantined_pages(), vec![victim]);
 
     // Mutations are refused with a typed error.
     let mut db = db;

@@ -2,7 +2,7 @@
 //! crash injection at WAL-append / data-write / checkpoint-truncate points,
 //! and torn-tail fuzzing of the log file.
 
-use storage::db::Database;
+use storage::db::{Database, DbRead};
 use storage::schema::{ColumnDef, Schema};
 use storage::value::{Value, ValueType};
 use storage::CrashPoint;
@@ -36,6 +36,7 @@ fn committed_transaction_survives_reopen_without_flush() {
     }
     let db = Database::open(&path).unwrap();
     let report = db
+        .pool()
         .recovery_report()
         .expect("pre-existing file reports recovery");
     assert!(report.committed_txns >= 1);
@@ -121,7 +122,7 @@ fn crash_at_wal_append(n: u64) {
         }
         db.commit().unwrap();
         committed_rows = 40;
-        db.inject_crash(CrashPoint::WalAppend(n));
+        db.pool().inject_crash(CrashPoint::WalAppend(n));
         db.begin().unwrap();
         let mut failed = false;
         for i in 100..200 {
@@ -177,7 +178,7 @@ fn crash_at_data_write(n: u64) {
             db.insert(t, &row(i)).unwrap();
         }
         db.commit().unwrap();
-        db.inject_crash(CrashPoint::DataWrite(n));
+        db.pool().inject_crash(CrashPoint::DataWrite(n));
         db.begin().unwrap();
         let mut failed = false;
         for i in 1000..1600 {
@@ -228,7 +229,7 @@ fn crash_before_checkpoint_truncation_is_harmless() {
             db.insert(t, &row(i)).unwrap();
         }
         db.commit().unwrap();
-        db.inject_crash(CrashPoint::CheckpointTruncate);
+        db.pool().inject_crash(CrashPoint::CheckpointTruncate);
         // The checkpoint makes the data durable, then "dies" before
         // truncating the log.
         assert!(db.flush().is_err());
@@ -303,7 +304,7 @@ fn logging_disabled_restores_legacy_behaviour() {
         }
         db.commit().unwrap();
         assert_eq!(
-            db.buffer_stats().wal_appends,
+            db.pool().stats().wal_appends,
             0,
             "unlogged mode must not touch the WAL"
         );
@@ -332,7 +333,7 @@ fn crash_during_bulk(point: CrashPoint) {
         db.begin().unwrap();
         db.bulk_insert(t, 0.9, (0..500).map(row)).unwrap();
         db.commit().unwrap();
-        db.inject_crash(point);
+        db.pool().inject_crash(point);
         db.begin().unwrap();
         let result = db
             .bulk_insert(t, 0.9, (1000..9000).map(row))
@@ -344,7 +345,7 @@ fn crash_during_bulk(point: CrashPoint) {
         // Crash: drop without flush.
     }
     let db = Database::open(&path).unwrap();
-    let report = db.recovery_report().expect("recovery must run");
+    let report = db.pool().recovery_report().expect("recovery must run");
     assert!(report.committed_txns >= 1, "{point:?}: {report:?}");
     let t = db.table("t").unwrap();
     assert_eq!(
@@ -392,7 +393,7 @@ fn interrupted_bulk_leaves_no_torn_index() {
         let mut db = Database::create(&path).unwrap();
         let t = db.create_table("t", schema()).unwrap();
         db.create_index(t, "id", true).unwrap();
-        db.inject_crash(CrashPoint::WalAppend(5));
+        db.pool().inject_crash(CrashPoint::WalAppend(5));
         db.begin().unwrap();
         let result = db
             .bulk_insert(t, 0.9, (0..2000).map(row))
