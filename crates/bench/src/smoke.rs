@@ -45,7 +45,7 @@ pub fn structure_queries(leaves: usize, pairs: usize, seed: u64) -> SmokeCost {
         .collect();
 
     repo.clear_cache().expect("clear cache");
-    repo.reset_buffer_stats();
+    repo.pool().reset_stats();
     let mut answers = Vec::with_capacity(pairs.len());
     for &(a, b) in &pairs {
         let lca = repo.view().lca(a, b).expect("lca");
@@ -72,7 +72,7 @@ pub fn spanning_clade(leaves: usize, set_size: usize, seed: u64) -> SmokeCost {
         .collect();
 
     repo.clear_cache().expect("clear cache");
-    repo.reset_buffer_stats();
+    repo.pool().reset_stats();
     let mut clade = repo.view().minimal_spanning_clade(&set).expect("clade");
     let interval_reads = repo.buffer_stats().page_reads();
 
@@ -115,7 +115,7 @@ pub fn projection(leaves: usize, sample: usize, seed: u64) -> SmokeCost {
     let sample: Vec<StoredNodeId> = stored.iter().step_by(step).copied().collect();
 
     repo.clear_cache().expect("clear cache");
-    repo.reset_buffer_stats();
+    repo.pool().reset_stats();
     let fast = repo.view().project(handle, &sample).expect("projection");
     let interval_reads = repo.buffer_stats().page_reads();
     assert!(
@@ -135,7 +135,7 @@ pub fn pattern_match(leaves: usize, pattern_size: usize, seed: u64) -> SmokeCost
     let pattern = phylo::ops::project_by_names(&tree, &refs).expect("pattern");
 
     repo.clear_cache().expect("clear cache");
-    repo.reset_buffer_stats();
+    repo.pool().reset_stats();
     let result = repo.view().pattern_match(handle, &pattern).expect("match");
     let interval_reads = repo.buffer_stats().page_reads();
     assert!(
@@ -246,7 +246,7 @@ pub fn load_workload(leaves: usize, seed: u64) -> LoadCost {
         )
         .expect("create repository");
         repo.set_logging(logging).expect("toggle logging");
-        repo.reset_buffer_stats();
+        repo.pool().reset_stats();
         repo.load_tree("bench", &tree).expect("load tree");
         repo.flush().expect("checkpoint");
         repo.buffer_stats()
@@ -319,7 +319,7 @@ pub fn bulk_load_workload(leaves: usize, seed: u64, runs: usize) -> BulkLoadCost
                 },
             )
             .expect("create repository");
-            repo.reset_buffer_stats();
+            repo.pool().reset_stats();
             let start = std::time::Instant::now();
             if reference {
                 repo.load_tree_reference("bench", &tree).expect("load");
@@ -551,7 +551,7 @@ pub fn recovery_workload(leaves: usize, seed: u64) -> storage::RecoveryReport {
         .expect("create repository");
         repo.load_tree("committed", &tree)
             .expect("load committed tree");
-        repo.inject_crash(storage::CrashPoint::WalAppend(3));
+        repo.pool().inject_crash(storage::CrashPoint::WalAppend(3));
         assert!(
             repo.load_tree("victim", &victim).is_err(),
             "injected crash must interrupt"

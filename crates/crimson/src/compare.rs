@@ -9,9 +9,10 @@
 //! [`reconstruction::compare::CladeSource`]: one contiguous range scan over
 //! `ivl_by_pre` yields every node's `(pre, end)` clade interval in
 //! pre-order, which is exactly the stream the Day-style streaming comparison
-//! consumes. Internal structure never decodes a node row; only **leaf** rows
-//! are fetched (through their heap locators, via the record cache), because
-//! leaf names are the only cross-tree identity.
+//! consumes: every stored tree is fully materialized, so its clade stream is
+//! exactly its `ivl_by_pre` range. Internal structure never decodes a node
+//! row; only **leaf** rows are fetched (through their heap locators, via the
+//! record cache), because leaf names are the only cross-tree identity.
 //!
 //! Everything is a method of [`ReadCtx`], so the same code serves the
 //! writer's [`Repository::view`](crate::Repository::view) and concurrent snapshot
@@ -20,7 +21,6 @@
 use crate::content::TreeContent;
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::repository::{ReadCtx, StoredNodeId, TreeHandle, TreeStatsRecord, TREE_SHIFT};
-use labeling::clade_hash::CladeRef;
 use phylo::traverse::Traverse;
 use phylo::Tree;
 use reconstruction::compare::{
@@ -143,87 +143,25 @@ impl<D: DbRead> CladeSource for StoredCladeSource<'_, D> {
             .scan_span(tree, 0, self.nodes.saturating_sub(1) as u32, |e, rid| {
                 entries.push((e, rid))
             })?;
-        // A cold tree materializes fewer interval entries than its logical
-        // node count: the difference must be covered exactly by its
-        // structural-sharing bridges.
-        let refs = if (entries.len() as u64) < self.nodes {
-            self.ctx.clade_refs_of(self.handle)?
-        } else {
-            Vec::new()
-        };
-        let bridged: u64 = refs.iter().map(|r| (r.end - r.pre + 1) as u64).sum();
-        if entries.len() as u64 + bridged != self.nodes {
+        if entries.len() as u64 != self.nodes {
             return Err(CrimsonError::CorruptRepository(format!(
-                "tree #{tree} catalogs {} nodes but its interval range holds {} (+{} bridged)",
+                "tree #{tree} catalogs {} nodes but its interval range holds {}",
                 self.nodes,
-                entries.len(),
-                bridged
+                entries.len()
             )));
         }
         // Leaf names through the heap locators the index carries — one page
-        // read per cold leaf row, no B+tree descent, nothing for internal
+        // read per uncached leaf row, no B+tree descent, nothing for internal
         // nodes.
-        let mut names: Vec<Option<String>> = Vec::with_capacity(entries.len());
         for (entry, rid) in &entries {
-            if entry.is_leaf {
+            let rec = if entry.is_leaf {
                 let sid = StoredNodeId((tree << TREE_SHIFT) | entry.node as u64);
-                let rec = self.ctx.node_record_by_locator(sid, *rid)?;
-                names.push(rec.name.clone());
-            } else {
-                names.push(None);
-            }
-        }
-        // Interleave the materialized entries with the bridged spans in
-        // logical pre order: bridges occupy exactly the pre gaps, and both
-        // sequences are already sorted, so a two-pointer merge suffices.
-        let mut rit = refs.iter().peekable();
-        for ((entry, _), name) in entries.iter().zip(&names) {
-            while let Some(r) = rit.peek() {
-                if r.pre < entry.pre {
-                    self.visit_bridge(r, visit)?;
-                    rit.next();
-                } else {
-                    break;
-                }
-            }
-            visit(entry.pre, entry.end, entry.node, name.as_deref());
-        }
-        for r in rit {
-            self.visit_bridge(r, visit)?;
-        }
-        Ok(())
-    }
-}
-
-impl<D: DbRead> StoredCladeSource<'_, D> {
-    /// Stream one bridged span by scanning its canonical source range and
-    /// shifting every rank into this tree's logical numbering. Bridged
-    /// nodes have no rows in this tree, so the source-local id exposed to
-    /// the visitor is the node's logical pre-order rank.
-    fn visit_bridge(&self, r: &CladeRef, visit: &mut NodeVisitor<'_>) -> CrimsonResult<()> {
-        let mut span = Vec::new();
-        self.ctx
-            .scan_span(r.src_tree, r.src_pre, r.src_end, |e, rid| {
-                span.push((e, rid))
-            })?;
-        if span.len() as u64 != (r.src_end - r.src_pre + 1) as u64 {
-            return Err(CrimsonError::CorruptRepository(format!(
-                "bridge into tree #{} spans {} nodes but its source range holds {}",
-                r.src_tree,
-                r.src_end - r.src_pre + 1,
-                span.len()
-            )));
-        }
-        for (entry, rid) in &span {
-            let name = if entry.is_leaf {
-                let sid = StoredNodeId((r.src_tree << TREE_SHIFT) | entry.node as u64);
-                self.ctx.node_record_by_locator(sid, *rid)?.name.clone()
+                Some(self.ctx.node_record_by_locator(sid, *rid)?)
             } else {
                 None
             };
-            let pre = r.pre + (entry.pre - r.src_pre);
-            let end = r.pre + (entry.end - r.src_pre);
-            visit(pre, end, pre, name.as_deref());
+            let name = rec.as_ref().and_then(|r| r.name.as_deref());
+            visit(entry.pre, entry.end, entry.node, name);
         }
         Ok(())
     }
@@ -294,7 +232,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         triplets: bool,
     ) -> CrimsonResult<SourceComparison> {
         let stats = self.tree_stats(a)?;
-        if !stats.cold && stats.distinct_leaves && !b.is_empty() {
+        if stats.distinct_leaves && !b.is_empty() {
             let content = TreeContent::compute(b);
             let root_hash = content.hashes[b.root_unchecked().index()];
             let n_leaves = b.leaf_ids().count() as u32;
@@ -318,14 +256,9 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     /// The equal-hash short-circuit is sound only when both sides carry a
     /// content address, the addresses match, and every leaf name is present
     /// and unique on both sides (duplicate or missing names make the hash
-    /// ambiguous). Cold trees never short-circuit: their agreement rows
-    /// would describe only the materialized spine.
+    /// ambiguous).
     fn short_circuit_applies(sa: &TreeStatsRecord, sb: &TreeStatsRecord) -> bool {
-        sa.root_hash == sb.root_hash
-            && sa.distinct_leaves
-            && sb.distinct_leaves
-            && !sa.cold
-            && !sb.cold
+        sa.root_hash == sb.root_hash && sa.distinct_leaves && sb.distinct_leaves
     }
 }
 
@@ -407,10 +340,15 @@ mod tests {
         let hb = repo.load_tree("b", &tree).unwrap();
         // Hash-equal hot trees take the O(1) path …
         let fast = repo.view().compare_stored(ha, hb, true).unwrap();
-        // … a cold copy blocks it, so this streams through the same code
-        // the pre-hash build used (stitched), giving the ground truth.
-        let hc = repo.store_tree_shared("c", &tree, u32::MAX).unwrap();
-        let slow = repo.view().compare_stored(ha, hc, true).unwrap();
+        // … while streaming both clade sources, the code the pre-hash
+        // build used, gives the ground truth.
+        let view = repo.view();
+        let slow = compare_sources::<_, _, CrimsonError>(
+            &view.clade_source(ha).unwrap(),
+            &view.clade_source(hb).unwrap(),
+            true,
+        )
+        .unwrap();
         assert_eq!(fast.rf, slow.rf);
         assert_eq!(fast.rooted_rf, slow.rooted_rf);
         assert_eq!(fast.triplet, slow.triplet);
@@ -431,27 +369,6 @@ mod tests {
         assert_eq!(with_tree.triplet, Some(0.0));
         assert_eq!(with_tree.clades.len(), slow.clades.len());
         assert!(with_tree.clades.iter().all(|c| c.agrees));
-    }
-
-    #[test]
-    fn cold_stored_tree_streams_through_its_bridges() {
-        let (_d, mut repo) = repo();
-        let a = yule_tree(150, 1.0, 31);
-        let b = yule_tree(150, 1.0, 32); // same leaf names, other topology
-        let ha = repo.load_tree("a", &a).unwrap();
-        let hb = repo.load_tree("b", &b).unwrap();
-        // A cold copy of `b` bridges every large subtree into the hot copy.
-        let hc = repo.store_tree_shared("b-cold", &b, 1).unwrap();
-        assert!(!repo.view().clade_refs_of(hc).unwrap().is_empty());
-        let hot = repo.view().compare_stored(ha, hb, true).unwrap();
-        let cold = repo.view().compare_stored(ha, hc, true).unwrap();
-        assert_eq!(cold.rf, hot.rf);
-        assert_eq!(cold.rooted_rf, hot.rooted_rf);
-        assert_eq!(cold.triplet, hot.triplet);
-        assert_eq!(cold.rf, robinson_foulds(&a, &b).unwrap());
-        // Cold trees work on either side of the comparison.
-        let reversed = repo.view().compare_stored(hc, ha, false).unwrap();
-        assert_eq!(reversed.rf.distance, hot.rf.distance);
     }
 
     #[test]

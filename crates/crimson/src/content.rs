@@ -1,5 +1,5 @@
-//! Content-addressed tree storage: canonical clade hashes, O(1) equality,
-//! dedup-on-store and structurally shared ("cold") trees.
+//! Content-addressed tree storage: canonical clade hashes, O(1) equality
+//! and dedup-on-store.
 //!
 //! Every stored tree carries the per-clade Merkle hashes of
 //! [`labeling::clade_hash`] in two raw indexes (`hash_by_pre` per tree,
@@ -16,11 +16,6 @@
 //!   canonical stored tree when an identical one already exists, instead of
 //!   writing a second full copy; the experiment runner persists sweep
 //!   reconstructions through it.
-//! * **Cold storage** — [`Repository::store_tree_shared`] materializes only
-//!   the spine of a tree: duplicate subtrees above a size threshold are
-//!   bridged to their canonical copy by [`labeling::clade_hash::CladeRef`]
-//!   rows, and [`crate::compare::StoredCladeSource`] stitches the bridged
-//!   spans back transparently during streaming comparison.
 //!
 //! Every load path writes the content address in the same transaction as
 //! the tree, so a tree without its `tree_stats` row is a damaged file
@@ -29,13 +24,12 @@
 
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::repository::{
-    decode_tree_stats_row, encode_node_row, tree_row, LoadPass, ReadCtx, Repository, StoredNodeId,
-    TreeHandle, TreeStatsRecord, BULK_FILL, HASH_IDX_MIN_SPAN, STATS_FLAG_COLD,
-    STATS_FLAG_DISTINCT_LEAVES, TREE_SHIFT,
+    decode_tree_stats_row, ReadCtx, Repository, StoredNodeId, TreeHandle, TreeStatsRecord,
+    BULK_FILL, HASH_IDX_MIN_SPAN, STATS_FLAG_DISTINCT_LEAVES, TREE_SHIFT,
 };
 use labeling::clade_hash::{
     self, decode_hash_by_pre_key, decode_hash_idx_key, hash_by_pre_key, hash_idx_key,
-    hash_idx_prefix, hash_idx_range_end, pack_span, unpack_span, CladeHash, CladeRef,
+    hash_idx_prefix, hash_idx_range_end, pack_span, unpack_span, CladeHash,
 };
 use labeling::interval::{interval_key_prefix, interval_range_end};
 use phylo::traverse::Traverse;
@@ -89,10 +83,10 @@ pub(crate) fn count_clades(spans: impl Iterator<Item = (u32, u32)>, n_leaves: u3
 }
 
 /// The full content address of an in-memory tree: per-node hashes (arena
-/// indexed), clade counts and the distinct-leaf-names flag. The bulk and
-/// cold loaders compute all of this inside their single DFS
-/// ([`crate::repository::LoadPass`]); this standalone version serves the
-/// reference load path and comparisons against in-memory trees.
+/// indexed), clade counts and the distinct-leaf-names flag.
+/// [`Repository::load_tree`] computes all of this inside its single DFS;
+/// this standalone version serves the reference load path and comparisons
+/// against in-memory trees.
 pub(crate) struct TreeContent {
     /// Canonical clade hash per node, indexed by arena index.
     pub hashes: Vec<CladeHash>,
@@ -130,24 +124,6 @@ impl TreeContent {
             distinct_leaves: clade_hash::distinct_named_leaves(tree),
         }
     }
-}
-
-/// Aggregate structural-sharing statistics over the whole repository — the
-/// dedup bench's headline numbers and the example's report.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ContentStats {
-    /// Trees in the catalog.
-    pub trees: u64,
-    /// Trees stored cold (structurally shared).
-    pub cold_trees: u64,
-    /// Sum of logical node counts across all trees.
-    pub logical_nodes: u64,
-    /// Node rows actually materialized.
-    pub stored_nodes: u64,
-    /// Logical nodes represented by bridges instead of rows.
-    pub bridged_nodes: u64,
-    /// Structural-sharing reference rows.
-    pub dedup_refs: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -230,8 +206,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
 
     /// Every `hash_idx` occurrence of `hash` as `(tree, pre, end)` — tree
     /// roots plus internal subtrees spanning at least
-    /// [`HASH_IDX_MIN_SPAN`](crate::repository) nodes of fully materialized
-    /// trees.
+    /// [`HASH_IDX_MIN_SPAN`](crate::repository) nodes.
     pub fn subtrees_with_hash(
         &self,
         hash: CladeHash,
@@ -273,36 +248,6 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             .filter(|&(_, pre, _)| pre == 0)
             .map(|(tree, _, _)| tree)
             .collect())
-    }
-
-    /// The structural-sharing reference rows of a cold tree, in pre order
-    /// (empty for hot trees).
-    pub fn clade_refs_of(&self, handle: TreeHandle) -> CrimsonResult<Vec<CladeRef>> {
-        let low = handle.0.to_be_bytes();
-        let high = (handle.0 + 1).to_be_bytes();
-        let mut out = Vec::new();
-        let mut malformed = false;
-        self.db.raw_scan(
-            self.tables.clade_refs,
-            Some(low.as_slice()),
-            Some(high.as_slice()),
-            &mut |key, value| match CladeRef::decode(key, value) {
-                Some((_, r)) => {
-                    out.push(r);
-                    Ok(true)
-                }
-                None => {
-                    malformed = true;
-                    Ok(false)
-                }
-            },
-        )?;
-        if malformed {
-            return Err(CrimsonError::CorruptRepository(
-                "malformed clade-ref key".to_string(),
-            ));
-        }
-        Ok(out)
     }
 
     /// Map every distinct clade hash of `handle` to one pre-order rank
@@ -351,26 +296,6 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         }
         Ok(map)
     }
-
-    /// Aggregate sharing statistics across the whole repository.
-    pub fn content_stats(&self) -> CrimsonResult<ContentStats> {
-        let mut stats = ContentStats::default();
-        for t in self.list_trees()? {
-            stats.trees += 1;
-            stats.logical_nodes += t.node_count;
-            if self.tree_stats(t.handle)?.cold {
-                stats.cold_trees += 1;
-                let refs = self.clade_refs_of(t.handle)?;
-                let bridged: u64 = refs.iter().map(|r| (r.end - r.pre + 1) as u64).sum();
-                stats.dedup_refs += refs.len() as u64;
-                stats.bridged_nodes += bridged;
-                stats.stored_nodes += t.node_count - bridged;
-            } else {
-                stats.stored_nodes += t.node_count;
-            }
-        }
-        Ok(stats)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -410,25 +335,11 @@ impl Repository {
                 )?;
             }
         }
-        self.insert_tree_stats(tree_id, root_hash, counts, distinct_leaves, false)
-    }
-
-    /// Insert one `tree_stats` row.
-    fn insert_tree_stats(
-        &mut self,
-        tree_id: u64,
-        root_hash: CladeHash,
-        counts: CladeCounts,
-        distinct_leaves: bool,
-        cold: bool,
-    ) -> CrimsonResult<()> {
-        let mut flags = 0i64;
-        if distinct_leaves {
-            flags |= STATS_FLAG_DISTINCT_LEAVES;
-        }
-        if cold {
-            flags |= STATS_FLAG_COLD;
-        }
+        let flags = if distinct_leaves {
+            STATS_FLAG_DISTINCT_LEAVES
+        } else {
+            0
+        };
         self.db.insert(
             self.tables.tree_stats,
             &[
@@ -462,175 +373,11 @@ impl Repository {
         let hash = clade_hash::root_hash(tree).expect("non-empty tree has a root");
         for handle in self.view().trees_with_root_hash(hash)? {
             let stats = self.view().tree_stats(handle)?;
-            if stats.distinct_leaves && !stats.cold {
+            if stats.distinct_leaves {
                 return Ok((handle, true));
             }
         }
         Ok((self.load_tree(name, tree)?, false))
-    }
-
-    /// Store `tree` under `name` **cold**: internal subtrees of at least
-    /// `min_span` nodes (clamped up to the global-index threshold) whose
-    /// content address already exists in a fully materialized tree are not
-    /// materialized — a [`CladeRef`] row bridges their logical `(pre, end)`
-    /// span to the canonical copy, and only the remaining spine gets node
-    /// rows and interval entries (with their *logical* pre-order ranks, so
-    /// LCA and ancestor tests between materialized nodes work unchanged).
-    ///
-    /// Cold trees keep their full logical node/leaf counts in the catalog,
-    /// carry hashes for every span (bridged ones included) but publish
-    /// nothing to the global index (bridges must never chain) —
-    /// comparison streams and hash lookups are their query surface.
-    pub fn store_tree_shared(
-        &mut self,
-        name: &str,
-        tree: &Tree,
-        min_span: u32,
-    ) -> CrimsonResult<TreeHandle> {
-        self.with_txn(|repo| repo.store_tree_shared_inner(name, tree, min_span))
-    }
-
-    fn store_tree_shared_inner(
-        &mut self,
-        name: &str,
-        tree: &Tree,
-        min_span: u32,
-    ) -> CrimsonResult<TreeHandle> {
-        let tree_id = self.new_tree_id(name, tree)?;
-        let pass = LoadPass::compute(tree);
-
-        // Pick the bridges: a pre-order walk that skips everything under an
-        // already-bridged span. The root never bridges (a whole-tree
-        // duplicate is `store_tree_dedup`'s job), and only spans published
-        // in the global index are discoverable, so the effective threshold
-        // is at least `HASH_IDX_MIN_SPAN`.
-        let threshold = min_span.max(HASH_IDX_MIN_SPAN);
-        let mut bridges: Vec<(CladeRef, CladeHash)> = Vec::new();
-        let mut materialized: Vec<phylo::NodeId> = Vec::new();
-        let mut skip_end: Option<u32> = None;
-        for &v in &pass.order {
-            let (pre, end) = (pass.pre[v.index()], pass.end[v.index()]);
-            if let Some(limit) = skip_end {
-                if pre <= limit {
-                    continue;
-                }
-                skip_end = None;
-            }
-            let span = end - pre + 1;
-            if pre != 0 && span >= threshold {
-                let hash = pass.hash[v.index()];
-                if let Some((src_tree, src_pre, src_end)) = self.find_share_source(hash, span)? {
-                    bridges.push((
-                        CladeRef {
-                            pre,
-                            end,
-                            parent_pre: pass.parent_pre[v.index()],
-                            src_tree,
-                            src_pre,
-                            src_end,
-                        },
-                        hash,
-                    ));
-                    skip_end = Some(end);
-                    continue;
-                }
-            }
-            materialized.push(v);
-        }
-
-        // Node rows for the materialized spine only.
-        let mut emit = 0usize;
-        let row_ids = self
-            .db
-            .bulk_insert_with(self.tables.nodes, BULK_FILL, |values| {
-                let Some(&v) = materialized.get(emit) else {
-                    return Ok(false);
-                };
-                emit += 1;
-                encode_node_row(values, tree, tree_id, v, pass.scalars(v));
-                Ok(true)
-            })?;
-
-        // Interval entries for materialized nodes, with logical ranks (the
-        // covering index simply has gaps where bridges sit).
-        self.db.bulk_raw_insert(
-            self.tables.ivl_by_pre,
-            BULK_FILL,
-            materialized.iter().enumerate().map(|(i, &v)| {
-                let entry = pass.interval_entry(tree, v);
-                (entry.encode_key(tree_id), row_ids[i].to_u64())
-            }),
-        )?;
-        let mut by_arena: Vec<usize> = materialized.iter().map(|v| v.index()).collect();
-        by_arena.sort_unstable();
-        self.db.bulk_raw_insert(
-            self.tables.ivl_by_node,
-            BULK_FILL,
-            by_arena.iter().map(|&ai| {
-                let sid = (tree_id << TREE_SHIFT) | ai as u64;
-                (sid.to_be_bytes(), pack_span(pass.pre[ai], pass.end[ai]))
-            }),
-        )?;
-
-        // The depth column spans every logical rank, bridged ones included.
-        self.insert_depth_column(tree_id, &pass.depth_column())?;
-
-        // Hashes for every logical span: materialized nodes plus one entry
-        // per bridge (the bridged subtree's own hash at its logical rank).
-        let mut hash_rows: Vec<(u32, u32, CladeHash)> = materialized
-            .iter()
-            .map(|&v| {
-                let i = v.index();
-                (pass.pre[i], pass.end[i], pass.hash[i])
-            })
-            .collect();
-        hash_rows.extend(bridges.iter().map(|&(r, h)| (r.pre, r.end, h)));
-        hash_rows.sort_unstable_by_key(|&(pre, _, _)| pre);
-        self.db.bulk_raw_insert(
-            self.tables.hash_by_pre,
-            BULK_FILL,
-            hash_rows
-                .iter()
-                .map(|&(pre, end, h)| (hash_by_pre_key(tree_id, pre, h), pack_span(pre, end))),
-        )?;
-        self.db.bulk_raw_insert(
-            self.tables.clade_refs,
-            BULK_FILL,
-            bridges
-                .iter()
-                .map(|(r, _)| (r.encode_key(tree_id), pack_span(r.src_pre, r.src_end))),
-        )?;
-
-        self.insert_tree_stats(
-            tree_id,
-            pass.hash[pass.order[0].index()],
-            pass.counts,
-            clade_hash::distinct_named_leaves(tree),
-            true,
-        )?;
-
-        self.db.insert(
-            self.tables.trees,
-            &tree_row(tree_id, name, tree, pass.leaf_count),
-        )?;
-        Ok(TreeHandle(tree_id))
-    }
-
-    /// A canonical source span for a bridge: any global-index occurrence of
-    /// `hash` with a matching node span. Every `hash_idx` entry points into
-    /// a fully materialized tree (cold trees publish nothing), so bridges
-    /// never chain.
-    fn find_share_source(
-        &self,
-        hash: CladeHash,
-        span: u32,
-    ) -> CrimsonResult<Option<(u64, u32, u32)>> {
-        Ok(self
-            .view()
-            .subtrees_with_hash(hash)?
-            .into_iter()
-            .find(|&(_, pre, end)| end - pre + 1 == span)
-            .map(|(tree, pre, end)| (tree.0, pre, end)))
     }
 }
 
@@ -759,7 +506,6 @@ mod tests {
         assert_eq!(sa.rooted_clades, sb.rooted_clades);
         assert_eq!(sa.unrooted_splits, sb.unrooted_splits);
         assert!(sa.distinct_leaves && sb.distinct_leaves);
-        assert!(!sa.cold && !sb.cold);
         assert!(repo.view().trees_equal(ha, hb).unwrap());
         // Per-node hashes agree too: both pre ranges map hash → pre
         // identically up to rank numbering.
@@ -805,56 +551,5 @@ mod tests {
         assert_ne!(h1, h3);
         let report = repo.view().integrity_check().unwrap();
         assert_eq!(report.trees, 2);
-        assert_eq!(report.clade_refs, 0);
-    }
-
-    #[test]
-    fn store_tree_shared_bridges_duplicate_subtrees() {
-        let (_d, mut repo) = repo();
-        let tree = yule_tree(300, 1.0, 21);
-        let hot = repo.load_tree("hot", &tree).unwrap();
-        let cold = repo.store_tree_shared("cold", &tree, 1).unwrap();
-        let refs = repo.view().clade_refs_of(cold).unwrap();
-        assert!(!refs.is_empty(), "an identical tree must bridge something");
-        for r in &refs {
-            assert_eq!(r.src_tree, hot.0);
-            assert_eq!(r.end - r.pre, r.src_end - r.src_pre);
-        }
-        // Catalog keeps logical counts; stats flag the tree cold.
-        let rec = repo.view().tree_record(cold).unwrap();
-        assert_eq!(rec.node_count, tree.node_count() as u64);
-        let stats = repo.view().tree_stats(cold).unwrap();
-        assert!(stats.cold);
-        assert_eq!(
-            stats.root_hash,
-            repo.view().tree_stats(hot).unwrap().root_hash
-        );
-        // Sharing statistics see the saved rows.
-        let cs = repo.view().content_stats().unwrap();
-        assert_eq!(cs.trees, 2);
-        assert_eq!(cs.cold_trees, 1);
-        assert!(cs.bridged_nodes > 0);
-        assert_eq!(
-            cs.stored_nodes + cs.bridged_nodes,
-            2 * tree.node_count() as u64
-        );
-        // Cold trees publish nothing globally: the root hash resolves only
-        // to the hot tree.
-        let root_hash = clade_hash::root_hash(&tree).unwrap();
-        assert_eq!(
-            repo.view().trees_with_root_hash(root_hash).unwrap(),
-            vec![hot]
-        );
-        // LCA between materialized nodes still works through the gaps.
-        let root = rec.root;
-        let (pre, end) = repo.view().interval_of(root).unwrap();
-        assert_eq!((pre, end), (0, tree.node_count() as u32 - 1));
-        // Cold trees, bridges, and the hash indexes all satisfy the
-        // integrity invariants.
-        let report = repo.view().integrity_check().unwrap();
-        assert_eq!(report.trees, 2);
-        assert_eq!(report.clade_refs, refs.len() as u64);
-        assert!(report.hash_entries > 0);
-        assert!(report.global_hash_entries > 0);
     }
 }

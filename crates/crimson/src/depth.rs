@@ -25,9 +25,7 @@
 //!
 //! A query reads the minima (cached per tree: they never change once the
 //! tree commits), at most two partial blocks through their locators, and
-//! the LCA's interval entry and row. Cold (structurally shared) trees store
-//! the column over every logical rank, bridged spans included; the LCA of
-//! two materialized nodes is always materialized, so its entry exists.
+//! the LCA's interval entry and row.
 
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::repository::{NodeRecord, ReadCtx, Repository, StoredNodeId, TreeRecord, TREE_SHIFT};

@@ -30,7 +30,7 @@
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::history::QueryKind;
 use crate::repository::{
-    ReadCtx, Repository, StoredNodeId, TreeHandle, TreeRecord, BULK_FILL, TREE_SHIFT,
+    next_id, ReadCtx, Repository, StoredNodeId, TreeHandle, TreeRecord, BULK_FILL, TREE_SHIFT,
 };
 use crate::sampling::SamplingStrategy;
 use phylo::distance::patristic_matrix;
@@ -702,8 +702,8 @@ fn run_sweep(
         }
     }
     let n_cells = cells.len();
-    let exp_id = next_id(repo, repo.tables.experiments, "exp_id")?;
-    let result_base = next_id(repo, repo.tables.experiment_results, "result_id")?;
+    let exp_id = next_id(&repo.db, repo.tables.experiments, "exp_id")?;
+    let result_base = next_id(&repo.db, repo.tables.experiment_results, "result_id")?;
     let spec_json =
         serde_json::to_string(spec).map_err(|e| CrimsonError::History(e.to_string()))?;
 
@@ -1149,16 +1149,6 @@ fn persist_cell(
         ],
     )?;
     Ok(recon)
-}
-
-/// The next free id of a catalog table: max existing + 1 (rolled-back
-/// transactions may leave gaps; a row count could collide). The unique id
-/// index yields rows in id order, so only the last row needs decoding.
-fn next_id(repo: &Repository, table: storage::db::TableId, column: &str) -> CrimsonResult<u64> {
-    match repo.db.index_range(table, column, None, None)?.last() {
-        Some(&rid) => Ok(repo.db.get(table, rid)?.values[0].as_int().unwrap_or(-1) as u64 + 1),
-        None => Ok(0),
-    }
 }
 
 #[cfg(test)]

@@ -91,7 +91,7 @@ pub mod repository;
 pub mod sampling;
 
 pub use batch::{BatchOutput, BatchQuery, QueryBatch};
-pub use content::{CladeCounts, ContentStats};
+pub use content::CladeCounts;
 pub use error::CrimsonError;
 pub use experiment::{
     DistanceSource, EvalReport, EvalSpec, ExperimentRecord, ExperimentResult, ExperimentRunner,
@@ -109,7 +109,7 @@ pub use storage::CheckpointPolicy;
 pub mod prelude {
     pub use crate::batch::{BatchOutput, BatchQuery, QueryBatch};
     pub use crate::compare::StoredCladeSource;
-    pub use crate::content::{CladeCounts, ContentStats};
+    pub use crate::content::CladeCounts;
     pub use crate::error::CrimsonError;
     pub use crate::experiment::{
         CladeRow, DistanceSource, EvalReport, EvalSpec, ExperimentRecord, ExperimentResult,

@@ -58,8 +58,8 @@ fn bulk_and_reference_loads_answer_identically_on_random_trees() {
 
         // Children and leaves answer the in-memory tree, in pre-order.
         let oracle = Oracle::new(hb, &tree);
-        check_topology(&bulk, &oracle, |_| true);
-        check_topology(&reference, &oracle, |_| true);
+        check_topology(&bulk, &oracle);
+        check_topology(&reference, &oracle);
         let mut leaves_b = bulk.view().leaves(hb).unwrap();
         leaves_b.sort();
 
@@ -181,7 +181,7 @@ fn bulk_load_crash_recovers_to_pre_load_state() {
             )
             .unwrap();
             repo.load_tree("committed", &committed_tree).unwrap();
-            repo.inject_crash(point);
+            repo.pool().inject_crash(point);
             assert!(
                 repo.load_tree("victim", &victim_tree).is_err(),
                 "{point:?}: the injected crash must interrupt the bulk load"

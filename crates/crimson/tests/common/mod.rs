@@ -128,23 +128,14 @@ pub fn assert_same_projection(stored: &Tree, expected: &Tree, what: &str) {
 }
 
 /// Check `children`, `leaves` and `leaves_under` of the tree `oracle`
-/// describes against it, pre-order included, over the nodes `present`
-/// keeps: every node of a fully stored tree, the materialized ones of a
-/// cold tree (a bridged span has no interval entries to answer from).
-pub fn check_topology(repo: &Repository, oracle: &Oracle, present: impl Fn(StoredNodeId) -> bool) {
-    let kept = |ids: Vec<StoredNodeId>| -> Vec<StoredNodeId> {
-        ids.into_iter().filter(|&id| present(id)).collect()
-    };
+/// describes against it, pre-order included, over every node.
+pub fn check_topology(repo: &Repository, oracle: &Oracle) {
     let view = repo.view();
-    assert_eq!(view.leaves(oracle.handle).unwrap(), kept(oracle.leaves()));
-    for node in kept(oracle.preorder()) {
+    assert_eq!(view.leaves(oracle.handle).unwrap(), oracle.leaves());
+    for node in oracle.preorder() {
         let children = view.children(node).unwrap();
-        assert_eq!(children, kept(oracle.children(node)), "children({node})");
+        assert_eq!(children, oracle.children(node), "children({node})");
         let leaves = view.leaves_under(node).unwrap();
-        assert_eq!(
-            leaves,
-            kept(oracle.leaves_under(node)),
-            "leaves_under({node})"
-        );
+        assert_eq!(leaves, oracle.leaves_under(node), "leaves_under({node})");
     }
 }

@@ -174,8 +174,8 @@ fn four_readers_cross_validate_while_writer_loads() {
     // Version-chain GC leaves nothing pinned behind: with every reader
     // dropped and no transaction open, the pool's version accounting is
     // back to baseline (no leaked epochs, no leaked page versions).
-    assert_eq!(repo.pinned_epochs(), 0, "leaked reader epoch pins");
-    assert_eq!(repo.version_pages(), 0, "leaked page version chains");
+    assert_eq!(repo.pool().pinned_epochs(), 0, "leaked reader epoch pins");
+    assert_eq!(repo.pool().version_pages(), 0, "leaked page version chains");
 
     // Everything the writer did landed, and the repository is intact.
     assert_eq!(repo.view().list_trees().unwrap().len(), 2 + WRITER_LOADS);

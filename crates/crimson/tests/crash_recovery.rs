@@ -80,7 +80,7 @@ fn crash_scenario(point: CrashPoint) -> usize {
     {
         let mut repo = Repository::create(&path, small_opts()).unwrap();
         repo.load_newick("base", &base).unwrap();
-        repo.inject_crash(point);
+        repo.pool().inject_crash(point);
         victim_committed = repo.load_newick("victim", &victim).is_ok();
         // Crash: drop without flush.
     }
@@ -170,7 +170,7 @@ fn crash_at_group_fsync_is_all_or_nothing_and_cross_validates() {
         {
             let mut repo = Repository::create(&path, small_opts()).unwrap();
             repo.load_newick("base", &base).unwrap();
-            repo.inject_crash(CrashPoint::WalSync(n));
+            repo.pool().inject_crash(CrashPoint::WalSync(n));
             victim_committed = repo.load_newick("victim", &victim).is_ok();
             // Crash: drop without flush.
         }
@@ -208,7 +208,7 @@ fn crash_before_checkpoint_truncation_replays_idempotently() {
     {
         let mut repo = Repository::create(&path, small_opts()).unwrap();
         repo.load_newick("base", &base).unwrap();
-        repo.inject_crash(CrashPoint::CheckpointTruncate);
+        repo.pool().inject_crash(CrashPoint::CheckpointTruncate);
         // The checkpoint wrote and fsynced the data file, then "died" before
         // truncating the log; replaying the log must be harmless.
         assert!(repo.flush().is_err());
@@ -242,7 +242,7 @@ fn crash_during_gold_standard_load_loses_tree_and_species_together() {
         // Crash partway through the second gold-standard load: the tree may
         // already be inserted when the species inserts die, but the whole
         // load is one transaction, so neither may survive.
-        repo.inject_crash(CrashPoint::WalAppend(2));
+        repo.pool().inject_crash(CrashPoint::WalAppend(2));
         assert!(repo.load_gold_standard("victim", &gold).is_err());
     }
     let repo = Repository::open(&path, small_opts()).unwrap();
@@ -316,7 +316,7 @@ fn crash_mid_dedup_store_leaves_no_dangling_hash_state() {
             let mut repo = Repository::create(&path, small_opts()).unwrap();
             let (_, hit) = repo.store_tree_dedup("base", &base).unwrap();
             assert!(!hit);
-            repo.inject_crash(point);
+            repo.pool().inject_crash(point);
             victim_committed = repo.store_tree_dedup("victim", &victim).is_ok();
             // Crash: drop without flush.
         }
@@ -331,7 +331,6 @@ fn crash_mid_dedup_store_leaves_no_dangling_hash_state() {
         for t in repo.view().list_trees().unwrap() {
             repo.view().tree_stats(t.handle).unwrap();
         }
-        assert_eq!(integrity.clade_refs, 0);
         if !victim_committed {
             assert!(repo.view().find_tree("victim").unwrap().is_none());
             let (_, hit) = repo.store_tree_dedup("victim", &victim).unwrap();
@@ -343,50 +342,6 @@ fn crash_mid_dedup_store_leaves_no_dangling_hash_state() {
         assert!(hit, "identical tree must dedup after recovery at {point:?}");
         assert_eq!(dup, victim_handle);
         repo.view().integrity_check().unwrap();
-    }
-}
-
-#[test]
-fn crash_mid_shared_store_leaves_no_dangling_bridges() {
-    // Crash partway through a structurally-shared (cold) store: bridge
-    // reference rows, spine hash entries and the stats row are one
-    // transaction, so recovery must roll them back together — a bridge
-    // whose owning tree vanished would fail the integrity invariants.
-    for point in [CrashPoint::WalAppend(2), CrashPoint::DataWrite(1)] {
-        let dir = tempdir().unwrap();
-        let path = dir.path().join("repo.crimson");
-        let tree = yule_tree(260, 1.0, 31);
-        let victim_committed;
-        {
-            let mut repo = Repository::create(&path, small_opts()).unwrap();
-            repo.load_tree("hot", &tree).unwrap();
-            repo.inject_crash(point);
-            victim_committed = repo.store_tree_shared("cold", &tree, 1).is_ok();
-            // Crash: drop without flush.
-        }
-        let mut repo = Repository::open(&path, small_opts()).unwrap();
-        let integrity = repo.view().integrity_check().unwrap_or_else(|e| {
-            panic!("integrity failed after shared-store crash at {point:?}: {e}")
-        });
-        if !victim_committed {
-            assert_eq!(integrity.trees, 1, "crash at {point:?}");
-            assert_eq!(
-                integrity.clade_refs, 0,
-                "no bridge may survive its tree at {point:?}"
-            );
-            assert!(repo.view().find_tree("cold").unwrap().is_none());
-            // Retry: the interrupted cold store succeeds from scratch.
-            let hc = repo.store_tree_shared("cold", &tree, 1).unwrap();
-            assert!(!repo.view().clade_refs_of(hc).unwrap().is_empty());
-        }
-        let integrity = repo.view().integrity_check().unwrap();
-        assert_eq!(integrity.trees, 2);
-        assert!(integrity.clade_refs > 0, "crash at {point:?}");
-        // The cold tree reads transparently through its bridges.
-        let hot = repo.view().tree_by_name("hot").unwrap().handle;
-        let cold = repo.view().tree_by_name("cold").unwrap().handle;
-        let cmp = repo.view().compare_stored(hot, cold, false).unwrap();
-        assert_eq!(cmp.rf.distance, 0);
     }
 }
 

@@ -316,7 +316,7 @@ fn crash_mid_cell_commits_sweep_keeps_committed_prefix() {
         handle = repo.load_gold_standard("gold", &gold).unwrap();
         repo.flush().unwrap();
         // Deep enough that the provisional row and some cells commit first.
-        repo.inject_crash(CrashPoint::WalAppend(60));
+        repo.pool().inject_crash(CrashPoint::WalAppend(60));
         let run = ExperimentRunner::new(&mut repo, handle).run(&spec);
         assert!(run.is_err(), "injected crash must interrupt the sweep");
         // Crash: drop without flush (the in-process cleanup also died).
@@ -385,7 +385,7 @@ fn crash_scenario(point: CrashPoint, label: &str) {
         let mut repo = Repository::create(&path, small.clone()).unwrap();
         handle = repo.load_gold_standard("gold", &gold).unwrap();
         repo.flush().unwrap();
-        repo.inject_crash(point);
+        repo.pool().inject_crash(point);
         let run = ExperimentRunner::new(&mut repo, handle).run(&spec);
         assert!(run.is_err(), "{label}: injected crash must interrupt");
         // Crash: drop without flush.
@@ -453,7 +453,7 @@ fn crash_at_checkpoint_truncate_after_sweep_keeps_the_experiment() {
         let handle = repo.load_gold_standard("gold", &gold).unwrap();
         let record = ExperimentRunner::new(&mut repo, handle).run(&spec).unwrap();
         let before = footprint(&repo, record.id);
-        repo.inject_crash(CrashPoint::CheckpointTruncate);
+        repo.pool().inject_crash(CrashPoint::CheckpointTruncate);
         assert!(repo.flush().is_err(), "injected checkpoint crash");
         (record.id, before)
         // Crash: drop without a successful flush.

@@ -75,7 +75,9 @@ fn build_baseline(path: &std::path::Path, seed: u64) -> (Repository, Baseline) {
 fn install_faults(repo: &Repository, seed: u64) -> SharedFaultSchedule {
     let schedule =
         shared_schedule(FaultSchedule::from_seed(seed, FaultConfig::light()).with_fault_budget(16));
-    repo.install_fault_schedule(schedule.clone()).unwrap();
+    repo.pool()
+        .install_fault_schedule(schedule.clone())
+        .unwrap();
     schedule
 }
 
@@ -84,7 +86,7 @@ fn install_faults(repo: &Repository, seed: u64) -> SharedFaultSchedule {
 /// query paths must be fully intact. Then a fresh fault-free open of the
 /// same file must come up clean, degraded, or fail typed — never panic.
 fn assert_recoverable(repo: Repository, baseline: &Baseline, path: &std::path::Path) {
-    if !repo.is_poisoned() {
+    if !repo.pool().is_poisoned() {
         let report = repo
             .scrub(ScrubOptions::default())
             .expect("scrub never panics");
@@ -111,8 +113,8 @@ fn assert_recoverable(repo: Repository, baseline: &Baseline, path: &std::path::P
                 drop(reopened);
                 let (degraded, survey) =
                     Repository::open_degraded(path, small_opts()).expect("degraded open");
-                assert!(degraded.read_only());
-                assert!(!degraded.quarantined_pages().is_empty());
+                assert!(degraded.pool().read_only());
+                assert!(!degraded.pool().quarantined_pages().is_empty());
                 let _ = survey.is_clean();
             }
         }
@@ -121,7 +123,7 @@ fn assert_recoverable(repo: Repository, baseline: &Baseline, path: &std::path::P
             // the degraded path may also refuse, but only with a typed error.
             let _ = format!("{e}");
             if let Ok((degraded, _survey)) = Repository::open_degraded(path, small_opts()) {
-                assert!(degraded.read_only());
+                assert!(degraded.pool().read_only());
             }
         }
     }

@@ -239,10 +239,23 @@ const OTHER_TABLES: [&str; 8] = [
     "depth_minima",
 ];
 
+/// Every raw index of the current layout.
+const RAW_INDEXES: [&str; 4] = [
+    "ivl_by_pre",
+    "ivl_by_node",
+    "clade_hash_by_pre",
+    "clade_hash_idx",
+];
+
 /// Lay out a file with the given `trees` and `nodes` columns, the
-/// single-column `tables` and every current raw index, and return the
-/// message with which `open` and `open_degraded` both refuse it.
-fn refusal_of_layout(trees: Vec<ColumnDef>, nodes: Vec<ColumnDef>, tables: &[&str]) -> String {
+/// single-column `tables` and the raw `indexes`, and return the message
+/// with which `open` and `open_degraded` both refuse it.
+fn refusal_of_layout(
+    trees: Vec<ColumnDef>,
+    nodes: Vec<ColumnDef>,
+    tables: &[&str],
+    indexes: &[&str],
+) -> String {
     let dir = tempfile::tempdir().unwrap();
     let path = dir.path().join("older.crimson");
     {
@@ -253,13 +266,7 @@ fn refusal_of_layout(trees: Vec<ColumnDef>, nodes: Vec<ColumnDef>, tables: &[&st
             let id = ColumnDef::not_null("id", ValueType::Int);
             db.create_table(table, Schema::new(vec![id])).unwrap();
         }
-        for index in [
-            "ivl_by_pre",
-            "ivl_by_node",
-            "clade_hash_by_pre",
-            "clade_hash_idx",
-            "clade_refs",
-        ] {
+        for index in indexes {
             db.create_raw_index(index).unwrap();
         }
         db.flush().unwrap();
@@ -292,8 +299,8 @@ const TREES: [(&str, ValueType); 5] = [
     ("leaf_count", ValueType::Int),
 ];
 
-/// The leading `nodes` columns, through `preorder`, of every older
-/// layout, followed by `rest`.
+/// The leading `nodes` columns, through `preorder`, of every layout,
+/// followed by `rest`.
 fn nodes_columns(rest: &[(&str, ValueType)]) -> Vec<ColumnDef> {
     let mut nodes = columns(&[("node_id", ValueType::Int), ("tree_id", ValueType::Int)]);
     nodes.extend([
@@ -315,7 +322,8 @@ fn repository_without_depth_column_is_refused_at_open() {
     // The layout of a build before the depth column: every other table
     // and raw index, but no `depth_blocks` / `depth_minima`.
     let ids = || columns(&[("id", ValueType::Int)]);
-    let msg = refusal_of_layout(ids(), ids(), &[&["frames"], &OTHER_TABLES[..6]].concat());
+    let tables = [&["frames"], &OTHER_TABLES[..6]].concat();
+    let msg = refusal_of_layout(ids(), ids(), &tables, &RAW_INDEXES);
     assert!(msg.contains("depth_blocks"), "{msg}");
 }
 
@@ -332,7 +340,8 @@ fn repository_with_label_columns_is_refused_at_open() {
         ("leaf_of_tree", ValueType::Int),
         ("subtree_height", ValueType::Float),
     ]);
-    let msg = refusal_of_layout(trees, nodes, &[&["frames"], &OTHER_TABLES[..]].concat());
+    let tables = [&["frames"], &OTHER_TABLES[..]].concat();
+    let msg = refusal_of_layout(trees, nodes, &tables, &RAW_INDEXES);
     assert!(msg.contains("`trees` table"), "{msg}");
     assert!(msg.contains("must be reloaded"), "{msg}");
 }
@@ -346,7 +355,21 @@ fn repository_with_leaf_of_tree_column_is_refused_at_open() {
         ("leaf_of_tree", ValueType::Int),
         ("subtree_height", ValueType::Float),
     ]);
-    let msg = refusal_of_layout(columns(&TREES), nodes, &OTHER_TABLES);
+    let msg = refusal_of_layout(columns(&TREES), nodes, &OTHER_TABLES, &RAW_INDEXES);
     assert!(msg.contains("`nodes` table"), "{msg}");
+    assert!(msg.contains("must be reloaded"), "{msg}");
+}
+
+#[test]
+fn repository_with_clade_refs_index_is_refused_at_open() {
+    // The current layout plus the `clade_refs` reference index that
+    // older builds created in every file.
+    let nodes = nodes_columns(&[
+        ("is_leaf", ValueType::Bool),
+        ("subtree_height", ValueType::Float),
+    ]);
+    let indexes = [&RAW_INDEXES[..], &["clade_refs"]].concat();
+    let msg = refusal_of_layout(columns(&TREES), nodes, &OTHER_TABLES, &indexes);
+    assert!(msg.contains("`clade_refs` index"), "{msg}");
     assert!(msg.contains("must be reloaded"), "{msg}");
 }

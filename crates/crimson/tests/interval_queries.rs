@@ -169,7 +169,7 @@ fn interval_paths_stay_within_page_bounds_on_10k_leaf_tree() {
     let oracle = Oracle::new(handle, &tree);
     // --- every leaf of the tree ---
     repo.clear_cache().unwrap();
-    repo.reset_buffer_stats();
+    repo.pool().reset_stats();
     let leaves = repo.view().leaves(handle).unwrap();
     let leaves_reads = repo.buffer_stats().page_reads();
     assert_eq!(leaves, oracle.leaves());
@@ -184,7 +184,7 @@ fn interval_paths_stay_within_page_bounds_on_10k_leaf_tree() {
     let set: Vec<StoredNodeId> = leaves.choose_multiple(&mut rng, 32).copied().collect();
 
     repo.clear_cache().unwrap();
-    repo.reset_buffer_stats();
+    repo.pool().reset_stats();
     let mut fast = repo.view().minimal_spanning_clade(&set).unwrap();
     let fast_reads = repo.buffer_stats().page_reads();
 
@@ -201,7 +201,7 @@ fn interval_paths_stay_within_page_bounds_on_10k_leaf_tree() {
     let sample: Vec<StoredNodeId> = leaves.iter().step_by(step.max(1)).copied().collect();
 
     repo.clear_cache().unwrap();
-    repo.reset_buffer_stats();
+    repo.pool().reset_stats();
     let fast = repo.view().project(handle, &sample).unwrap();
     let fast_reads = repo.buffer_stats().page_reads();
 
@@ -221,7 +221,7 @@ fn repository_scan_stays_within_pool_capacity() {
     // complete, keep residency bounded, and evict.
     let tree = yule_tree(2_000, 1.0, 11);
     let (_d, repo, handle) = fresh_repo(&tree, 64);
-    let (_, capacity) = repo.buffer_utilization();
+    let capacity = repo.pool().capacity();
     assert_eq!(capacity, 64);
 
     let rec = repo.view().tree_record(handle).unwrap();
@@ -230,7 +230,7 @@ fn repository_scan_stays_within_pool_capacity() {
     // Touch every node row, sweeping the whole heap through the small pool.
     for &node in &clade {
         let _ = repo.view().node_record(node).unwrap();
-        let (resident, capacity) = repo.buffer_utilization();
+        let resident = repo.pool().resident_pages();
         assert!(
             resident <= capacity,
             "resident {resident} exceeded capacity {capacity}"

@@ -128,6 +128,6 @@ fn two_attempt_reader_never_starves_under_continuous_commits() {
     assert_eq!(repo.view().list_trees().unwrap().len(), 102);
     let reader2 = repo.reader().unwrap();
     assert_eq!(reader2.list_trees().unwrap().len(), 102);
-    assert_eq!(repo.pinned_epochs(), 0, "leaked epoch pins");
-    assert_eq!(repo.version_pages(), 0, "leaked version chains");
+    assert_eq!(repo.pool().pinned_epochs(), 0, "leaked epoch pins");
+    assert_eq!(repo.pool().version_pages(), 0, "leaked version chains");
 }

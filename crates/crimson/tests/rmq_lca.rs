@@ -3,18 +3,16 @@
 //! * Property tests: `lca` equals the in-memory `Tree::lca` on random
 //!   birth–death trees, a depth-10k caterpillar, balanced trees and 1- and
 //!   2-node trees, for trees written by every store path (bulk
-//!   `load_tree`, the row-at-a-time `load_tree_reference`,
-//!   `store_tree_dedup` hits and misses, and cold `store_tree_shared` with
-//!   bridged spans). On the same trees `children`, `leaves` and
-//!   `leaves_under` answer the in-memory tree in pre-order — a cold tree
-//!   its materialized nodes only.
+//!   `load_tree`, the row-at-a-time `load_tree_reference`, and
+//!   `store_tree_dedup` hits and misses). On the same trees `children`,
+//!   `leaves` and `leaves_under` answer the in-memory tree in pre-order.
 //! * Cost test: on the caterpillar, the deepest pair's LCA makes no more
 //!   buffer-pool page accesses than a shallow pair's, plus a small
 //!   constant.
 
 mod common;
 
-use common::{arena, check_topology, sid, Oracle};
+use common::{check_topology, sid, Oracle};
 use crimson::prelude::*;
 use phylo::builder::{balanced_binary, caterpillar};
 use phylo::{NodeId, Tree};
@@ -36,7 +34,7 @@ fn fresh_repo(pages: usize) -> (tempfile::TempDir, Repository) {
 }
 
 /// Check `lca` and `is_ancestor` against the in-memory tree on `pairs`
-/// drawn from the nodes `present` (all nodes unless the tree is cold).
+/// drawn from the nodes `present`.
 fn check_pairs(
     repo: &Repository,
     handle: TreeHandle,
@@ -78,20 +76,6 @@ fn check_pairs(
 
 fn all_nodes(tree: &Tree) -> Vec<NodeId> {
     (0..tree.node_count() as u32).map(NodeId).collect()
-}
-
-/// Copy `src` under `parent` of `out`, prefixing leaf names.
-fn graft(out: &mut Tree, parent: NodeId, src: &Tree, prefix: &str) {
-    fn copy(out: &mut Tree, parent: NodeId, src: &Tree, node: NodeId, prefix: &str) {
-        let name = src.name(node).map(|n| format!("{prefix}{n}"));
-        let here = out
-            .add_child(parent, name, Some(src.branch_length(node).unwrap_or(1.0)))
-            .unwrap();
-        for &child in src.children(node) {
-            copy(out, here, src, child, prefix);
-        }
-    }
-    copy(out, parent, src, src.root_unchecked(), prefix);
 }
 
 fn one_node_tree() -> Tree {
@@ -169,32 +153,10 @@ fn every_store_path_writes_a_usable_depth_column() {
     assert_eq!(again, fresh);
     check_pairs(&repo, again, &other, &all_nodes(&other), 100);
 
-    // Cold: a tree holding the bulk tree between two fresh subtrees. The
-    // bulk tree's span is bridged to its hot copy, so only the root and the
-    // fresh subtrees are materialized; pairs across the bridge have their
-    // minimum-depth rank inside the bridged span.
-    let mut spliced = Tree::new();
-    let root = spliced.add_node();
-    graft(&mut spliced, root, &yule_tree(40, 1.0, 13), "x");
-    graft(&mut spliced, root, &tree, "");
-    graft(&mut spliced, root, &yule_tree(40, 1.0, 14), "y");
-    let cold = repo.store_tree_shared("cold", &spliced, 1).unwrap();
-    assert!(!repo.view().clade_refs_of(cold).unwrap().is_empty());
-    let present: Vec<NodeId> = all_nodes(&spliced)
-        .into_iter()
-        .filter(|&n| repo.view().interval_of(sid(cold, n)).is_ok())
-        .collect();
-    assert_eq!(present.len(), 1 + 2 * 79, "root and both fresh subtrees");
-    check_pairs(&repo, cold, &spliced, &present, 4000);
-
-    // Children and leaves answer the in-memory tree on every path; the
-    // cold tree answers its materialized nodes only.
+    // Children and leaves answer the in-memory tree on every path.
     for (handle, t) in [(bulk, &tree), (rows, &tree), (fresh, &other)] {
-        check_topology(&repo, &Oracle::new(handle, t), |_| true);
+        check_topology(&repo, &Oracle::new(handle, t));
     }
-    check_topology(&repo, &Oracle::new(cold, &spliced), |id| {
-        present.contains(&arena(id))
-    });
 
     // Projections through every path agree with the in-memory projection.
     let names = tree.leaf_names();
@@ -248,7 +210,7 @@ fn deepest_pair_lca_costs_no_more_page_accesses_than_a_shallow_pair() {
     let widest = (leaf(0), leaf(depth));
     let cost = |(a, b): (StoredNodeId, StoredNodeId)| {
         repo.clear_cache().unwrap();
-        repo.reset_buffer_stats();
+        repo.pool().reset_stats();
         let lca = repo.view().lca(a, b).unwrap();
         let stats = repo.buffer_stats();
         (lca, stats.hits + stats.misses)

@@ -23,14 +23,6 @@
 //! range helpers work on it unchanged. `hash_idx` sorts by hash first: a
 //! 16-byte prefix scan answers "which stored subtrees equal this one"
 //! without touching a single node row.
-//!
-//! Structurally-shared ("cold") trees additionally persist reference rows
-//! bridging to subtrees stored under another tree:
-//!
-//! ```text
-//! clade_refs:   tree_id: u64 | pre: u32 | end: u32 | parent_pre: u32
-//!               | src_tree: u64 | src_pre: u32               → span(src_pre, src_end)
-//! ```
 
 use phylo::traverse::Traverse;
 use phylo::Tree;
@@ -43,9 +35,6 @@ pub const HASH_BY_PRE_KEY_LEN: usize = 12 + CLADE_HASH_LEN;
 
 /// Total length of a `hash_idx` key: `hash | tree_id | pre`.
 pub const HASH_IDX_KEY_LEN: usize = CLADE_HASH_LEN + 12;
-
-/// Total length of a `clade_refs` key (see the module docs for layout).
-pub const CLADE_REF_KEY_LEN: usize = 8 + 4 + 4 + 4 + 8 + 4;
 
 const SEED_A: u64 = 0x9e37_79b9_7f4a_7c15;
 const SEED_B: u64 = 0xc2b2_ae3d_27d4_eb4f;
@@ -262,65 +251,6 @@ pub fn hash_idx_range_end(hash: CladeHash) -> Option<[u8; CLADE_HASH_LEN]> {
     hash.to_u128().checked_add(1).map(|next| next.to_be_bytes())
 }
 
-/// One structural-sharing reference row of a cold tree: the bridged span
-/// `[pre, end]` of `tree_id` is not materialized locally; its nodes live as
-/// the span `[src_pre, src_end]` of `src_tree`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CladeRef {
-    /// Logical pre-order rank of the bridged subtree's root in the cold tree.
-    pub pre: u32,
-    /// Logical end rank of the bridged subtree in the cold tree.
-    pub end: u32,
-    /// Pre-order rank of the bridge node's parent in the cold tree.
-    pub parent_pre: u32,
-    /// The tree physically holding the shared subtree.
-    pub src_tree: u64,
-    /// Pre-order rank of the shared subtree's root inside `src_tree`.
-    pub src_pre: u32,
-    /// End rank of the shared subtree inside `src_tree`.
-    pub src_end: u32,
-}
-
-impl CladeRef {
-    /// Serialize as a `clade_refs` key; the value slot carries
-    /// `pack_span(src_pre, src_end)`.
-    pub fn encode_key(&self, tree_id: u64) -> [u8; CLADE_REF_KEY_LEN] {
-        let mut key = [0u8; CLADE_REF_KEY_LEN];
-        key[..8].copy_from_slice(&tree_id.to_be_bytes());
-        key[8..12].copy_from_slice(&self.pre.to_be_bytes());
-        key[12..16].copy_from_slice(&self.end.to_be_bytes());
-        key[16..20].copy_from_slice(&self.parent_pre.to_be_bytes());
-        key[20..28].copy_from_slice(&self.src_tree.to_be_bytes());
-        key[28..].copy_from_slice(&self.src_pre.to_be_bytes());
-        key
-    }
-
-    /// Inverse of [`CladeRef::encode_key`] given the key and the packed
-    /// value; `None` for malformed bytes.
-    pub fn decode(key: &[u8], value: u64) -> Option<(u64, CladeRef)> {
-        if key.len() != CLADE_REF_KEY_LEN {
-            return None;
-        }
-        let u32_at =
-            |i: usize| u32::from_be_bytes(key[i..i + 4].try_into().expect("length checked"));
-        let (src_pre, src_end) = unpack_span(value);
-        if src_pre != u32_at(28) {
-            return None;
-        }
-        Some((
-            u64::from_be_bytes(key[..8].try_into().expect("length checked")),
-            CladeRef {
-                pre: u32_at(8),
-                end: u32_at(12),
-                parent_pre: u32_at(16),
-                src_tree: u64::from_be_bytes(key[20..28].try_into().expect("length checked")),
-                src_pre,
-                src_end,
-            },
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,23 +395,5 @@ mod tests {
         assert!(!inside, "a different hash must fall outside the window");
         // The all-ones hash has no successor: scan to the end instead.
         assert!(hash_idx_range_end(CladeHash([0xFF; 16])).is_none());
-    }
-
-    #[test]
-    fn clade_ref_roundtrips() {
-        let r = CladeRef {
-            pre: 4,
-            end: 12,
-            parent_pre: 1,
-            src_tree: 2,
-            src_pre: 7,
-            src_end: 15,
-        };
-        let key = r.encode_key(9);
-        let value = pack_span(r.src_pre, r.src_end);
-        assert_eq!(CladeRef::decode(&key, value), Some((9, r)));
-        assert!(CladeRef::decode(&key[..16], value).is_none());
-        // A value whose src_pre disagrees with the key is rejected.
-        assert!(CladeRef::decode(&key, pack_span(8, 15)).is_none());
     }
 }

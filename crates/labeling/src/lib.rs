@@ -51,7 +51,7 @@ pub mod interval;
 pub mod parent;
 pub mod scheme;
 
-pub use clade_hash::{tree_hashes, CladeHash, CladeRef};
+pub use clade_hash::{tree_hashes, CladeHash};
 pub use dewey::FlatDewey;
 pub use hierarchical::HierarchicalDewey;
 pub use interval::{IntervalEntry, IntervalLabels};

@@ -564,44 +564,59 @@ impl BTree {
         Ok(pushed)
     }
 
-    /// The largest key currently in the tree (a rightmost-spine walk), or
-    /// `None` when the tree is empty. Used to decide whether a sorted run
-    /// can be bulk-appended.
-    pub fn last_key<S: PageSource>(&self, pool: S) -> StorageResult<Option<Vec<u8>>> {
-        let mut page = self.root;
-        loop {
-            enum Step {
-                Leaf(Option<Vec<u8>>),
-                Child(PageId),
-            }
-            let step = pool.with_page(page, |p| -> StorageResult<Step> {
-                let count = p.read_u16(1) as usize;
-                let is_leaf = p.bytes()[0] == TYPE_LEAF;
-                let mut off = NODE_HEADER;
-                let mut last_key = None;
-                let mut last_child = PageId(p.read_u64(3));
-                for _ in 0..count {
-                    let klen = p.read_u16(off) as usize;
-                    off += 2;
-                    if off + klen + 8 > PAGE_SIZE {
-                        return Err(StorageError::Corrupted("entry overruns page".into()));
-                    }
-                    if is_leaf {
-                        last_key = Some(p.read_bytes(off, klen).to_vec());
-                    } else {
-                        last_child = PageId(p.read_u64(off + klen));
-                    }
-                    off += klen + 8;
+    /// The entry with the largest key, or `None` when the tree is empty: a
+    /// rightmost-spine walk. Deletes never rebalance and can leave a leaf
+    /// empty; the walk then backs up into the next subtree to the left.
+    /// Decides whether a sorted run can be bulk-appended, and gives id
+    /// allocators their current maximum.
+    pub fn last_entry<S: PageSource>(&self, pool: S) -> StorageResult<Option<(Vec<u8>, u64)>> {
+        self.last_entry_under(pool, self.root)
+    }
+
+    fn last_entry_under<S: PageSource>(
+        &self,
+        pool: S,
+        page: PageId,
+    ) -> StorageResult<Option<(Vec<u8>, u64)>> {
+        enum Step {
+            Leaf(Option<(Vec<u8>, u64)>),
+            /// Child pages, leftmost (the header pointer) first.
+            Internal(Vec<PageId>),
+        }
+        let step = pool.with_page(page, |p| -> StorageResult<Step> {
+            let count = p.read_u16(1) as usize;
+            let is_leaf = p.bytes()[0] == TYPE_LEAF;
+            let mut off = NODE_HEADER;
+            let mut last = None;
+            let mut children = vec![PageId(p.read_u64(3))];
+            for _ in 0..count {
+                let klen = p.read_u16(off) as usize;
+                off += 2;
+                if off + klen + 8 > PAGE_SIZE {
+                    return Err(StorageError::Corrupted("entry overruns page".into()));
                 }
                 if is_leaf {
-                    Ok(Step::Leaf(last_key))
+                    last = Some((p.read_bytes(off, klen).to_vec(), p.read_u64(off + klen)));
                 } else {
-                    Ok(Step::Child(last_child))
+                    children.push(PageId(p.read_u64(off + klen)));
                 }
-            })??;
-            match step {
-                Step::Leaf(key) => return Ok(key),
-                Step::Child(child) => page = child,
+                off += klen + 8;
+            }
+            Ok(if is_leaf {
+                Step::Leaf(last)
+            } else {
+                Step::Internal(children)
+            })
+        })??;
+        match step {
+            Step::Leaf(last) => Ok(last),
+            Step::Internal(children) => {
+                for &child in children.iter().rev() {
+                    if let Some(entry) = self.last_entry_under(pool, child)? {
+                        return Ok(Some(entry));
+                    }
+                }
+                Ok(None)
             }
         }
     }
@@ -1324,7 +1339,7 @@ mod tests {
         let tree = BTree::bulk_build(&pool, 1.0, Vec::<(Vec<u8>, u64)>::new()).unwrap();
         assert!(tree.is_empty(&pool).unwrap());
         assert_eq!(tree.height(&pool).unwrap(), 1);
-        assert_eq!(tree.last_key(&pool).unwrap(), None);
+        assert_eq!(tree.last_entry(&pool).unwrap(), None);
         // Only the (empty) root leaf was allocated.
         assert_eq!(pool.page_count(), before + 1);
     }
@@ -1336,7 +1351,7 @@ mod tests {
         assert_eq!(tree.get(&pool, b"only").unwrap(), Some(7));
         assert_eq!(tree.len(&pool).unwrap(), 1);
         assert_eq!(tree.height(&pool).unwrap(), 1);
-        assert_eq!(tree.last_key(&pool).unwrap(), Some(b"only".to_vec()));
+        assert_eq!(tree.last_entry(&pool).unwrap(), Some((b"only".to_vec(), 7)));
     }
 
     #[test]
@@ -1456,8 +1471,8 @@ mod tests {
         assert_eq!(appended, 3000);
         assert_full_scan(&pool, &tree, &int_entries(0..6000));
         assert_eq!(
-            tree.last_key(&pool).unwrap(),
-            Some(Value::Int(5999).key_bytes())
+            tree.last_entry(&pool).unwrap(),
+            Some((Value::Int(5999).key_bytes(), 5999))
         );
         // A run whose first entry does not sort after the existing keys is
         // rejected before any page is touched.

@@ -180,6 +180,19 @@ pub trait DbRead: sealed::Access {
         Ok(out)
     }
 
+    /// The row with the largest key in the index on `column` (on a unique
+    /// id index, the row with the highest id), or `None` when the index is
+    /// empty: one rightmost-spine walk and one row fetch, however many
+    /// rows the table holds.
+    fn index_last(&self, table: TableId, column: &str) -> StorageResult<Option<Row>> {
+        let (src, meta) = self.access();
+        meta.index_meta(table, column)?;
+        match meta.index(table, column)?.last_entry(src)? {
+            Some((_, rid)) => Ok(Some(self.get(table, RecordId::from_u64(rid))?)),
+            None => Ok(None),
+        }
+    }
+
     /// Point lookup in a raw index.
     fn raw_get(&self, id: RawIndexId, key: &[u8]) -> StorageResult<Option<u64>> {
         let (src, meta) = self.access();
@@ -795,9 +808,9 @@ impl Database {
             .get_mut(&(table.0, column.to_string()))
             .expect("index loaded");
         let old_root = btree.root();
-        let appendable = match btree.last_key(&*pool)? {
+        let appendable = match btree.last_entry(&*pool)? {
             None => true,
-            Some(max) => run[0].0.as_slice() > max.as_slice(),
+            Some((max, _)) => run[0].0.as_slice() > max.as_slice(),
         };
         if appendable {
             btree.bulk_append(&pool, fill, run)?;

@@ -5,9 +5,11 @@
 //! page-source or catalog-metadata bug.
 //!
 //! The fixture has one table with a unique and a non-unique index, one
-//! deleted row (a stale record id) and one raw index; the probes cover
-//! exact lookups, open and closed ranges, an early-stopping `raw_scan` and
-//! unknown table, index, column and record ids.
+//! deleted row (a stale record id), an id table whose highest half was
+//! deleted (leaving the rightmost leaves of its index empty) and one raw
+//! index; the probes cover exact lookups, open and closed ranges, last
+//! index entries, an early-stopping `raw_scan` and unknown table, index,
+//! column and record ids.
 
 use storage::db::{Database, DbRead, RawIndexId, TableId};
 use storage::schema::{ColumnDef, Schema};
@@ -22,7 +24,8 @@ fn raw_key(i: u64) -> Vec<u8> {
 }
 
 /// A committed database: `species(name UNIQUE, clade, weight)` with 300
-/// rows (clades repeat every 7 rows) minus the row named `S13`, and a raw
+/// rows (clades repeat every 7 rows) minus the row named `S13`,
+/// `ids(id UNIQUE)` holding ids 0..1,000 of the 2,000 inserted, and a raw
 /// index `intervals` of 500 entries. Returns the deleted row's record id.
 fn build(db: &mut Database) -> RecordId {
     let schema = Schema::new(vec![
@@ -54,6 +57,19 @@ fn build(db: &mut Database) -> RecordId {
     db.bulk_raw_insert(raw, 0.9, (0..500u64).map(|i| (raw_key(i), i * 3)))
         .unwrap();
     db.delete(t, deleted.unwrap()).unwrap();
+    let ids = db
+        .create_table(
+            "ids",
+            Schema::new(vec![ColumnDef::new("id", ValueType::Int)]),
+        )
+        .unwrap();
+    db.create_index(ids, "id", true).unwrap();
+    let rids: Vec<RecordId> = (0..2_000i64)
+        .map(|i| db.insert(ids, &[Value::Int(i)]).unwrap())
+        .collect();
+    for &rid in &rids[1_000..] {
+        db.delete(ids, rid).unwrap();
+    }
     db.commit().unwrap();
     deleted.unwrap()
 }
@@ -112,6 +128,19 @@ fn answers<D: DbRead>(d: D, stale: RecordId) -> Vec<String> {
         note(
             &format!("lookup_rows {column}={value:?}"),
             format!("{:?}", d.lookup_rows(t, column, &value)),
+        );
+    }
+    let ids = d.table("ids").unwrap();
+    for (table, column) in [
+        (t, "name"),
+        (t, "clade"),
+        (t, "weight"),
+        (ids, "id"),
+        (ghost_table, "name"),
+    ] {
+        note(
+            &format!("index_last {table:?}.{column}"),
+            format!("{:?}", d.index_last(table, column)),
         );
     }
     note(
@@ -236,6 +265,12 @@ fn writer_and_pinned_view_answer_every_read_identically() {
         db.index_lookup(t, "clade", &Value::Int(3)).unwrap().len(),
         43
     );
+    let last = |table: TableId, column: &str| db.index_last(table, column).unwrap().unwrap();
+    assert_eq!(last(t, "name").values[0], Value::text("S99"));
+    // The highest 1,000 ids are gone, emptying the rightmost leaves of
+    // the index: the last entry is the highest surviving id.
+    let ids = db.table("ids").unwrap();
+    assert_eq!(last(ids, "id").values[0], Value::Int(999));
     let raw = db.raw_index("intervals").unwrap();
     assert_eq!(db.raw_len(raw).unwrap(), 500);
     let mut seen = 0;

@@ -200,24 +200,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         occurrences.len()
     );
 
-    // A cold store keeps only the spine: subtrees already present in a hot
-    // tree become bridge rows instead of node rows, and reads stay
-    // transparent (the comparison below streams through the bridges).
-    let cold = repo.store_tree_shared("gold_cold", &gold.tree, 32)?;
-    let refs = repo.view().clade_refs_of(cold)?;
-    let cmp = repo.view().compare_stored(handle, cold, false)?;
-    println!(
-        "store_tree_shared(gold) -> tree #{}: {} bridge rows, RF vs canonical = {}",
-        cold.0,
-        refs.len(),
-        cmp.rf.distance
-    );
-
-    let cs = repo.view().content_stats()?;
-    println!(
-        "content stats: {} trees, {} cold; {} logical nodes, {} stored, {} bridged via {} refs",
-        cs.trees, cs.cold_trees, cs.logical_nodes, cs.stored_nodes, cs.bridged_nodes, cs.dedup_refs
-    );
     repo.flush()?;
     Ok(())
 }
