@@ -1,40 +1,41 @@
 //! Content-addressed tree storage: canonical clade hashes, O(1) equality
 //! and dedup-on-store.
 //!
-//! Every stored tree carries the per-clade Merkle hashes of
-//! [`labeling::clade_hash`] in two raw indexes (`hash_by_pre` per tree,
-//! `hash_idx` globally) plus one `tree_stats` summary row. On top of those
-//! this module implements:
+//! A stored tree's content address is its `tree_stats` row: the
+//! [`labeling::clade_hash`] Merkle hash of its root clade, its distinct
+//! clade and split counts and a distinct-leaf-names flag, with a non-unique
+//! index on the root hash. On top of that row this module implements:
 //!
-//! * **O(1) equality** — [`ReadCtx::trees_equal`] compares two stats
-//!   rows; [`ReadCtx::subtrees_equal`] compares two `hash_by_pre`
-//!   probes. No scan, no node rows.
-//! * **No-scan lookup** — [`ReadCtx::trees_with_root_hash`] /
-//!   [`ReadCtx::subtrees_with_hash`] answer "which stored trees or
-//!   subtrees equal this one" from a 16-byte prefix range of `hash_idx`.
+//! * **O(1) equality** — [`ReadCtx::trees_equal`] compares two stats rows;
+//!   no scan, no node rows.
+//! * **No-scan lookup** — [`ReadCtx::trees_with_root_hash`] answers "which
+//!   stored trees equal this one" with one probe of the `root_hash` index.
 //! * **Dedup-on-store** — [`Repository::store_tree_dedup`] returns the
 //!   canonical stored tree when an identical one already exists, instead of
 //!   writing a second full copy; the experiment runner persists sweep
 //!   reconstructions through it.
 //!
-//! Every load path writes the content address in the same transaction as
-//! the tree, so a tree without its `tree_stats` row is a damaged file
+//! The hashes of the other nodes are not stored:
+//! [`ReadCtx::clade_hashes`] recomputes them from the tree's interval
+//! entries and leaf names when the experiment runner remaps agreement rows
+//! onto a deduplicated tree and when [`ReadCtx::integrity_check`] verifies
+//! a stored root hash.
+//!
+//! Every load path writes the stats row in the same transaction as the
+//! tree, so a tree without it is a damaged file
 //! ([`CrimsonError::CorruptRepository`]), which
 //! [`ReadCtx::integrity_check`] reports.
 
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::repository::{
     decode_tree_stats_row, ReadCtx, Repository, StoredNodeId, TreeHandle, TreeStatsRecord,
-    BULK_FILL, HASH_IDX_MIN_SPAN, STATS_FLAG_DISTINCT_LEAVES, TREE_SHIFT,
+    STATS_FLAG_DISTINCT_LEAVES, TREE_SHIFT,
 };
-use labeling::clade_hash::{
-    self, decode_hash_by_pre_key, decode_hash_idx_key, hash_by_pre_key, hash_idx_key,
-    hash_idx_prefix, hash_idx_range_end, pack_span, unpack_span, CladeHash,
-};
-use labeling::interval::{interval_key_prefix, interval_range_end};
+use labeling::clade_hash::{self, CladeHash};
 use phylo::traverse::Traverse;
 use phylo::Tree;
-use std::collections::{HashMap, HashSet};
+use reconstruction::compare::CladeSource;
+use std::collections::HashSet;
 use storage::db::DbRead;
 use storage::value::Value;
 
@@ -141,11 +142,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             &Value::Int(handle.0 as i64),
         )?;
         match rows.into_iter().next() {
-            Some((rid, row)) => decode_tree_stats_row(&row).ok_or_else(|| {
-                CrimsonError::CorruptRepository(format!(
-                    "tree_stats row {rid} carries a malformed clade hash"
-                ))
-            }),
+            Some((rid, row)) => stats_row(rid, &row),
             None => {
                 let tree = self.tree_record(handle)?;
                 Err(CrimsonError::CorruptRepository(format!(
@@ -156,40 +153,6 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         }
     }
 
-    /// The stored clade hash and end rank of the subtree rooted at rank
-    /// `pre` of `tree`: one covering probe of `hash_by_pre`. `None` when the
-    /// rank carries no hash entry.
-    pub(crate) fn subtree_hash_at(
-        &self,
-        tree: TreeHandle,
-        pre: u32,
-    ) -> CrimsonResult<Option<(CladeHash, u32)>> {
-        let low = interval_key_prefix(tree.0, pre);
-        let high = interval_range_end(tree.0, pre);
-        match self
-            .db
-            .raw_first_in_range(self.tables.hash_by_pre, &low, &high, |key, value| {
-                decode_hash_by_pre_key(key).map(|(_, _, h)| (h, unpack_span(value).1))
-            })? {
-            Some(Some(found)) => Ok(Some(found)),
-            Some(None) => Err(CrimsonError::CorruptRepository(
-                "malformed clade-hash key".to_string(),
-            )),
-            None => Ok(None),
-        }
-    }
-
-    /// The canonical clade hash of the subtree rooted at a stored node.
-    pub fn subtree_hash(&self, id: StoredNodeId) -> CrimsonResult<CladeHash> {
-        let tree = id.0 >> TREE_SHIFT;
-        let (pre, _) = self.interval_of(id)?;
-        self.subtree_hash_at(TreeHandle(tree), pre)?
-            .map(|(h, _)| h)
-            .ok_or_else(|| {
-                CrimsonError::CorruptRepository(format!("node {id} has no clade-hash entry"))
-            })
-    }
-
     /// O(1) whole-tree equality: same unordered topology with the same
     /// leaf-name multiset. Two stats-row lookups, no tree is streamed.
     pub fn trees_equal(&self, a: TreeHandle, b: TreeHandle) -> CrimsonResult<bool> {
@@ -198,104 +161,67 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
         Ok(sa.root_hash == sb.root_hash)
     }
 
-    /// O(1) subtree equality between two stored nodes (possibly of
-    /// different trees): two interval lookups and two hash probes.
-    pub fn subtrees_equal(&self, a: StoredNodeId, b: StoredNodeId) -> CrimsonResult<bool> {
-        Ok(self.subtree_hash(a)? == self.subtree_hash(b)?)
+    /// The stats rows of the stored trees whose whole-tree content address
+    /// equals `hash`: one probe of the `tree_stats` root-hash index.
+    pub fn trees_with_root_hash(&self, hash: CladeHash) -> CrimsonResult<Vec<TreeStatsRecord>> {
+        self.db
+            .lookup_rows(
+                self.tables.tree_stats,
+                "root_hash",
+                &Value::bytes(hash.as_bytes().to_vec()),
+            )?
+            .into_iter()
+            .map(|(rid, row)| stats_row(rid, &row))
+            .collect()
     }
 
-    /// Every `hash_idx` occurrence of `hash` as `(tree, pre, end)` — tree
-    /// roots plus internal subtrees spanning at least
-    /// [`HASH_IDX_MIN_SPAN`](crate::repository) nodes.
-    pub fn subtrees_with_hash(
+    /// The canonical clade hash of every node of a stored tree, with the
+    /// node, in pre-order. Only the root hash is stored (in `tree_stats`);
+    /// this reruns [`clade_hash::tree_hashes`]'s recipe over the tree's
+    /// `ivl_by_pre` entries and leaf names, as [`ReadCtx::clade_source`]
+    /// streams them. In reverse pre-order every child is finished before
+    /// its parent, and a node's children are the finished subtrees on top
+    /// of a stack whose rank its `(pre, end]` span covers.
+    pub fn clade_hashes(
         &self,
-        hash: CladeHash,
-    ) -> CrimsonResult<Vec<(TreeHandle, u32, u32)>> {
-        let low = hash_idx_prefix(hash);
-        let high = hash_idx_range_end(hash);
-        let mut out = Vec::new();
-        let mut malformed = false;
-        self.db.raw_scan(
-            self.tables.hash_idx,
-            Some(low.as_slice()),
-            high.as_ref().map(|h| h.as_slice()),
-            &mut |key, value| match decode_hash_idx_key(key) {
-                Some((_, tree, pre)) => {
-                    let (_, end) = unpack_span(value);
-                    out.push((TreeHandle(tree), pre, end));
-                    Ok(true)
+        handle: TreeHandle,
+    ) -> CrimsonResult<Vec<(StoredNodeId, CladeHash)>> {
+        let mut nodes: Vec<(u32, u32, u32, Option<String>)> = Vec::new();
+        self.clade_source(handle)?
+            .for_each_node(&mut |pre, end, node, name| {
+                nodes.push((pre, end, node, name.map(str::to_owned)))
+            })?;
+        let mut out = Vec::with_capacity(nodes.len());
+        // Finished subtrees not yet joined to their parent, as `(pre,
+        // hash)`; the lowest rank is on top.
+        let mut finished: Vec<(u32, CladeHash)> = Vec::new();
+        let mut children: Vec<CladeHash> = Vec::new();
+        for &(pre, end, node, ref name) in nodes.iter().rev() {
+            let hash = if end == pre {
+                CladeHash::leaf(name.as_deref())
+            } else {
+                children.clear();
+                while let Some(&(_, child)) = finished.last().filter(|&&(p, _)| p <= end) {
+                    children.push(child);
+                    finished.pop();
                 }
-                None => {
-                    malformed = true;
-                    Ok(false)
-                }
-            },
-        )?;
-        if malformed {
-            return Err(CrimsonError::CorruptRepository(
-                "malformed content-address key".to_string(),
-            ));
+                CladeHash::internal(&mut children)
+            };
+            finished.push((pre, hash));
+            out.push((StoredNodeId((handle.0 << TREE_SHIFT) | node as u64), hash));
         }
+        out.reverse();
         Ok(out)
     }
+}
 
-    /// Stored trees whose whole-tree content address equals `hash` — the
-    /// `pre == 0` slice of [`ReadCtx::subtrees_with_hash`].
-    pub fn trees_with_root_hash(&self, hash: CladeHash) -> CrimsonResult<Vec<TreeHandle>> {
-        Ok(self
-            .subtrees_with_hash(hash)?
-            .into_iter()
-            .filter(|&(_, pre, _)| pre == 0)
-            .map(|(tree, _, _)| tree)
-            .collect())
-    }
-
-    /// Map every distinct clade hash of `handle` to one pre-order rank
-    /// carrying it — one range scan of the tree's `hash_by_pre` slice. The
-    /// experiment runner uses it to remap per-clade agreement rows onto a
-    /// deduplicated canonical tree.
-    pub(crate) fn hash_to_pre_map(
-        &self,
-        handle: TreeHandle,
-    ) -> CrimsonResult<HashMap<CladeHash, u32>> {
-        let low = handle.0.to_be_bytes();
-        let high = (handle.0 + 1).to_be_bytes();
-        let mut map = HashMap::new();
-        self.db.raw_scan(
-            self.tables.hash_by_pre,
-            Some(low.as_slice()),
-            Some(high.as_slice()),
-            &mut |key, _| {
-                if let Some((_, pre, h)) = decode_hash_by_pre_key(key) {
-                    map.entry(h).or_insert(pre);
-                }
-                Ok(true)
-            },
-        )?;
-        Ok(map)
-    }
-
-    /// Map every distinct clade hash of `handle` to one stored node
-    /// carrying it: the hash→pre map joined with a `ivl_by_pre` scan. Used
-    /// to remap per-clade agreement rows onto a deduplicated canonical
-    /// tree, whose arena numbering is unrelated to the reconstruction's.
-    pub(crate) fn hash_to_node_map(
-        &self,
-        handle: TreeHandle,
-    ) -> CrimsonResult<HashMap<CladeHash, StoredNodeId>> {
-        let by_pre = self.hash_to_pre_map(handle)?;
-        let mut pre_to_node: HashMap<u32, u32> = HashMap::with_capacity(by_pre.len());
-        self.scan_span(handle.0, 0, u32::MAX, |e, _| {
-            pre_to_node.insert(e.pre, e.node);
-        })?;
-        let mut map = HashMap::with_capacity(by_pre.len());
-        for (hash, pre) in by_pre {
-            if let Some(&node) = pre_to_node.get(&pre) {
-                map.insert(hash, StoredNodeId((handle.0 << TREE_SHIFT) | node as u64));
-            }
-        }
-        Ok(map)
-    }
+/// Decode the `tree_stats` row stored at `rid`.
+fn stats_row(rid: storage::RecordId, row: &storage::schema::Row) -> CrimsonResult<TreeStatsRecord> {
+    decode_tree_stats_row(row).ok_or_else(|| {
+        CrimsonError::CorruptRepository(format!(
+            "tree_stats row {rid} carries a malformed clade hash"
+        ))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -303,38 +229,15 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
 // ---------------------------------------------------------------------------
 
 impl Repository {
-    /// Persist the content address of a freshly loaded, fully materialized
-    /// tree: the `hash_by_pre` run (sorted, rides the bulk appender — the
-    /// new tree id sorts after every existing key), the thresholded global
-    /// `hash_idx` entries (point inserts; hash-first keys interleave across
-    /// trees) and the `tree_stats` summary row.
+    /// Persist the content address of a freshly loaded tree: its
+    /// `tree_stats` summary row.
     pub(crate) fn insert_content_address(
         &mut self,
         tree_id: u64,
-        rows: impl Iterator<Item = (u32, u32, CladeHash)>,
+        root_hash: CladeHash,
         counts: CladeCounts,
         distinct_leaves: bool,
     ) -> CrimsonResult<()> {
-        let rows: Vec<(u32, u32, CladeHash)> = rows.collect();
-        let root_hash = rows
-            .first()
-            .map(|&(_, _, h)| h)
-            .ok_or(CrimsonError::Phylo(phylo::PhyloError::EmptyTree))?;
-        self.db.bulk_raw_insert(
-            self.tables.hash_by_pre,
-            BULK_FILL,
-            rows.iter()
-                .map(|&(pre, end, h)| (hash_by_pre_key(tree_id, pre, h), pack_span(pre, end))),
-        )?;
-        for &(pre, end, h) in &rows {
-            if pre == 0 || end - pre + 1 >= HASH_IDX_MIN_SPAN {
-                self.db.raw_insert(
-                    self.tables.hash_idx,
-                    &hash_idx_key(h, tree_id, pre),
-                    pack_span(pre, end),
-                )?;
-            }
-        }
         let flags = if distinct_leaves {
             STATS_FLAG_DISTINCT_LEAVES
         } else {
@@ -371,13 +274,11 @@ impl Repository {
             return Ok((self.load_tree(name, tree)?, false));
         }
         let hash = clade_hash::root_hash(tree).expect("non-empty tree has a root");
-        for handle in self.view().trees_with_root_hash(hash)? {
-            let stats = self.view().tree_stats(handle)?;
-            if stats.distinct_leaves {
-                return Ok((handle, true));
-            }
+        let stored = self.view().trees_with_root_hash(hash)?;
+        match stored.into_iter().find(|stats| stats.distinct_leaves) {
+            Some(stats) => Ok((stats.handle, true)),
+            None => Ok((self.load_tree(name, tree)?, false)),
         }
-        Ok((self.load_tree(name, tree)?, false))
     }
 }
 
@@ -507,11 +408,6 @@ mod tests {
         assert_eq!(sa.unrooted_splits, sb.unrooted_splits);
         assert!(sa.distinct_leaves && sb.distinct_leaves);
         assert!(repo.view().trees_equal(ha, hb).unwrap());
-        // Per-node hashes agree too: both pre ranges map hash → pre
-        // identically up to rank numbering.
-        let ma = repo.view().hash_to_pre_map(ha).unwrap();
-        let mb = repo.view().hash_to_pre_map(hb).unwrap();
-        assert_eq!(ma, mb);
     }
 
     #[test]
@@ -523,14 +419,11 @@ mod tests {
         let hb = repo.load_tree("b", &b).unwrap();
         assert!(!repo.view().trees_equal(ha, hb).unwrap());
         let root_hash = clade_hash::root_hash(&a).unwrap();
-        assert_eq!(
-            repo.view().trees_with_root_hash(root_hash).unwrap(),
-            vec![ha]
-        );
-        // Subtree self-equality via stored nodes.
+        let found = repo.view().trees_with_root_hash(root_hash).unwrap();
+        assert_eq!(found, vec![repo.view().tree_stats(ha).unwrap()]);
+        // The recomputed root hash names the stored root.
         let root = repo.view().tree_record(ha).unwrap().root;
-        assert!(repo.view().subtrees_equal(root, root).unwrap());
-        assert_eq!(repo.view().subtree_hash(root).unwrap(), root_hash);
+        assert_eq!(repo.view().clade_hashes(ha).unwrap()[0], (root, root_hash));
     }
 
     #[test]

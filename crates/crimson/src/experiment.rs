@@ -40,7 +40,7 @@ use reconstruction::distance::{jc_corrected_matrix, k2p_corrected_matrix, p_dist
 use reconstruction::{neighbor_joining, upgma};
 use serde::{Deserialize, Serialize};
 use serde_json::json;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
@@ -1077,10 +1077,14 @@ fn persist_cell(
     // Agreement rows name stored nodes. On a fresh store the
     // reconstruction's arena ids carry over verbatim; on a dedup hit they
     // mean nothing in the canonical tree, so each clade is remapped through
-    // its content hash (equal trees hold every clade of one another).
+    // its content hash, recomputed for the canonical tree's nodes (equal
+    // trees hold every clade of one another).
     let node_ids: Vec<i64> = if deduped {
         let hashes = labeling::clade_hash::tree_hashes(&eval.reconstruction);
-        let node_map = repo.view().hash_to_node_map(recon)?;
+        let mut node_map = HashMap::new();
+        for (node, hash) in repo.view().clade_hashes(recon)? {
+            node_map.entry(hash).or_insert(node);
+        }
         eval.clades
             .iter()
             .map(|c| {
@@ -1538,6 +1542,17 @@ mod tests {
             assert_eq!(a.rooted_rf, b.rooted_rf);
             assert_eq!(a.sample_size, b.sample_size);
             assert_eq!(a.cell_seed, b.cell_seed);
+            // Every rerun reconstruction is a dedup hit on the original's
+            // tree, so its agreement rows are remapped through the clade
+            // hashes and must land on exactly the original's nodes.
+            assert_eq!(a.recon, b.recon);
+            let clades = |id| -> Vec<(StoredNodeId, u32, bool)> {
+                let rows = repo.view().experiment_clades(id).unwrap();
+                rows.iter().map(|c| (c.node, c.size, c.agrees)).collect()
+            };
+            let (ca, cb) = (clades(a.id), clades(b.id));
+            assert!(!ca.is_empty());
+            assert_eq!(ca, cb);
         }
     }
 }

@@ -185,11 +185,6 @@ impl RepositoryReader {
         };
     }
 
-    /// This reader's retry/backoff policy.
-    pub fn read_retry(&self) -> ReadRetry {
-        self.retry
-    }
-
     /// Pin a snapshot of the current committed state. The returned guard
     /// derefs to a [`ReadCtx`] on that one frozen epoch — commits landing
     /// after the pin are invisible until the guard is dropped. Use it to

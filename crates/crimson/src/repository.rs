@@ -56,26 +56,15 @@ const IVL_BY_PRE: &str = "ivl_by_pre";
 /// Name of the raw index mapping a stored node id to its packed
 /// `(pre, end)` interval.
 const IVL_BY_NODE: &str = "ivl_by_node";
-/// Name of the raw index holding per-node canonical clade hashes, keyed
-/// `(tree_id, pre, hash)` → packed `(pre, end)` span (see
-/// [`labeling::clade_hash`]).
-const HASH_BY_PRE: &str = "clade_hash_by_pre";
-/// Name of the global content-address index, keyed `(hash, tree_id, pre)` →
-/// packed `(pre, end)` span. A 16-byte prefix scan answers "which stored
-/// trees/subtrees equal this one" without touching a node row.
-const HASH_IDX: &str = "clade_hash_idx";
 /// Name of the table holding each tree's pre-order depth blocks.
 const DEPTH_BLOCKS: &str = "depth_blocks";
 /// Name of the table holding each tree's depth-block minima.
 const DEPTH_MINIMA: &str = "depth_minima";
 
-/// Minimum node-span for a subtree to be published in the global
-/// content-address index. Tree roots are always published; smaller internal
-/// subtrees are only addressable through their tree's `hash_by_pre` range.
-/// Keeps the per-load point-insert count (the global index interleaves
-/// across trees, so it cannot ride the bulk appender) a small fraction of
-/// the node count on realistic tree shapes.
-pub(crate) const HASH_IDX_MIN_SPAN: u32 = 32;
+/// Raw indexes that older builds created and this one no longer keeps: the
+/// structurally-shared store's clade references and the per-node and global
+/// clade-hash indexes. A file that has any of them is refused at open.
+const RETIRED_RAW_INDEXES: [&str; 3] = ["clade_refs", "clade_hash_by_pre", "clade_hash_idx"];
 
 /// `tree_stats.flags` bit: every leaf is named and the names are distinct —
 /// the precondition under which hash equality implies metric equality.
@@ -220,10 +209,6 @@ pub(crate) struct Tables {
     pub ivl_by_pre: RawIndexId,
     /// Stored node id → packed `(pre << 32) | end` interval.
     pub ivl_by_node: RawIndexId,
-    /// Per-node clade hashes keyed `(tree_id, pre, hash)`.
-    pub hash_by_pre: RawIndexId,
-    /// Global content-address index keyed `(hash, tree_id, pre)`.
-    pub hash_idx: RawIndexId,
     /// Pre-order `(depth, parent_pre)` blocks of every tree (see
     /// [`crate::depth`]).
     pub depth_blocks: TableId,
@@ -235,9 +220,9 @@ impl Tables {
     /// Resolve every table and raw index of an existing repository file.
     /// The layout is checked first: a file written before the depth column
     /// existed, whose `trees` / `nodes` rows still carry the
-    /// hierarchical-label columns, or that still has a `clade_refs` index,
-    /// is refused with a typed error (there is no in-place upgrade; reload
-    /// its trees into a new repository).
+    /// hierarchical-label columns, or that still has a raw index this build
+    /// retired, is refused with a typed error (there is no in-place
+    /// upgrade; reload its trees into a new repository).
     fn open(db: &Database) -> CrimsonResult<Tables> {
         let older = |what: &str| {
             CrimsonError::CorruptRepository(format!(
@@ -262,8 +247,11 @@ impl Tables {
                 return Err(older(&format!("lays out the `{name}` table differently")));
             }
         }
-        if db.raw_index("clade_refs").is_ok() {
-            return Err(older("still has a `clade_refs` index"));
+        if let Some(name) = RETIRED_RAW_INDEXES
+            .into_iter()
+            .find(|name| db.raw_index(name).is_ok())
+        {
+            return Err(older(&format!("still has a `{name}` index")));
         }
         Ok(Tables {
             trees,
@@ -280,12 +268,6 @@ impl Tables {
             ivl_by_node: db
                 .raw_index(IVL_BY_NODE)
                 .map_err(missing("`ivl_by_node` interval index"))?,
-            hash_by_pre: db
-                .raw_index(HASH_BY_PRE)
-                .map_err(missing("`clade_hash_by_pre` clade-hash index"))?,
-            hash_idx: db
-                .raw_index(HASH_IDX)
-                .map_err(missing("`clade_hash_idx` content-address index"))?,
             depth_blocks,
             depth_minima,
         })
@@ -345,12 +327,6 @@ pub struct IntegrityReport {
     /// Per-clade agreement rows (each referencing an existing result and a
     /// stored node of its reconstruction).
     pub experiment_clades: u64,
-    /// Entries in the per-tree clade-hash index (one per node of every
-    /// tree).
-    pub hash_entries: u64,
-    /// Entries in the global content-address index (verified to reference
-    /// existing hashed spans).
-    pub global_hash_entries: u64,
     /// Depth-column block rows (each tree's column verified against its
     /// minima, its interval entries and its node rows).
     pub depth_blocks: u64,
@@ -634,9 +610,9 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     /// node, and each `ivl_by_pre` entry's locator and leaf flag agree
     /// with the row of the node it names; each tree's depth column agrees
     /// with its block minima, its interval entries' parent ranks and its
-    /// node rows' depths; every tree carries its `tree_stats` row and
-    /// clade-hash entries; every species row points at a leaf of its tree;
-    /// the query history parses in full. Violations — orphan rows from an
+    /// node rows' depths; every tree carries one `tree_stats` row, whose
+    /// root hash the tree's nodes reproduce; every species row points at a
+    /// leaf of its tree; the query history parses in full. Violations — orphan rows from an
     /// interrupted load, say — surface as
     /// [`CrimsonError::CorruptRepository`].
     pub fn integrity_check(&self) -> CrimsonResult<IntegrityReport> {
@@ -781,114 +757,18 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             return Err(CrimsonError::CorruptRepository(msg));
         }
 
-        // Per-tree clade hashes: every tree carries one entry per node. The
-        // stats root hash must match the entry stored at rank 0.
-        let mut hash_counts: HashMap<u64, u64> = HashMap::new();
-        let mut qualifying: HashMap<u64, u64> = HashMap::new();
-        {
-            let mut malformed = false;
-            self.db
-                .raw_scan(self.tables.hash_by_pre, None, None, &mut |key, value| {
-                    let Some((tree, pre, _)) = clade_hash::decode_hash_by_pre_key(key) else {
-                        malformed = true;
-                        return Ok(false);
-                    };
-                    let (lo, hi) = clade_hash::unpack_span(value);
-                    *hash_counts.entry(tree).or_default() += 1;
-                    if pre == lo && (pre == 0 || hi - lo + 1 >= HASH_IDX_MIN_SPAN) {
-                        *qualifying.entry(tree).or_default() += 1;
-                    }
-                    Ok(true)
-                })?;
-            if malformed {
-                return Err(CrimsonError::CorruptRepository(
-                    "malformed clade-hash entry".to_string(),
-                ));
-            }
-        }
-        for tree_id in hash_counts.keys() {
-            if !trees.contains_key(tree_id) {
-                return Err(CrimsonError::CorruptRepository(format!(
-                    "orphan clade-hash entries reference missing tree {tree_id}"
-                )));
-            }
-        }
+        // The content address: each tree's root hash, recomputed from its
+        // interval entries and leaf names, must be the one its stats row
+        // stores.
         for (tree_id, tree) in &trees {
-            let have = hash_counts.get(tree_id).copied().unwrap_or(0);
-            let st = &stats[tree_id];
-            if have != tree.node_count {
+            let root = self
+                .clade_hashes(TreeHandle(*tree_id))?
+                .first()
+                .map(|&(_, h)| h);
+            if root != Some(stats[tree_id].root_hash) {
                 return Err(CrimsonError::CorruptRepository(format!(
-                    "tree `{}` holds {have} clade-hash entries, expected {}",
-                    tree.name, tree.node_count
-                )));
-            }
-            report.hash_entries += have;
-            match self.subtree_hash_at(st.handle, 0)? {
-                Some((h, end)) if h == st.root_hash && end as u64 == tree.node_count - 1 => {}
-                _ => {
-                    return Err(CrimsonError::CorruptRepository(format!(
-                        "stats root hash of tree `{}` contradicts its stored entry",
-                        tree.name
-                    )));
-                }
-            }
-        }
-
-        // Global hash index: every entry must decode, belong to a stored
-        // tree, agree with that tree's per-tree entry, and meet the
-        // publication threshold; conversely every qualifying span must be
-        // published.
-        {
-            let mut malformed = false;
-            let mut entries: Vec<(CladeHash, u64, u32)> = Vec::new();
-            self.db
-                .raw_scan(self.tables.hash_idx, None, None, &mut |key, _| {
-                    match clade_hash::decode_hash_idx_key(key) {
-                        Some((hash, tree, pre)) => {
-                            entries.push((hash, tree, pre));
-                            Ok(true)
-                        }
-                        None => {
-                            malformed = true;
-                            Ok(false)
-                        }
-                    }
-                })?;
-            if malformed {
-                return Err(CrimsonError::CorruptRepository(
-                    "malformed global hash-index entry".to_string(),
-                ));
-            }
-            for (hash, tree, pre) in entries {
-                if !stats.contains_key(&tree) {
-                    return Err(CrimsonError::CorruptRepository(format!(
-                        "global hash index references missing tree {tree}"
-                    )));
-                }
-                match self.subtree_hash_at(TreeHandle(tree), pre)? {
-                    Some((h, end)) if h == hash => {
-                        if pre != 0 && end - pre + 1 < HASH_IDX_MIN_SPAN {
-                            return Err(CrimsonError::CorruptRepository(format!(
-                                "global hash index publishes sub-threshold span at rank {pre} of tree {tree}"
-                            )));
-                        }
-                    }
-                    _ => {
-                        return Err(CrimsonError::CorruptRepository(format!(
-                            "global hash index contradicts per-tree entry at rank {pre} of tree {tree}"
-                        )));
-                    }
-                }
-                report.global_hash_entries += 1;
-            }
-            let expected_global: u64 = trees
-                .keys()
-                .map(|id| qualifying.get(id).copied().unwrap_or(0))
-                .sum();
-            if report.global_hash_entries != expected_global {
-                return Err(CrimsonError::CorruptRepository(format!(
-                    "global hash index holds {} entries, expected {expected_global}",
-                    report.global_hash_entries
+                    "root hash of tree `{}` recomputed from its nodes contradicts its tree_stats row",
+                    tree.name
                 )));
             }
         }
@@ -1176,10 +1056,9 @@ impl Repository {
         db.create_index(clades_table, "result_id", false)?;
         let stats_table = db.create_table("tree_stats", tree_stats_schema())?;
         db.create_index(stats_table, "tree_id", true)?;
+        db.create_index(stats_table, "root_hash", false)?;
         let ivl_by_pre = db.create_raw_index(IVL_BY_PRE)?;
         let ivl_by_node = db.create_raw_index(IVL_BY_NODE)?;
-        let hash_by_pre = db.create_raw_index(HASH_BY_PRE)?;
-        let hash_idx = db.create_raw_index(HASH_IDX)?;
         let depth_blocks = db.create_table(DEPTH_BLOCKS, crate::depth::depth_blocks_schema())?;
         let depth_minima = db.create_table(DEPTH_MINIMA, crate::depth::depth_minima_schema())?;
         db.create_index(depth_minima, "tree_id", false)?;
@@ -1200,8 +1079,6 @@ impl Repository {
                 tree_stats: stats_table,
                 ivl_by_pre,
                 ivl_by_node,
-                hash_by_pre,
-                hash_idx,
                 depth_blocks,
                 depth_minima,
             },
@@ -1218,7 +1095,8 @@ impl Repository {
     /// log: loads committed before a crash are restored, interrupted loads
     /// are rolled back; the outcome is available from
     /// [`Repository::recovery_report`]. A file written before the depth
-    /// column existed is refused with [`CrimsonError::CorruptRepository`].
+    /// column existed, or one that still has a raw index this build
+    /// retired, is refused with [`CrimsonError::CorruptRepository`].
     pub fn open(path: impl AsRef<Path>, options: RepositoryOptions) -> CrimsonResult<Self> {
         let db = Database::open_with_capacity(path, options.buffer_pool_pages)?;
         let recovery = db.pool().recovery_report();
@@ -1395,16 +1273,6 @@ impl Repository {
     /// durable one.
     pub fn last_commit_lsn(&self) -> Lsn {
         self.last_commit
-    }
-
-    /// Switch the durability mode commits route through from now on (see
-    /// [`Durability`]). The server front end keeps the writer in
-    /// [`Durability::Async`] permanently and implements per-request
-    /// synchronous semantics by waiting on [`Repository::last_commit_lsn`]
-    /// *after* releasing the writer, so concurrent sessions' fsync waits
-    /// collapse into shared group rounds.
-    pub fn set_durability(&mut self, durability: Durability) {
-        self.options.durability = durability;
     }
 
     /// Whether a background checkpointer is running for this repository.
@@ -1613,15 +1481,11 @@ impl Repository {
 
         self.insert_depth_column(tree_id, &pass.depth_column())?;
 
-        // The content address: per-node hashes in `(tree_id, pre)` order (a
-        // sorted bulk run like the interval index), the global hash entries,
-        // and the stats row the equal-tree short-circuit reads.
+        // The content address: the stats row the equal-tree short-circuit
+        // and dedup read.
         self.insert_content_address(
             tree_id,
-            order.iter().map(|&v| {
-                let i = v.index();
-                (pass.pre[i], pass.end[i], pass.hash[i])
-            }),
+            pass.hash[tree.root_unchecked().index()],
             pass.counts,
             clade_hash::distinct_named_leaves(tree),
         )?;
@@ -1702,16 +1566,13 @@ impl Repository {
 
         self.insert_depth_column(tree_id, &crate::depth::depth_column(tree))?;
 
-        // Content-address rows, computed standalone (the bulk path folds
+        // The content-address row, computed standalone (the bulk path folds
         // this into its single DFS; the property tests cross-validate the
         // two paths' hashes and stats byte for byte).
         let content = crate::content::TreeContent::compute(tree);
         self.insert_content_address(
             tree_id,
-            tree.preorder().map(|v| {
-                let (pre, end) = intervals.interval(v);
-                (pre, end, content.hashes[v.index()])
-            }),
+            content.hashes[tree.root_unchecked().index()],
             content.counts,
             content.distinct_leaves,
         )?;

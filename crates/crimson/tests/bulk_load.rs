@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{check_topology, Oracle};
+use common::{arena, check_topology, sid, Oracle};
 use crimson::prelude::*;
 use crimson::repository::RepositoryOptions;
 use rand::prelude::*;
@@ -98,6 +98,24 @@ fn bulk_and_reference_loads_answer_identically_on_random_trees() {
                 phylo::ops::isomorphic_with_lengths(&pb, &pr, 1e-9),
                 "case {case}: projections differ"
             );
+        }
+
+        // The clade hashes recomputed from either stored copy are the
+        // in-memory tree's, node for node: the root first, then the rest of
+        // the multiset.
+        let expected = labeling::tree_hashes(&tree);
+        for repo in [&bulk, &reference] {
+            let stored = repo.view().clade_hashes(hb).unwrap();
+            assert_eq!(stored.len(), tree.node_count(), "case {case}");
+            let root = tree.root_unchecked();
+            assert_eq!(
+                stored[0],
+                (sid(hb, root), expected[root.index()]),
+                "case {case}"
+            );
+            for (id, hash) in stored {
+                assert_eq!(hash, expected[arena(id).index()], "case {case}: {id}");
+            }
         }
 
         // Node records agree field for field on a sample.

@@ -296,11 +296,11 @@ fn reopen_without_flush_replays_the_load() {
 #[test]
 fn crash_mid_dedup_store_leaves_no_dangling_hash_state() {
     // Crash partway through a content-addressed store (the miss path: a
-    // full load plus hash-index and stats writes, all one transaction).
-    // Recovery must leave the hash catalog exactly per-tree complete — the
-    // integrity invariants reject dangling `hash_by_pre` / `hash_idx`
-    // entries or stats rows for a vanished tree — and the retried store
-    // must succeed and then dedup.
+    // full load plus its `tree_stats` row, all one transaction). Recovery
+    // must leave exactly one stats row per surviving tree — the integrity
+    // invariants reject a stats row for a vanished tree and a stored root
+    // hash its tree's nodes do not reproduce — and the retried store must
+    // succeed and then dedup.
     for point in [
         CrashPoint::WalAppend(2),
         CrashPoint::WalAppend(9),
@@ -326,8 +326,7 @@ fn crash_mid_dedup_store_leaves_no_dangling_hash_state() {
         });
         let committed = if victim_committed { 2 } else { 1 };
         assert_eq!(integrity.trees as usize, committed, "crash at {point:?}");
-        // Every surviving tree carries a complete content address and the
-        // hash indexes hold entries for surviving trees only.
+        // Every surviving tree carries its content address.
         for t in repo.view().list_trees().unwrap() {
             repo.view().tree_stats(t.handle).unwrap();
         }

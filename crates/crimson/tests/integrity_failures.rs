@@ -3,13 +3,15 @@
 //! The happy path (a report with matching counts) is exercised all over the
 //! crash-recovery suites; these tests corrupt a *closed* repository file
 //! through the raw storage engine — an orphan node row, a deleted node row,
-//! a stripped content-address row, a missing interval entry, a
-//! contradictory interval mapping, a flipped interval leaf flag, swapped
-//! interval row locators — reopen it, and assert that the check fails with
-//! the specific `CrimsonError::CorruptRepository` message for that
-//! corruption. A file laid out without the depth column, with the node and
-//! tree rows of a build that still stored hierarchical labels, or with the
-//! 11-column node rows that carried `leaf_of_tree`, is refused at open.
+//! a stripped content-address row, a flipped stored root hash, a renamed
+//! leaf, a missing interval entry, a contradictory interval mapping, a
+//! flipped interval leaf flag, swapped interval row locators — reopen it,
+//! and assert that the check fails with the specific
+//! `CrimsonError::CorruptRepository` message for that corruption. A file
+//! laid out without the depth column, with the node and tree rows of a
+//! build that still stored hierarchical labels, with the 11-column node
+//! rows that carried `leaf_of_tree`, or with a raw index this build
+//! retired, is refused at open.
 //! (Damage inside the packed depth blocks is covered by `depth.rs`'s unit
 //! tests, which can re-encode a block.)
 
@@ -140,6 +142,56 @@ fn stripped_tree_stats_row_is_corruption() {
 }
 
 #[test]
+fn flipped_root_hash_byte_is_detected() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = build_repo(&dir);
+    {
+        let mut db = Database::open(&path).unwrap();
+        let stats = db.table("tree_stats").unwrap();
+        let (rid, row) = db.scan(stats).unwrap().into_iter().next().unwrap();
+        let mut values = row.values;
+        let mut hash = values[1].as_bytes().unwrap().to_vec();
+        hash[7] ^= 0x10;
+        values[1] = Value::bytes(hash);
+        db.delete(stats, rid).unwrap();
+        db.insert(stats, &values).unwrap();
+        db.flush().unwrap();
+    }
+    reopen_and_expect_corrupt(&path, "contradicts its tree_stats row");
+}
+
+#[test]
+fn renamed_leaf_contradicts_the_stored_root_hash() {
+    let dir = tempfile::tempdir().unwrap();
+    let path = build_repo(&dir);
+    {
+        // Rename leaf `Lla` in its node row, keeping every index consistent
+        // with the row: only the recomputed root hash can tell.
+        let mut db = Database::open(&path).unwrap();
+        let nodes = db.table("nodes").unwrap();
+        let (rid, row) = db
+            .scan(nodes)
+            .unwrap()
+            .into_iter()
+            .find(|(_, row)| row.values[3].as_text() == Some("Lla"))
+            .unwrap();
+        let mut values = row.values;
+        values[3] = Value::text("Llz");
+        db.delete(nodes, rid).unwrap();
+        let moved = db.insert(nodes, &values).unwrap();
+        let ivl = db.raw_index("ivl_by_pre").unwrap();
+        let (key, _) = raw_entries(&db, ivl)
+            .into_iter()
+            .find(|&(_, locator)| locator == rid.to_u64())
+            .unwrap();
+        assert!(db.raw_delete(ivl, &key).unwrap());
+        db.raw_insert(ivl, &key, moved.to_u64()).unwrap();
+        db.flush().unwrap();
+    }
+    reopen_and_expect_corrupt(&path, "root hash of tree `fig1` recomputed from its nodes");
+}
+
+#[test]
 fn missing_interval_entry_is_detected() {
     let dir = tempfile::tempdir().unwrap();
     let path = build_repo(&dir);
@@ -240,12 +292,7 @@ const OTHER_TABLES: [&str; 8] = [
 ];
 
 /// Every raw index of the current layout.
-const RAW_INDEXES: [&str; 4] = [
-    "ivl_by_pre",
-    "ivl_by_node",
-    "clade_hash_by_pre",
-    "clade_hash_idx",
-];
+const RAW_INDEXES: [&str; 2] = ["ivl_by_pre", "ivl_by_node"];
 
 /// Lay out a file with the given `trees` and `nodes` columns, the
 /// single-column `tables` and the raw `indexes`, and return the message
@@ -371,5 +418,19 @@ fn repository_with_clade_refs_index_is_refused_at_open() {
     let indexes = [&RAW_INDEXES[..], &["clade_refs"]].concat();
     let msg = refusal_of_layout(columns(&TREES), nodes, &OTHER_TABLES, &indexes);
     assert!(msg.contains("`clade_refs` index"), "{msg}");
+    assert!(msg.contains("must be reloaded"), "{msg}");
+}
+
+#[test]
+fn repository_with_clade_hash_indexes_is_refused_at_open() {
+    // The current layout plus the per-node and global clade-hash indexes
+    // that older builds created in every file.
+    let nodes = nodes_columns(&[
+        ("is_leaf", ValueType::Bool),
+        ("subtree_height", ValueType::Float),
+    ]);
+    let indexes = [&RAW_INDEXES[..], &["clade_hash_by_pre", "clade_hash_idx"]].concat();
+    let msg = refusal_of_layout(columns(&TREES), nodes, &OTHER_TABLES, &indexes);
+    assert!(msg.contains("`clade_hash_by_pre` index"), "{msg}");
     assert!(msg.contains("must be reloaded"), "{msg}");
 }

@@ -1,6 +1,6 @@
 //! Canonical per-clade Merkle hashing — the content address of a subtree.
 //!
-//! Every node of a stored tree gets a 128-bit [`CladeHash`] computed
+//! Every node of a tree gets a 128-bit [`CladeHash`] computed
 //! bottom-up: a leaf's hash is derived from its taxon name, an internal
 //! node's hash combines its children's hashes **after sorting them**, so two
 //! clades that differ only in child order (or in the insertion order that
@@ -10,31 +10,15 @@
 //! comparison metrics (RF distance, rooted RF, triplet) are defined over —
 //! branch lengths and internal-node names deliberately do not participate.
 //!
-//! The repository persists these hashes in two raw B+tree indexes whose key
-//! layouts live here, next to the hash itself:
-//!
-//! ```text
-//! hash_by_pre:  tree_id: u64 | pre: u32 | hash: 16B          → span(pre, end)
-//! hash_idx:     hash: 16B | tree_id: u64 | pre: u32          → span(pre, end)
-//! ```
-//!
-//! `hash_by_pre` sorts by `(tree_id, pre)` — its first 12 bytes are exactly
-//! the [`crate::interval::interval_key_prefix`] layout, so the interval
-//! range helpers work on it unchanged. `hash_idx` sorts by hash first: a
-//! 16-byte prefix scan answers "which stored subtrees equal this one"
-//! without touching a single node row.
+//! The repository persists only the root hash, in each tree's `tree_stats`
+//! row; it recomputes the other nodes' hashes from the stored topology and
+//! leaf names when it needs them.
 
 use phylo::traverse::Traverse;
 use phylo::Tree;
 
 /// Byte length of a serialized [`CladeHash`].
 pub const CLADE_HASH_LEN: usize = 16;
-
-/// Total length of a `hash_by_pre` key: `tree_id | pre | hash`.
-pub const HASH_BY_PRE_KEY_LEN: usize = 12 + CLADE_HASH_LEN;
-
-/// Total length of a `hash_idx` key: `hash | tree_id | pre`.
-pub const HASH_IDX_KEY_LEN: usize = CLADE_HASH_LEN + 12;
 
 const SEED_A: u64 = 0x9e37_79b9_7f4a_7c15;
 const SEED_B: u64 = 0xc2b2_ae3d_27d4_eb4f;
@@ -195,66 +179,10 @@ pub fn unpack_span(value: u64) -> (u32, u32) {
     ((value >> 32) as u32, value as u32)
 }
 
-/// Serialize a `hash_by_pre` key: `tree_id | pre | hash`. The 12-byte
-/// prefix matches [`crate::interval::interval_key_prefix`], so the interval
-/// range helpers bound scans over this index too.
-pub fn hash_by_pre_key(tree_id: u64, pre: u32, hash: CladeHash) -> [u8; HASH_BY_PRE_KEY_LEN] {
-    let mut key = [0u8; HASH_BY_PRE_KEY_LEN];
-    key[..8].copy_from_slice(&tree_id.to_be_bytes());
-    key[8..12].copy_from_slice(&pre.to_be_bytes());
-    key[12..].copy_from_slice(&hash.0);
-    key
-}
-
-/// Inverse of [`hash_by_pre_key`]; `None` for malformed bytes.
-pub fn decode_hash_by_pre_key(key: &[u8]) -> Option<(u64, u32, CladeHash)> {
-    if key.len() != HASH_BY_PRE_KEY_LEN {
-        return None;
-    }
-    Some((
-        u64::from_be_bytes(key[..8].try_into().expect("length checked")),
-        u32::from_be_bytes(key[8..12].try_into().expect("length checked")),
-        CladeHash::from_slice(&key[12..])?,
-    ))
-}
-
-/// Serialize a `hash_idx` key: `hash | tree_id | pre`. Sorts by hash first,
-/// so all stored occurrences of one clade are a contiguous key range.
-pub fn hash_idx_key(hash: CladeHash, tree_id: u64, pre: u32) -> [u8; HASH_IDX_KEY_LEN] {
-    let mut key = [0u8; HASH_IDX_KEY_LEN];
-    key[..16].copy_from_slice(&hash.0);
-    key[16..24].copy_from_slice(&tree_id.to_be_bytes());
-    key[24..].copy_from_slice(&pre.to_be_bytes());
-    key
-}
-
-/// Inverse of [`hash_idx_key`]; `None` for malformed bytes.
-pub fn decode_hash_idx_key(key: &[u8]) -> Option<(CladeHash, u64, u32)> {
-    if key.len() != HASH_IDX_KEY_LEN {
-        return None;
-    }
-    Some((
-        CladeHash::from_slice(&key[..16])?,
-        u64::from_be_bytes(key[16..24].try_into().expect("length checked")),
-        u32::from_be_bytes(key[24..].try_into().expect("length checked")),
-    ))
-}
-
-/// Inclusive lower bound of the `hash_idx` key range holding `hash`.
-pub fn hash_idx_prefix(hash: CladeHash) -> [u8; CLADE_HASH_LEN] {
-    hash.0
-}
-
-/// Exclusive upper bound of the `hash_idx` key range holding `hash` — the
-/// numerically next hash. `None` when `hash` is all-ones (scan to the end).
-pub fn hash_idx_range_end(hash: CladeHash) -> Option<[u8; CLADE_HASH_LEN]> {
-    hash.to_u128().checked_add(1).map(|next| next.to_be_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phylo::builder::{balanced_binary, caterpillar, figure1_tree};
+    use phylo::builder::{balanced_binary, figure1_tree};
     use phylo::Tree;
 
     #[test]
@@ -356,44 +284,5 @@ mod tests {
         for (pre, end) in [(0, 0), (1, 9), (u32::MAX - 1, u32::MAX)] {
             assert_eq!(unpack_span(pack_span(pre, end)), (pre, end));
         }
-    }
-
-    #[test]
-    fn hash_by_pre_keys_roundtrip_and_sort_by_tree_then_pre() {
-        let tree = caterpillar(20, 1.0);
-        let hashes = tree_hashes(&tree);
-        let mut keys: Vec<Vec<u8>> = hashes
-            .iter()
-            .enumerate()
-            .map(|(pre, &h)| hash_by_pre_key(7, pre as u32, h).to_vec())
-            .collect();
-        for (pre, key) in keys.iter().enumerate() {
-            let (tree_id, back_pre, hash) = decode_hash_by_pre_key(key).unwrap();
-            assert_eq!((tree_id, back_pre as usize), (7, pre));
-            assert_eq!(hash, hashes[pre]);
-        }
-        let sorted = keys.clone();
-        keys.sort();
-        assert_eq!(keys, sorted);
-        assert!(decode_hash_by_pre_key(&keys[0][..20]).is_none());
-    }
-
-    #[test]
-    fn hash_idx_keys_roundtrip_and_group_by_hash() {
-        let h1 = CladeHash::leaf(Some("a"));
-        let (tree_id, pre) = (3u64, 5u32);
-        let key = hash_idx_key(h1, tree_id, pre);
-        assert_eq!(decode_hash_idx_key(&key), Some((h1, tree_id, pre)));
-        assert!(decode_hash_idx_key(&key[..20]).is_none());
-        // The [prefix, range_end) window captures exactly this hash.
-        let low = hash_idx_prefix(h1);
-        let high = hash_idx_range_end(h1).unwrap();
-        assert!(key.as_slice() >= low.as_slice());
-        assert!(&key[..16] < high.as_slice());
-        let other = hash_idx_key(CladeHash::leaf(Some("b")), tree_id, pre);
-        let inside = (&other[..16] >= low.as_slice()) && (&other[..16] < high.as_slice());
-        assert!(!inside, "a different hash must fall outside the window");
-        // The all-ones hash has no successor: scan to the end instead.
-        assert!(hash_idx_range_end(CladeHash([0xFF; 16])).is_none());
     }
 }

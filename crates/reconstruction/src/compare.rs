@@ -1030,16 +1030,6 @@ where
     compare_sources(a, b, false).map(|c: SourceComparison| c.rf)
 }
 
-/// Rooted Robinson–Foulds over two [`CladeSource`]s.
-pub fn rooted_robinson_foulds_sources<A, B, E>(a: &A, b: &B) -> Result<RfResult, E>
-where
-    A: CladeSource,
-    B: CladeSource,
-    E: From<A::Error> + From<B::Error> + From<CompareError>,
-{
-    compare_sources(a, b, false).map(|c: SourceComparison| c.rooted_rf)
-}
-
 /// Triplet distance over two [`CladeSource`]s.
 pub fn triplet_distance_sources<A, B, E>(a: &A, b: &B) -> Result<f64, E>
 where

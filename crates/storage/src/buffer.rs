@@ -95,8 +95,7 @@
 
 use crate::error::{StorageError, StorageResult};
 use crate::io::{
-    fatal_crash_error, shared_schedule, FaultIo, FaultSchedule, FileKind, RetryPolicy,
-    SharedFaultSchedule,
+    fatal_crash_error, shared_schedule, FaultIo, FaultSchedule, FileKind, SharedFaultSchedule,
 };
 use crate::page::{Page, PageId};
 use crate::pager::{PageVerdict, Pager};
@@ -794,11 +793,6 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Whether transactional mutations are currently logged.
-    pub fn logging(&self) -> bool {
-        self.io.lock().logging
-    }
-
     /// Inject a simulated crash (see [`CrashPoint`]). Test instrumentation
     /// for the crash-recovery suites; implemented as a [`FaultSchedule`]
     /// rule on the shared fault-injection layer.
@@ -835,12 +829,6 @@ impl BufferPool {
         Ok(())
     }
 
-    /// The installed fault schedule, if any (shared handle: callers may
-    /// arm rules or read stats through it).
-    pub fn fault_schedule(&self) -> Option<SharedFaultSchedule> {
-        self.io.lock().fault.as_ref().map(Arc::clone)
-    }
-
     /// Lazily install an inert shared schedule (used by `inject_crash` so
     /// legacy crash points ride the same mechanism).
     fn ensure_schedule(io: &mut IoState) -> SharedFaultSchedule {
@@ -856,13 +844,6 @@ impl BufferPool {
             .wrap_io(move |inner| Box::new(FaultIo::new(inner, FileKind::Wal, s)));
         io.fault = Some(Arc::clone(&schedule));
         schedule
-    }
-
-    /// Set the transient-I/O retry policy on both underlying files.
-    pub fn set_io_retry_policy(&self, policy: RetryPolicy) {
-        let mut io = self.io.lock();
-        io.pager.set_retry_policy(policy);
-        io.wal.set_retry_policy(policy);
     }
 
     /// Switch the pool into (or out of) read-only mode: mutation entry
@@ -1233,16 +1214,6 @@ impl BufferPool {
     /// once readers drop and no transaction is open.
     pub fn version_pages(&self) -> usize {
         self.versions.read().len()
-    }
-
-    /// Total stored version entries across all chains (committed images
-    /// plus pending before-images).
-    pub fn version_entries(&self) -> usize {
-        self.versions
-            .read()
-            .values()
-            .map(|c| c.committed.len() + usize::from(c.pending.is_some()))
-            .sum()
     }
 
     /// The catalog-root entry governing `epoch`: the `(commit sequence,

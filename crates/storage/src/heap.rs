@@ -225,49 +225,6 @@ impl HeapFile {
         })?
     }
 
-    /// Overwrite a record in place when the new payload fits in the old
-    /// slot; otherwise the record is deleted and re-inserted (the returned
-    /// id is the new location).
-    pub fn update(
-        &mut self,
-        pool: &BufferPool,
-        rid: RecordId,
-        data: &[u8],
-    ) -> StorageResult<RecordId> {
-        let fits = pool.with_page_mut(PageId(rid.page), |p| -> StorageResult<bool> {
-            let slot_count = p.read_u16(HDR_SLOT_COUNT);
-            if rid.slot >= slot_count {
-                return Err(StorageError::InvalidRecord {
-                    page: rid.page,
-                    slot: rid.slot,
-                });
-            }
-            let slot_off = HEADER_SIZE + rid.slot as usize * SLOT_SIZE;
-            let offset_raw = p.read_u16(slot_off);
-            let offset = offset_raw as usize;
-            let len = p.read_u16(slot_off + 2) as usize;
-            if !slot_is_live(offset_raw) {
-                return Err(StorageError::InvalidRecord {
-                    page: rid.page,
-                    slot: rid.slot,
-                });
-            }
-            if data.len() <= len {
-                p.write_bytes(offset, data);
-                p.write_u16(slot_off + 2, data.len() as u16);
-                Ok(true)
-            } else {
-                Ok(false)
-            }
-        })??;
-        if fits {
-            Ok(rid)
-        } else {
-            self.delete(pool, rid)?;
-            self.insert(pool, data)
-        }
-    }
-
     /// Scan every live record. Returns `(RecordId, bytes)` pairs in physical
     /// order. The whole scan materializes page-by-page, never holding more
     /// than one page's records at a time in the closure.
@@ -639,23 +596,6 @@ mod tests {
         assert_eq!(rows[1].0, c);
         assert!(heap.get(&pool, b).is_err());
         assert_eq!(heap.len(&pool).unwrap(), 2);
-    }
-
-    #[test]
-    fn update_in_place_and_relocating() {
-        let (_d, pool) = pool();
-        let mut heap = HeapFile::create(&pool).unwrap();
-        let rid = heap.insert(&pool, b"0123456789").unwrap();
-        // Smaller payload stays in place.
-        let same = heap.update(&pool, rid, b"abc").unwrap();
-        assert_eq!(same, rid);
-        assert_eq!(heap.get(&pool, rid).unwrap(), b"abc");
-        // Larger payload relocates.
-        let bigger = vec![9u8; 500];
-        let moved = heap.update(&pool, rid, &bigger).unwrap();
-        assert_ne!(moved, rid);
-        assert_eq!(heap.get(&pool, moved).unwrap(), bigger);
-        assert!(heap.get(&pool, rid).is_err());
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //!
 //! All file I/O goes through the injectable [`StorageIo`] seam; transient
 //! failures (`ErrorKind::Interrupted`) are retried with bounded exponential
-//! backoff per the configured [`RetryPolicy`].
+//! backoff per the default [`RetryPolicy`].
 
 use crate::crc32::crc32;
 use crate::error::{StorageError, StorageResult};
@@ -124,7 +124,6 @@ pub struct Pager {
     checksums: Vec<Option<u32>>,
     /// The sidecar existed but failed its own validation at open.
     sum_damaged: bool,
-    retry: RetryPolicy,
 }
 
 impl std::fmt::Debug for Pager {
@@ -161,7 +160,6 @@ impl Pager {
             fresh: true,
             checksums: vec![None],
             sum_damaged: false,
-            retry: RetryPolicy::default(),
         };
         pager.write_header()?;
         Ok(pager)
@@ -232,7 +230,6 @@ impl Pager {
             fresh: false,
             checksums,
             sum_damaged,
-            retry: RetryPolicy::default(),
         })
     }
 
@@ -255,11 +252,6 @@ impl Pager {
         let placeholder: Box<dyn StorageIo> = Box::new(PoisonIo);
         let current = std::mem::replace(&mut self.io, placeholder);
         self.io = f(current);
-    }
-
-    /// Configure how transient I/O errors are retried.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
     }
 
     /// The WAL position recorded by the last checkpoint.
@@ -360,7 +352,7 @@ impl Pager {
     fn read_page_raw(&mut self, pid: PageId) -> StorageResult<Vec<u8>> {
         let offset = pid.offset();
         let io = &mut self.io;
-        let buf = self.retry.run(|| {
+        let buf = RetryPolicy::default().run(|| {
             let mut buf = vec![0u8; PAGE_SIZE];
             let _ = io.read_at(offset, &mut buf)?;
             Ok(buf)
@@ -448,7 +440,7 @@ impl Pager {
         let offset = pid.offset();
         let bytes = page.bytes();
         let io = &mut self.io;
-        self.retry.run(|| io.write_at(offset, bytes))?;
+        RetryPolicy::default().run(|| io.write_at(offset, bytes))?;
         *self.entry_mut(pid) = Some(crc32(bytes));
         Ok(())
     }
@@ -469,7 +461,7 @@ impl Pager {
         page.write_u32(HDR_HEADER_CRC, crc32(page.bytes()));
         let bytes = page.bytes();
         let io = &mut self.io;
-        self.retry.run(|| io.write_at(0, bytes))?;
+        RetryPolicy::default().run(|| io.write_at(0, bytes))?;
         self.header_dirty = false;
         Ok(())
     }

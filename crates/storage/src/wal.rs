@@ -227,7 +227,6 @@ struct WalQueue {
 /// group-commit leader: only the leader writes or fsyncs the file.
 struct WalFile {
     io: Box<dyn StorageIo>,
-    retry: RetryPolicy,
     /// Absolute LSN of file offset 0.
     base: Lsn,
     /// Absolute LSN up to which frames have been written to the file.
@@ -306,9 +305,8 @@ fn drain_into(f: &mut WalFile, queue: &StdMutex<WalQueue>) -> StorageResult<()> 
             return Ok(());
         };
         let offset = f.flushed - f.base;
-        let retry = f.retry;
         let io = &mut f.io;
-        if let Err(e) = retry.run(|| io.write_at(offset, &frame.bytes)) {
+        if let Err(e) = RetryPolicy::default().run(|| io.write_at(offset, &frame.bytes)) {
             lock(queue).frames.push_front(frame);
             return Err(e.into());
         }
@@ -433,7 +431,6 @@ impl Wal {
         Wal {
             file: Arc::new(StdMutex::new(WalFile {
                 io,
-                retry: RetryPolicy::default(),
                 base,
                 flushed: start,
                 unsynced_commits: 0,
@@ -532,11 +529,6 @@ impl Wal {
         let mut file = lock(&self.file);
         let current = std::mem::replace(&mut file.io, Box::new(Placeholder));
         file.io = f(current);
-    }
-
-    /// Configure how transient I/O errors are retried.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        lock(&self.file).retry = policy;
     }
 
     /// Absolute LSN of the end of the log (next append position).
@@ -719,9 +711,8 @@ impl Wal {
         let mut torn = false;
         let mut header = [0u8; FRAME_HEADER];
         while offset + FRAME_HEADER as u64 <= file_len {
-            let retry = f.retry;
             let io = &mut f.io;
-            let got = retry.run(|| io.read_at(offset, &mut header));
+            let got = RetryPolicy::default().run(|| io.read_at(offset, &mut header));
             match got {
                 Ok(n) if n == FRAME_HEADER => {}
                 Ok(_) => {
@@ -742,7 +733,7 @@ impl Wal {
             let mut body = vec![0u8; len as usize];
             let body_offset = offset + FRAME_HEADER as u64;
             let io = &mut f.io;
-            let got = retry.run(|| io.read_at(body_offset, &mut body));
+            let got = RetryPolicy::default().run(|| io.read_at(body_offset, &mut body));
             match got {
                 Ok(n) if n == body.len() => {}
                 Ok(_) => {
@@ -778,9 +769,8 @@ impl Wal {
     pub(crate) fn read_image_at(&mut self, image_offset: u64) -> StorageResult<Vec<u8>> {
         let mut image = vec![0u8; PAGE_SIZE];
         let mut f = lock(&self.file);
-        let retry = f.retry;
         let io = &mut f.io;
-        let n = retry.run(|| io.read_at(image_offset, &mut image))?;
+        let n = RetryPolicy::default().run(|| io.read_at(image_offset, &mut image))?;
         if n < PAGE_SIZE {
             return Err(StorageError::Corrupted(
                 "write-ahead log image truncated".to_string(),
@@ -818,9 +808,8 @@ fn write_header(f: &mut WalFile, base: u64) -> StorageResult<()> {
     let mut header = [0u8; WAL_HEADER as usize];
     header[0..8].copy_from_slice(WAL_MAGIC);
     header[8..16].copy_from_slice(&base.to_le_bytes());
-    let retry = f.retry;
     let io = &mut f.io;
-    retry.run(|| io.write_at(0, &header))?;
+    RetryPolicy::default().run(|| io.write_at(0, &header))?;
     f.io.sync()?;
     Ok(())
 }

@@ -187,18 +187,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "trees_equal(upgma, nj)       = {}",
         repo.view().trees_equal(upgma.recon, nj.recon)?
     );
-    println!(
-        "trees_with_root_hash(gold)   = {:?}",
-        repo.view().trees_with_root_hash(stats.root_hash)?
-    );
-
-    // The global hash index also answers subtree queries: every stored
-    // occurrence of a clade (tree roots plus spans of >= 32 nodes) by hash.
-    let occurrences = repo.view().subtrees_with_hash(stats.root_hash)?;
-    println!(
-        "subtrees_with_hash(gold root) -> {} occurrence(s)",
-        occurrences.len()
-    );
+    let same: Vec<u64> = repo
+        .view()
+        .trees_with_root_hash(stats.root_hash)?
+        .iter()
+        .map(|s| s.handle.0)
+        .collect();
+    println!("trees_with_root_hash(gold)   = {same:?}");
 
     repo.flush()?;
     Ok(())
