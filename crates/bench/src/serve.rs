@@ -92,14 +92,13 @@ struct ServeHarness {
     _dir: tempfile::TempDir,
 }
 
-fn start_harness(profile: &ServeProfile, coalesce: bool) -> ServeHarness {
+fn start_harness(profile: &ServeProfile, batch_max: usize) -> ServeHarness {
     let dir = tempfile::tempdir().expect("tempdir");
     let config = ServerConfig {
         dispatch: DispatchConfig {
             workers: profile.workers,
-            coalesce,
+            batch_max,
             max_queue: 4096,
-            ..DispatchConfig::default()
         },
         conn_window: profile.pipeline * 2,
         ..ServerConfig::default()
@@ -194,9 +193,10 @@ fn run_reader(
     latencies
 }
 
-/// Measure one read-only level.
-pub fn serve_reads(profile: &ServeProfile, connections: usize, coalesce: bool) -> ServeLevel {
-    let harness = start_harness(profile, coalesce);
+/// Measure one read-only level, coalescing up to `batch_max` reads per
+/// pinned epoch (`1` = one pin per read).
+pub fn serve_reads(profile: &ServeProfile, connections: usize, batch_max: usize) -> ServeLevel {
+    let harness = start_harness(profile, batch_max);
     let stats = harness.server.stats();
     let reads_before = stats.reads.load(Ordering::Relaxed);
     let batches_before = stats.read_batches.load(Ordering::Relaxed);
@@ -243,7 +243,7 @@ pub fn serve_reads(profile: &ServeProfile, connections: usize, coalesce: bool) -
 /// Measure a mixed level: `connections` readers plus one writer streaming
 /// `Durability::Async` loads with a `WaitDurable` barrier every 8 trees.
 pub fn serve_mixed(profile: &ServeProfile, connections: usize) -> MixedLevel {
-    let harness = start_harness(profile, true);
+    let harness = start_harness(profile, DispatchConfig::default().batch_max);
     let stats = harness.server.stats();
     let reads_before = stats.reads.load(Ordering::Relaxed);
     let batches_before = stats.read_batches.load(Ordering::Relaxed);

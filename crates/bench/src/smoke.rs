@@ -206,58 +206,44 @@ pub fn concurrent_reads(
     }
 }
 
-/// Page-write and WAL cost of the E4 load workload, with logging on and off.
-/// The WAL goes to its own file, so the data-file page writes of a logged
-/// load should stay close to the unlogged baseline — the smoke test pins the
-/// regression below 2×.
+/// Page-write and WAL cost of the E4 load workload. The WAL goes to its
+/// own file, so the logged load writes each data page at most once: the
+/// smoke test pins the data-file page writes at or below the file's page
+/// count.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadCost {
-    /// Data-file page writes (checkpoint flushes + eviction write-backs)
-    /// for the logged load.
-    pub logged_page_writes: u64,
-    /// Data-file page writes for the unlogged baseline load.
-    pub unlogged_page_writes: u64,
-    /// WAL bytes appended by the logged load.
+    /// Data-file page writes (checkpoint flushes + eviction write-backs).
+    pub page_writes: u64,
+    /// Pages in the data file after the load and its checkpoint.
+    pub page_count: u64,
+    /// WAL bytes appended by the load.
     pub wal_bytes: u64,
-    /// WAL records appended by the logged load.
+    /// WAL records appended by the load.
     pub wal_appends: u64,
 }
 
-impl LoadCost {
-    /// `logged / unlogged` data-page-write ratio — the WAL overhead factor.
-    pub fn write_overhead(&self) -> f64 {
-        self.logged_page_writes as f64 / self.unlogged_page_writes.max(1) as f64
-    }
-}
-
-/// E4 load smoke: load the same simulated tree into a logged and an unlogged
-/// repository (including a final checkpoint each) and compare data-file page
-/// writes.
+/// E4 load smoke: load a simulated tree into a fresh repository, checkpoint
+/// it, and count data-file page writes and WAL traffic.
 pub fn load_workload(leaves: usize, seed: u64) -> LoadCost {
     let tree = workloads::simulated_tree(leaves, seed);
-    let run = |logging: bool| {
-        let dir = tempfile::tempdir().expect("temp dir");
-        let mut repo = crimson::repository::Repository::create(
-            dir.path().join("load.crimson"),
-            crimson::repository::RepositoryOptions {
-                buffer_pool_pages: 4096,
-                ..Default::default()
-            },
-        )
-        .expect("create repository");
-        repo.set_logging(logging).expect("toggle logging");
-        repo.pool().reset_stats();
-        repo.load_tree("bench", &tree).expect("load tree");
-        repo.flush().expect("checkpoint");
-        repo.buffer_stats()
-    };
-    let logged = run(true);
-    let unlogged = run(false);
+    let dir = tempfile::tempdir().expect("temp dir");
+    let mut repo = crimson::repository::Repository::create(
+        dir.path().join("load.crimson"),
+        crimson::repository::RepositoryOptions {
+            buffer_pool_pages: 4096,
+            ..Default::default()
+        },
+    )
+    .expect("create repository");
+    repo.pool().reset_stats();
+    repo.load_tree("bench", &tree).expect("load tree");
+    repo.flush().expect("checkpoint");
+    let stats = repo.buffer_stats();
     LoadCost {
-        logged_page_writes: logged.page_writes(),
-        unlogged_page_writes: unlogged.page_writes(),
-        wal_bytes: logged.wal_bytes,
-        wal_appends: logged.wal_appends,
+        page_writes: stats.page_writes(),
+        page_count: repo.pool().page_count(),
+        wal_bytes: stats.wal_bytes,
+        wal_appends: stats.wal_appends,
     }
 }
 
@@ -785,9 +771,8 @@ pub fn checkpoint_read_tail(leaves: usize, queries: usize, seed: u64) -> Checkpo
     }
 }
 
-/// Scrub profile: full-file verification throughput on a large repository,
-/// the overhead of the throttled incremental mode, and a detection/repair
-/// pass over deliberately corrupted on-disk pages.
+/// Scrub profile: full-file verification throughput on a large repository
+/// and a detection/repair pass over deliberately corrupted on-disk pages.
 #[derive(Debug, Clone)]
 pub struct ScrubProfile {
     /// Leaves in the scrubbed repository's tree.
@@ -796,9 +781,6 @@ pub struct ScrubProfile {
     pub pages: u64,
     /// Wall-clock seconds for one clean full scrub pass.
     pub clean_seconds: f64,
-    /// Wall-clock seconds for a throttled pass (64-page chunks, 200 µs
-    /// pauses) — the "background" profile.
-    pub throttled_seconds: f64,
     /// Pages corrupted on disk before the detection pass.
     pub corrupted: u64,
     /// Wall-clock seconds for the detection/repair pass.
@@ -817,9 +799,9 @@ impl ScrubProfile {
 }
 
 /// Scrub smoke: load one large simulated tree, checkpoint, then time a
-/// clean scrub, a throttled scrub, and a pass over a file with eight
-/// corrupted pages (which the scrub must detect — and, with the pages
-/// still buffer-resident, repair from memory).
+/// clean scrub and a pass over a file with eight corrupted pages (which the
+/// scrub must detect — and, with the pages still buffer-resident, repair
+/// from memory).
 pub fn scrub_workload(leaves: usize, seed: u64) -> ScrubProfile {
     use std::io::{Read, Seek, SeekFrom, Write};
     let tree = workloads::simulated_tree(leaves, seed);
@@ -840,20 +822,10 @@ pub fn scrub_workload(leaves: usize, seed: u64) -> ScrubProfile {
     let pages = std::fs::metadata(&path).expect("file metadata").len() / storage::PAGE_SIZE as u64;
 
     let start = std::time::Instant::now();
-    let clean = repo
-        .scrub(storage::ScrubOptions::default())
-        .expect("clean scrub");
+    let clean = repo.scrub().expect("clean scrub");
     let clean_seconds = start.elapsed().as_secs_f64();
     assert_eq!(clean.pages.pages_quarantined, 0, "clean file: {clean:?}");
     assert!(clean.integrity.is_some(), "clean scrub runs integrity");
-
-    let start = std::time::Instant::now();
-    repo.scrub(storage::ScrubOptions {
-        chunk_pages: 64,
-        throttle: Some(std::time::Duration::from_micros(200)),
-    })
-    .expect("throttled scrub");
-    let throttled_seconds = start.elapsed().as_secs_f64();
 
     // Corrupt eight pages behind the pool's back, then let the scrub find
     // them. The frames are still resident, so the damage is healable.
@@ -876,9 +848,7 @@ pub fn scrub_workload(leaves: usize, seed: u64) -> ScrubProfile {
         f.sync_all().expect("sync");
     }
     let start = std::time::Instant::now();
-    let repair = repo
-        .scrub(storage::ScrubOptions::default())
-        .expect("repair scrub");
+    let repair = repo.scrub().expect("repair scrub");
     let detect_seconds = start.elapsed().as_secs_f64();
     let detected = repair.pages.pages_repaired + repair.pages.pages_quarantined;
     assert_eq!(
@@ -890,7 +860,6 @@ pub fn scrub_workload(leaves: usize, seed: u64) -> ScrubProfile {
         leaves,
         pages,
         clean_seconds,
-        throttled_seconds,
         corrupted,
         detect_seconds,
         pages_repaired: repair.pages.pages_repaired,
@@ -1188,15 +1157,12 @@ mod tests {
     #[test]
     fn smoke_load_wal_overhead() {
         let cost = load_workload(800, 42);
-        eprintln!(
-            "smoke E4 load: {cost:?} ({:.2}x page writes)",
-            cost.write_overhead()
-        );
+        eprintln!("smoke E4 load: {cost:?}");
         assert!(cost.wal_appends > 0, "a logged load must append to the WAL");
         assert!(cost.wal_bytes > 0);
         assert!(
-            cost.write_overhead() < 2.0,
-            "WAL must not double the load's data-file page writes, got {cost:?}"
+            cost.page_writes <= cost.page_count,
+            "a logged load must write each data page at most once, got {cost:?}"
         );
     }
 
@@ -1405,12 +1371,11 @@ mod tests {
         };
         let profile = scrub_workload(leaves, 42);
         eprintln!(
-            "smoke scrub: {} pages verified in {:.3}s ({:.0} pages/s), throttled {:.3}s, \
+            "smoke scrub: {} pages verified in {:.3}s ({:.0} pages/s), \
              {} corrupted → {} repaired + {} quarantined in {:.3}s",
             profile.pages,
             profile.clean_seconds,
             profile.pages_per_sec(),
-            profile.throttled_seconds,
             profile.corrupted,
             profile.pages_repaired,
             profile.pages_quarantined,
@@ -1432,7 +1397,6 @@ mod tests {
                 "pages": profile.pages,
                 "clean_seconds": profile.clean_seconds,
                 "pages_per_sec": profile.pages_per_sec(),
-                "throttled_seconds": profile.throttled_seconds,
                 "corrupted_pages": profile.corrupted,
                 "detect_seconds": profile.detect_seconds,
                 "pages_repaired": profile.pages_repaired,
@@ -1717,11 +1681,13 @@ mod tests {
         // queue. Writes BENCH_serve.json at the repo root (the CI serve
         // job asserts on and uploads it).
         use crate::serve::{serve_mixed, serve_reads, ServeProfile};
+        use crimson_server::dispatch::DispatchConfig;
 
         let profile = ServeProfile::smoke();
+        let batched = DispatchConfig::default().batch_max;
         let mut levels = Vec::new();
         for connections in [1usize, 8, 64] {
-            let level = serve_reads(&profile, connections, true);
+            let level = serve_reads(&profile, connections, batched);
             eprintln!(
                 "smoke serve: {:2} conns → {:7.0} q/s, p50 {:.2}ms p99 {:.2}ms, \
                  coalesced {:.0}% over {} batches",
@@ -1734,7 +1700,7 @@ mod tests {
             );
             levels.push(level);
         }
-        let unbatched8 = serve_reads(&profile, 8, false);
+        let unbatched8 = serve_reads(&profile, 8, 1);
         let batched8 = levels[1];
         let batch_ratio = batched8.qps / unbatched8.qps.max(1e-9);
         eprintln!(
@@ -1762,7 +1728,7 @@ mod tests {
         );
         assert_eq!(
             unbatched8.coalesced_fraction, 0.0,
-            "coalesce=false must not batch"
+            "batch_max 1 must not batch"
         );
         assert!(mixed.writes > 0, "the mixed-level writer must land trees");
 

@@ -98,7 +98,7 @@ pub use experiment::{
     ExperimentSpec, Method,
 };
 pub use labeling::clade_hash::CladeHash;
-pub use reader::{PinnedReader, ReadRetry, RepositoryReader};
+pub use reader::{PinnedReader, RepositoryReader};
 pub use repository::{
     DegradedReport, Durability, ReadCtx, Repository, RepositoryOptions, ScrubReport, StoredNodeId,
     TreeHandle, TreeStatsRecord,
@@ -117,7 +117,7 @@ pub mod prelude {
     };
     pub use crate::history::QueryKind;
     pub use crate::loader::LoadMode;
-    pub use crate::reader::{PinnedReader, ReadRetry, RepositoryReader};
+    pub use crate::reader::{PinnedReader, RepositoryReader};
     pub use crate::repository::{
         DegradedReport, Durability, IntegrityReport, ReadCtx, Repository, RepositoryOptions,
         ScrubReport, StoredNodeId, TreeHandle, TreeStatsRecord,

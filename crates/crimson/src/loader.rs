@@ -12,7 +12,6 @@ use crate::repository::{Repository, TreeHandle};
 use phylo::nexus::NexusDocument;
 use phylo::{newick, nexus};
 use serde_json::json;
-use std::collections::HashMap;
 
 /// What to load from the input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,24 +143,6 @@ impl Repository {
         }
     }
 
-    /// Load many Newick trees, one transaction per tree. Each per-tree
-    /// commit rides the storage engine's group-commit path; under
-    /// [`crate::Durability::Async`] the commits return at log-append time
-    /// and the single [`Repository::sync`] at the end forces the one group
-    /// fsync covering the whole batch — the bulk-load configuration the
-    /// writer-throughput bench measures.
-    pub fn load_newick_batch(
-        &mut self,
-        items: &[(String, String)],
-    ) -> CrimsonResult<Vec<LoadReport>> {
-        let mut reports = Vec::with_capacity(items.len());
-        for (name, text) in items {
-            reports.push(self.load_newick(name, text)?);
-        }
-        self.sync()?;
-        Ok(reports)
-    }
-
     /// Parse NEXUS text and load it (convenience wrapper over
     /// [`Repository::load_nexus`]).
     pub fn load_nexus_text(
@@ -172,29 +153,6 @@ impl Repository {
     ) -> CrimsonResult<LoadReport> {
         let doc = nexus::parse(text).map_err(phylo::PhyloError::from)?;
         self.load_nexus(name, &doc, mode)
-    }
-
-    /// Append raw species sequences to an existing tree (atomically, with
-    /// the history entry).
-    pub fn append_species(
-        &mut self,
-        name: &str,
-        sequences: &HashMap<String, String>,
-    ) -> CrimsonResult<LoadReport> {
-        let record = self.view().tree_by_name(name)?;
-        self.with_txn(|repo| {
-            let species_loaded = repo.load_species(record.handle, sequences)?;
-            let report = LoadReport {
-                handle: record.handle,
-                nodes_loaded: 0,
-                species_loaded,
-                messages: vec![format!(
-                    "appended {species_loaded} species sequences to `{name}`"
-                )],
-            };
-            repo.record_load(name, &report)?;
-            Ok(report)
-        })
     }
 
     /// Export a stored tree (and its species data) back to a NEXUS document —

@@ -33,11 +33,12 @@
 //! The one residual failure is [`storage::StorageError::SnapshotRetired`]:
 //! when more than K distinct pinned epochs crowd one page's chain, the
 //! oldest is retired. [`RepositoryReader::read`] handles it by re-pinning a
-//! fresh epoch and re-running the closure, bounded by [`ReadRetry`];
-//! exhausting that budget surfaces [`CrimsonError::Busy`]. The concurrency
-//! stress harness drives a group-commit-cadence writer against four readers
-//! and observes zero retirements, so the fallback is cold in practice —
-//! kept so the contract degrades loudly instead of serving a torn view.
+//! fresh epoch and re-running the closure, at most 64 times with jittered
+//! backoff; exhausting that budget surfaces [`CrimsonError::Busy`]. The
+//! concurrency stress harness drives a group-commit-cadence writer against
+//! four readers and observes zero retirements, so the fallback is cold in
+//! practice — kept so the contract degrades loudly instead of serving a
+//! torn view.
 //!
 //! Each reader carries its own record/interval/minima caches (sharded, two
 //! generations each). Cached rows are immutable once loaded and readers
@@ -72,54 +73,32 @@ fn splitmix64(seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Retry/backoff policy for the **cold** snapshot-retired fallback: a
-/// bounded number of attempts with **jittered exponential backoff** between
-/// them. Under versioned reads an attempt only fails when its epoch was
-/// retired from a page's version chain (more than
-/// [`storage::buffer::BufferPool::VERSION_CHAIN_CAP`] pinned epochs crowded
-/// it); backing off with per-reader jitter desynchronises the re-pin from
-/// the commit cadence (and from other readers) so the retry lands inside
-/// the version window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReadRetry {
-    /// Maximum pin attempts before giving up with [`CrimsonError::Busy`].
-    pub attempts: usize,
-    /// Backoff before the second attempt; doubles per retry. Zero disables
-    /// sleeping entirely (pure spin).
-    pub base_delay: Duration,
-    /// Backoff ceiling.
-    pub max_delay: Duration,
-}
+// The **cold** snapshot-retired fallback: a bounded number of attempts
+// with **jittered exponential backoff** between them. Under versioned reads
+// an attempt only fails when its epoch was retired from a page's version
+// chain (more than [`storage::buffer::BufferPool::VERSION_CHAIN_CAP`]
+// pinned epochs crowded it); backing off with per-reader jitter
+// desynchronises the re-pin from the commit cadence (and from other
+// readers) so the retry lands inside the version window.
 
-impl Default for ReadRetry {
-    fn default() -> Self {
-        ReadRetry {
-            attempts: 64,
-            base_delay: Duration::from_micros(20),
-            max_delay: Duration::from_millis(2),
-        }
-    }
-}
+/// Pin attempts [`RepositoryReader::read`] makes before giving up with
+/// [`CrimsonError::Busy`].
+const READ_ATTEMPTS: usize = 64;
+/// Backoff before the second attempt; doubles per retry.
+const BACKOFF_BASE: Duration = Duration::from_micros(20);
+/// Backoff ceiling.
+const BACKOFF_MAX: Duration = Duration::from_millis(2);
 
-impl ReadRetry {
-    /// Sleep before retry number `attempt` (1-based): exponential in the
-    /// attempt, with deterministic jitter drawn from `salt` spreading
-    /// concurrent readers over `[delay/2, delay]`.
-    fn backoff(&self, attempt: usize, salt: u64) {
-        if self.base_delay.is_zero() {
-            return;
-        }
-        let shift = (attempt - 1).min(16) as u32;
-        let ceiling = self.max_delay.max(self.base_delay);
-        let delay = self
-            .base_delay
-            .saturating_mul(1u32 << shift.min(31))
-            .min(ceiling);
-        let nanos = delay.as_nanos() as u64;
-        let z = splitmix64(salt.wrapping_add(attempt as u64));
-        let jittered = nanos / 2 + z % (nanos / 2 + 1);
-        std::thread::sleep(Duration::from_nanos(jittered));
-    }
+/// Sleep before retry number `attempt` (1-based): exponential in the
+/// attempt, with deterministic jitter drawn from `salt` spreading
+/// concurrent readers over `[delay/2, delay]`.
+fn backoff(attempt: usize, salt: u64) {
+    let shift = (attempt - 1).min(16) as u32;
+    let delay = BACKOFF_BASE.saturating_mul(1u32 << shift).min(BACKOFF_MAX);
+    let nanos = delay.as_nanos() as u64;
+    let z = splitmix64(salt.wrapping_add(attempt as u64));
+    let jittered = nanos / 2 + z % (nanos / 2 + 1);
+    std::thread::sleep(Duration::from_nanos(jittered));
 }
 
 /// A concurrent snapshot reader over a [`Repository`], created by
@@ -132,7 +111,6 @@ pub struct RepositoryReader {
     records: ShardedCache<StoredNodeId, Arc<NodeRecord>>,
     entries: ShardedCache<u64, NodeAtRank>,
     minima: ShardedCache<u64, Arc<DepthMinima>>,
-    retry: ReadRetry,
     /// Per-reader backoff salt (whitened instance counter): distinct per
     /// reader by construction, so the jittered backoffs of concurrent
     /// readers are decorrelated even when they retire at the same instant.
@@ -142,7 +120,7 @@ pub struct RepositoryReader {
 impl std::fmt::Debug for RepositoryReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RepositoryReader")
-            .field("retry", &self.retry)
+            .field("salt", &self.salt)
             .finish()
     }
 }
@@ -155,7 +133,6 @@ impl RepositoryReader {
             records: ShardedCache::new(RECORD_CACHE_GEN),
             entries: ShardedCache::new(ENTRY_CACHE_GEN),
             minima: ShardedCache::new(MINIMA_CACHE_GEN),
-            retry: ReadRetry::default(),
             salt: splitmix64(READER_SEQ.fetch_add(1, Ordering::Relaxed)),
         }
     }
@@ -174,15 +151,6 @@ impl RepositoryReader {
     /// Absolute LSN up to which the write-ahead log is known durable.
     pub fn durable_lsn(&self) -> storage::wal::Lsn {
         self.db.durable_lsn()
-    }
-
-    /// Replace the retry/backoff policy for this reader's (cold)
-    /// snapshot-retired fallback.
-    pub fn set_read_retry(&mut self, retry: ReadRetry) {
-        self.retry = ReadRetry {
-            attempts: retry.attempts.max(1),
-            ..retry
-        };
     }
 
     /// Pin a snapshot of the current committed state. The returned guard
@@ -208,14 +176,13 @@ impl RepositoryReader {
     /// writer — its epoch's page versions are immutable — so the only
     /// reason to loop is the cold [`StorageError::SnapshotRetired`]
     /// fallback, in which case `f` runs again on a fresh epoch after a
-    /// jittered backoff, at most [`ReadRetry::attempts`] times in all.
+    /// jittered backoff, at most 64 times in all.
     pub fn read<R>(
         &self,
         f: impl Fn(&ReadCtx<'_, EpochView<'_>>) -> CrimsonResult<R>,
     ) -> CrimsonResult<R> {
-        let attempts = self.retry.attempts.max(1);
         let mut last = String::new();
-        for attempt in 0..attempts {
+        for attempt in 0..READ_ATTEMPTS {
             if attempt > 0 {
                 // Count the re-pin in the pool's shared statistics: the
                 // concurrency harnesses assert this stays flat (zero) under
@@ -225,7 +192,7 @@ impl RepositoryReader {
                 // version window ahead of it; per-reader salt keeps
                 // concurrent readers from phase-locking on the same
                 // schedule.
-                self.retry.backoff(attempt, self.salt);
+                backoff(attempt, self.salt);
             }
             match self.pin().and_then(|pinned| f(&pinned)) {
                 Err(e) if snapshot_retired(&e) => last = e.to_string(),
@@ -239,7 +206,7 @@ impl RepositoryReader {
         // unreachable at the current chain depth.
         self.db.note_snapshot_retry();
         Err(CrimsonError::Busy(format!(
-            "read re-pinned {attempts} times against a continuously committing writer; \
+            "read re-pinned {READ_ATTEMPTS} times against a continuously committing writer; \
              the last attempt failed with: {last}"
         )))
     }
@@ -495,18 +462,17 @@ mod tests {
         );
         drop(crowd);
 
-        // With no attempts left the retirement surfaces as Busy.
-        let mut reader = reader;
-        reader.set_read_retry(ReadRetry {
-            attempts: 1,
-            ..ReadRetry::default()
-        });
+        // Crowding the chain on every attempt exhausts the budget, and the
+        // retirement surfaces as Busy.
         let crowd = RefCell::new(Vec::new());
+        calls.set(0);
         let err = reader
             .read(|v| {
+                calls.set(calls.get() + 1);
+                crowd.borrow_mut().clear();
                 for i in 0..=BufferPool::VERSION_CHAIN_CAP {
                     repo.borrow_mut()
-                        .load_tree(&format!("again{i}"), &figure1_tree())
+                        .load_tree(&format!("again{}_{i}", calls.get()), &figure1_tree())
                         .unwrap();
                     crowd.borrow_mut().push(reader.pin().unwrap());
                 }
@@ -514,5 +480,10 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, CrimsonError::Busy(_)), "got {err:?}");
+        assert_eq!(
+            calls.get(),
+            READ_ATTEMPTS,
+            "every attempt ran and was retired"
+        );
     }
 }

@@ -48,7 +48,7 @@ use storage::db::{Database, DbRead, RawIndexId, TableId};
 use storage::schema::{ColumnDef, Schema};
 use storage::value::{Value, ValueType};
 use storage::wal::Lsn;
-use storage::{CheckpointPolicy, CheckpointerGuard, RecoveryReport, ScrubOptions, ScrubStats};
+use storage::{CheckpointPolicy, CheckpointerGuard, RecoveryReport, ScrubStats};
 
 /// Name of the raw index holding covering interval entries keyed by
 /// `(tree_id, pre)`.
@@ -852,7 +852,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
             .db
             .raw_get(self.tables.ivl_by_node, &id.0.to_be_bytes())?
             .ok_or(CrimsonError::UnknownNode(id.0))?;
-        Ok(((packed >> 32) as u32, packed as u32))
+        Ok(clade_hash::unpack_span(packed))
     }
 
     /// Visit the `ivl_by_pre` entries of `tree` ranked `lo..=hi`, with
@@ -1345,8 +1345,8 @@ impl Repository {
     /// [`storage::buffer::BufferPool::scrub`]), then cross-check the page
     /// scan with the logical [`ReadCtx::integrity_check`] when no page
     /// is quarantined.
-    pub fn scrub(&self, opts: ScrubOptions) -> CrimsonResult<ScrubReport> {
-        let pages = self.db.pool().scrub(opts)?;
+    pub fn scrub(&self) -> CrimsonResult<ScrubReport> {
+        let pages = self.db.pool().scrub()?;
         let integrity = if pages.pages_quarantined == 0 {
             Some(self.view().integrity_check()?)
         } else {
@@ -1356,13 +1356,6 @@ impl Repository {
             None
         };
         Ok(ScrubReport { pages, integrity })
-    }
-
-    /// Enable or disable write-ahead logging (bench baseline only; disabled
-    /// logging forfeits crash safety).
-    pub fn set_logging(&mut self, enabled: bool) -> CrimsonResult<()> {
-        self.db.set_logging(enabled)?;
-        Ok(())
     }
 
     /// Buffer-pool statistics from the underlying storage engine.
@@ -1559,9 +1552,11 @@ impl Repository {
                 &entry.encode_key(tree_id),
                 rid.to_u64(),
             )?;
-            let packed = ((entry.pre as u64) << 32) | entry.end as u64;
-            self.db
-                .raw_insert(self.tables.ivl_by_node, &sid.0.to_be_bytes(), packed)?;
+            self.db.raw_insert(
+                self.tables.ivl_by_node,
+                &sid.0.to_be_bytes(),
+                clade_hash::pack_span(entry.pre, entry.end),
+            )?;
         }
 
         self.insert_depth_column(tree_id, &crate::depth::depth_column(tree))?;

@@ -89,7 +89,7 @@ fn every_single_bit_flip_in_a_data_page_is_detected() {
                 true
             }
             Ok(repo) => {
-                let report = repo.scrub(Default::default()).unwrap();
+                let report = repo.scrub().unwrap();
                 report.pages.pages_quarantined + report.pages.pages_repaired >= 1
             }
         };
@@ -106,7 +106,7 @@ fn every_single_bit_flip_in_a_data_page_is_detected() {
 
     // After all that, the pristine file still opens and verifies cleanly.
     let repo = Repository::open(&path, small_opts()).unwrap();
-    let report = repo.scrub(Default::default()).unwrap();
+    let report = repo.scrub().unwrap();
     assert_eq!(report.pages.pages_quarantined, 0);
     assert!(report.integrity.is_some());
 }

@@ -11,7 +11,7 @@ use crimson::prelude::*;
 use phylo::newick;
 use simulation::birth_death::yule_tree;
 use simulation::gold::GoldStandardBuilder;
-use storage::{shared_schedule, FaultConfig, FaultSchedule, ScrubOptions, SharedFaultSchedule};
+use storage::{shared_schedule, FaultConfig, FaultSchedule, SharedFaultSchedule};
 use tempfile::tempdir;
 
 fn small_opts() -> RepositoryOptions {
@@ -87,9 +87,7 @@ fn install_faults(repo: &Repository, seed: u64) -> SharedFaultSchedule {
 /// same file must come up clean, degraded, or fail typed — never panic.
 fn assert_recoverable(repo: Repository, baseline: &Baseline, path: &std::path::Path) {
     if !repo.pool().is_poisoned() {
-        let report = repo
-            .scrub(ScrubOptions::default())
-            .expect("scrub never panics");
+        let report = repo.scrub().expect("scrub never panics");
         if report.pages.pages_quarantined == 0 {
             repo.view()
                 .integrity_check()
@@ -101,7 +99,7 @@ fn assert_recoverable(repo: Repository, baseline: &Baseline, path: &std::path::P
 
     match Repository::open(path, small_opts()) {
         Ok(reopened) => {
-            let report = reopened.scrub(ScrubOptions::default()).expect("scrub");
+            let report = reopened.scrub().expect("scrub");
             if report.pages.pages_quarantined == 0 {
                 reopened
                     .view()
@@ -152,7 +150,7 @@ fn bulk_load_under_fault_schedules() {
         schedule.lock().disarm();
         // Heal any latent damage first, then every successfully-loaded tree
         // must answer queries identically on both index paths.
-        let report = repo.scrub(ScrubOptions::default()).expect("scrub");
+        let report = repo.scrub().expect("scrub");
         if report.pages.pages_quarantined == 0 {
             for (handle, nwk) in loaded {
                 cross_validate(&repo, handle, &nwk);

@@ -4,10 +4,11 @@
 //! retried when a commit landed mid-operation: a reader with a two-attempt
 //! budget racing a writer committing back-to-back was all but guaranteed to
 //! exhaust its budget and fail `CrimsonError::Busy`. With versioned reads
-//! the same configuration must observe **zero** `Busy` errors and zero
-//! cross-validation mismatches, because every operation runs against a
-//! pinned epoch that commits cannot disturb — and a long-lived pin must see
-//! a frozen tree list across all one hundred commits.
+//! the same race must observe **zero** re-pins (so not even a two-attempt
+//! budget would be touched), zero `Busy` errors and zero cross-validation
+//! mismatches, because every operation runs against a pinned epoch that
+//! commits cannot disturb — and a long-lived pin must see a frozen tree
+//! list across all one hundred commits.
 
 mod common;
 
@@ -39,14 +40,7 @@ fn two_attempt_reader_never_starves_under_continuous_commits() {
     let leaves_a = repo.view().leaves(ta).unwrap();
     let baseline = repo.buffer_stats();
 
-    // attempts: 2 previously guaranteed Busy against a back-to-back
-    // committer; under MVCC the budget is never touched.
-    let mut reader = repo.reader().unwrap();
-    reader.set_read_retry(ReadRetry {
-        attempts: 2,
-        ..Default::default()
-    });
-    let reader = reader;
+    let reader = repo.reader().unwrap();
 
     let stop = AtomicBool::new(false);
     let queries = AtomicU64::new(0);
@@ -117,7 +111,7 @@ fn two_attempt_reader_never_starves_under_continuous_commits() {
         "the reader thread must have run"
     );
     // Zero re-pins: the retry counter (now only the cold snapshot-retired
-    // path) never moved, so the two-attempt budget was never touched.
+    // path) never moved, so every read succeeded on its first pin.
     let stats = repo.buffer_stats();
     assert_eq!(
         stats.reader_retries, baseline.reader_retries,

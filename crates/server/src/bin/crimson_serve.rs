@@ -2,10 +2,11 @@
 //!
 //! ```text
 //! crimson-serve --root DIR [--addr HOST:PORT] [--workers N]
-//!               [--batch-max N] [--no-coalesce] [--max-queue N]
-//!               [--window N] [--duration SECS]
+//!               [--batch-max N] [--max-queue N] [--window N]
+//!               [--duration SECS]
 //! ```
 //!
+//! `--batch-max 1` serves every read on its own pinned epoch.
 //! Without `--duration` the server runs until the process is killed.
 //! The bound address is printed as `LISTENING <addr>` on stdout so
 //! harnesses using an ephemeral port (`--addr 127.0.0.1:0`) can find it.
@@ -17,7 +18,7 @@ use crimson_server::server::{Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: crimson-serve --root DIR [--addr HOST:PORT] [--workers N] \
-         [--batch-max N] [--no-coalesce] [--max-queue N] [--window N] [--duration SECS]"
+         [--batch-max N] [--max-queue N] [--window N] [--duration SECS]"
     );
     std::process::exit(2);
 }
@@ -43,7 +44,6 @@ fn main() {
             "--batch-max" => {
                 config.dispatch.batch_max = value(&mut i).parse().unwrap_or_else(|_| usage())
             }
-            "--no-coalesce" => config.dispatch.coalesce = false,
             "--max-queue" => {
                 config.dispatch.max_queue = value(&mut i).parse().unwrap_or_else(|_| usage())
             }

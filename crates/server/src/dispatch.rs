@@ -49,11 +49,9 @@ use crate::wire::WireError;
 pub struct DispatchConfig {
     /// Worker threads executing jobs.
     pub workers: usize,
-    /// Maximum reads coalesced into one pinned-epoch batch.
+    /// Maximum reads coalesced into one pinned-epoch batch (`1` = one pin
+    /// per read; the bench measures the difference).
     pub batch_max: usize,
-    /// Whether to coalesce at all (`false` = one pin per read; the bench
-    /// measures the difference).
-    pub coalesce: bool,
     /// Queue capacity; submissions beyond it are shed with
     /// [`crate::wire::ErrorCode::Overloaded`].
     pub max_queue: usize,
@@ -67,7 +65,6 @@ impl Default for DispatchConfig {
         DispatchConfig {
             workers: hw.clamp(2, 8),
             batch_max: 32,
-            coalesce: true,
             max_queue: 1024,
         }
     }
@@ -243,7 +240,7 @@ fn worker_loop(queue: &Queue, config: &DispatchConfig, stats: &ServerStats) {
         }
         let first = jobs.pop_front().expect("non-empty");
         let mut batch = vec![first];
-        if config.coalesce && batch[0].request.is_read() {
+        if batch[0].request.is_read() {
             // Pull further reads for the same tenant from anywhere in the
             // queue; other tenants' jobs keep their relative order.
             let tenant = Arc::clone(&batch[0].tenant);

@@ -132,11 +132,6 @@ impl TenantMap {
         })
     }
 
-    /// The tenants currently open.
-    pub fn open_tenants(&self) -> Vec<Arc<Tenant>> {
-        self.tenants.lock().values().cloned().collect()
-    }
-
     /// Resolve (opening or creating the repository as needed) the tenant
     /// for an `Attach` request.
     pub fn attach(&self, name: &str) -> Result<Arc<Tenant>, WireError> {

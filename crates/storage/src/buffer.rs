@@ -90,8 +90,7 @@
 //!   the log.
 //!
 //! Mutations performed outside any transaction (as the lower-level unit
-//! tests and the `logging(false)` bench baseline do) bypass the log and
-//! carry no crash-safety contract — exactly the pre-WAL behaviour.
+//! tests do) bypass the log and carry no crash-safety contract.
 
 use crate::error::{StorageError, StorageResult};
 use crate::io::{
@@ -109,6 +108,10 @@ use std::time::{Duration, Instant};
 /// Number of page-table shards. Page ids are assigned sequentially, so a
 /// simple modulo spreads consecutive pages across all shards.
 const SHARD_COUNT: usize = 16;
+
+/// Pages a scrub pass verifies per io-latch acquisition: the latch is
+/// released (and readers/writer admitted) between chunks.
+const SCRUB_CHUNK_PAGES: u64 = 256;
 
 #[inline]
 fn shard_of(pid: PageId) -> usize {
@@ -255,26 +258,6 @@ pub enum CrashPoint {
     /// Fail the next checkpoint after the data file is durable but before
     /// the log is truncated.
     CheckpointTruncate,
-}
-
-/// Options controlling an incremental scrub pass (see
-/// [`BufferPool::scrub`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ScrubOptions {
-    /// Pages verified per io-latch acquisition: the latch is released (and
-    /// readers/writer admitted) between chunks.
-    pub chunk_pages: usize,
-    /// Optional sleep between chunks, throttling the scrub's I/O rate.
-    pub throttle: Option<Duration>,
-}
-
-impl Default for ScrubOptions {
-    fn default() -> Self {
-        ScrubOptions {
-            chunk_pages: 256,
-            throttle: None,
-        }
-    }
 }
 
 /// Outcome of a scrub pass: one counter per verdict, so
@@ -492,9 +475,6 @@ struct TxnState {
 struct IoState {
     pager: Pager,
     wal: Wal,
-    /// Whether transactional mutations are logged. Disabled only by the
-    /// bench baseline; see [`BufferPool::set_logging`].
-    logging: bool,
     txn: Option<TxnState>,
     recovery: Option<RecoveryReport>,
     /// Global clock cursor: which shard the next eviction sweep starts at.
@@ -726,7 +706,6 @@ impl BufferPool {
             io: Mutex::new(IoState {
                 pager,
                 wal,
-                logging: true,
                 txn: None,
                 recovery,
                 sweep_shard: 0,
@@ -779,18 +758,6 @@ impl BufferPool {
     /// pre-existed (a fresh file needs no recovery).
     pub fn recovery_report(&self) -> Option<RecoveryReport> {
         self.io.lock().recovery
-    }
-
-    /// Enable or disable write-ahead logging for subsequent transactions.
-    /// Disabled logging restores the pre-WAL behaviour (no crash safety);
-    /// it exists for the bench baseline. Fails while a transaction is open.
-    pub fn set_logging(&self, enabled: bool) -> StorageResult<()> {
-        let mut io = self.io.lock();
-        if io.txn.is_some() {
-            return Err(StorageError::TransactionActive);
-        }
-        io.logging = enabled;
-        Ok(())
     }
 
     /// Inject a simulated crash (see [`CrashPoint`]). Test instrumentation
@@ -972,13 +939,6 @@ impl BufferPool {
             // acknowledged. Restore pre-transaction memory instead.
             let _ = self.rollback_with(io, txn);
             return Err(e);
-        }
-        if !io.logging {
-            // Unlogged but dirty: nothing to log, yet the committed view
-            // still advances — publish the version transition so snapshot
-            // readers observe the new state.
-            self.publish_commit(io.pager.catalog_root());
-            return Ok(io.wal.end_lsn());
         }
         match self.log_commit(io, &txn) {
             Ok(lsn) => {
@@ -1764,28 +1724,22 @@ impl BufferPool {
     /// Incremental media scrub: verify every page's checksum against the
     /// disk bytes, backfilling missing checksums, repairing failures (from a
     /// resident frame or the WAL) and quarantining what cannot be repaired.
-    /// Works in chunks, releasing the io latch (and optionally sleeping)
+    /// Works in chunks of 256 pages, releasing the io latch
     /// between chunks so concurrent readers and the writer are not starved.
-    pub fn scrub(&self, opts: ScrubOptions) -> StorageResult<ScrubStats> {
-        let chunk = opts.chunk_pages.max(1) as u64;
+    pub fn scrub(&self) -> StorageResult<ScrubStats> {
         let mut stats = ScrubStats::default();
         let mut next: u64 = 1;
         loop {
-            {
-                let mut io = self.io.lock();
-                let count = io.pager.page_count();
-                if next >= count {
-                    break;
-                }
-                let end = (next + chunk).min(count);
-                for pid_no in next..end {
-                    self.scrub_page(&mut io, PageId(pid_no), &mut stats)?;
-                }
-                next = end;
+            let mut io = self.io.lock();
+            let count = io.pager.page_count();
+            if next >= count {
+                break;
             }
-            if let Some(pause) = opts.throttle {
-                std::thread::sleep(pause);
+            let end = (next + SCRUB_CHUNK_PAGES).min(count);
+            for pid_no in next..end {
+                self.scrub_page(&mut io, PageId(pid_no), &mut stats)?;
             }
+            next = end;
         }
         Ok(stats)
     }
@@ -1970,9 +1924,6 @@ impl BufferPool {
             io.poison(&e);
             return Err(e);
         }
-        // Truncate even when logging is currently disabled: a stale log
-        // from an earlier logged phase must never replay over the newer
-        // checkpointed data.
         io.wal.reset()?;
         Ok(())
     }
@@ -2055,42 +2006,36 @@ impl BufferPool {
             return Ok(());
         }
         // Steal: an uncommitted dirty page is about to reach the data
-        // file. Record the steal whether or not logging is on — runtime
-        // rollback needs it to know the disk copy must be overwritten —
-        // and, when logging, make the before-image durable first so
-        // crash recovery can undo it too.
+        // file. Record the steal — runtime rollback needs it to know the
+        // disk copy must be overwritten — and make the before-image
+        // durable first so crash recovery can undo it too.
         let mut must_sync = false;
-        let logging = io.logging;
         if let Some(txn) = &mut io.txn {
             if txn.dirty.contains(&pid) && !txn.stolen.contains(&pid) {
-                if logging {
-                    // A page *allocated inside* this transaction needs no
-                    // undo record: its before-state is nonexistence. If the
-                    // transaction loses, the page lies beyond the committed
-                    // page count and recovery skips it — so a bulk load that
-                    // overflows the pool streams fresh pages to disk with no
-                    // log traffic and no per-eviction fsync.
-                    if let Some(UndoEntry {
-                        image: Some(img), ..
-                    }) = txn.undo.get(&pid)
-                    {
-                        let before = Arc::clone(img);
-                        io.wal
-                            .append_image(WalRecordKind::Undo, txn.id, pid, before.bytes())?;
-                        must_sync = true;
-                    }
+                // A page *allocated inside* this transaction needs no undo
+                // record: its before-state is nonexistence. If the
+                // transaction loses, the page lies beyond the committed page
+                // count and recovery skips it — so a bulk load that
+                // overflows the pool streams fresh pages to disk with no log
+                // traffic and no per-eviction fsync.
+                if let Some(UndoEntry {
+                    image: Some(img), ..
+                }) = txn.undo.get(&pid)
+                {
+                    let before = Arc::clone(img);
+                    io.wal
+                        .append_image(WalRecordKind::Undo, txn.id, pid, before.bytes())?;
+                    must_sync = true;
                 }
                 txn.stolen.insert(pid);
             }
         }
-        if logging {
-            // WAL-before-data: the log must cover this page's latest
-            // commit record before its content reaches the data file.
-            if must_sync || body.rec_lsn > io.wal.durable_lsn() {
-                if let Err(e) = io.wal.sync() {
-                    io.poison(&e);
-                    return Err(e);
-                }
+        // WAL-before-data: the log must cover this page's latest commit
+        // record before its content reaches the data file.
+        if must_sync || body.rec_lsn > io.wal.durable_lsn() {
+            if let Err(e) = io.wal.sync() {
+                io.poison(&e);
+                return Err(e);
             }
         }
         io.pager.write_page(pid, &body.page)?;
@@ -2115,7 +2060,7 @@ impl Drop for BufferPool {
             return;
         }
         let io = self.io.get_mut();
-        if io.read_only || io.txn.is_some() || io.sim_crashed() || !io.logging {
+        if io.read_only || io.txn.is_some() || io.sim_crashed() {
             return;
         }
         let _ = io.wal.sync();
@@ -2446,6 +2391,10 @@ mod tests {
             let pid = pool.allocate_page().unwrap();
             pool.with_page_mut(pid, |p| p.write_u64(0, 1)).unwrap();
         }
+        assert!(
+            pool.stats().writebacks > 0,
+            "the page must have been stolen"
+        );
         pool.rollback_txn().unwrap();
         assert_eq!(pool.with_page(base, |p| p.read_u64(0)).unwrap(), 5);
         // And the restored content reaches disk at the next checkpoint.
@@ -2520,75 +2469,6 @@ mod tests {
         let lsn1 = pool.with_page(pid, |p| p.lsn()).unwrap();
         assert!(lsn1 > lsn0, "recLSNs are monotone: {lsn1} vs {lsn0}");
         pool.commit_txn(true).unwrap();
-    }
-
-    #[test]
-    fn unlogged_rollback_restores_stolen_pages() {
-        let (_dir, pool) = pool(8);
-        pool.set_logging(false).unwrap();
-        pool.begin_txn().unwrap();
-        let base = pool.allocate_page().unwrap();
-        pool.with_page_mut(base, |p| p.write_u64(0, 5)).unwrap();
-        pool.commit_txn(false).unwrap();
-        pool.begin_txn().unwrap();
-        pool.with_page_mut(base, |p| p.write_u64(0, 500)).unwrap();
-        // Push the uncommitted page out of the pool (unlogged steal).
-        for _ in 0..32 {
-            let pid = pool.allocate_page().unwrap();
-            pool.with_page_mut(pid, |p| p.write_u64(0, 1)).unwrap();
-        }
-        assert!(pool.stats().writebacks > 0);
-        pool.rollback_txn().unwrap();
-        assert_eq!(
-            pool.with_page(base, |p| p.read_u64(0)).unwrap(),
-            5,
-            "rollback must restore a page stolen in unlogged mode"
-        );
-        pool.set_logging(true).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_truncates_a_stale_log_in_unlogged_mode() {
-        let dir = tempdir().unwrap();
-        let path = dir.path().join("t.crdb");
-        let pid;
-        {
-            let pager = Pager::create(&path).unwrap();
-            let pool = BufferPool::with_capacity(pager, 16).unwrap();
-            // Logged commit leaves an after-image of value 1 in the WAL.
-            pool.begin_txn().unwrap();
-            pid = pool.allocate_page().unwrap();
-            pool.with_page_mut(pid, |p| p.write_u64(0, 1)).unwrap();
-            pool.commit_txn(true).unwrap();
-            // Unlogged phase overwrites it and checkpoints; the stale log
-            // must be truncated so it can never replay over value 2.
-            pool.set_logging(false).unwrap();
-            pool.begin_txn().unwrap();
-            pool.with_page_mut(pid, |p| p.write_u64(0, 2)).unwrap();
-            pool.commit_txn(false).unwrap();
-            pool.flush().unwrap();
-        }
-        let pager = Pager::open(&path).unwrap();
-        let pool = BufferPool::with_capacity(pager, 16).unwrap();
-        assert!(!pool.recovery_report().unwrap().did_work());
-        assert_eq!(pool.with_page(pid, |p| p.read_u64(0)).unwrap(), 2);
-    }
-
-    #[test]
-    fn unlogged_mode_skips_the_wal() {
-        let (_dir, pool) = pool(16);
-        pool.set_logging(false).unwrap();
-        pool.begin_txn().unwrap();
-        let pid = pool.allocate_page().unwrap();
-        pool.with_page_mut(pid, |p| p.write_u64(0, 1)).unwrap();
-        pool.commit_txn(true).unwrap();
-        assert_eq!(pool.stats().wal_appends, 0);
-        // Rollback still works in memory without the log.
-        pool.begin_txn().unwrap();
-        pool.with_page_mut(pid, |p| p.write_u64(0, 2)).unwrap();
-        pool.rollback_txn().unwrap();
-        assert_eq!(pool.with_page(pid, |p| p.read_u64(0)).unwrap(), 1);
-        pool.set_logging(true).unwrap();
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::btree::BTree;
 use crate::buffer::{
-    BufferPool, CheckpointPolicy, CheckpointerGuard, EpochPin, PageSource, PinnedPage, ScrubOptions,
+    BufferPool, CheckpointPolicy, CheckpointerGuard, EpochPin, PageSource, PinnedPage,
 };
 use crate::catalog::{Catalog, IndexMeta, RawIndexMeta, TableMeta};
 use crate::error::{StorageError, StorageResult};
@@ -511,12 +511,6 @@ impl Database {
         }
     }
 
-    /// Enable or disable write-ahead logging (bench baseline only; disabled
-    /// logging forfeits crash safety). Fails inside a transaction.
-    pub fn set_logging(&mut self, enabled: bool) -> StorageResult<()> {
-        self.pool.set_logging(enabled)
-    }
-
     /// Open an existing database in **degraded read-only mode**: mutation
     /// entry points fail with [`StorageError::ReadOnly`], and a verification
     /// pass quarantines every page whose checksum fails (without attempting
@@ -527,7 +521,7 @@ impl Database {
         let pager = Pager::open(path)?;
         let pool = BufferPool::with_capacity(pager, pages)?;
         pool.set_read_only(true);
-        pool.scrub(ScrubOptions::default())?;
+        pool.scrub()?;
         let mut db = Database {
             pool: Arc::new(pool),
             meta: Meta::empty(),

@@ -46,8 +46,7 @@ pub enum StorageError {
     /// payload is the pool's frame capacity.
     PoolExhausted(usize),
     /// A transaction is already open (the engine is single-writer) or the
-    /// attempted operation (checkpoint, logging toggle) is illegal while
-    /// one is open.
+    /// attempted operation (a checkpoint) is illegal while one is open.
     TransactionActive,
     /// `commit`/`rollback` was called with no open transaction.
     NoActiveTransaction,

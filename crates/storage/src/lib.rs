@@ -117,8 +117,7 @@ pub mod value;
 pub mod wal;
 
 pub use buffer::{
-    CheckpointPolicy, CheckpointerGuard, CrashPoint, EpochPin, PageSource, PinnedPage,
-    ScrubOptions, ScrubStats,
+    CheckpointPolicy, CheckpointerGuard, CrashPoint, EpochPin, PageSource, PinnedPage, ScrubStats,
 };
 pub use db::{Database, DbRead, DbReader, EpochSnapshot, EpochView, RawIndexId, TableId};
 pub use error::{StorageError, StorageResult};

@@ -9,9 +9,7 @@ use std::path::Path;
 use storage::buffer::BufferPool;
 use storage::db::{Database, DbRead};
 use storage::pager::Pager;
-use storage::{
-    shared_schedule, FaultConfig, FaultSchedule, PageId, ScrubOptions, StorageError, PAGE_SIZE,
-};
+use storage::{shared_schedule, FaultConfig, FaultSchedule, PageId, StorageError, PAGE_SIZE};
 use tempfile::tempdir;
 
 /// XOR one byte of the database file at `offset`, bypassing the pool's file
@@ -211,7 +209,7 @@ fn scrub_detects_and_repairs_latent_corruption() {
     for pid in pids.iter().take(5) {
         corrupt_byte(&path, pid.0 * PAGE_SIZE as u64 + 2048);
     }
-    let stats = pool.scrub(ScrubOptions::default()).unwrap();
+    let stats = pool.scrub().unwrap();
     assert!(stats.pages_scanned >= pids.len() as u64);
     assert!(
         stats.pages_repaired >= 1,

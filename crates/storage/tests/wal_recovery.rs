@@ -290,30 +290,6 @@ fn torn_wal_tails_recover_to_a_committed_prefix() {
     }
 }
 
-#[test]
-fn logging_disabled_restores_legacy_behaviour() {
-    let dir = tempdir().unwrap();
-    let path = dir.path().join("db.crdb");
-    {
-        let mut db = Database::create(&path).unwrap();
-        db.set_logging(false).unwrap();
-        let t = db.create_table("t", schema()).unwrap();
-        db.begin().unwrap();
-        for i in 0..20 {
-            db.insert(t, &row(i)).unwrap();
-        }
-        db.commit().unwrap();
-        assert_eq!(
-            db.pool().stats().wal_appends,
-            0,
-            "unlogged mode must not touch the WAL"
-        );
-        db.flush().unwrap();
-    }
-    let db = Database::open(&path).unwrap();
-    assert_eq!(db.row_count(db.table("t").unwrap()).unwrap(), 20);
-}
-
 // ---------------------------------------------------------------------------
 // Crash injection during bulk loads
 // ---------------------------------------------------------------------------
