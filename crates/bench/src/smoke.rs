@@ -206,168 +206,94 @@ pub fn concurrent_reads(
     }
 }
 
-/// Page-write and WAL cost of the E4 load workload. The WAL goes to its
-/// own file, so the logged load writes each data page at most once: the
-/// smoke test pins the data-file page writes at or below the file's page
-/// count.
+/// Cost of the E4 load workload: one simulated tree loaded through
+/// `load_tree` into a fresh repository, then checkpointed. The counts are
+/// deterministic; the wall clock is the best of the runs. The WAL goes to
+/// its own file, so a logged load writes each data page at most once.
 #[derive(Debug, Clone, Copy)]
 pub struct LoadCost {
+    /// Node rows loaded (tree nodes).
+    pub rows: usize,
+    /// Best wall-clock seconds of `load_tree` (excluding the checkpoint).
+    pub seconds: f64,
+    /// Buffer-pool page accesses (hits + misses) of the load and checkpoint.
+    pub page_accesses: u64,
     /// Data-file page writes (checkpoint flushes + eviction write-backs).
     pub page_writes: u64,
     /// Pages in the data file after the load and its checkpoint.
     pub page_count: u64,
-    /// WAL bytes appended by the load.
+    /// WAL bytes appended by the load and its checkpoint.
     pub wal_bytes: u64,
-    /// WAL records appended by the load.
+    /// WAL records appended by the load and its checkpoint.
     pub wal_appends: u64,
 }
 
-/// E4 load smoke: load a simulated tree into a fresh repository, checkpoint
-/// it, and count data-file page writes and WAL traffic.
-pub fn load_workload(leaves: usize, seed: u64) -> LoadCost {
-    let tree = workloads::simulated_tree(leaves, seed);
-    let dir = tempfile::tempdir().expect("temp dir");
-    let mut repo = crimson::repository::Repository::create(
-        dir.path().join("load.crimson"),
-        crimson::repository::RepositoryOptions {
-            buffer_pool_pages: 4096,
-            ..Default::default()
-        },
-    )
-    .expect("create repository");
-    repo.pool().reset_stats();
-    repo.load_tree("bench", &tree).expect("load tree");
-    repo.flush().expect("checkpoint");
-    let stats = repo.buffer_stats();
-    LoadCost {
-        page_writes: stats.page_writes(),
-        page_count: repo.pool().page_count(),
-        wal_bytes: stats.wal_bytes,
-        wal_appends: stats.wal_appends,
-    }
-}
-
-/// Wall-clock and WAL cost of loading one simulated tree through the bulk
-/// fast path versus the row-at-a-time reference path (same tree, fresh
-/// repository each, followed by a checkpoint).
-#[derive(Debug, Clone, Copy)]
-pub struct BulkLoadCost {
-    /// Node rows loaded (tree nodes).
-    pub rows: usize,
-    /// Wall-clock seconds of the bulk `load_tree` (excluding checkpoint).
-    pub bulk_seconds: f64,
-    /// Wall-clock seconds of `load_tree_reference`.
-    pub reference_seconds: f64,
-    /// WAL bytes appended by the bulk load (including its checkpoint).
-    pub wal_bytes: u64,
-    /// Data-file page writes of the bulk load (checkpoint + evictions).
-    pub data_page_writes: u64,
-}
-
-impl BulkLoadCost {
-    /// `reference_seconds / bulk_seconds` — the load fast-path speedup.
-    pub fn speedup(&self) -> f64 {
-        self.reference_seconds / self.bulk_seconds.max(1e-9)
-    }
-
-    /// Bulk-path load throughput in rows per second.
+impl LoadCost {
+    /// Load throughput in rows per second.
     pub fn rows_per_sec(&self) -> f64 {
-        self.rows as f64 / self.bulk_seconds.max(1e-9)
+        self.rows as f64 / self.seconds.max(1e-9)
     }
 
-    /// WAL bytes per data byte written — the log-overhead ratio the bulk
-    /// path budgets at ≤ 1.1× (one after-image per loaded page).
+    /// Buffer-pool page accesses per loaded row.
+    pub fn page_accesses_per_row(&self) -> f64 {
+        self.page_accesses as f64 / self.rows.max(1) as f64
+    }
+
+    /// WAL bytes per data byte written — the log-overhead ratio the load
+    /// budgets at ≤ 1.1× (one after-image per loaded page).
     pub fn wal_ratio(&self) -> f64 {
-        let data = (self.data_page_writes as f64) * storage::PAGE_SIZE as f64;
+        let data = (self.page_writes as f64) * storage::PAGE_SIZE as f64;
         self.wal_bytes as f64 / data.max(1.0)
     }
 }
 
-/// Load smoke for the bulk fast path: time `load_tree` (bulk) and
-/// `load_tree_reference` (row-at-a-time) on the same simulated tree in fresh
-/// repositories, cross-validating that both answer a sample of LCA queries
-/// identically and pass their integrity checks. Best-of-`runs` timing keeps
-/// the ratio honest on noisy runners.
-pub fn bulk_load_workload(leaves: usize, seed: u64, runs: usize) -> BulkLoadCost {
+/// E4 load smoke: load a simulated tree into a fresh repository `runs`
+/// times, checkpoint each, count page accesses, page writes and WAL
+/// traffic, and check each load's LCA answers against the in-memory tree
+/// and its integrity.
+pub fn load_workload(leaves: usize, seed: u64, runs: usize) -> LoadCost {
     let tree = workloads::simulated_tree(leaves, seed);
-    let rows = tree.node_count();
-    let time_load = |reference: bool| -> (f64, u64, u64) {
-        let mut best = f64::MAX;
-        let mut wal_bytes = 0;
-        let mut page_writes = 0;
-        for _ in 0..runs.max(1) {
-            let dir = tempfile::tempdir().expect("temp dir");
-            let mut repo = crimson::repository::Repository::create(
-                dir.path().join("load.crimson"),
-                crimson::repository::RepositoryOptions {
-                    buffer_pool_pages: 4096,
-                    ..Default::default()
-                },
-            )
-            .expect("create repository");
-            repo.pool().reset_stats();
-            let start = std::time::Instant::now();
-            if reference {
-                repo.load_tree_reference("bench", &tree).expect("load");
-            } else {
-                repo.load_tree("bench", &tree).expect("load");
-            }
-            let elapsed = start.elapsed().as_secs_f64();
-            repo.flush().expect("checkpoint");
-            let stats = repo.buffer_stats();
-            if elapsed < best {
-                best = elapsed;
-                wal_bytes = stats.wal_bytes;
-                page_writes = stats.page_writes();
-            }
-        }
-        (best, wal_bytes, page_writes)
-    };
-    // Cross-validate once: both paths must answer the same queries
-    // identically and pass integrity.
-    {
+    let mut best: Option<LoadCost> = None;
+    for _ in 0..runs.max(1) {
         let dir = tempfile::tempdir().expect("temp dir");
-        let opts = crimson::repository::RepositoryOptions {
-            buffer_pool_pages: 4096,
-            ..Default::default()
+        let mut repo = crimson::repository::Repository::create(
+            dir.path().join("load.crimson"),
+            crimson::repository::RepositoryOptions {
+                buffer_pool_pages: 4096,
+                ..Default::default()
+            },
+        )
+        .expect("create repository");
+        repo.pool().reset_stats();
+        let start = std::time::Instant::now();
+        let handle = repo.load_tree("bench", &tree).expect("load tree");
+        let seconds = start.elapsed().as_secs_f64();
+        repo.flush().expect("checkpoint");
+        let stats = repo.buffer_stats();
+        let cost = LoadCost {
+            rows: tree.node_count(),
+            seconds,
+            page_accesses: stats.page_reads(),
+            page_writes: stats.page_writes(),
+            page_count: repo.pool().page_count(),
+            wal_bytes: stats.wal_bytes,
+            wal_appends: stats.wal_appends,
         };
-        let mut bulk =
-            crimson::repository::Repository::create(dir.path().join("bulk.crimson"), opts.clone())
-                .expect("create");
-        let mut reference =
-            crimson::repository::Repository::create(dir.path().join("ref.crimson"), opts)
-                .expect("create");
-        let hb = bulk.load_tree("bench", &tree).expect("bulk load");
-        let hr = reference
-            .load_tree_reference("bench", &tree)
-            .expect("reference load");
-        let leaves_b = bulk.view().leaves(hb).expect("leaves");
+        let stored = repo.view().leaves(handle).expect("leaves");
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..64 {
-            let a = *leaves_b.choose(&mut rng).expect("non-empty");
-            let b = *leaves_b.choose(&mut rng).expect("non-empty");
-            assert_eq!(
-                bulk.view().lca(a, b).expect("lca"),
-                reference.view().lca(a, b).expect("lca"),
-                "bulk and reference repositories disagree on lca({a}, {b})"
-            );
+            let a = *stored.choose(&mut rng).expect("non-empty");
+            let b = *stored.choose(&mut rng).expect("non-empty");
+            let want = tree.lca(arena(a), arena(b));
+            let got = repo.view().lca(a, b).expect("lca");
+            assert_eq!(got.0, (handle.0 << 32) | want.0 as u64, "lca({a}, {b})");
         }
-        bulk.view().integrity_check().expect("bulk integrity");
-        reference
-            .view()
-            .integrity_check()
-            .expect("reference integrity");
-        let _ = hr;
+        repo.view().integrity_check().expect("integrity");
+        if best.is_none_or(|b| seconds < b.seconds) {
+            best = Some(cost);
+        }
     }
-    let (bulk_seconds, wal_bytes, data_page_writes) = time_load(false);
-    let (reference_seconds, _, _) = time_load(true);
-    BulkLoadCost {
-        rows,
-        bulk_seconds,
-        reference_seconds,
-        wal_bytes,
-        data_page_writes,
-    }
+    best.expect("at least one run")
 }
 
 /// Cost of one persisted experiment sweep — the evaluation workload.
@@ -779,8 +705,14 @@ pub struct ScrubProfile {
     pub leaves: usize,
     /// Pages in the database file.
     pub pages: u64,
-    /// Wall-clock seconds for one clean full scrub pass.
+    /// Wall-clock seconds of one clean `Repository::scrub`: the page scrub
+    /// plus the logical integrity check.
     pub clean_seconds: f64,
+    /// Wall-clock seconds of one clean page scrub alone (checksums).
+    pub page_scrub_seconds: f64,
+    /// Wall-clock seconds of one clean integrity check alone (rows,
+    /// interval entries, depth columns and recomputed root hashes).
+    pub integrity_seconds: f64,
     /// Pages corrupted on disk before the detection pass.
     pub corrupted: u64,
     /// Wall-clock seconds for the detection/repair pass.
@@ -792,16 +724,23 @@ pub struct ScrubProfile {
 }
 
 impl ScrubProfile {
-    /// Clean-pass verification throughput.
+    /// Page-scrub throughput: pages checksummed per second.
     pub fn pages_per_sec(&self) -> f64 {
+        self.pages as f64 / self.page_scrub_seconds.max(1e-9)
+    }
+
+    /// Pages per second of the whole `Repository::scrub`, integrity check
+    /// included: what `pages_per_sec` measured before the two were timed
+    /// apart.
+    pub fn clean_pages_per_sec(&self) -> f64 {
         self.pages as f64 / self.clean_seconds.max(1e-9)
     }
 }
 
 /// Scrub smoke: load one large simulated tree, checkpoint, then time a
-/// clean scrub and a pass over a file with eight corrupted pages (which the
-/// scrub must detect — and, with the pages still buffer-resident, repair
-/// from memory).
+/// clean scrub, its page scrub and integrity check apart, and a pass over a
+/// file with eight corrupted pages (which the scrub must detect — and, with
+/// the pages still buffer-resident, repair from memory).
 pub fn scrub_workload(leaves: usize, seed: u64) -> ScrubProfile {
     use std::io::{Read, Seek, SeekFrom, Write};
     let tree = workloads::simulated_tree(leaves, seed);
@@ -826,6 +765,19 @@ pub fn scrub_workload(leaves: usize, seed: u64) -> ScrubProfile {
     let clean_seconds = start.elapsed().as_secs_f64();
     assert_eq!(clean.pages.pages_quarantined, 0, "clean file: {clean:?}");
     assert!(clean.integrity.is_some(), "clean scrub runs integrity");
+
+    let start = std::time::Instant::now();
+    let page_scrub = repo.pool().scrub().expect("clean page scrub");
+    let page_scrub_seconds = start.elapsed().as_secs_f64();
+    assert_eq!(
+        page_scrub.pages_quarantined, 0,
+        "clean file: {page_scrub:?}"
+    );
+    let start = std::time::Instant::now();
+    repo.view()
+        .integrity_check()
+        .expect("clean integrity check");
+    let integrity_seconds = start.elapsed().as_secs_f64();
 
     // Corrupt eight pages behind the pool's back, then let the scrub find
     // them. The frames are still resident, so the damage is healable.
@@ -860,6 +812,8 @@ pub fn scrub_workload(leaves: usize, seed: u64) -> ScrubProfile {
         leaves,
         pages,
         clean_seconds,
+        page_scrub_seconds,
+        integrity_seconds,
         corrupted,
         detect_seconds,
         pages_repaired: repair.pages.pages_repaired,
@@ -1156,7 +1110,7 @@ mod tests {
 
     #[test]
     fn smoke_load_wal_overhead() {
-        let cost = load_workload(800, 42);
+        let cost = load_workload(800, 42, 1);
         eprintln!("smoke E4 load: {cost:?}");
         assert!(cost.wal_appends > 0, "a logged load must append to the WAL");
         assert!(cost.wal_bytes > 0);
@@ -1180,18 +1134,26 @@ mod tests {
             .join(file)
     }
 
+    /// Page accesses per loaded row of the 800-leaf load: 204 accesses over
+    /// 1,599 rows (0.1276) when the bound was set, in debug and release.
+    const MAX_LOAD_PAGE_ACCESSES_PER_ROW: f64 = 0.128;
+    /// Data-file pages written by the 800-leaf load and its checkpoint: 67
+    /// when the bound was set, in debug and release.
+    const MAX_LOAD_PAGE_WRITES: u64 = 67;
+
     #[test]
     fn smoke_bulk_load() {
         let leaves = 800;
-        let cost = bulk_load_workload(leaves, 42, 2);
+        let cost = load_workload(leaves, 42, 2);
         eprintln!(
-            "smoke bulk load: {} rows, bulk {:.3}s ({:.0} rows/s) vs reference {:.3}s → {:.1}x, \
-             WAL ratio {:.3}",
+            "smoke bulk load: {} rows in {:.3}s ({:.0} rows/s), {} page accesses \
+             ({:.3}/row), {} pages written, WAL ratio {:.3}",
             cost.rows,
-            cost.bulk_seconds,
+            cost.seconds,
             cost.rows_per_sec(),
-            cost.reference_seconds,
-            cost.speedup(),
+            cost.page_accesses,
+            cost.page_accesses_per_row(),
+            cost.page_writes,
             cost.wal_ratio()
         );
         assert!(
@@ -1199,28 +1161,18 @@ mod tests {
             "bulk load must log at most 1.1 bytes per data byte, got {:.3}",
             cost.wal_ratio()
         );
-        // The load-throughput assertion binds under the same conditions as
-        // the concurrency scaling one: enough hardware threads and a serial
-        // test run (CI's dedicated release smoke step); under default
-        // libtest parallelism the sibling smokes pollute the timing.
-        let hw = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let serial = std::env::var("RUST_TEST_THREADS").as_deref() == Ok("1");
-        let gates_bind = hw >= 4 && serial;
-        if gates_bind {
-            let floor = if cfg!(debug_assertions) { 2.0 } else { 5.0 };
-            assert!(
-                cost.speedup() >= floor,
-                "bulk load must be ≥{floor}x faster than the row-at-a-time path, \
-                 got {:.2}x ({cost:?})",
-                cost.speedup()
-            );
-        } else {
-            eprintln!(
-                "skipping the bulk speedup assertion: {hw} hardware thread(s), serial = {serial}"
-            );
-        }
+        // Deterministic counts: they bind in every profile, on any core
+        // count and under any test parallelism.
+        assert!(
+            cost.page_accesses_per_row() <= MAX_LOAD_PAGE_ACCESSES_PER_ROW,
+            "bulk load must make ≤ {MAX_LOAD_PAGE_ACCESSES_PER_ROW} page accesses per row, \
+             got {:.4} ({cost:?})",
+            cost.page_accesses_per_row()
+        );
+        assert!(
+            cost.page_writes <= MAX_LOAD_PAGE_WRITES,
+            "bulk load must write ≤ {MAX_LOAD_PAGE_WRITES} data pages, got {cost:?}"
+        );
         // Machine-readable perf trajectory: the read-path page reads from
         // the sibling smoke profiles plus the load numbers, written at the
         // repo root so successive PRs can be compared.
@@ -1232,15 +1184,14 @@ mod tests {
                 "leaves": leaves,
                 "seed": 42,
                 "release": !cfg!(debug_assertions),
-                "nproc": hw,
-                "timing_gates_bound": gates_bind
+                "nproc": std::thread::available_parallelism().map_or(1, |n| n.get())
             }),
             "load": serde_json::json!({
                 "rows": cost.rows,
-                "bulk_seconds": cost.bulk_seconds,
-                "reference_seconds": cost.reference_seconds,
-                "speedup": cost.speedup(),
+                "bulk_seconds": cost.seconds,
                 "bulk_rows_per_sec": cost.rows_per_sec(),
+                "page_accesses_per_row": cost.page_accesses_per_row(),
+                "data_pages_written": cost.page_writes,
                 "wal_bytes": cost.wal_bytes,
                 "wal_bytes_per_data_byte": cost.wal_ratio()
             }),
@@ -1371,11 +1322,13 @@ mod tests {
         };
         let profile = scrub_workload(leaves, 42);
         eprintln!(
-            "smoke scrub: {} pages verified in {:.3}s ({:.0} pages/s), \
-             {} corrupted → {} repaired + {} quarantined in {:.3}s",
+            "smoke scrub: {} pages scrubbed in {:.3}s ({:.0} pages/s), integrity check \
+             {:.3}s, both {:.3}s; {} corrupted → {} repaired + {} quarantined in {:.3}s",
             profile.pages,
-            profile.clean_seconds,
+            profile.page_scrub_seconds,
             profile.pages_per_sec(),
+            profile.integrity_seconds,
+            profile.clean_seconds,
             profile.corrupted,
             profile.pages_repaired,
             profile.pages_quarantined,
@@ -1391,12 +1344,16 @@ mod tests {
             "profile": serde_json::json!({
                 "leaves": profile.leaves,
                 "seed": 42,
-                "release": !cfg!(debug_assertions)
+                "release": !cfg!(debug_assertions),
+                "nproc": std::thread::available_parallelism().map_or(1, |n| n.get())
             }),
             "scrub": serde_json::json!({
                 "pages": profile.pages,
-                "clean_seconds": profile.clean_seconds,
+                "page_scrub_seconds": profile.page_scrub_seconds,
                 "pages_per_sec": profile.pages_per_sec(),
+                "integrity_seconds": profile.integrity_seconds,
+                "clean_seconds": profile.clean_seconds,
+                "clean_pages_per_sec": profile.clean_pages_per_sec(),
                 "corrupted_pages": profile.corrupted,
                 "detect_seconds": profile.detect_seconds,
                 "pages_repaired": profile.pages_repaired,

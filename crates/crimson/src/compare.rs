@@ -18,9 +18,8 @@
 //! writer's [`Repository::view`](crate::Repository::view) and concurrent snapshot
 //! [`crate::reader::RepositoryReader`]s.
 
-use crate::content::TreeContent;
 use crate::error::{CrimsonError, CrimsonResult};
-use crate::repository::{ReadCtx, StoredNodeId, TreeHandle, TreeStatsRecord, TREE_SHIFT};
+use crate::repository::{LoadPass, ReadCtx, StoredNodeId, TreeHandle, TreeStatsRecord, TREE_SHIFT};
 use phylo::traverse::Traverse;
 use phylo::Tree;
 use reconstruction::compare::{
@@ -109,7 +108,7 @@ pub(crate) fn equal_tree_comparison(
     if labeling::clade_hash::root_hash(a)? != labeling::clade_hash::root_hash(b)? {
         return None;
     }
-    let counts = TreeContent::compute(b).counts;
+    let counts = LoadPass::compute(b).counts;
     Some(identical_comparison(
         counts.rooted,
         counts.unrooted,
@@ -233,17 +232,16 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
     ) -> CrimsonResult<SourceComparison> {
         let stats = self.tree_stats(a)?;
         if stats.distinct_leaves && !b.is_empty() {
-            let content = TreeContent::compute(b);
-            let root_hash = content.hashes[b.root_unchecked().index()];
             let n_leaves = b.leaf_ids().count() as u32;
-            if root_hash == stats.root_hash
-                && content.distinct_leaves
+            if labeling::clade_hash::root_hash(b) == Some(stats.root_hash)
+                && labeling::clade_hash::distinct_named_leaves(b)
                 && !(triplets && n_leaves < 3)
             {
+                let counts = LoadPass::compute(b).counts;
                 let clades = tree_agreement(b, n_leaves);
                 return Ok(identical_comparison(
-                    content.counts.rooted,
-                    content.counts.unrooted,
+                    counts.rooted,
+                    counts.unrooted,
                     clades,
                     triplets,
                 ));

@@ -21,8 +21,8 @@
 //! onto a deduplicated tree and when [`ReadCtx::integrity_check`] verifies
 //! a stored root hash.
 //!
-//! Every load path writes the stats row in the same transaction as the
-//! tree, so a tree without it is a damaged file
+//! The loader writes the stats row in the same transaction as the tree,
+//! so a tree without it is a damaged file
 //! ([`CrimsonError::CorruptRepository`]), which
 //! [`ReadCtx::integrity_check`] reports.
 
@@ -32,7 +32,6 @@ use crate::repository::{
     STATS_FLAG_DISTINCT_LEAVES, TREE_SHIFT,
 };
 use labeling::clade_hash::{self, CladeHash};
-use phylo::traverse::Traverse;
 use phylo::Tree;
 use reconstruction::compare::CladeSource;
 use std::collections::HashSet;
@@ -80,50 +79,6 @@ pub(crate) fn count_clades(spans: impl Iterator<Item = (u32, u32)>, n_leaves: u3
     CladeCounts {
         rooted: clades.len() as u64,
         unrooted: splits.len() as u64,
-    }
-}
-
-/// The full content address of an in-memory tree: per-node hashes (arena
-/// indexed), clade counts and the distinct-leaf-names flag.
-/// [`Repository::load_tree`] computes all of this inside its single DFS;
-/// this standalone version serves the reference load path and comparisons
-/// against in-memory trees.
-pub(crate) struct TreeContent {
-    /// Canonical clade hash per node, indexed by arena index.
-    pub hashes: Vec<CladeHash>,
-    /// Distinct clade/split counts.
-    pub counts: CladeCounts,
-    /// Every leaf named, no duplicates.
-    pub distinct_leaves: bool,
-}
-
-impl TreeContent {
-    /// Compute hashes, counts and the leaf flag in two post-order passes.
-    pub fn compute(tree: &Tree) -> TreeContent {
-        let hashes = clade_hash::tree_hashes(tree);
-        let n = tree.node_count();
-        let mut lo = vec![u32::MAX; n];
-        let mut hi = vec![0u32; n];
-        let mut next_rank = 0u32;
-        for v in tree.postorder() {
-            let vi = v.index();
-            if tree.is_leaf(v) {
-                lo[vi] = next_rank;
-                hi[vi] = next_rank;
-                next_rank += 1;
-            }
-            if let Some(p) = tree.parent(v) {
-                let pi = p.index();
-                lo[pi] = lo[pi].min(lo[vi]);
-                hi[pi] = hi[pi].max(hi[vi]);
-            }
-        }
-        let counts = count_clades((0..n).map(|i| (lo[i], hi[i])), next_rank);
-        TreeContent {
-            hashes,
-            counts,
-            distinct_leaves: clade_hash::distinct_named_leaves(tree),
-        }
     }
 }
 
@@ -285,7 +240,7 @@ impl Repository {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repository::RepositoryOptions;
+    use crate::repository::{LoadPass, RepositoryOptions};
     use phylo::builder::balanced_binary;
     use simulation::birth_death::yule_tree;
     use tempfile::tempdir;
@@ -380,7 +335,7 @@ mod tests {
     #[test]
     fn count_clades_matches_known_small_trees() {
         // 4-leaf balanced binary: two cherries → 2 rooted clades, 1 split.
-        let counts = TreeContent::compute(&balanced_binary(2, 1.0)).counts;
+        let counts = LoadPass::compute(&balanced_binary(2, 1.0)).counts;
         assert_eq!(
             counts,
             CladeCounts {
@@ -391,23 +346,8 @@ mod tests {
         // A single leaf has neither.
         let mut leaf = Tree::new();
         leaf.add_named_node("only");
-        let counts = TreeContent::compute(&leaf).counts;
+        let counts = LoadPass::compute(&leaf).counts;
         assert_eq!(counts, CladeCounts::default());
-    }
-
-    #[test]
-    fn bulk_and_reference_loads_store_identical_content_addresses() {
-        let (_d, mut repo) = repo();
-        let tree = yule_tree(80, 1.0, 11);
-        let ha = repo.load_tree("bulk", &tree).unwrap();
-        let hb = repo.load_tree_reference("reference", &tree).unwrap();
-        let sa = repo.view().tree_stats(ha).unwrap();
-        let sb = repo.view().tree_stats(hb).unwrap();
-        assert_eq!(sa.root_hash, sb.root_hash);
-        assert_eq!(sa.rooted_clades, sb.rooted_clades);
-        assert_eq!(sa.unrooted_splits, sb.unrooted_splits);
-        assert!(sa.distinct_leaves && sb.distinct_leaves);
-        assert!(repo.view().trees_equal(ha, hb).unwrap());
     }
 
     #[test]
@@ -424,6 +364,13 @@ mod tests {
         // The recomputed root hash names the stored root.
         let root = repo.view().tree_record(ha).unwrap().root;
         assert_eq!(repo.view().clade_hashes(ha).unwrap()[0], (root, root_hash));
+        // A second full copy of `a` has the same content address.
+        let again = repo.load_tree("a again", &a).unwrap();
+        assert!(repo.view().trees_equal(ha, again).unwrap());
+        assert_eq!(
+            repo.view().trees_with_root_hash(root_hash).unwrap().len(),
+            2
+        );
     }
 
     #[test]

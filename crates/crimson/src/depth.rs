@@ -29,8 +29,6 @@
 
 use crate::error::{CrimsonError, CrimsonResult};
 use crate::repository::{NodeRecord, ReadCtx, Repository, StoredNodeId, TreeRecord, TREE_SHIFT};
-use phylo::traverse::Traverse;
-use phylo::Tree;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use storage::db::DbRead;
@@ -73,24 +71,6 @@ pub(crate) fn depth_minima_schema() -> Schema {
         ColumnDef::not_null("chunk", ValueType::Int),
         ColumnDef::not_null("minima", ValueType::Bytes),
     ])
-}
-
-/// `(depth, parent_pre)` of every node of `tree` by pre-order rank; the
-/// root is `(0, 0)`.
-pub(crate) fn depth_column(tree: &Tree) -> Vec<(u32, u32)> {
-    let mut rank_of = vec![0u32; tree.node_count()];
-    let mut column: Vec<(u32, u32)> = Vec::with_capacity(tree.node_count());
-    for (rank, v) in tree.preorder().enumerate() {
-        rank_of[v.index()] = rank as u32;
-        column.push(match tree.parent(v) {
-            Some(p) => {
-                let pp = rank_of[p.index()];
-                (column[pp as usize].0 + 1, pp)
-            }
-            None => (0, rank as u32),
-        });
-    }
-    column
 }
 
 /// The shallowest `(depth, parent_pre)` of a run of ranks (first on ties).
@@ -243,8 +223,9 @@ pub(crate) struct DepthCursor {
 }
 
 impl Repository {
-    /// Persist `column` (see [`depth_column`]) as the depth blocks and
-    /// block minima of `tree_id`, inside the caller's transaction.
+    /// Persist `column`, `(depth, parent_pre)` by pre-order rank with the
+    /// root as `(0, 0)`, as the depth blocks and block minima of `tree_id`,
+    /// inside the caller's transaction.
     pub(crate) fn insert_depth_column(
         &mut self,
         tree_id: u64,
@@ -623,6 +604,7 @@ impl<'a, D: DbRead> ReadCtx<'a, D> {
 mod tests {
     use super::*;
     use crate::repository::RepositoryOptions;
+    use phylo::traverse::Traverse;
     use simulation::birth_death::yule_tree;
 
     #[test]

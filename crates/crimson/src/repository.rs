@@ -37,8 +37,7 @@ use crate::cache::ShardedCache;
 use crate::depth::DepthMinima;
 use crate::error::{CrimsonError, CrimsonResult};
 use labeling::clade_hash::{self, CladeHash};
-use labeling::interval::{interval_key_prefix, interval_range_end, IntervalEntry, IntervalLabels};
-use phylo::traverse::Traverse;
+use labeling::interval::{interval_key_prefix, interval_range_end, IntervalEntry};
 use phylo::Tree;
 use simulation::gold::GoldStandard;
 use std::collections::HashMap;
@@ -1404,20 +1403,10 @@ impl Repository {
     /// storage engine's bulk appenders — heap pages are filled sequentially,
     /// secondary indexes and both interval indexes are packed bottom-up —
     /// instead of paying a root-to-leaf descent and a whole-node rewrite
-    /// per row. [`Repository::load_tree_reference`] keeps the row-at-a-time
-    /// path for cross-validation.
+    /// per row. It is the one writer of a tree's stored layout; the tests
+    /// check what it stores against oracles over the in-memory tree.
     pub fn load_tree(&mut self, name: &str, tree: &Tree) -> CrimsonResult<TreeHandle> {
         self.with_txn(|repo| repo.load_tree_inner(name, tree))
-    }
-
-    /// Load a tree through the original row-at-a-time path: one
-    /// [`Database::insert`] per node row and one `raw_insert` per
-    /// interval entry, each paying a full B+tree descent. Kept as the
-    /// reference implementation the bulk property tests cross-validate
-    /// against, and as the cost baseline `smoke_bulk_load` measures the
-    /// bulk path's speedup over.
-    pub fn load_tree_reference(&mut self, name: &str, tree: &Tree) -> CrimsonResult<TreeHandle> {
-        self.with_txn(|repo| repo.load_tree_reference_inner(name, tree))
     }
 
     fn load_tree_inner(&mut self, name: &str, tree: &Tree) -> CrimsonResult<TreeHandle> {
@@ -1487,95 +1476,6 @@ impl Repository {
         self.db.insert(
             self.tables.trees,
             &tree_row(tree_id, name, tree, pass.leaf_count),
-        )?;
-        Ok(TreeHandle(tree_id))
-    }
-
-    fn load_tree_reference_inner(&mut self, name: &str, tree: &Tree) -> CrimsonResult<TreeHandle> {
-        let tree_id = self.new_tree_id(name, tree)?;
-
-        let root_dists = tree.all_root_distances();
-        let depths = tree.all_depths();
-        let preorder = tree.preorder_ranks();
-        // Subtree height (max distance to a descendant leaf) in post-order.
-        let mut heights = vec![0.0f64; tree.node_count()];
-        for node in tree.postorder() {
-            let mut h = 0.0f64;
-            for &c in tree.children(node) {
-                h = h.max(heights[c.index()] + tree.node(c).branch_length_or_zero());
-            }
-            heights[node.index()] = h;
-        }
-
-        let node_sid = |n: phylo::NodeId| StoredNodeId((tree_id << TREE_SHIFT) | n.0 as u64);
-
-        // Insert nodes in pre-order (keeps heap locality aligned with the
-        // dominant access pattern), remembering each row's physical record
-        // id — the interval index stores it as a direct row locator.
-        let mut leaf_count = 0u64;
-        let mut row_ids = vec![storage::RecordId { page: 0, slot: 0 }; tree.node_count()];
-        let mut values = Vec::new();
-        for node in tree.preorder() {
-            if tree.is_leaf(node) {
-                leaf_count += 1;
-            }
-            let ai = node.index();
-            values.clear();
-            encode_node_row(
-                &mut values,
-                tree,
-                tree_id,
-                node,
-                NodeScalars {
-                    root_distance: root_dists[ai],
-                    depth: depths[ai] as u64,
-                    preorder: preorder[ai] as u32,
-                    subtree_height: heights[ai],
-                },
-            );
-            row_ids[ai] = self.db.insert(self.tables.nodes, &values)?;
-        }
-
-        // Persist the interval index: one covering entry per node keyed by
-        // `(tree_id, pre)` whose value is the node row's physical record id
-        // (a direct heap locator, so scan consumers fetch rows without an
-        // index descent), plus the node id → packed interval map that makes
-        // `is_ancestor` two integer comparisons. Entries arrive in
-        // pre-order, i.e. in key order, so the B+tree build is
-        // append-friendly.
-        let intervals = IntervalLabels::build(tree);
-        for entry in intervals.entries(tree) {
-            let sid = node_sid(phylo::NodeId(entry.node));
-            let rid = row_ids[entry.node as usize];
-            self.db.raw_insert(
-                self.tables.ivl_by_pre,
-                &entry.encode_key(tree_id),
-                rid.to_u64(),
-            )?;
-            self.db.raw_insert(
-                self.tables.ivl_by_node,
-                &sid.0.to_be_bytes(),
-                clade_hash::pack_span(entry.pre, entry.end),
-            )?;
-        }
-
-        self.insert_depth_column(tree_id, &crate::depth::depth_column(tree))?;
-
-        // The content-address row, computed standalone (the bulk path folds
-        // this into its single DFS; the property tests cross-validate the
-        // two paths' hashes and stats byte for byte).
-        let content = crate::content::TreeContent::compute(tree);
-        self.insert_content_address(
-            tree_id,
-            content.hashes[tree.root_unchecked().index()],
-            content.counts,
-            content.distinct_leaves,
-        )?;
-
-        // Insert the tree row last so a partially loaded tree is not visible.
-        self.db.insert(
-            self.tables.trees,
-            &tree_row(tree_id, name, tree, leaf_count),
         )?;
         Ok(TreeHandle(tree_id))
     }
@@ -1810,10 +1710,9 @@ fn decode_tree_row(row: &storage::schema::Row) -> TreeRecord {
 
 /// Every per-node value a load stores, by arena id, from one iterative
 /// depth-first pass: the rows, interval entries, depth column and content
-/// address of [`Repository::load_tree`].
-/// [`Repository::load_tree_reference`] keeps its own traversals as the
-/// independent check.
-struct LoadPass {
+/// address of [`Repository::load_tree`], and the clade counts the
+/// equal-tree comparisons synthesize.
+pub(crate) struct LoadPass {
     /// Arena ids in pre-order: the emission order.
     pub order: Vec<phylo::NodeId>,
     /// Pre-order rank.
@@ -1913,7 +1812,7 @@ impl LoadPass {
     }
 
     /// The stored scalars of arena node `v`.
-    pub fn scalars(&self, v: phylo::NodeId) -> NodeScalars {
+    fn scalars(&self, v: phylo::NodeId) -> NodeScalars {
         let i = v.index();
         NodeScalars {
             root_distance: self.root_dist[i],
@@ -1924,7 +1823,7 @@ impl LoadPass {
     }
 
     /// The covering `ivl_by_pre` entry of arena node `v`.
-    pub fn interval_entry(&self, tree: &Tree, v: phylo::NodeId) -> IntervalEntry {
+    fn interval_entry(&self, tree: &Tree, v: phylo::NodeId) -> IntervalEntry {
         let i = v.index();
         IntervalEntry {
             pre: self.pre[i],
@@ -1936,7 +1835,7 @@ impl LoadPass {
     }
 
     /// `(depth, parent_pre)` by pre-order rank: the depth column.
-    pub fn depth_column(&self) -> Vec<(u32, u32)> {
+    fn depth_column(&self) -> Vec<(u32, u32)> {
         self.order
             .iter()
             .map(|v| (self.depth[v.index()] as u32, self.parent_pre[v.index()]))

@@ -1,16 +1,23 @@
-//! Property tests for the bulk-load fast path: repositories loaded through
-//! the streaming bulk pipeline must be indistinguishable — query for query —
-//! from repositories loaded through the row-at-a-time reference path, and a
-//! crash at any point inside a bulk load must recover to the clean pre-load
+//! Property tests for the loader: every tree `load_tree` stores must
+//! answer every query the way an oracle over the in-memory tree does, and a
+//! crash at any point inside a load must recover to the clean pre-load
 //! state.
+//!
+//! The oracles are independent of the loader's single depth-first pass:
+//! `labeling`'s parent pointers and interval labels, `phylo`'s own
+//! traversals and projection, `labeling::tree_hashes` and the comparison
+//! module's clade and split sets.
 
 mod common;
 
-use common::{arena, check_topology, sid, Oracle};
+use common::{arena, assert_same_projection, check_topology, node_records, sid, Oracle};
 use crimson::prelude::*;
 use crimson::repository::RepositoryOptions;
+use labeling::IntervalLabels;
+use phylo::Tree;
 use rand::prelude::*;
 use simulation::birth_death::{birth_death_tree, BirthDeathConfig};
+use std::collections::HashSet;
 use storage::CrashPoint;
 use tempfile::tempdir;
 
@@ -21,151 +28,195 @@ fn options() -> RepositoryOptions {
     }
 }
 
-/// A random birth–death tree with mildly varied shape parameters.
-fn random_tree(rng: &mut StdRng) -> phylo::Tree {
-    let leaves = rng.gen_range(8usize..60);
+/// A birth–death tree with mildly varied shape parameters.
+fn birth_death(rng: &mut StdRng, leaves: usize, prune: bool) -> Tree {
     let death = if rng.gen_bool(0.5) { 0.0 } else { 0.3 };
     birth_death_tree(
         &BirthDeathConfig {
             leaves,
             birth_rate: 1.0,
             death_rate: death,
-            prune_extinct: death > 0.0 && rng.gen_bool(0.5),
+            prune_extinct: death > 0.0 && prune,
             ..BirthDeathConfig::default()
         }
         .with_seed(rng.gen()),
     )
 }
 
-/// Bulk-load and reference-load the same 50 random trees into two
-/// repositories, then cross-validate children, leaves, LCA, ancestor
-/// tests, spanning clades, projections and the integrity check between
-/// them. Stored node ids are `(tree_id << 32) | arena_id` in both
-/// repositories, so query answers must be *identical*, not merely
-/// isomorphic.
-#[test]
-fn bulk_and_reference_loads_answer_identically_on_random_trees() {
-    let dir = tempdir().unwrap();
-    let mut bulk = Repository::create(dir.path().join("bulk.crimson"), options()).unwrap();
-    let mut reference = Repository::create(dir.path().join("ref.crimson"), options()).unwrap();
-    let mut rng = StdRng::seed_from_u64(20260727);
-    for case in 0..50 {
-        let tree = random_tree(&mut rng);
-        let name = format!("tree-{case}");
-        let hb = bulk.load_tree(&name, &tree).unwrap();
-        let hr = reference.load_tree_reference(&name, &tree).unwrap();
-        assert_eq!(hb, hr, "case {case}: handles must line up");
-
-        // Children and leaves answer the in-memory tree, in pre-order.
-        let oracle = Oracle::new(hb, &tree);
-        check_topology(&bulk, &oracle);
-        check_topology(&reference, &oracle);
-        let mut leaves_b = bulk.view().leaves(hb).unwrap();
-        leaves_b.sort();
-
-        // LCA + ancestor tests over sampled pairs, also checked against the
-        // in-memory tree.
-        for _ in 0..12 {
-            let a = *leaves_b.choose(&mut rng).unwrap();
-            let b = *leaves_b.choose(&mut rng).unwrap();
-            let lb = bulk.view().lca(a, b).unwrap();
-            let lr = reference.view().lca(a, b).unwrap();
-            assert_eq!(lb, lr, "case {case}: lca({a}, {b})");
-            assert_eq!(oracle.lca(a, b), lb, "case {case}: in-memory lca disagrees");
-            assert!(
-                bulk.view().is_ancestor(lb, a).unwrap() && bulk.view().is_ancestor(lb, b).unwrap(),
-                "case {case}: lca must cover both"
-            );
-        }
-
-        // Minimal spanning clade of a random leaf subset.
-        let set: Vec<StoredNodeId> = leaves_b
-            .choose_multiple(&mut rng, 4.min(leaves_b.len()))
-            .copied()
-            .collect();
-        let mut cb = bulk.view().minimal_spanning_clade(&set).unwrap();
-        let mut cr = reference.view().minimal_spanning_clade(&set).unwrap();
-        cb.sort();
-        cr.sort();
-        assert_eq!(cb, cr, "case {case}: spanning clades differ");
-
-        // Projection of an evenly spread leaf sample.
-        let sample: Vec<StoredNodeId> = leaves_b.iter().step_by(3).copied().collect();
-        if sample.len() >= 2 {
-            let pb = bulk.view().project(hb, &sample).unwrap();
-            let pr = reference.view().project(hr, &sample).unwrap();
-            assert!(
-                phylo::ops::isomorphic_with_lengths(&pb, &pr, 1e-9),
-                "case {case}: projections differ"
-            );
-        }
-
-        // The clade hashes recomputed from either stored copy are the
-        // in-memory tree's, node for node: the root first, then the rest of
-        // the multiset.
-        let expected = labeling::tree_hashes(&tree);
-        for repo in [&bulk, &reference] {
-            let stored = repo.view().clade_hashes(hb).unwrap();
-            assert_eq!(stored.len(), tree.node_count(), "case {case}");
-            let root = tree.root_unchecked();
-            assert_eq!(
-                stored[0],
-                (sid(hb, root), expected[root.index()]),
-                "case {case}"
-            );
-            for (id, hash) in stored {
-                assert_eq!(hash, expected[arena(id).index()], "case {case}: {id}");
-            }
-        }
-
-        // Node records agree field for field on a sample.
-        for &leaf in leaves_b.iter().take(5) {
-            assert_eq!(
-                bulk.view().node_record(leaf).unwrap(),
-                reference.view().node_record(leaf).unwrap(),
-                "case {case}: node record differs"
-            );
-        }
-    }
-    let rb = bulk.view().integrity_check().unwrap();
-    let rr = reference.view().integrity_check().unwrap();
-    assert_eq!(rb, rr, "integrity reports must match");
-    assert_eq!(rb.trees, 50);
+/// A random birth–death tree of 8 to 59 extant leaves, extinct lineages
+/// kept or pruned at random.
+fn random_tree(rng: &mut StdRng) -> Tree {
+    let leaves = rng.gen_range(8usize..60);
+    let prune = rng.gen_bool(0.5);
+    birth_death(rng, leaves, prune)
 }
 
-/// Bulk-loaded and reference-loaded trees coexist in one repository file:
-/// the second and later loads bulk-append behind existing keys (or fall back
-/// per index), and cross-tree integrity holds.
+/// Check every answer the stored copy of `tree` under `handle` gives
+/// against the in-memory oracles: topology, LCA and ancestry over sampled
+/// node pairs, a spanning clade, a projection, every node's interval, clade
+/// hash and row, and the content-address row.
+fn check_against_oracles(
+    repo: &Repository,
+    handle: TreeHandle,
+    tree: &Tree,
+    rng: &mut StdRng,
+    case: &str,
+) {
+    let view = repo.view();
+    let oracle = Oracle::new(handle, tree);
+
+    // Children, leaves and leaves_under at every node, in pre-order.
+    check_topology(repo, &oracle);
+    let leaves = oracle.leaves();
+    let nodes = oracle.preorder();
+
+    // LCA (the range minimum over the depth column) and ancestor tests
+    // over sampled pairs of leaves and of any nodes.
+    for i in 0..24 {
+        let pool = if i % 2 == 0 { &leaves } else { &nodes };
+        let a = *pool.choose(rng).unwrap();
+        let b = *pool.choose(rng).unwrap();
+        let lca = view.lca(a, b).unwrap();
+        assert_eq!(lca, oracle.lca(a, b), "{case}: lca({a}, {b})");
+        for (x, y) in [(a, b), (b, a), (lca, a), (lca, b)] {
+            assert_eq!(
+                view.is_ancestor(x, y).unwrap(),
+                oracle.is_ancestor(x, y),
+                "{case}: is_ancestor({x}, {y})"
+            );
+        }
+    }
+
+    // Minimal spanning clade of a random leaf subset.
+    let set: Vec<StoredNodeId> = leaves
+        .choose_multiple(rng, 4.min(leaves.len()))
+        .copied()
+        .collect();
+    let mut clade = view.minimal_spanning_clade(&set).unwrap();
+    clade.sort_unstable();
+    assert_eq!(clade, oracle.spanning_clade(&set), "{case}: spanning clade");
+
+    // Projection of an evenly spread leaf sample.
+    let sample: Vec<StoredNodeId> = leaves.iter().step_by(3).copied().collect();
+    if sample.len() >= 2 {
+        let stored = view.project(handle, &sample).unwrap();
+        assert_same_projection(&stored, &oracle.project(&sample), case);
+    }
+
+    // Every node's `(pre, end)` interval, its full row, and its clade hash
+    // recomputed from the stored entries: the root first, then the rest.
+    let intervals = IntervalLabels::build(tree);
+    let records = node_records(handle, tree);
+    for v in tree.node_ids() {
+        let id = sid(handle, v);
+        assert_eq!(
+            view.interval_of(id).unwrap(),
+            intervals.interval(v),
+            "{case}: interval_of({id})"
+        );
+        assert_eq!(
+            view.node_record(id).unwrap(),
+            records[v.index()],
+            "{case}: node_record({id})"
+        );
+    }
+    let expected = labeling::tree_hashes(tree);
+    let root = tree.root_unchecked();
+    let stored = view.clade_hashes(handle).unwrap();
+    assert_eq!(stored.len(), tree.node_count(), "{case}");
+    assert_eq!(
+        stored[0],
+        (sid(handle, root), expected[root.index()]),
+        "{case}"
+    );
+    for (id, hash) in stored {
+        assert_eq!(hash, expected[arena(id).index()], "{case}: hash of {id}");
+    }
+
+    // The content address: root hash, the comparison module's own clade
+    // and split counts, and the distinct-names flag.
+    let stats = view.tree_stats(handle).unwrap();
+    assert_eq!(stats.root_hash, expected[root.index()], "{case}: root hash");
+    let names: HashSet<Option<&str>> = tree.leaf_ids().map(|l| tree.name(l)).collect();
+    let distinct = !names.contains(&None) && names.len() == tree.leaf_count();
+    assert_eq!(stats.distinct_leaves, distinct, "{case}: distinct leaves");
+    if distinct && tree.leaf_count() >= 4 {
+        let rooted = reconstruction::compare::rooted_robinson_foulds(tree, tree).unwrap();
+        let unrooted = reconstruction::compare::robinson_foulds(tree, tree).unwrap();
+        assert_eq!(stats.rooted_clades, rooted.shared as u64, "{case}: clades");
+        assert_eq!(
+            stats.unrooted_splits, unrooted.shared as u64,
+            "{case}: splits"
+        );
+    }
+    let record = view.tree_record(handle).unwrap();
+    assert_eq!(record.root, sid(handle, root), "{case}: root");
+    assert_eq!(record.node_count as usize, tree.node_count(), "{case}");
+    assert_eq!(record.leaf_count as usize, tree.leaf_count(), "{case}");
+}
+
+/// Load 50 random trees into one repository and check each stored copy
+/// against the in-memory oracles, then the whole file's integrity.
 #[test]
-fn mixed_load_paths_share_one_repository() {
+fn bulk_loads_answer_like_in_memory_oracles_on_random_trees() {
     let dir = tempdir().unwrap();
-    let mut repo = Repository::create(dir.path().join("mixed.crimson"), options()).unwrap();
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut handles = Vec::new();
-    let mut oracles = Vec::new();
-    for case in 0..8 {
+    let mut repo = Repository::create(dir.path().join("bulk.crimson"), options()).unwrap();
+    let mut rng = StdRng::seed_from_u64(20260727);
+    let mut expected = IntegrityReport {
+        trees: 50,
+        ..Default::default()
+    };
+    for case in 0..50 {
         let tree = random_tree(&mut rng);
-        let name = format!("t{case}");
-        let handle = if case % 2 == 0 {
-            repo.load_tree(&name, &tree).unwrap()
-        } else {
-            repo.load_tree_reference(&name, &tree).unwrap()
-        };
-        handles.push(handle);
-        oracles.push(Oracle::new(handle, &tree));
+        let handle = repo.load_tree(&format!("tree-{case}"), &tree).unwrap();
+        check_against_oracles(&repo, handle, &tree, &mut rng, &format!("case {case}"));
+        let n = tree.node_count() as u64;
+        expected.nodes += n;
+        expected.interval_entries += n;
+        // One depth block row per 256 pre-order ranks.
+        expected.depth_blocks += n.div_ceil(256);
     }
-    repo.view().integrity_check().unwrap();
-    for (&handle, oracle) in handles.iter().zip(&oracles) {
-        let leaves = repo.view().leaves(handle).unwrap();
-        let a = leaves[0];
-        let b = *leaves.last().unwrap();
-        let lca = repo.view().lca(a, b).unwrap();
-        assert_eq!(oracle.lca(a, b), lca);
-        assert!(repo.view().is_ancestor(lca, b).unwrap());
+    assert_eq!(repo.view().integrity_check().unwrap(), expected);
+}
+
+/// Eight loads of distinct topologies over one taxon set, with dedup hits
+/// and misses between them. Every load after the first meets existing keys
+/// in the `name`, `root_dist` and `subtree_height` indexes, so those runs
+/// interleave and take the per-key fallback while `node_id` still
+/// bulk-appends. Every stored tree still answers like its oracle, the file
+/// passes the integrity check, and queries across trees refuse to mix.
+#[test]
+fn loads_over_one_taxon_set_interleave_with_existing_keys() {
+    let dir = tempdir().unwrap();
+    let mut repo = Repository::create(dir.path().join("shared.crimson"), options()).unwrap();
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut stored: Vec<(TreeHandle, Tree)> = Vec::new();
+    for case in 0..8 {
+        // Pruned or pure-birth: exactly the 40 extant taxa S0..S39.
+        let tree = birth_death(&mut rng, 40, true);
+        let handle = repo.load_tree(&format!("t{case}"), &tree).unwrap();
+        stored.push((handle, tree));
+
+        // A copy of an already stored tree resolves to it; a fresh
+        // topology is stored in full.
+        let (seen_handle, seen) = stored.choose(&mut rng).unwrap().clone();
+        let (hit_handle, hit) = repo.store_tree_dedup(&format!("hit{case}"), &seen).unwrap();
+        assert!(hit, "case {case}: an identical tree must dedup");
+        assert_eq!(hit_handle, seen_handle, "case {case}");
+        let fresh = birth_death(&mut rng, 40, true);
+        let (fresh_handle, hit) = repo
+            .store_tree_dedup(&format!("miss{case}"), &fresh)
+            .unwrap();
+        assert!(!hit, "case {case}: a new topology must not dedup");
+        stored.push((fresh_handle, fresh));
     }
+    for (i, (handle, tree)) in stored.iter().enumerate() {
+        check_against_oracles(&repo, *handle, tree, &mut rng, &format!("tree {i}"));
+    }
+    assert_eq!(repo.view().integrity_check().unwrap().trees, 16);
     // Queries across distinct trees still refuse to mix.
-    let l0 = repo.view().leaves(handles[0]).unwrap()[0];
-    let l1 = repo.view().leaves(handles[1]).unwrap()[0];
+    let l0 = repo.view().leaves(stored[0].0).unwrap()[0];
+    let l1 = repo.view().leaves(stored[1].0).unwrap()[0];
     assert!(repo.view().lca(l0, l1).is_err());
 }
 
@@ -227,7 +278,8 @@ fn bulk_load_crash_recovers_to_pre_load_state() {
     }
 }
 
-/// The bulk path refuses the same invalid inputs as the reference path.
+/// The loader refuses an empty tree and a name already in use, and leaves
+/// nothing behind.
 #[test]
 fn bulk_load_rejects_empty_and_duplicate_trees() {
     let dir = tempdir().unwrap();

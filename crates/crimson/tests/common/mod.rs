@@ -10,6 +10,7 @@
 #![allow(dead_code)]
 
 use crimson::prelude::*;
+use crimson::repository::NodeRecord;
 use labeling::{IntervalLabels, LcaScheme, ParentPointers};
 use phylo::traverse::Traverse;
 use phylo::{NodeId, Tree};
@@ -138,4 +139,35 @@ pub fn check_topology(repo: &Repository, oracle: &Oracle) {
         let leaves = view.leaves_under(node).unwrap();
         assert_eq!(leaves, oracle.leaves_under(node), "leaves_under({node})");
     }
+}
+
+/// The node row of every node of `tree`, as stored under `handle`, by arena
+/// id: root distances, depths and pre-order ranks from `phylo`'s own
+/// traversals, and subtree heights from a post-order fold.
+pub fn node_records(handle: TreeHandle, tree: &Tree) -> Vec<NodeRecord> {
+    let root_distances = tree.all_root_distances();
+    let depths = tree.all_depths();
+    let ranks = tree.preorder_ranks();
+    let mut heights = vec![0.0f64; tree.node_count()];
+    for v in tree.postorder() {
+        heights[v.index()] = tree
+            .children(v)
+            .iter()
+            .map(|&c| heights[c.index()] + tree.node(c).branch_length_or_zero())
+            .fold(0.0, f64::max);
+    }
+    tree.node_ids()
+        .map(|v| NodeRecord {
+            id: sid(handle, v),
+            tree: handle,
+            parent: tree.parent(v).map(|p| sid(handle, p)),
+            name: tree.name(v).map(str::to_owned),
+            branch_length: tree.branch_length(v),
+            root_distance: root_distances[v.index()],
+            depth: depths[v.index()] as u64,
+            preorder: ranks[v.index()] as u64,
+            is_leaf: tree.is_leaf(v),
+            subtree_height: heights[v.index()],
+        })
+        .collect()
 }

@@ -2,10 +2,10 @@
 //!
 //! * Property tests: `lca` equals the in-memory `Tree::lca` on random
 //!   birth–death trees, a depth-10k caterpillar, balanced trees and 1- and
-//!   2-node trees, for trees written by every store path (bulk
-//!   `load_tree`, the row-at-a-time `load_tree_reference`, and
-//!   `store_tree_dedup` hits and misses). On the same trees `children`,
-//!   `leaves` and `leaves_under` answer the in-memory tree in pre-order.
+//!   2-node trees, for trees written by every store path (`load_tree`,
+//!   and `store_tree_dedup` hits and misses). On the same trees
+//!   `children`, `leaves` and `leaves_under` answer the in-memory tree in
+//!   pre-order.
 //! * Cost test: on the caterpillar, the deepest pair's LCA makes no more
 //!   buffer-pool page accesses than a shallow pair's, plus a small
 //!   constant.
@@ -139,9 +139,6 @@ fn every_store_path_writes_a_usable_depth_column() {
     let bulk = repo.load_tree("bulk", &tree).unwrap();
     check_pairs(&repo, bulk, &tree, &nodes, 600);
 
-    let rows = repo.load_tree_reference("rows", &tree).unwrap();
-    check_pairs(&repo, rows, &tree, &nodes, 600);
-
     // Dedup: a fresh tree is stored in full, an identical one resolves to
     // the canonical handle; both answer through their depth column.
     let other = yule_tree(300, 1.0, 12);
@@ -154,15 +151,15 @@ fn every_store_path_writes_a_usable_depth_column() {
     check_pairs(&repo, again, &other, &all_nodes(&other), 100);
 
     // Children and leaves answer the in-memory tree on every path.
-    for (handle, t) in [(bulk, &tree), (rows, &tree), (fresh, &other)] {
+    for (handle, t) in [(bulk, &tree), (fresh, &other)] {
         check_topology(&repo, &Oracle::new(handle, t));
     }
 
     // Projections through every path agree with the in-memory projection.
-    let names = tree.leaf_names();
-    let pick: Vec<&str> = names.iter().step_by(7).map(|s| s.as_str()).collect();
-    let expected = phylo::ops::project_by_names(&tree, &pick).unwrap();
-    for handle in [bulk, rows] {
+    for (handle, t) in [(bulk, &tree), (fresh, &other)] {
+        let names = t.leaf_names();
+        let pick: Vec<&str> = names.iter().step_by(7).map(|s| s.as_str()).collect();
+        let expected = phylo::ops::project_by_names(t, &pick).unwrap();
         let got = repo.view().project_species(handle, &pick).unwrap();
         assert!(phylo::ops::isomorphic_with_lengths(&got, &expected, 1e-9));
     }
